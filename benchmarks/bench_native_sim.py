@@ -1,9 +1,8 @@
 """Bench: steady-loop throughput — compiled tape replay vs native lowering.
 
 Times ``engine="compiled"`` (per-op tape replay) against ``engine="native"``
-(generated fused steady-loop code, :mod:`repro.stencil.native`) on the
-paper workloads, plus a ``native+numba`` row when numba is importable
-(it is optional — the row records as absent, never fails, without it).
+(generated loop nests, :mod:`repro.stencil.native`) on the paper
+workloads; each row records the rung that bound (``cc`` or ``python``).
 Results are appended to ``BENCH_native_sim.json`` at the repo root so
 future PRs can track the trajectory; the headline contract — native >= 2x
 compiled on the Jacobi-3D and RTM steady loops — is recorded
@@ -32,16 +31,6 @@ _RESULTS: dict[str, dict] = {}
 _REPEATS = 9
 
 _ASSERT_SPEEDUP = os.environ.get("BENCH_ASSERT_SPEEDUP") == "1"
-
-
-def _has_numba() -> bool:
-    if os.environ.get("REPRO_NO_NUMBA") == "1":
-        return False
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -86,36 +75,10 @@ def _record_pair(name: str, app, shape, niter: int, threshold: float | None):
         "speedup": round(speedup, 2),
     }
 
-    if _has_numba():
-        # a second, numba-pinned binding in its own cache: measures the
-        # njit flavor even when the auto ladder would pick cc
-        os.environ["REPRO_NATIVE_JIT"] = "numba"
-        try:
-            nb_cache = CompiledPlanCache()
-            nb_run = lambda: run_program_compiled(  # noqa: E731
-                program, fields, niter, cache=nb_cache, engine="native"
-            )
-            nb = nb_run()
-            for fname in gold:
-                assert gold[fname].data.tobytes() == nb[fname].data.tobytes()
-            if cache is not nb_cache:
-                bound_nb = nb_cache.get(program, fields, native=True)
-                if bound_nb.native_backend == "numba":
-                    t_numba = _time_best(nb_run)
-                    row["numba_s"] = t_numba
-                    row["numba_speedup"] = round(t_compiled / t_numba, 2)
-        finally:
-            os.environ.pop("REPRO_NATIVE_JIT", None)
-
     _RESULTS[name] = row
     print(
         f"\n{name}: compiled {t_compiled * 1e3:.2f} ms, "
         f"native[{backend}] {t_native * 1e3:.2f} ms -> {speedup:.1f}x"
-        + (
-            f", numba {row['numba_s'] * 1e3:.2f} ms"
-            if "numba_s" in row
-            else ""
-        )
     )
     if threshold is not None and _ASSERT_SPEEDUP:
         assert speedup >= threshold, (

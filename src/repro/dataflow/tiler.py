@@ -134,7 +134,10 @@ class SpatialTiler:
         for name in self.program.external_reads():
             f = env[name]
             sub_spec = MeshSpec(shape, f.spec.components, f.spec.dtype)
-            block_env[name] = Field(name, sub_spec, f.data[storage].copy())
+            # a view, not a copy: no engine writes through its inputs (the
+            # compiled ones copy into the plan's buffers at load, the
+            # interpreter computes into fresh arrays)
+            block_env[name] = Field(name, sub_spec, f.data[storage])
         return block_env
 
     def _write_back(

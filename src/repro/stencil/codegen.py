@@ -7,31 +7,36 @@ full scratch register. This module lowers a **bound** tape one level
 further, to straight-line source code specialized for one
 ``(plan, batch)`` binding:
 
-1. :func:`build_ir` walks the bound steady tapes and normalizes every op
-   into a strided-access form: each operand becomes ``(base array, element
-   offset, per-axis element strides)`` over the op's loop shape, read
-   straight off the NumPy views the executor itself binds (broadcast axes
-   become stride 0), so the IR can never drift from the replay semantics.
-   Folded scalars stay literals.
-2. A fusion pass turns single-use register chains into nested expressions:
-   a register write whose value has exactly one in-tape consumer (with a
-   bitwise-identical access pattern, no intervening hazard writes, and a
-   live range closed by a later write to the same register) is inlined
-   into the consumer and its store elided. The classic
-   ``mul/mul/add/add...`` stencil chains collapse into one loop nest per
-   produced window — memory is touched once, exactly the dataflow fusion
+1. :func:`build_ir` walks every bound tape — warm and steady — and
+   normalizes each op into a strided-access :class:`Statement`: each
+   operand becomes ``(base array, element offset, per-axis element
+   strides)`` over the op's loop shape, read straight off the NumPy views
+   the executor itself binds (broadcast axes become stride 0), so the IR
+   can never drift from the replay semantics. Folded scalars stay literals.
+2. One forwarding pass (:func:`_forward`) inlines a register producer into
+   its single consumer by *composing affine accesses* and elides the
+   store. A consumer reading exactly what the producer wrote substitutes
+   the expression as is; a consumer reading any window of a **flat**
+   (1-D, unit-stride) producer re-indexes the producer's loads over its
+   own loop space — which is how the flat ``(N,)`` lane sums of a stencil
+   land directly in the shaped interior of the ping-pong buffer, ghost
+   lanes never computed. Only registers no tape reads before writing
+   (:func:`_tape_local`) are forwarded, so an elided value can never be
+   missed by the partner tape, a warm tape or the next iteration. The
+   classic ``mul/mul/add/add.../copy`` chains collapse into **one loop
+   nest per kernel** — memory is touched once, exactly the dataflow fusion
    the paper realizes in hardware.
-3. :func:`emit_c` / :func:`emit_numba` render the fused statements as C
-   (built once with the system compiler, driven through ``ctypes``) or as
-   per-lane Python loops for ``numba.njit``. Both flavors evaluate the
-   same expression trees in the same association order with contraction
-   disabled (``-ffp-contract=off`` / ``fastmath=False``), so results stay
-   **bit-identical** to the tape replay — and :mod:`repro.stencil.native`
-   verifies that bitwise at bind time before trusting either backend.
+3. :func:`emit_c` renders each *distinct* statement once, as a loop nest in
+   its own function, and each tape as a call list (warm and steady tapes
+   share most statements). Expression trees keep the tape's association
+   order and the build disables contraction (``-ffp-contract=off``), so
+   results stay **bit-identical** to the tape replay — and
+   :mod:`repro.stencil.native` verifies that bitwise at bind time before
+   trusting the build.
 4. :func:`make_tape_callable` generates the always-available fused-NumPy
    flavor: one specialized Python function per tape with every bound
    ``ufunc(a, b, out)`` call unrolled into a closure (no per-op tuple
-   unpacking, no tape loop), used when neither JIT backend is available.
+   unpacking, no tape loop), used when no C compiler is.
 
 The generated sources embed only plan-derived geometry (shapes, strides,
 offsets, folded constants) — never data pointers — so one compiled
@@ -47,9 +52,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-#: ops renderable as infix/prefix expressions; "copy" is the identity
-_EXPR_OPS = {"add", "sub", "mul", "div", "neg", "copy", "fill"}
-
 #: cap on loads folded into one fused expression — past this the chain is
 #: materialized to keep generated statements (and compile times) bounded
 _MAX_FUSED_LOADS = 48
@@ -59,10 +61,11 @@ _MAX_FUSED_LOADS = 48
 class Access:
     """One strided operand: ``base[offset + sum(i_k * strides[k])]``.
 
-    ``base`` indexes :attr:`NativeIR.bases`; ``shape`` is the owning op's
-    loop shape and ``strides`` are element strides per loop axis (0 on
-    broadcast axes). Equality is exact — two accesses are interchangeable
-    only when they address the very same elements in the same order.
+    ``base`` indexes :attr:`NativeIR.bases`; ``shape`` is the owning
+    statement's loop shape and ``strides`` are element strides per loop
+    axis (0 on broadcast axes). Equality is exact — two accesses are
+    interchangeable only when they address the very same elements in the
+    same order.
     """
 
     base: int
@@ -78,7 +81,10 @@ class Load:
 
 @dataclass(frozen=True)
 class Const:
-    value: float  # exact: python floats hold any f32/f64 bit pattern
+    #: ``float.hex`` of the folded scalar: exact for every finite f32/f64,
+    #: a valid C literal, and (unlike the float) it tells -0.0 from 0.0,
+    #: so equal statements are interchangeable statements
+    hex: str
 
 
 @dataclass(frozen=True)
@@ -89,16 +95,18 @@ class OpExpr:
 
 @dataclass(frozen=True)
 class Statement:
-    """``dest[...] = expr`` over ``shape``, the unit of code emission."""
+    """``dest[...] = expr`` over ``dest.shape``, the unit of code emission.
+
+    Every load of ``expr`` ranges over the same loop shape as ``dest``.
+    """
 
     dest: Access
-    shape: tuple[int, ...]
     expr: object
 
 
 @dataclass
 class NativeIR:
-    """Fused steady tapes of one bound instance, ready for emission.
+    """Forwarded tapes of one bound instance, ready for emission.
 
     ``bases`` are the instance's live buffer/register arrays in pointer-
     table order; the emitted code addresses them only through the indices
@@ -106,31 +114,36 @@ class NativeIR:
     """
 
     bases: list[np.ndarray]
+    #: one statement list per warm iteration, then the steady pair
+    warm: tuple[list[Statement], ...]
     steady: tuple[list[Statement], list[Statement]]
     dtype: np.dtype
+    #: indices of ``bases`` that are scratch registers
+    registers: frozenset[int]
+    #: register stores the forwarding pass elided, over all tapes
+    forwarded: int
+
+    @property
+    def tapes(self) -> tuple[list[Statement], ...]:
+        """Every tape in iteration order: warm, then steady even / odd."""
+        return (*self.warm, *self.steady)
+
+
+def _map_loads(expr, fn):
+    """``expr`` with every ``Load(a)`` replaced by the expression ``fn(a)``."""
+    if isinstance(expr, Load):
+        return fn(expr.access)
+    if isinstance(expr, OpExpr):
+        return OpExpr(expr.op, tuple(_map_loads(a, fn) for a in expr.args))
+    return expr
 
 
 def _expr_loads(expr) -> list[Access]:
     if isinstance(expr, Load):
         return [expr.access]
     if isinstance(expr, OpExpr):
-        out: list[Access] = []
-        for a in expr.args:
-            out.extend(_expr_loads(a))
-        return out
+        return [a for arg in expr.args for a in _expr_loads(arg)]
     return []
-
-
-def _read_bases(expr) -> set[int]:
-    return {a.base for a in _expr_loads(expr)}
-
-
-@dataclass(frozen=True)
-class _RawOp:
-    op: str
-    dest: Access
-    shape: tuple[int, ...]
-    args: tuple  # Access | Const
 
 
 def _base_table(compiled) -> tuple[list[np.ndarray], dict[int, int]]:
@@ -174,32 +187,38 @@ def _access_of(
 
 
 def build_ir(compiled) -> NativeIR | None:
-    """The fused steady-tape IR of a bound instance, or None if unsupported.
+    """The forwarded IR of a bound instance, or None if unsupported.
 
-    Declines bindings the native backends cannot reproduce bit-exactly:
-    non-float32/float64 dtypes and non-finite folded constants. Warm tapes
-    are not lowered — they run once each via the ordinary tape replay,
-    while the steady pair carries the whole iteration loop.
+    Declines bindings the C backend cannot reproduce bit-exactly:
+    non-float32/float64 dtypes and non-finite folded constants. Warm and
+    steady tapes are lowered alike, in iteration order.
     """
     dtype = np.dtype(compiled.plan.mesh.dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         return None
     bases, base_index = _base_table(compiled)
-    steady: list[list[Statement]] = []
+    plan = compiled.plan
     try:
-        for tape in compiled.plan.steady:
-            raw = [_lower_op(compiled, base_index, op) for op in tape]
-            steady.append(_fuse(raw, _register_bases(compiled, base_index)))
+        raw = [
+            [_lower_op(compiled, base_index, op) for op in tape]
+            for tape in plan.warm + plan.steady
+        ]
     except (ValueError, KeyError, TypeError):
         return None
-    return NativeIR(bases=bases, steady=(steady[0], steady[1]), dtype=dtype)
+    registers = frozenset(base_index[id(a)] for a in compiled._registers.values())
+    local = _tape_local(raw, registers)
+    tapes = [_forward(tape, local) for tape in raw]
+    return NativeIR(
+        bases=bases,
+        warm=tuple(tapes[:-2]),
+        steady=(tapes[-2], tapes[-1]),
+        dtype=dtype,
+        registers=registers,
+        forwarded=sum(map(len, raw)) - sum(map(len, tapes)),
+    )
 
 
-def _register_bases(compiled, base_index) -> set[int]:
-    return {base_index[id(a)] for a in compiled._registers.values()}
-
-
-def _lower_op(compiled, base_index, op) -> _RawOp:
+def _lower_op(compiled, base_index, op) -> Statement:
     dest_arr = compiled._bind_arg(op.dest)
     dest_base = _owner(compiled, op.dest)
     shape = dest_arr.shape
@@ -210,134 +229,159 @@ def _lower_op(compiled, base_index, op) -> _RawOp:
             value = float(a)
             if not math.isfinite(value):
                 raise ValueError("non-finite folded constant")
-            args.append(Const(value))
+            args.append(Const(value.hex()))
         else:
             arr = compiled._bind_arg(a)
             base = _owner(compiled, a)
             args.append(
-                _access_of(arr, base, base_index[id(base)], shape)
+                Load(_access_of(arr, base, base_index[id(base)], shape))
             )
-    name = op.op if op.op in ("add", "sub", "mul", "div", "neg") else (
-        "fill" if isinstance(op.args[0], np.generic) else "copy"
-    )
-    return _RawOp(name, dest, shape, tuple(args))
+    if op.op in ("copy", "fill"):
+        return Statement(dest, args[0])
+    return Statement(dest, OpExpr(op.op, tuple(args)))
 
 
-def _fuse(ops: Sequence[_RawOp], register_bases: set[int]) -> list[Statement]:
-    """Fuse single-use register chains; every other op keeps its own loop.
+# -- register forwarding ------------------------------------------------------
+def _span(a: Access) -> tuple[int, int]:
+    """Lowest and highest element index of its base the access touches."""
+    lo = hi = a.offset
+    for extent, stride in zip(a.shape, a.strides):
+        reach = (extent - 1) * stride
+        lo, hi = lo + min(reach, 0), hi + max(reach, 0)
+    return lo, hi
 
-    A store to register base ``b`` at position ``k`` is elided iff
 
-    * its value has exactly one consumer before the next in-tape write to
-      ``b``, reading with an access equal to the store's (same elements,
-      same order),
-    * there **is** a later write to ``b`` in the same tape (the live range
-      closes inside the tape — the elided value can never leak into the
-      partner tape, a warm tape, or the next iteration),
-    * no op between store and consumer writes any base the stored
-      expression reads (the deferred loads still see the stored-time
-      values), and
-    * the consumer's own destination base is not read by the expression
-      (fused evaluation interleaves its stores with the deferred loads).
+def _covers(write: Access, read: Access) -> bool:
+    """True when ``write`` stores every element ``read`` loads: the same
+    access, or a flat (1-D, unit-stride) store whose range contains it."""
+    if write == read:
+        return True
+    if write.base != read.base or write.strides != (1,):
+        return False
+    lo, hi = _span(read)
+    return write.offset <= lo and hi < write.offset + write.shape[0]
+
+
+def _tape_local(tapes: Sequence[Sequence[Statement]], registers) -> set[int]:
+    """The registers no tape, warm or steady, reads before a covering
+    write of its own: their values never cross a tape boundary, so eliding
+    a store can only be missed by a reader inside the same tape."""
+    local = set(registers)
+    for tape in tapes:
+        written: dict[int, list[Access]] = {}
+        for stmt in tape:
+            for a in _expr_loads(stmt.expr):
+                if a.base in local and not any(
+                    _covers(w, a) for w in written.get(a.base, ())
+                ):
+                    local.discard(a.base)
+            written.setdefault(stmt.dest.base, []).append(stmt.dest)
+    return local
+
+
+def _forward(tape: Sequence[Statement], local: set[int]) -> list[Statement]:
+    """Inline every forwardable register producer into its consumer.
+
+    Producer ``P`` (a store to a tape-local register) merges into consumer
+    ``C`` and its store is elided iff
+
+    * ``C`` holds the only load of the register between ``P`` and the next
+      store covering ``P.dest`` (or the end of the tape),
+    * no statement between them stores to the register or to a base
+      ``P.expr`` reads (the deferred loads still see the stored-time
+      values), and ``C``'s own destination is not such a base either
+      (fused evaluation interleaves its stores with the deferred loads),
+    * ``C`` loads exactly ``P.dest``, or ``P`` is flat and ``C``'s lanes
+      lie inside its range (:func:`_reindex`), and
+    * the merged statement stays within ``_MAX_FUSED_LOADS``.
     """
-    next_write: dict[int, list[int]] = {}
-    writes_at: list[int] = [op.dest.base for op in ops]
-    stmts: list[Statement] = []
-    #: base -> (expr, dest access, read bases, writes seen since store)
-    pending: dict[int, list] = {}
-
-    def flush(base: int) -> None:
-        entry = pending.pop(base, None)
-        if entry is not None:
-            expr, dest = entry[0], entry[1]
-            stmts.append(Statement(dest, dest.shape, expr))
-
-    for k, op in enumerate(ops):
-        # inline or load each operand
-        args = []
-        for a in op.args:
-            if isinstance(a, Const):
-                args.append(a)
-                continue
-            entry = pending.get(a.base)
-            if (
-                entry is not None
-                and entry[1] == a
-                and entry[3] == k  # pre-scanned single consumer is this op
-                and op.dest.base not in entry[2]
-            ):
-                args.append(entry[0])
-                del pending[a.base]
-            else:
-                if entry is not None and entry[3] == k:
-                    # the consumer we planned for reads differently than
-                    # expected (access mismatch surfaced late): materialize
-                    flush(a.base)
-                args.append(Load(a))
-        expr = args[0] if op.op in ("copy", "fill") else OpExpr(op.op, tuple(args))
-        reads = _read_bases(expr)
-
-        # a write to any base a pending expression reads forces it out first
-        for base in [b for b, e in pending.items() if op.dest.base in e[2]]:
-            flush(base)
-        # overwriting a register with an unconsumed pending value: the old
-        # value's live range ended unread by anything downstream we could
-        # see — materialize it (it may be read by an access pattern we
-        # bailed on)
-        if op.dest.base in pending:
-            flush(op.dest.base)
-
-        consumer = _single_consumer(ops, k, reads, register_bases)
-        if (
-            consumer is not None
-            and len(_expr_loads(expr)) <= _MAX_FUSED_LOADS
-        ):
-            pending[op.dest.base] = [expr, op.dest, reads, consumer]
+    stmts = list(tape)
+    k = 0
+    while k < len(stmts):
+        j = _consumer(stmts, k, local)
+        fused = _inline(stmts[k], stmts[j]) if j is not None else None
+        if fused is None:
+            k += 1
         else:
-            stmts.append(Statement(op.dest, op.shape, expr))
-    for base in list(pending):
-        flush(base)
+            stmts[j] = fused
+            del stmts[k]
     return stmts
 
 
-def _single_consumer(
-    ops: Sequence[_RawOp], k: int, reads: set[int], register_bases: set[int]
-) -> int | None:
-    """The index of op ``k``'s unique safe consumer, or None."""
-    dest = ops[k].dest
-    if dest.base not in register_bases:
+def _consumer(stmts: Sequence[Statement], k: int, local: set[int]) -> int | None:
+    """The index of statement ``k``'s unique, hazard-free reader, or None."""
+    dest = stmts[k].dest
+    if dest.base not in local:
         return None
+    reads = {a.base for a in _expr_loads(stmts[k].expr)}
     consumer: int | None = None
-    closed = False
-    for j in range(k + 1, len(ops)):
-        op = ops[j]
-        for a in op.args:
-            if isinstance(a, Access) and a.base == dest.base:
-                if consumer is not None:
-                    return None  # second read: value must exist in memory
-                if a != dest:
-                    return None  # different access: need the real array
-                consumer = j
-        if op.dest.base == dest.base:
-            closed = True
-            break
-        if consumer is None and op.dest.base in reads:
-            return None  # hazard: a source is overwritten before the use
-    if consumer is None or not closed:
-        return None
+    for j in range(k + 1, len(stmts)):
+        stmt = stmts[j]
+        uses = sum(a.base == dest.base for a in _expr_loads(stmt.expr))
+        if uses and (uses > 1 or consumer is not None):
+            return None  # second load: the value must exist in memory
+        if uses:
+            consumer = j
+        elif consumer is None and stmt.dest.base in reads | {dest.base}:
+            return None  # hazard: a source or the value itself is overwritten
+        if _covers(stmt.dest, dest):
+            break  # live range closed
     return consumer
 
 
-# -- loop-shape normalization -------------------------------------------------
-def _normalize(stmt: Statement) -> tuple[tuple[int, ...], list[list[int]], list]:
-    """(loop shape, per-term strides, terms) with unit axes dropped and
-    contiguous axes merged — fewer, longer loops vectorise better.
+def _inline(p: Statement, c: Statement) -> Statement | None:
+    """``c`` with its load of ``p.dest``'s register replaced by ``p.expr``."""
+    reg = p.dest.base
+    if any(a.base == c.dest.base for a in _expr_loads(p.expr)):
+        return None
+    (use,) = (a for a in _expr_loads(c.expr) if a.base == reg)
+    if use == p.dest:
+        expr = p.expr
+    elif c.dest.base == reg:
+        return None
+    else:
+        expr = _reindex(p, use)
+        if expr is None:
+            return None
+    fused = _map_loads(c.expr, lambda a: expr if a.base == reg else Load(a))
+    if len(_expr_loads(fused)) > _MAX_FUSED_LOADS:
+        return None
+    return Statement(c.dest, fused)
 
-    ``terms[0]`` is the destination access; the rest are the loads in
+
+def _reindex(p: Statement, use: Access):
+    """Flat ``p.expr`` over the loop space of ``use``, or None.
+
+    ``p`` stores lane ``L`` at ``p.dest.offset + L`` from loads
+    ``base[o + s*L]``; ``use`` reads lane ``shift + sum(i_k * c_k)``, so
+    each load becomes ``base[o + s*shift + sum(i_k * s*c_k)]``.
+    """
+    lo, hi = _span(use)
+    start = p.dest.offset
+    if p.dest.strides != (1,) or lo < start or hi >= start + p.dest.shape[0]:
+        return None
+    shift = use.offset - start
+
+    def over_use(a: Access) -> Load:
+        (s,) = a.strides
+        return Load(
+            Access(a.base, a.offset + s * shift, use.shape,
+                   tuple(s * c for c in use.strides))
+        )
+
+    return _map_loads(p.expr, over_use)
+
+
+# -- loop-shape normalization -------------------------------------------------
+def _normalize(stmt: Statement) -> tuple[tuple[int, ...], list[list[int]]]:
+    """(loop shape, per-term strides) with unit axes dropped and contiguous
+    axes merged — fewer, longer loops vectorise better.
+
+    Term 0 is the destination access; the rest are the loads in
     expression order.
     """
     terms = [stmt.dest] + _expr_loads(stmt.expr)
-    shape = list(stmt.shape)
+    shape = list(stmt.dest.shape)
     strides = [list(t.strides) for t in terms]
     # drop extent-1 axes (their stride never multiplies a nonzero index)
     keep = [i for i, extent in enumerate(shape) if extent != 1]
@@ -352,16 +396,10 @@ def _normalize(stmt: Statement) -> tuple[tuple[int, ...], list[list[int]], list]
             for s in strides:
                 del s[i]
         i -= 1
-    return tuple(shape), strides, terms
+    return tuple(shape), strides
 
 
 # -- C emission ---------------------------------------------------------------
-def _c_const(value: float, dtype: np.dtype) -> str:
-    if dtype == np.dtype(np.float32):
-        return f"{float(np.float32(value)).hex()}f"
-    return float(value).hex()
-
-
 def _c_index(offset: int, strides: Sequence[int]) -> str:
     parts = [str(offset)] if offset else []
     for axis, stride in enumerate(strides):
@@ -370,19 +408,21 @@ def _c_index(offset: int, strides: Sequence[int]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _c_expr(expr, dtype, strides_of) -> str:
+def _c_expr(expr, suffix: str, load_strides) -> str:
+    """``load_strides`` yields the normalized strides of each load, in the
+    order this renderer visits them (expression order)."""
     if isinstance(expr, Const):
-        return _c_const(expr.value, dtype)
+        return expr.hex + suffix
     if isinstance(expr, Load):
         a = expr.access
-        return f"b{a.base}[{_c_index(a.offset, strides_of(a))}]"
+        return f"b{a.base}[{_c_index(a.offset, next(load_strides))}]"
     sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
     if expr.op == "neg":
-        return f"(-{_c_expr(expr.args[0], dtype, strides_of)})"
+        return f"(-{_c_expr(expr.args[0], suffix, load_strides)})"
     lhs, rhs = expr.args
     return (
-        f"({_c_expr(lhs, dtype, strides_of)} {sym[expr.op]} "
-        f"{_c_expr(rhs, dtype, strides_of)})"
+        f"({_c_expr(lhs, suffix, load_strides)} {sym[expr.op]} "
+        f"{_c_expr(rhs, suffix, load_strides)})"
     )
 
 
@@ -402,15 +442,9 @@ def _independent_iterations(stmt: Statement) -> bool:
 
 
 def _emit_stmt_c(stmt: Statement, dtype: np.dtype, lines: list[str]) -> None:
-    shape, strides, _terms = _normalize(stmt)
-    # strides are positional: [dest] then the loads in expression order,
-    # the same order the recursive renderer visits them
-    load_iter = {"i": 0}
-
-    def strides_for_next(access: Access) -> list[int]:
-        load_iter["i"] += 1
-        return strides[load_iter["i"]]
-
+    shape, strides = _normalize(stmt)
+    for b in sorted({stmt.dest.base} | {a.base for a in _expr_loads(stmt.expr)}):
+        lines.append(f"  real_t* b{b} = (real_t*)P[{b}];")
     indent = "  "
     ivdep = _independent_iterations(stmt)
     for axis, extent in enumerate(shape):
@@ -422,115 +456,51 @@ def _emit_stmt_c(stmt: Statement, dtype: np.dtype, lines: list[str]) -> None:
         )
     body_indent = indent * (len(shape) + 1)
     dest_idx = _c_index(stmt.dest.offset, strides[0])
-    expr = _c_expr(stmt.expr, dtype, strides_for_next)
+    suffix = "f" if dtype == np.dtype(np.float32) else ""
+    expr = _c_expr(stmt.expr, suffix, iter(strides[1:]))
     lines.append(f"{body_indent}b{stmt.dest.base}[{dest_idx}] = {expr};")
 
 
+def unique_statements(ir: NativeIR) -> dict[Statement, int]:
+    """Each distinct statement of the IR, numbered by first appearance."""
+    numbered: dict[Statement, int] = {}
+    for tape in ir.tapes:
+        for stmt in tape:
+            numbered.setdefault(stmt, len(numbered))
+    return numbered
+
+
 def emit_c(ir: NativeIR) -> str:
-    """C source for the steady pair: one static function per tape plus a
-    ``repro_run(void**, k0, n)`` driver that ping-pongs between them, so a
-    whole ``run_iterations`` stretch is one foreign call.
+    """C source for every tape of the instance.
+
+    Each distinct statement is one ``noinline`` function holding its loop
+    nest — warm and steady tapes of one parity differ in little but their
+    boundary ops, and compiling the shared nests once keeps the build's
+    time and memory near the steady pair's alone. A tape is the list of
+    its calls, and ``repro_run(void**, k0, n)`` executes iterations
+    ``k0 .. k0+n`` by **absolute** index — warm tape ``k`` while
+    ``k < len(warm)``, then the steady pair by parity — so a whole
+    ``run_iterations`` stretch is one foreign call.
     """
     ctype = "float" if ir.dtype == np.dtype(np.float32) else "double"
-    lines = [
-        "#include <stdint.h>",
-        "",
-        f"typedef {ctype} real_t;",
-        "",
-    ]
-    for t, stmts in enumerate(ir.steady):
-        used = sorted(
-            {s.dest.base for s in stmts}
-            | {a.base for s in stmts for a in _expr_loads(s.expr)}
-        )
-        lines.append(f"static void tape{t}(void** P) {{")
-        for b in used:
-            lines.append(f"  real_t* b{b} = (real_t*)P[{b}];")
-        for stmt in stmts:
-            lines.append("  {")
-            _emit_stmt_c(stmt, ir.dtype, lines)
-            lines.append("  }")
-        lines.append("}")
-        lines.append("")
+    lines = ["#include <stdint.h>", "", f"typedef {ctype} real_t;", ""]
+    numbered = unique_statements(ir)
+    for stmt, s in numbered.items():
+        lines.append(f"static __attribute__((noinline)) void s{s}(void** P) {{")
+        _emit_stmt_c(stmt, ir.dtype, lines)
+        lines += ["}", ""]
+    warm = len(ir.warm)
     lines += [
         "void repro_run(void** P, int64_t k0, int64_t n) {",
-        "  int64_t end = k0 + n;",
-        "  for (int64_t k = k0; k < end; ++k) {",
-        "    if (k & 1) tape1(P); else tape0(P);",
-        "  }",
-        "}",
-        "",
+        "  for (int64_t k = k0; k < k0 + n; ++k) {",
+        f"    switch (k < {warm} ? k : {warm} + ((k - {warm}) & 1)) {{",
     ]
+    for t, tape in enumerate(ir.tapes):
+        lines.append(f"      case {t}:")
+        lines += [f"        s{numbered[stmt]}(P);" for stmt in tape]
+        lines.append("        break;")
+    lines += ["    }", "  }", "}", ""]
     return "\n".join(lines)
-
-
-# -- numba emission -----------------------------------------------------------
-def _nb_const(value: float, dtype: np.dtype) -> str:
-    # repr round-trips python floats exactly; the dtype wrap keeps numba's
-    # type inference from promoting f32 expressions to f64
-    name = "np.float32" if dtype == np.dtype(np.float32) else "np.float64"
-    return f"{name}({float(value)!r})"
-
-
-def _nb_expr(expr, dtype, strides_for_next) -> str:
-    if isinstance(expr, Const):
-        return _nb_const(expr.value, dtype)
-    if isinstance(expr, Load):
-        a = expr.access
-        return f"b{a.base}[{_c_index(a.offset, strides_for_next(a))}]"
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-    if expr.op == "neg":
-        return f"(-{_nb_expr(expr.args[0], dtype, strides_for_next)})"
-    lhs, rhs = expr.args
-    return (
-        f"({_nb_expr(lhs, dtype, strides_for_next)} {sym[expr.op]} "
-        f"{_nb_expr(rhs, dtype, strides_for_next)})"
-    )
-
-
-def _emit_stmt_nb(
-    stmt: Statement, dtype: np.dtype, lines: list[str], depth: int
-) -> None:
-    shape, strides, _terms = _normalize(stmt)
-    pos = {i: strides[i] for i in range(len(strides))}
-    load_iter = {"i": 0}
-
-    def strides_for_next(access: Access) -> list[int]:
-        load_iter["i"] += 1
-        return pos[load_iter["i"]]
-
-    indent = "    " * depth
-    for axis, extent in enumerate(shape):
-        lines.append(f"{indent}{'    ' * axis}for i{axis} in range({extent}):")
-    body = f"{indent}{'    ' * len(shape)}"
-    dest_idx = _c_index(stmt.dest.offset, pos[0])
-    expr = _nb_expr(stmt.expr, dtype, strides_for_next)
-    lines.append(f"{body}b{stmt.dest.base}[{dest_idx}] = {expr}")
-
-
-def emit_numba(ir: NativeIR) -> str:
-    """Python loop-nest source for ``numba.njit``: same statements, same
-    association order as the C flavor, arrays passed as flat 1-D views.
-    """
-    args = ", ".join(f"b{i}" for i in range(len(ir.bases)))
-    lines = [
-        "import numpy as np",
-        "",
-        "",
-        f"def repro_run(k0, n, {args}):",
-        "    for k in range(k0, k0 + n):",
-        "        if k & 1:",
-    ]
-    for t in (1, 0):
-        if t == 0:
-            lines.append("        else:")
-        stmts = ir.steady[t]
-        if not stmts:
-            lines.append("            pass")
-            continue
-        for stmt in stmts:
-            _emit_stmt_nb(stmt, ir.dtype, lines, depth=3)
-    return "\n".join(lines) + "\n"
 
 
 # -- fused-NumPy emission -----------------------------------------------------

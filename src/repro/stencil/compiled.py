@@ -63,7 +63,7 @@ from repro.util.errors import ValidationError
 #: only in *dispatch* — batches fan their stacked chunks across a worker
 #: pool (:mod:`repro.parallel`) instead of replaying them back to back.
 #: "native" also shares the plans and stays bit-identical; it differs only
-#: in *replay* — the steady tapes run as generated fused code
+#: in *replay* — every tape runs as generated loop nests
 #: (:mod:`repro.stencil.native`) instead of per-op Python dispatch
 ENGINES = ("compiled", "interpreter", "parallel", "native")
 
@@ -602,7 +602,7 @@ class CompiledPlanCache:
         sizes via :meth:`plan_for`, only the bound buffers differ.
 
         ``native=True`` yields a :class:`~repro.stencil.native.NativeProgram`
-        — same plan, same buffers, generated steady-loop code — cached
+        — same plan, same buffers, generated loop nests — cached
         under its own key next to the plain instance, so the one-time
         lowering/JIT cost is paid per (binding, batch), not per run.
         """
@@ -713,8 +713,8 @@ def run_program_compiled(
     field contents.
 
     ``engine="native"`` replays through a
-    :class:`~repro.stencil.native.NativeProgram` (generated fused steady
-    loop, still bit-identical); every other value uses the plain tape
+    :class:`~repro.stencil.native.NativeProgram` (generated loop nests,
+    still bit-identical); every other value uses the plain tape
     replay. ``copy=False`` returns buffer-aliasing results (see
     :meth:`CompiledProgram.result`).
 
@@ -823,8 +823,8 @@ def run_program_stacked(
 ) -> list[dict[str, Field]]:
     """Solve ``B`` independent same-spec meshes in stacked tape dispatches.
 
-    ``engine="native"`` runs every chunk through the generated steady-loop
-    replay (:class:`~repro.stencil.native.NativeProgram`); results stay
+    ``engine="native"`` runs every chunk through generated loop nests
+    (:class:`~repro.stencil.native.NativeProgram`); results stay
     bit-identical either way.
 
     The batch members are stacked batch-major — a true leading axis, so

@@ -1,15 +1,10 @@
-"""``engine="native"``: JIT-lowered steady tapes with a verified fallback.
+"""``engine="native"``: generated loop nests with a verified fallback.
 
 :class:`NativeProgram` is a drop-in :class:`~repro.stencil.compiled.CompiledProgram`
-whose steady-state loop runs generated code instead of the per-op tape
-replay (warm iterations — one replay each — keep the ordinary tape path).
-At bind time it lowers the bound steady tapes through
-:mod:`repro.stencil.codegen` and picks the fastest available backend:
+whose iterations — warm and steady alike — run generated code instead of
+the per-op tape replay. At bind time it lowers the bound tapes through
+:mod:`repro.stencil.codegen` and takes the first rung that binds:
 
-``numba``
-    The generated per-lane loop nests ``njit``-compiled
-    (``fastmath=False`` — no reassociation, no contraction). Optional:
-    import-guarded, disabled outright by ``REPRO_NO_NUMBA=1``.
 ``cc``
     The generated C compiled once with the system compiler
     (``-O3 -march=native -ffp-contract=off``) into a shared object loaded via
@@ -20,16 +15,17 @@ At bind time it lowers the bound steady tapes through
 ``python``
     The fused-NumPy flavor (:func:`codegen.make_tape_callable`): one
     specialized, fully unrolled Python function per tape. Always
-    available; this is what runs when neither JIT backend is.
+    available; this is what runs when no compiler is.
 
-Every JIT candidate is **verified at bind time**: the instance runs a few
-iterations on seeded pseudo-random inputs through both the tape replay and
-the candidate and compares every buffer bitwise. A mismatch (or a build
-failure) falls back transparently down the ladder — numba, then cc, then
-the fused-Python tapes — so ``engine="native"`` can never return anything
-the interpreter would not. ``REPRO_NATIVE_JIT`` pins a backend
-(``auto``/``numba``/``cc``/``python``); ``REPRO_NATIVE_VERIFY=0`` skips
-the bind-time check (trusted repeat binds).
+Every rung runs iterations by **absolute** index through one
+``runner(k0, n)`` protocol. The ``cc`` candidate is **verified at bind
+time**: the instance runs ``warm + 4`` iterations from iteration 0 on
+seeded pseudo-random inputs through both the tape replay and the candidate
+and compares every buffer bitwise. A mismatch (or a build failure) falls
+back to the fused-Python tapes — so ``engine="native"`` can never return
+anything the interpreter would not. ``REPRO_NATIVE_JIT=python`` pins the
+fallback rung (any other value is ``auto``); ``REPRO_NATIVE_VERIFY=0``
+skips the bind-time check (trusted repeat binds).
 """
 
 from __future__ import annotations
@@ -40,6 +36,7 @@ import os
 import subprocess
 import tempfile
 import threading
+import zlib
 from pathlib import Path
 from typing import Callable
 
@@ -50,15 +47,12 @@ from repro.stencil.codegen import (
     NativeIR,
     build_ir,
     emit_c,
-    emit_numba,
     make_tape_callable,
+    unique_statements,
 )
 from repro.stencil.compiled import _FLAT_ERRSTATE, CompiledProgram
 
-#: set to "1" to pretend numba is not installed (the fallback-path test
-#: hook, and an operational escape hatch)
-NO_NUMBA_ENV = "REPRO_NO_NUMBA"
-#: pin the backend ladder: "auto" (default), "numba", "cc" or "python"
+#: "python" pins the fused-NumPy rung; anything else tries cc first
 JIT_ENV = "REPRO_NATIVE_JIT"
 #: "0" skips the bind-time bitwise self-check
 VERIFY_ENV = "REPRO_NATIVE_VERIFY"
@@ -76,25 +70,13 @@ _CC_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 _lock = threading.Lock()
 #: source sha -> loaded shared library (or None after a failed build)
 _libs: dict[str, ctypes.CDLL | None] = {}
-#: source sha -> njit-wrapped entry point
-_numba_fns: dict[str, Callable] = {}
 #: memoized "the system compiler is unusable" verdict
 _cc_broken = False
 
 
 def _backend_order() -> tuple[str, ...]:
     pin = os.environ.get(JIT_ENV, "auto").strip().lower()
-    if pin == "numba":
-        order: tuple[str, ...] = ("numba", "python")
-    elif pin == "cc":
-        order = ("cc", "python")
-    elif pin == "python":
-        order = ("python",)
-    else:
-        order = ("numba", "cc", "python")
-    if os.environ.get(NO_NUMBA_ENV) == "1":
-        order = tuple(b for b in order if b != "numba")
-    return order or ("python",)
+    return ("python",) if pin == "python" else ("cc", "python")
 
 
 def _cache_dir() -> Path:
@@ -186,123 +168,120 @@ def _bind_cc(ir: NativeIR) -> Callable[[int, int], None] | None:
     return runner
 
 
-def _bind_numba(ir: NativeIR) -> Callable[[int, int], None] | None:
-    if os.environ.get(NO_NUMBA_ENV) == "1":
-        return None
-    try:
-        import numba
-    except ImportError:
-        return None
-    source = emit_numba(ir)
-    sha = hashlib.sha256(source.encode()).hexdigest()[:32]
-    with _lock:
-        fn = _numba_fns.get(sha)
-    if fn is None:
-        try:
-            ns: dict = {}
-            exec(compile(source, "<repro-native-numba>", "exec"), ns)  # noqa: S102
-            fn = numba.njit(cache=False, fastmath=False)(ns["repro_run"])
-        except Exception as exc:  # noqa: BLE001 - fallback, not failure
-            obs.emit("native.numba_build_failed", error=repr(exc))
-            return None
-        with _lock:
-            _numba_fns.setdefault(sha, fn)
-    flats = tuple(b.reshape(-1) for b in ir.bases)
-
-    def runner(k0: int, n: int, _fn=fn, _flats=flats) -> None:
-        _fn(k0, n, *_flats)
-
-    return runner
-
-
 class NativeProgram(CompiledProgram):
-    """A compiled program whose steady loop runs generated native code.
+    """A compiled program whose iterations run generated native code.
 
     Identical public surface and bit-identical results; only
     :meth:`_iterate` differs. :attr:`native_backend` names what actually
-    runs the steady tapes: ``"numba"``, ``"cc"``, ``"python"`` (the
-    fused-NumPy generated functions) or ``"tape"`` when even lowering was
-    declined (unsupported dtype) and the instance degraded to the plain
-    replay.
+    runs the tapes: ``"cc"``, ``"python"`` (the fused-NumPy generated
+    functions) or ``"tape"`` while nothing is bound and the instance
+    replays the plain tape.
     """
 
     def __init__(self, plan, batch: int = 1):
         super().__init__(plan, batch)
         self.native_backend = "tape"
-        self._steady_runner: Callable[[int, int], None] | None = None
+        self._runner: Callable[[int, int], None] | None = None
+        self._stats: dict = {}
         self._bind_native()
+
+    @property
+    def native_stats(self) -> dict:
+        """What the bound rung executes: ``statements`` per tape (warm,
+        then the steady pair), ``forwarded`` register stores elided and
+        ``unique_statements`` emitted (a copy; the ``native.bound`` event
+        carries the same)."""
+        return dict(self._stats)
 
     # -- backend selection -----------------------------------------------------
     def _bind_native(self) -> None:
-        order = _backend_order()
-        ir: NativeIR | None = None
-        if any(b in ("numba", "cc") for b in order):
-            ir = build_ir(self)
-        for backend in order:
-            if backend == "numba":
-                runner = _bind_numba(ir) if ir is not None else None
-            elif backend == "cc":
-                runner = _bind_cc(ir) if ir is not None else None
-            else:
-                runner = self._bind_python()
-            if runner is None:
-                continue
-            if backend == "python" or self._verify(runner):
-                self._steady_runner = runner
-                self.native_backend = backend
-                obs.emit(
-                    "native.bound",
-                    backend=backend,
-                    batch=self.batch,
-                    tapes=len(self.plan.steady),
-                )
-                return
-            obs.emit("native.verify_failed", backend=backend)
-        # no backend usable (e.g. unsupported dtype with a pinned JIT):
-        # stay on the inherited tape replay — still correct, never fast
-        obs.emit("native.fallback_tape", batch=self.batch)
+        ir = build_ir(self) if "cc" in _backend_order() else None
+        runner = _bind_cc(ir) if ir is not None else None
+        if runner is not None and not self._verify(runner):
+            obs.emit(
+                "native.verify_failed", backend="cc", seeds=self._verify_seeds()
+            )
+            runner = None
+        if runner is not None:
+            backend, tapes, forwarded = "cc", ir.tapes, ir.forwarded
+            unique = len(unique_statements(ir))
+        else:
+            # unsupported dtype, no compiler, failed build or vetoed
+            # candidate: the fused-NumPy tapes, which need no verification
+            # (they issue the replay's own calls on the replay's own arrays)
+            backend, runner = "python", self._bind_python()
+            tapes, forwarded = self._warm + self._steady, 0
+            unique = sum(map(len, tapes))
+        self._runner = runner
+        self.native_backend = backend
+        self._stats = {
+            "statements": [len(t) for t in tapes],
+            "forwarded": forwarded,
+            "unique_statements": unique,
+        }
+        obs.emit(
+            "native.bound", backend=backend, batch=self.batch,
+            tapes=len(tapes), **self._stats,
+        )
 
     def _bind_python(self) -> Callable[[int, int], None]:
-        tape0 = make_tape_callable(self._steady[0])
-        tape1 = make_tape_callable(self._steady[1])
+        tapes = [make_tape_callable(t) for t in self._warm + self._steady]
+        warm = len(self._warm)
+        tape0, tape1 = tapes[warm:]
 
         def runner(k0: int, n: int) -> None:
-            end = k0 + n
-            k = k0
-            if k & 1 and k < end:
-                tape1()
+            k, end = k0, k0 + n
+            while k < end and (k < warm or (k - warm) & 1):
+                tapes[min(k, warm + 1)]()  # warm prefix, odd steady start
                 k += 1
-            while k + 1 < end:
+            # hoisted ping-pong pair: no per-iteration branch or index math
+            for _ in range((end - k) // 2):
                 tape0()
                 tape1()
-                k += 2
-            if k < end:
+            if (end - k) & 1:
                 tape0()
 
         return runner
 
+    def _verify_seeds(self) -> dict[str, int]:
+        """Input slot -> RNG seed of the bind-time check. A CRC of the
+        slot name and shape, not ``hash()``: str hashes are salted per
+        process, and a rejected candidate must be replayable."""
+        return {
+            slot: zlib.crc32(f"{slot}:{self._buffers[slot].shape}".encode())
+            for slot in (f"in:{name}" for name in self.plan.inputs)
+        }
+
     def _verify(self, runner: Callable[[int, int], None]) -> bool:
         """Bitwise self-check: candidate vs tape replay on seeded inputs.
 
-        Runs ``warm + 4`` iterations (both steady parities twice) twice
-        over identical pseudo-random inputs — once through the inherited
-        replay, once through the warm replay + candidate steady runner —
-        and compares every buffer bit for bit. Buffers are zeroed after,
-        so a fresh instance is indistinguishable from an unverified one.
+        Runs ``warm + 4`` iterations (every warm tape, both steady
+        parities twice) from iteration 0, twice over identical
+        pseudo-random inputs — once through the inherited replay, once
+        through the candidate — and compares every buffer bit for bit.
+        Buffers are zeroed after, so a fresh instance is indistinguishable
+        from an unverified one.
         """
         if os.environ.get(VERIFY_ENV) == "0":
             return True
         iters = len(self._warm) + 4
 
         def _seed_inputs() -> None:
-            for name in self.plan.inputs:
-                buf = self._buffers[f"in:{name}"]
-                rng = np.random.default_rng(
-                    abs(hash((name, buf.shape))) % (2**32)
-                )
+            # both runs start from the same state, so a candidate that
+            # skips a store — or reads a register whose store was elided —
+            # cannot pass on what the reference left behind
+            for buf in self._buffers.values():
+                buf.fill(0)
+            for reg in self._registers.values():
+                reg.fill(np.nan)
+            for slot, seed in self._verify_seeds().items():
+                buf = self._buffers[slot]
                 # values in [0.5, 1.5): safely away from zero so division
                 # ops cannot manufacture infs the replay would also see
-                buf[...] = rng.random(buf.shape).astype(buf.dtype) * 0.5 + 0.5
+                buf[...] = (
+                    np.random.default_rng(seed).random(buf.shape).astype(buf.dtype)
+                    * 0.5 + 0.5
+                )
             self._load_expansions()
             self._iterations_done = 0
 
@@ -315,11 +294,7 @@ class NativeProgram(CompiledProgram):
             }
             _seed_inputs()
             with np.errstate(**_FLAT_ERRSTATE):
-                warm = len(self._warm)
-                for i in range(warm):
-                    for fn, args in self._warm[i]:
-                        fn(*args)
-                runner(0, iters - warm)
+                runner(0, iters)
             ok = all(
                 self._buffers[slot].tobytes() == ref.tobytes()
                 for slot, ref in reference.items()
@@ -335,19 +310,8 @@ class NativeProgram(CompiledProgram):
 
     # -- execution -------------------------------------------------------------
     def _iterate(self, n: int) -> None:
-        runner = self._steady_runner
-        if runner is None:
+        if self._runner is None:
             super()._iterate(n)
             return
-        done = self._iterations_done
-        end = done + n
-        i = done
-        warm = self._warm
-        warm_count = len(warm)
-        while i < warm_count and i < end:
-            for fn, args in warm[i]:
-                fn(*args)
-            i += 1
-        if i < end:
-            runner(i - warm_count, end - i)
-        self._iterations_done = end
+        self._runner(self._iterations_done, n)
+        self._iterations_done += n

@@ -85,6 +85,30 @@ class TestTiler3D:
         assert tiler.halo(1) == 3
 
 
+class TestTilerAliasing:
+    """Blocks are extracted as views of the pass's state, so nothing an
+    engine does may write through its inputs."""
+
+    @pytest.mark.parametrize(
+        "engine", ["interpreter", "compiled", "parallel", "native"]
+    )
+    @pytest.mark.parametrize(
+        "shape, kernel, tile",
+        [((37, 9), jacobi2d_5pt, (17,)), ((24, 20, 6), jacobi3d_7pt, (10, 12))],
+    )
+    def test_callers_fields_unchanged(self, engine, shape, kernel, tile):
+        spec = MeshSpec(shape)
+        prog = single_kernel_program("p", spec, kernel())
+        f = Field.random("U", spec, seed=37)
+        before = f.data.tobytes()
+        tiler = SpatialTiler(prog, _tiled_design(tile), ALVEO_U280, engine=engine)
+        ours = tiler.run({"U": f}, 4)
+        assert f.data.tobytes() == before
+        assert not np.shares_memory(ours["U"].data, f.data)
+        gold = run_program(prog, {"U": f}, 4, engine="interpreter")
+        assert np.array_equal(ours["U"].data, gold["U"].data)
+
+
 class TestTilerCycles:
     def test_pass_cycles_positive_and_scaling(self):
         spec = MeshSpec((15000, 15000))

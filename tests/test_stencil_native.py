@@ -1,21 +1,29 @@
 """``engine="native"``: bit-identity, backend ladder, caching, copy fast path.
 
-The contract mirrors the compiled engine's: the generated steady-loop code
-(numba / cc / fused-NumPy, whichever bound) must be bit-identical
-(``tobytes`` equality, no tolerance) to the golden interpreter on every
-registered application — across niter, batch, dtype, the mixed-radius
-``init_from`` and flat-mode lowering corners, and with every JIT backend
-disabled (``REPRO_NO_NUMBA=1`` / ``REPRO_NATIVE_JIT=python``).
+The contract mirrors the compiled engine's: the generated code (cc or
+fused-NumPy, whichever bound) must be bit-identical (``tobytes`` equality,
+no tolerance) to the golden interpreter on every registered application
+and on generated star/box kernels — across niter, batch, dtype, the
+mixed-radius ``init_from`` and flat-mode lowering corners, and with the
+compiler pinned off (``REPRO_NATIVE_JIT=python``). The forwarding pass is
+also driven directly, on hand-built statement lists, to pin what it must
+refuse.
 """
 
 from __future__ import annotations
+
+import json
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import observability as obs
 from repro.apps.registry import all_apps, app_by_name
 from repro.mesh.mesh import Field, MeshSpec
+from repro.stencil import codegen, native
+from repro.stencil.builders import box_offsets, star_offsets
 from repro.stencil.compiled import (
     CompiledPlanCache,
     CompiledProgram,
@@ -23,8 +31,8 @@ from repro.stencil.compiled import (
     run_program_stacked,
 )
 from repro.stencil.expr import Const, FieldAccess
-from repro.stencil.kernel import KernelOutput, StencilKernel
-from repro.stencil.native import NativeProgram, _backend_order
+from repro.stencil.kernel import KernelOutput, StencilKernel, single_output_kernel
+from repro.stencil.native import NativeProgram, _backend_order, _find_cc
 from repro.stencil.numpy_eval import run_program
 from repro.stencil.program import FusedGroup, StencilLoop, StencilProgram
 
@@ -218,7 +226,7 @@ def test_flat_mode_vector_kernel_native_bit_identical():
 
 
 # --------------------------------------------------------------------------- #
-# backend ladder and the numba-optional story
+# backend ladder: cc, then the fused-NumPy tapes
 # --------------------------------------------------------------------------- #
 def _fresh_instance(batch=1):
     app = app_by_name("jacobi3d")
@@ -229,21 +237,30 @@ def _fresh_instance(batch=1):
     return NativeProgram(plan, batch=batch), program, env
 
 
-def test_backend_order_no_numba(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-    assert "numba" not in _backend_order()
-    monkeypatch.setenv("REPRO_NATIVE_JIT", "numba")
-    # a numba pin with numba disabled degrades to the always-there rung
+def test_backend_order_two_rungs(monkeypatch):
+    monkeypatch.delenv("REPRO_NATIVE_JIT", raising=False)
+    assert _backend_order() == ("cc", "python")
+    monkeypatch.setenv("REPRO_NATIVE_JIT", "python")
     assert _backend_order() == ("python",)
+    # "cc" and anything unknown (a stale "numba" pin included) is auto
+    for pin in ("cc", "numba", "AUTO", ""):
+        monkeypatch.setenv("REPRO_NATIVE_JIT", pin)
+        assert _backend_order() == ("cc", "python")
 
 
-def test_no_numba_run_is_fully_supported(monkeypatch):
-    """REPRO_NO_NUMBA=1 binds a non-numba backend and stays bit-identical."""
-    monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-    inst, program, env = _fresh_instance()
-    assert inst.native_backend in ("cc", "python")
-    gold = run_program(program, env, 6, engine="interpreter")
-    _assert_env_equal(gold, inst.run(env, 6))
+def test_python_pin_run_is_fully_supported(monkeypatch):
+    """REPRO_NATIVE_JIT=python never builds and stays bit-identical,
+    batched and across the warm/steady boundary included."""
+    monkeypatch.setenv("REPRO_NATIVE_JIT", "python")
+    inst, program, env = _fresh_instance(batch=2)
+    assert inst.native_backend == "python"
+    app = app_by_name("jacobi3d")
+    envs = [app.fields((10, 10, 6), seed=s) for s in range(2)]
+    for niter in (1, len(inst._warm), len(inst._warm) + 3):
+        for e, got in zip(envs, inst.run_stacked(envs, niter)):
+            _assert_env_equal(
+                run_program(program, e, niter, engine="interpreter"), got
+            )
 
 
 def test_python_fallback_exercised(monkeypatch):
@@ -251,7 +268,7 @@ def test_python_fallback_exercised(monkeypatch):
     monkeypatch.setenv("REPRO_NATIVE_JIT", "python")
     inst, program, env = _fresh_instance()
     assert inst.native_backend == "python"
-    assert inst._steady_runner is not None
+    assert inst._runner is not None
     gold = run_program(program, env, 7, engine="interpreter")
     _assert_env_equal(gold, inst.run(env, 7))
 
@@ -363,3 +380,395 @@ def test_every_app_native_entry(name):
     gold = run_program(program, env, 5, engine="interpreter")
     got = run_program(program, env, 5, engine="native")
     _assert_env_equal(gold, got)
+
+
+# --------------------------------------------------------------------------- #
+# the cc rung binds everywhere: a verify veto silently demotes to the NumPy
+# rung and would otherwise only show as a slow benchmark
+# --------------------------------------------------------------------------- #
+needs_cc = pytest.mark.skipif(_find_cc() is None, reason="no system C compiler")
+
+
+@pytest.fixture
+def auto_ladder(monkeypatch):
+    monkeypatch.delenv("REPRO_NATIVE_JIT", raising=False)
+    monkeypatch.delenv("REPRO_NATIVE_VERIFY", raising=False)
+
+
+def _plan(name, mesh=None):
+    app = app_by_name(name)
+    mesh = mesh or APP_MESHES[name]
+    return CACHE.plan_for(app.program_on(mesh), app.fields(mesh, seed=0))
+
+
+@needs_cc
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("name", sorted(all_apps()))
+def test_every_app_binds_cc(name, batch, auto_ladder):
+    inst = NativeProgram(_plan(name), batch=batch)
+    assert inst.native_backend == "cc"
+    stats = inst.native_stats
+    assert len(stats["statements"]) == len(inst.plan.warm) + 2
+    assert stats["forwarded"] > 0
+    assert 0 < stats["unique_statements"] <= sum(stats["statements"])
+
+
+# --------------------------------------------------------------------------- #
+# IR shape: one loop nest per kernel, warm tapes included
+# --------------------------------------------------------------------------- #
+def _stmt_bases(stmt):
+    return {stmt.dest.base} | {a.base for a in codegen._expr_loads(stmt.expr)}
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("name", ["jacobi3d", "poisson2d"])
+def test_ir_one_statement_per_steady_tape(name, batch):
+    inst = CompiledProgram(_plan(name), batch=batch)
+    ir = codegen.build_ir(inst)
+    assert len(ir.warm) == len(inst.plan.warm) > 0
+    for tape in ir.steady:
+        (stmt,) = tape  # the whole kernel is one nest ...
+        assert not _stmt_bases(stmt) & ir.registers  # ... buffer to buffer
+    raw = sum(len(t) for t in inst.plan.warm + inst.plan.steady)
+    assert ir.forwarded == raw - sum(len(t) for t in ir.tapes)
+    # warm tapes forward too: boundary copies plus the one interior nest
+    for warm, raw_tape in zip(ir.warm, inst.plan.warm):
+        assert len(warm) < len(raw_tape)
+        assert not any(_stmt_bases(s) & ir.registers for s in warm)
+
+
+def test_ir_rtm_statement_budget():
+    inst = CompiledProgram(_plan("rtm"))
+    ir = codegen.build_ir(inst)
+    assert len(ir.warm) == len(inst.plan.warm)
+    assert all(len(tape) <= 62 for tape in ir.tapes)
+    # warm and steady tapes of one parity share most of their loop nests
+    assert len(codegen.unique_statements(ir)) < 0.6 * sum(map(len, ir.tapes))
+    source = codegen.emit_c(ir)
+    assert source.count("noinline") == len(codegen.unique_statements(ir))
+
+
+def test_constants_keep_the_sign_of_zero():
+    """0.0 == -0.0 as floats; statements differing only there must not merge."""
+    a = codegen.Const((0.0).hex())
+    b = codegen.Const((-0.0).hex())
+    assert a != b and hash(a) != hash(b)
+
+
+# --------------------------------------------------------------------------- #
+# the forwarding pass on hand-built tapes: what it composes, what it refuses
+# --------------------------------------------------------------------------- #
+REG, SRC, DST = 0, 1, 2  # base indices: one register, two buffers
+
+
+def _flat(base, offset=0, n=100):
+    return codegen.Access(base, offset, (n,), (1,))
+
+
+def _window(base, offset=11, shape=(8, 8), strides=(10, 1)):
+    return codegen.Access(base, offset, shape, strides)
+
+
+def _sum(*accesses):
+    expr = codegen.Load(accesses[0])
+    for a in accesses[1:]:
+        expr = codegen.OpExpr("add", (expr, codegen.Load(a)))
+    return expr
+
+
+def _forward_all(*tapes):
+    local = codegen._tape_local(tapes, {REG})
+    return [codegen._forward(t, local) for t in tapes]
+
+
+#: REG[0:100] = SRC[0:100] + SRC[1:101], a flat lane sum ...
+PRODUCER = codegen.Statement(_flat(REG), _sum(_flat(SRC), _flat(SRC, 1)))
+#: ... and DST[8x8 interior] = REG[8x8 window of the lanes]
+CONSUMER = codegen.Statement(_window(DST), _sum(_window(REG)))
+
+
+def test_forward_composes_flat_producer_into_shaped_consumer():
+    ((stmt,),) = _forward_all([PRODUCER, CONSUMER])
+    assert stmt == codegen.Statement(
+        _window(DST), _sum(_window(SRC, 11), _window(SRC, 12))
+    )
+
+
+def test_forward_scales_by_the_producer_load_stride():
+    """Broadcast (stride 0) and strided producer loads compose too."""
+    producer = codegen.Statement(
+        _flat(REG, 5, 90),
+        _sum(codegen.Access(SRC, 7, (90,), (0,)), codegen.Access(SRC, 3, (90,), (2,))),
+    )
+    ((stmt,),) = _forward_all([producer, CONSUMER])
+    # lane L of the register is SRC[7] + SRC[3 + 2L]; the window starts at
+    # lane 11 - 5 = 6
+    assert stmt.expr == _sum(
+        _window(SRC, 7, strides=(0, 0)), _window(SRC, 15, strides=(20, 2))
+    )
+
+
+def test_forward_identity_chain_and_reuse_after_covering_write():
+    inplace = codegen.Statement(_flat(REG), _sum(_flat(REG), _flat(SRC, 2)))
+    tape = [PRODUCER, inplace, CONSUMER, PRODUCER, CONSUMER]
+    ((first, second),) = _forward_all(tape)
+    assert _stmt_bases(first) == _stmt_bases(second) == {SRC, DST}
+    assert len(codegen._expr_loads(first.expr)) == 3
+
+
+def _assert_refused(tape, *other_tapes, local=None):
+    if local is None:
+        got = _forward_all(tape, *other_tapes)[0]
+    else:
+        got = codegen._forward(tape, local)
+    assert got == list(tape)
+
+
+def test_forward_refuses_register_read_before_write_in_another_tape():
+    reader = codegen.Statement(_flat(DST), _sum(_flat(REG)))
+    # as the steady partner (after) or as a warm tape (before): either way
+    # the elided store would be missed
+    _assert_refused([PRODUCER, CONSUMER], [reader])
+    assert _forward_all([reader], [PRODUCER, CONSUMER])[1] == [PRODUCER, CONSUMER]
+    # a partial in-tape write does not cover the read
+    partial = codegen.Statement(_flat(REG, 0, 50), _sum(_flat(SRC, 0, 50)))
+    _assert_refused([PRODUCER, CONSUMER], [partial, reader])
+
+
+def test_forward_refuses_two_readers():
+    again = codegen.Statement(_window(DST, 12), _sum(_window(REG)))
+    _assert_refused([PRODUCER, CONSUMER, again])
+    twice = codegen.Statement(_window(DST), _sum(_window(REG), _window(REG)))
+    _assert_refused([PRODUCER, twice])
+
+
+def test_forward_refuses_hazard_write_between_producer_and_consumer():
+    clobber_source = codegen.Statement(_flat(SRC, 40, 10), _sum(_flat(DST, 0, 10)))
+    _assert_refused([PRODUCER, clobber_source, CONSUMER])
+    clobber_value = codegen.Statement(_flat(REG, 40, 10), _sum(_flat(DST, 0, 10)))
+    _assert_refused([PRODUCER, clobber_value, CONSUMER])
+
+
+def test_forward_refuses_consumer_dest_read_by_producer():
+    into_source = codegen.Statement(_window(SRC), _sum(_window(REG)))
+    _assert_refused([PRODUCER, into_source])
+    # a shifted window of the register itself as destination is refused too
+    into_register = codegen.Statement(_window(REG, 12), _sum(_window(REG)))
+    _assert_refused([PRODUCER, into_register], local={REG})
+
+
+def test_forward_refuses_lanes_outside_the_flat_producer():
+    short = codegen.Statement(_flat(REG, 0, 88), _sum(_flat(SRC, 0, 88)))
+    # the window's last lane is 11 + 7*10 + 7 = 88: one past the producer
+    _assert_refused([short, CONSUMER])
+    _assert_refused([short, CONSUMER], local={REG})
+    late = codegen.Statement(_flat(REG, 12, 88), _sum(_flat(SRC, 0, 88)))
+    _assert_refused([late, CONSUMER], local={REG})
+
+
+def test_forward_refuses_non_flat_producer_and_respects_the_load_cap():
+    shaped = codegen.Statement(_window(REG), _sum(_window(SRC)))
+    shifted = codegen.Statement(_window(DST), _sum(_window(REG, 12, (7, 7))))
+    _assert_refused([shaped, shifted], local={REG})
+    wide = codegen.Statement(
+        _flat(REG), _sum(*[_flat(SRC, k) for k in range(codegen._MAX_FUSED_LOADS)])
+    )
+    two = codegen.Statement(_window(DST), _sum(_window(REG), _window(SRC)))
+    _assert_refused([wide, two])
+
+
+# --------------------------------------------------------------------------- #
+# one runner protocol: absolute iteration index, warm tapes included
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("pin", ["cc", "python"])
+@pytest.mark.parametrize("batch", [1, 2])
+def test_single_steps_cross_the_warm_steady_boundary(pin, batch, monkeypatch):
+    if pin == "cc" and _find_cc() is None:
+        pytest.skip("no system C compiler")
+    monkeypatch.setenv("REPRO_NATIVE_JIT", pin)
+    inst, program, _ = _fresh_instance(batch=batch)
+    assert inst.native_backend == pin
+    app = app_by_name("jacobi3d")
+    envs = [app.fields((10, 10, 6), seed=s) for s in range(batch)]
+    total = len(inst._warm) + 3
+    one_shot = inst.run_stacked(envs, total)
+    for env, got in zip(envs, one_shot):
+        _assert_env_equal(run_program(program, env, total, engine="interpreter"), got)
+    for _ in range(2):  # a second load() restarts at warm tape 0
+        inst.load_stacked(envs)
+        for _ in range(total):
+            inst.run_iterations(1)
+        for want, got in zip(one_shot, inst.result_stacked(envs)):
+            _assert_env_equal(want, got)
+
+
+def test_python_runner_replays_the_tape_sequence_for_every_k0_n(monkeypatch):
+    """The python rung's hoisted pair loop calls exactly the tapes the
+    absolute-index protocol names, from any start and for any count."""
+    monkeypatch.setenv("REPRO_NATIVE_JIT", "python")
+    inst, _, _ = _fresh_instance()
+    calls = []
+    monkeypatch.setattr(
+        native, "make_tape_callable", lambda tape: lambda: calls.append(id(tape))
+    )
+    runner = inst._bind_python()
+    warm, tapes = len(inst._warm), inst._warm + inst._steady
+    assert warm >= 1
+    for k0 in range(warm + 4):
+        for n in range(7):
+            calls.clear()
+            runner(k0, n)
+            assert calls == [
+                id(tapes[k if k < warm else warm + ((k - warm) & 1)])
+                for k in range(k0, k0 + n)
+            ], (k0, n)
+
+
+# --------------------------------------------------------------------------- #
+# beyond the registry: generated star/box kernels, awkward extents
+# --------------------------------------------------------------------------- #
+#: odd and prime extents: no axis is a multiple of a vector width
+EXTENTS = (7, 9, 11, 13, 17)
+
+
+@st.composite
+def generated_case(draw):
+    ndim = draw(st.sampled_from([2, 3]))
+    box = draw(st.booleans())
+    # a 3-D box of radius 3 is 343 points: correct but slow to compile
+    radius = draw(st.integers(1, 2 if box and ndim == 3 else 3))
+    shape = tuple(
+        draw(st.sampled_from([e for e in EXTENTS if e > 2 * radius]))
+        for _ in range(ndim)
+    )
+    return (
+        ndim, box, radius, shape,
+        draw(st.sampled_from([np.float32, np.float64])),
+        draw(st.sampled_from([1, 3])),          # batch
+        draw(st.integers(1, 6)),                # niter
+        draw(st.integers(0, 999)),              # seed
+    )
+
+
+def _generated_program(ndim, box, radius, shape, dtype, seed):
+    offsets = (box_offsets if box else star_offsets)(ndim, radius)
+    weights = np.random.default_rng(seed).uniform(-1.0, 1.0, len(offsets))
+    expr = None
+    for w, off in zip(weights / len(offsets), offsets):
+        term = Const(float(w)) * FieldAccess("U", off)
+        expr = term if expr is None else expr + term
+    kernel = single_output_kernel("generated", "U", expr)
+    return StencilProgram(
+        "generated", MeshSpec(shape, 1, np.dtype(dtype)),
+        (FusedGroup((StencilLoop(kernel),)),), state_fields=("U",),
+    )
+
+
+@given(generated_case())
+@settings(max_examples=20, deadline=None)
+def test_generated_kernels_native_bit_identical(case):
+    ndim, box, radius, shape, dtype, batch, niter, seed = case
+    program = _generated_program(ndim, box, radius, shape, dtype, seed)
+    envs = [
+        {"U": Field.random("U", program.mesh, seed=seed + b, lo=-1.0, hi=1.0)}
+        for b in range(batch)
+    ]
+    got = run_program_stacked(program, envs, niter, cache=CACHE, engine="native")
+    for env, out in zip(envs, got):
+        _assert_env_equal(run_program(program, env, niter, engine="interpreter"), out)
+    # and it ran on the rung the environment asks for, not a silent demotion
+    bound = CACHE.get(program, envs[0], batch=batch, native=True)
+    want = "cc" if _backend_order()[0] == "cc" and _find_cc() else "python"
+    assert bound.native_backend == want
+
+
+# --------------------------------------------------------------------------- #
+# observability: what bound, what it executes, replayable verify inputs
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def events():
+    obs.enable()
+    try:
+        yield obs.ring_sink()
+    finally:
+        obs.disable()
+
+
+def test_bound_event_carries_native_stats(events):
+    inst, _, _ = _fresh_instance()
+    (bound,) = events.of_kind("native.bound")
+    stats = inst.native_stats
+    assert {k: bound[k] for k in stats} == stats
+    assert bound["backend"] == inst.native_backend
+    assert bound["tapes"] == len(stats["statements"]) == len(inst._warm) + 2
+    json.dumps(bound)  # the event log is JSONL
+    # a copy: callers cannot edit what the instance reports
+    stats["forwarded"] = -1
+    assert inst.native_stats["forwarded"] != -1
+
+
+def test_python_rung_reports_the_raw_tapes(monkeypatch):
+    monkeypatch.setenv("REPRO_NATIVE_JIT", "python")
+    inst, _, _ = _fresh_instance()
+    raw = [len(t) for t in inst.plan.warm + inst.plan.steady]
+    assert inst.native_stats == {
+        "statements": raw, "forwarded": 0, "unique_statements": sum(raw),
+    }
+
+
+def test_verify_veto_is_replayable(events, auto_ladder, monkeypatch):
+    """A rejected candidate names its input seeds, and they do not depend
+    on the process (``hash()`` of a str is salted; a CRC is not)."""
+    monkeypatch.setattr(native, "_bind_cc", lambda ir: lambda k0, n: None)
+    inst, program, env = _fresh_instance()
+    assert inst.native_backend == "python"
+    (veto,) = events.of_kind("native.verify_failed")
+    assert veto["backend"] == "cc"
+    assert veto["seeds"] == {"in:U": zlib.crc32(b"in:U:(6, 10, 10, 1)")}
+    assert veto["seeds"] == inst._verify_seeds()
+    # the demoted instance still computes the right thing
+    _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
+
+
+def test_verify_poisons_registers_between_its_two_runs():
+    """A candidate that never stores an iteration-invariant register value
+    (here ``0.5 * G``, a function of a constant field only) would find it
+    where the reference run left it; the check must not pass on that."""
+    mesh = MeshSpec((12, 10))
+    U = lambda dx, dy: FieldAccess("U", (dx, dy))
+    # operand order matters: the product reuses its right operand's
+    # register, so 0.5 * G is the last value its own register sees
+    update = (Const(0.5) * FieldAccess("G", (0, 0))) * (U(-1, 0) + U(1, 0))
+    kernel = StencilKernel("inv", (KernelOutput("U", (update,), init_from="U"),))
+    program = StencilProgram(
+        "inv", mesh, (FusedGroup((StencilLoop(kernel),)),),
+        state_fields=("U",), constant_fields=("G",),
+    )
+    env = {"U": Field.random("U", mesh, seed=2), "G": Field.random("G", mesh, seed=3)}
+    inst = NativeProgram(CACHE.plan_for(program, env))
+    g = inst._buffers["in:G"]
+    registers = list(inst._registers.values())
+    constants = list(inst._constants.values())
+
+    def invariant_store(op):
+        fn, args = op
+        if fn is np.copyto:
+            return False
+        *sources, dest = args
+        return any(np.shares_memory(dest, r) for r in registers) and all(
+            np.shares_memory(s, g) or any(s is c for c in constants)
+            for s in sources
+        )
+
+    tapes = inst._warm + inst._steady
+    assert any(invariant_store(op) for tape in tapes for op in tape)
+
+    def replay_without_those_stores(k0, n):
+        warm = len(inst._warm)
+        for k in range(k0, k0 + n):
+            for fn, args in tapes[k if k < warm else warm + ((k - warm) & 1)]:
+                if not invariant_store((fn, args)):
+                    fn(*args)
+
+    assert inst._verify(replay_without_those_stores) is False
+    _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
