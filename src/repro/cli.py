@@ -306,9 +306,15 @@ def _dse_body(args: argparse.Namespace) -> int:
     print(table.render())
     front = study.pareto_front(objectives)
     evaluator = study.evaluator
+    rejected = sum(evaluator.infeasible.values())
+    by_check = ", ".join(f"{c} {n}" for c, n in evaluator.infeasible.most_common())
     print(
         f"\ntrials: {len(study.trials)} total, {study.evaluated} evaluated this run, "
-        f"{study.replayed} replayed from journal, {evaluator.cache_hits} cache hits"
+        f"{study.replayed} replayed from journal, {evaluator.cache_hits} cache hits; "
+        f"feasible {evaluator.evaluations - rejected}, infeasible {rejected}"
+        + (f" ({by_check})" if by_check else "")
+        + f"; {study.seconds:.3f} s, "
+        f"{study.evaluated / max(study.seconds, 1e-9):.0f} configurations/s"
     )
     names = "/".join(o.name for o in objectives)
     print(f"pareto front ({names}): {len(front)} non-dominated designs")

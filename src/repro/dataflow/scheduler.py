@@ -246,11 +246,9 @@ class MixScheduler:
         what the program declares — state fields on the mesh spec itself,
         constant fields scalar (the program's external-contract convention).
         """
-        from repro.stencil.plan import required_inputs
-
         state = set(program.state_fields)
         env: dict[str, Field] = {}
-        for offset, name in enumerate(required_inputs(program)):
+        for offset, name in enumerate(program.required_inputs):
             fspec = (
                 spec.mesh
                 if name in state

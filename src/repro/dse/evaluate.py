@@ -20,18 +20,22 @@ runtime is the weighted sum over specs, and
 functionally through the chunked stacked engine, bit-identical to the
 golden interpreter.
 
-The per-trial model path leans on program-level memoization:
-``program.bytes_per_cell_pass()`` and ``G_dsp`` are cached on the program
-instance, so constructing a predictor per trial no longer re-walks every
-expression tree; functional validation runs launched from search results go
-through the plan-compiled engine (:mod:`repro.stencil.compiled`) and reuse
-its shared plan cache across trials.
+A trial is arithmetic: everything the model reads off the program (stencil
+specs, orders, ``G_dsp``, buffer and traffic bytes per point) is analysed
+once per program and cached on the frozen IR, so no trial walks an
+expression tree. The clock-independent checks (capacity, eq. (7), eq. (6))
+run on the default-clock design before the clock is estimated — over half of
+a typical grid stops there — and the resource report the clock estimate
+builds is the one the predictor uses. Functional validation runs launched
+from search results go through the plan-compiled engine
+(:mod:`repro.stencil.compiled`) and reuse its shared plan cache across trials.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Mapping, Sequence
@@ -147,6 +151,10 @@ class Evaluator:
         self.evaluations = 0
         #: requests answered from the memo table
         self.cache_hits = 0
+        #: infeasible evaluations by the check that rejected them
+        #: (``capacity``/``buffer``/``dsp``/``bandwidth``/``tile``/``batch``,
+        #: ``constraint``, or ``invalid`` for a configuration the model refuses)
+        self.infeasible: Counter[str] = Counter()
 
     def _bind_mix(
         self, mix: WorkloadMix, clock_model: ClockModel
@@ -297,12 +305,18 @@ class Evaluator:
         Raises :class:`InfeasibleDesignError` when the configuration cannot
         produce a buildable design (e.g. a tile fully consumed by its halo).
         """
+        return self._space.estimate_clock(
+            self._draft_design(config), self.workload
+        )[0]
+
+    def _draft_design(self, config: Mapping[str, Any]) -> DesignPoint:
+        """The configuration's design, tile derived, at the default clock."""
         memory = config.get("memory", self.device.memory_targets[0])
-        V = int(config["V"])
         p = int(config["p"])
         tile = self._derive_tile(p) if config.get("tiled", False) else None
-        design = DesignPoint(V, p, self.device.default_clock_mhz, memory, tile)
-        return self._space._with_estimated_clock(design, self.workload)
+        return DesignPoint(
+            int(config["V"]), p, self.device.default_clock_mhz, memory, tile
+        )
 
     def _derive_tile(self, p: int) -> TileDesign:
         """The largest buffer-feasible tile for unroll ``p`` (Section IV-A)."""
@@ -310,24 +324,34 @@ class Evaluator:
         if min(tile.tile) <= p * self._rep_program.order:
             raise InfeasibleDesignError(
                 f"tile {tile.tile} is consumed by the "
-                f"p*D={p * self._rep_program.order} halo"
+                f"p*D={p * self._rep_program.order} halo",
+                check="tile",
             )
         return tile
 
     # -- evaluation ---------------------------------------------------------------
-    def evaluate(self, config: Mapping[str, Any]) -> TrialResult:
-        """Evaluate one configuration (memoized)."""
-        key = config_key(config)
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
+    def evaluate(
+        self, config: Mapping[str, Any], key: ConfigKey | None = None
+    ) -> TrialResult:
+        """Evaluate one configuration (memoized).
+
+        ``key`` is the configuration's :func:`config_key` when the caller
+        already holds it (batches and studies do).
+        """
+        if key is None:
+            key = config_key(config)
+        cached = self._cache.get(key)  # one atomic read; counters need the lock
+        if cached is not None:
+            with self._lock:
                 self.cache_hits += 1
-                obs.inc("dse.eval_cache_hits")
-                return cached
-        with obs.span("dse.trial", config=str(dict(config))):
-            result = self._evaluate_uncached(dict(config))
-        if obs.is_enabled():
-            obs.inc("dse.trials", feasible=result.feasible)
+            obs.inc("dse.eval_cache_hits")
+            return cached
+        if not obs.is_enabled():
+            result, check = self._evaluate_uncached(dict(config))
+        else:
+            with obs.span("dse.trial", config=str(dict(config))):
+                result, check = self._evaluate_uncached(dict(config))
+            obs.inc("dse.trials", feasible=result.feasible, check=check)
             obs.emit(
                 "dse.trial",
                 config=dict(config),
@@ -341,9 +365,15 @@ class Evaluator:
                 return self._cache[key]
             self._cache[key] = result
             self.evaluations += 1
+            if check:
+                self.infeasible[check] += 1
         return result
 
-    def evaluate_many(self, configs: Sequence[Mapping[str, Any]]) -> list[TrialResult]:
+    def evaluate_many(
+        self,
+        configs: Sequence[Mapping[str, Any]],
+        keys: Sequence[ConfigKey] | None = None,
+    ) -> list[TrialResult]:
         """Evaluate a batch, optionally fanning out over worker threads.
 
         Duplicate configurations within the batch are evaluated once; the
@@ -351,18 +381,19 @@ class Evaluator:
         (``max_workers=None``) is serial: the analytic model is pure
         CPU-bound python, so threads only pay off when an objective or
         constraint does I/O — opt in by passing ``max_workers > 0``.
+        ``keys`` are the configurations' :func:`config_key` s, if known.
         """
-        keys = [config_key(c) for c in configs]
+        if keys is None:
+            keys = [config_key(c) for c in configs]
         unique: dict[ConfigKey, Mapping[str, Any]] = {}
         for key, config in zip(keys, configs):
             unique.setdefault(key, config)
-        todo = list(unique.values())
-        if len(todo) <= 1 or not self.max_workers:
-            for config in todo:
-                self.evaluate(config)
+        if len(unique) <= 1 or not self.max_workers:
+            for key, config in unique.items():
+                self.evaluate(config, key)
         else:
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                list(pool.map(self.evaluate, todo))
+                list(pool.map(self.evaluate, unique.values(), unique))
         with self._lock:
             return [self._cache[key] for key in keys]
 
@@ -508,7 +539,7 @@ class Evaluator:
 
     # -- internals ----------------------------------------------------------------
     def _score_workload(
-        self, program, workload, design, boards, traffic
+        self, program, workload, design, boards, traffic, resources=None
     ) -> tuple:
         """Predict one workload on one design: ``(metrics, seconds)``.
 
@@ -525,7 +556,7 @@ class Evaluator:
             design,
             logical_bytes_per_cell_iter=traffic,
         )
-        metrics = predictor.predict(workload)
+        metrics = predictor.predict(workload, resources)
         seconds = metrics.seconds
         if boards > 1:
             scaled = spatial_scaling_seconds(
@@ -537,7 +568,15 @@ class Evaluator:
             seconds = max(scaled, floor)
         return metrics, seconds
 
-    def _evaluate_uncached(self, config: Config) -> TrialResult:
+    def _evaluate_uncached(self, config: Config) -> tuple[TrialResult, str]:
+        """Run one configuration through the model: ``(result, check)``.
+
+        ``check`` names what rejected an infeasible trial (empty when
+        feasible). The order — draft design, resource checks, clock
+        estimate, bandwidth check, prediction — reports the same first
+        failing reason as estimating the clock up front: the estimate
+        itself cannot fail, and only eq. (4) reads it.
+        """
         if self.mix is not None:
             return self._evaluate_mix(config)
         boards = int(config.get("boards", 1))
@@ -551,16 +590,19 @@ class Evaluator:
                 # batch, no batch axis) keeps its pre-existing analytic
                 # scoring on tiled designs.
                 raise InfeasibleDesignError(
-                    "batched execution is not supported on tiled designs"
+                    "batched execution is not supported on tiled designs",
+                    check="batch",
                 )
-            design = self.design_for(config)
-            self._space.check(design, workload)
+            draft = self._draft_design(config)
+            self._space.check_resources(draft, workload)
+            design, resources = self._space.estimate_clock(draft, workload)
+            self._space.check_bandwidth(design)
             metrics, seconds = self._score_workload(
                 self.program, workload, design, boards,
-                self.logical_bytes_per_cell_iter,
+                self.logical_bytes_per_cell_iter, resources,
             )
         except (InfeasibleDesignError, ValidationError) as exc:
-            return TrialResult(config, False, None, reason=str(exc))
+            return _rejected(config, exc)
         ctx = EvalContext(
             self.program, self.device, workload, design, metrics, seconds, boards
         )
@@ -572,7 +614,7 @@ class Evaluator:
                     design,
                     reason=f"violates constraint {constraint.name}",
                     memory_bound=metrics.memory_bound,
-                )
+                ), "constraint"
         values = {o.name: o.value(ctx) for o in self.objectives}
         return TrialResult(
             config,
@@ -581,9 +623,9 @@ class Evaluator:
             values,
             score=self.primary.signed(values[self.primary.name]),
             memory_bound=metrics.memory_bound,
-        )
+        ), ""
 
-    def _evaluate_mix(self, config: Config) -> TrialResult:
+    def _evaluate_mix(self, config: Config) -> tuple[TrialResult, str]:
         """Score one configuration against every spec of the mix.
 
         The design must be feasible for **all** specs; each objective then
@@ -605,7 +647,8 @@ class Evaluator:
                     # designs. Spec-level batches (like a study-level
                     # batched workload) keep their analytic tiled scoring.
                     raise InfeasibleDesignError(
-                        "batched execution is not supported on tiled designs"
+                        "batched execution is not supported on tiled designs",
+                        check="batch",
                     )
                 ranks = {b.spec.mesh.ndim for b in self._entries}
                 if len(ranks) > 1:
@@ -614,16 +657,27 @@ class Evaluator:
                     # design can serve a mixed-rank mix
                     raise InfeasibleDesignError(
                         "tiled designs cannot serve a mixed-rank workload "
-                        "mix (2D and 3D members need different tile shapes)"
+                        "mix (2D and 3D members need different tile shapes)",
+                        check="tile",
                     )
-            design = self.design_for(config)
+            # the resource checks do not read the clock, so the estimate
+            # waits until the first spec has passed them; every check keeps
+            # its place in the order, so the first failing reason is unchanged
+            draft = self._draft_design(config)
+            design = None
             for binding in self._entries:
                 workload = binding.spec.with_batch(
                     binding.spec.batch * batch_factor
                 )
-                binding.space.check(design, workload)
+                binding.space.check_resources(draft, workload)
+                if design is None:
+                    design, rep_resources = self._space.estimate_clock(
+                        draft, self.workload
+                    )
+                binding.space.check_bandwidth(design)
                 metrics, seconds = self._score_workload(
-                    binding.program, workload, design, boards, binding.traffic
+                    binding.program, workload, design, boards, binding.traffic,
+                    rep_resources if binding.space is self._space else None,
                 )
                 contexts.append(
                     (
@@ -635,7 +689,7 @@ class Evaluator:
                     )
                 )
         except (InfeasibleDesignError, ValidationError) as exc:
-            return TrialResult(config, False, None, reason=str(exc))
+            return _rejected(config, exc)
         memory_bound = any(ctx.metrics.memory_bound for ctx, _ in contexts)
         for constraint in self.constraints:
             for ctx, _ in contexts:
@@ -649,7 +703,7 @@ class Evaluator:
                             f"on {ctx.workload}"
                         ),
                         memory_bound=memory_bound,
-                    )
+                    ), "constraint"
         total_weight = sum(w for _, w in contexts)
         values = {}
         for objective in self.objectives:
@@ -664,4 +718,10 @@ class Evaluator:
             values,
             score=self.primary.signed(values[self.primary.name]),
             memory_bound=memory_bound,
-        )
+        ), ""
+
+
+def _rejected(config: Config, exc: Exception) -> tuple[TrialResult, str]:
+    """An infeasible trial from the error a check (or the model) raised."""
+    check = getattr(exc, "check", "") or "invalid"
+    return TrialResult(config, False, None, reason=str(exc)), check

@@ -16,6 +16,7 @@ cap, where the optimum designs live (Section V-A).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
@@ -114,8 +115,9 @@ class ParameterSpace:
     # -- enumeration / sampling ---------------------------------------------------
     def grid(self) -> Iterator[Config]:
         """Every configuration, last axis fastest (mixed-radix order)."""
-        for i in range(self.size):
-            yield self.config_at(i)
+        names = self.names
+        for values in itertools.product(*(p.values for p in self.parameters)):
+            yield dict(zip(names, values))
 
     def config_at(self, index: int) -> Config:
         """The configuration at a mixed-radix ``index`` (inverse of :meth:`index_of`)."""

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import json
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence, TextIO
 
 from repro.dse.evaluate import Evaluator, TrialResult
 from repro.dse.pareto import ParetoFront
@@ -77,6 +79,8 @@ class Study:
         self.replayed = 0
         self._budget: int | None = None
         self._spent = 0
+        #: wall-clock seconds this process has spent inside :meth:`run`
+        self.seconds = 0.0
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if resume and self.path.exists():
@@ -113,43 +117,47 @@ class Study:
             return seen.result
         if self.exhausted:
             raise BudgetExhausted(f"trial budget of {self._budget} is spent")
-        result = self.evaluator.evaluate(config)
-        self._record(result)
+        result = self.evaluator.evaluate(config, key)
+        with self._journal() as journal:
+            self._record(result, key, journal)
         return result
 
     def ask_many(self, configs: Sequence[Mapping[str, Any]]) -> list[TrialResult]:
         """Evaluate a batch in parallel, spending budget only on new configs.
 
         Returns results for the configurations that were admitted (seen ones
-        included); proposals beyond the remaining budget are dropped.
+        included); proposals beyond the remaining budget are dropped. The
+        batch's new trials reach the journal through one handle, flushed when
+        the batch ends.
         """
-        admitted: list[Mapping[str, Any]] = []
+        admitted: list[ConfigKey] = []
         fresh: dict[ConfigKey, Mapping[str, Any]] = {}
+        remaining = self.remaining
         for config in configs:
             key = config_key(config)
-            if key in self._seen:
-                admitted.append(config)
-                continue
-            if key not in fresh:
-                if self.remaining is not None and len(fresh) >= self.remaining:
+            if key not in self._seen and key not in fresh:
+                if remaining is not None and len(fresh) >= remaining:
                     continue
                 fresh[key] = config
-            admitted.append(config)
+            admitted.append(key)
         if fresh:
-            for result in self.evaluator.evaluate_many(list(fresh.values())):
-                if config_key(result.config) in fresh:
-                    self._record(result)
-                    fresh.pop(config_key(result.config))
-        return [self._seen[config_key(c)].result for c in admitted]
+            results = self.evaluator.evaluate_many(list(fresh.values()), list(fresh))
+            with self._journal() as journal:
+                for key, result in zip(fresh, results):
+                    self._record(result, key, journal)
+        return [self._seen[key].result for key in admitted]
 
     def run(self, strategy: "SearchStrategy", trials: int | None = None) -> "Study":
         """Drive a strategy until it finishes or the budget is spent."""
         self._budget = trials
         self._spent = 0
+        started = time.perf_counter()
         try:
             strategy.run(self)
         except BudgetExhausted:
             pass
+        finally:
+            self.seconds += time.perf_counter() - started
         return self
 
     # -- queries ------------------------------------------------------------------
@@ -211,21 +219,41 @@ class Study:
             fp["workloads"] = ev.mix.token()
         return fp
 
-    def _record(self, result: TrialResult) -> Trial:
+    @contextmanager
+    def _journal(self) -> Iterator[TextIO | None]:
+        """The journal opened for appending (None for an in-memory study).
+
+        A new or empty journal gets the study header first. Closing the
+        handle flushes it, so whoever holds it decides the durability grain:
+        :meth:`ask` one trial, :meth:`ask_many` one batch.
+        """
+        if self.path is None:
+            yield None
+            return
+        with self.path.open("a", encoding="utf-8") as fh:
+            if fh.tell() == 0:
+                fh.write(json.dumps({"study": self.fingerprint()}) + "\n")
+            yield fh
+
+    def _record(
+        self, result: TrialResult, key: ConfigKey, journal: TextIO | None
+    ) -> Trial:
         trial = Trial(len(self.trials), result)
         self.trials.append(trial)
-        self._seen[config_key(result.config)] = trial
+        self._seen[key] = trial
         self._spent += 1
-        if self.path is not None:
-            header = ""
-            if not self.path.exists() or self.path.stat().st_size == 0:
-                header = json.dumps({"study": self.fingerprint()}) + "\n"
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(header + json.dumps(_trial_to_json(trial)) + "\n")
+        if journal is not None:
+            journal.write(json.dumps(_trial_to_json(trial)) + "\n")
         return trial
 
     def _load(self) -> None:
-        for line in self.path.read_text(encoding="utf-8").splitlines():
+        text = self.path.read_text(encoding="utf-8")
+        if text and not text.endswith("\n"):
+            # a run killed mid-write left a torn last line: end it, or the
+            # next trial appended would be glued to it and lost as well
+            with self.path.open("a", encoding="utf-8") as fh:
+                fh.write("\n")
+        for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
@@ -253,11 +281,12 @@ class Study:
                 result = _result_from_json(obj)
             except (ValueError, KeyError, TypeError):
                 continue
-            if config_key(result.config) in self._seen:
+            key = config_key(result.config)
+            if key in self._seen:
                 continue
             trial = Trial(len(self.trials), result, replayed=True)
             self.trials.append(trial)
-            self._seen[config_key(result.config)] = trial
+            self._seen[key] = trial
             self.replayed += 1
             self.evaluator.seed(result)
 

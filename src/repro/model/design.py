@@ -10,7 +10,7 @@ narrows the design space" step of the paper (Section V-A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.arch.clocking import DEFAULT_CLOCK_MODEL, ClockModel
@@ -20,6 +20,7 @@ from repro.model.bandwidth import feasible_vectorization
 from repro.model.resources import (
     DEFAULT_DSP_COSTS,
     DSPCostModel,
+    ResourceReport,
     gdsp_program,
     max_unroll,
     module_mem_bytes,
@@ -72,7 +73,10 @@ class DesignPoint:
 
     def with_clock(self, clock_mhz: float) -> "DesignPoint":
         """The same design at a different clock."""
-        return replace(self, clock_mhz=clock_mhz)
+        return DesignPoint(
+            self.V, self.p, clock_mhz, self.memory, self.tile,
+            self.initiation_interval,
+        )
 
 
 #: compatibility alias: the workload layer's frozen spec subsumed this
@@ -97,6 +101,9 @@ class DesignSpace:
         self.clock_model = clock_model
         self.costs = costs
         self.gdsp = gdsp_program(program, costs)
+        self._external_fields = len(
+            set(program.external_reads()) | set(program.external_writes())
+        )
 
     # -- feasibility ------------------------------------------------------------
     def check(self, design: DesignPoint, workload: Workload) -> None:
@@ -105,14 +112,23 @@ class DesignSpace:
         Checks, in order: external capacity, line-buffer capacity (eq. (7)),
         DSP capacity (eq. (6)) and memory-bandwidth feasibility (eq. (4)).
         """
+        self.check_resources(design, workload)
+        self.check_bandwidth(design)
+
+    def check_resources(self, design: DesignPoint, workload: Workload) -> None:
+        """The checks that do not read the clock: capacity, eq. (7), eq. (6).
+
+        A search can run them on the default-clock design and estimate the
+        clock (a resource report and a floorplan) only for the survivors.
+        """
         bank = self.device.memory(design.memory)
-        # all external fields resident
-        n_fields = len(set(self.program.external_reads()) | set(self.program.external_writes()))
-        resident = workload.footprint_bytes * (n_fields + 1)  # +1 for ping-pong copy
+        # all external fields resident, +1 for the ping-pong copy
+        resident = workload.footprint_bytes * (self._external_fields + 1)
         if resident > bank.capacity_bytes:
             raise InfeasibleDesignError(
                 f"workload needs {resident} bytes resident, {design.memory} has "
-                f"{bank.capacity_bytes}"
+                f"{bank.capacity_bytes}",
+                check="capacity",
             )
         shape = self._buffer_shape(design, workload)
         module_bytes = module_mem_bytes(self.program, shape)
@@ -121,7 +137,8 @@ class DesignSpace:
             raise InfeasibleDesignError(
                 f"p={design.p} needs {design.p * module_bytes} on-chip bytes, "
                 f"budget is {budget} (eq. 7 bound: p_mem="
-                f"{budget // module_bytes})"
+                f"{budget // module_bytes})",
+                check="buffer",
             )
         # feasibility uses the hard device limit; eq. (6)'s 90% budget is a
         # planning guide the synthesized designs may slightly exceed (the
@@ -131,15 +148,20 @@ class DesignSpace:
             raise InfeasibleDesignError(
                 f"V*p*Gdsp = {dsp_needed} DSPs exceeds the device's "
                 f"{self.device.dsp_blocks} (eq. 6 planning bound: "
-                f"p_dsp={self.device.usable_dsp() // (design.V * self.gdsp)})"
+                f"p_dsp={self.device.usable_dsp() // (design.V * self.gdsp)})",
+                check="dsp",
             )
+
+    def check_bandwidth(self, design: DesignPoint) -> None:
+        """Eq. (4) at the design's clock: can the memory system feed ``V``?"""
         v_max = feasible_vectorization(
             self.program, self.device, design.memory, design.clock_hz
         )
         if design.V > v_max:
             raise InfeasibleDesignError(
                 f"V={design.V} needs more bandwidth than {design.memory} supplies "
-                f"(eq. 4 bound: V<={v_max})"
+                f"(eq. 4 bound: V<={v_max})",
+                check="bandwidth",
             )
 
     def is_feasible(self, design: DesignPoint, workload: Workload) -> bool:
@@ -191,7 +213,7 @@ class DesignSpace:
         p_cap = max_unroll(self.device, V, self.gdsp, module_bytes)
         for p in _p_sweep(p_cap):
             design = DesignPoint(V, p, self.device.default_clock_mhz, memory)
-            design = self._with_estimated_clock(design, workload)
+            design, _ = self.estimate_clock(design, workload)
             if self.is_feasible(design, workload):
                 yield design
 
@@ -205,17 +227,25 @@ class DesignSpace:
             if min(tile.tile) <= p * D:
                 continue
             design = DesignPoint(V, p, self.device.default_clock_mhz, memory, tile)
-            design = self._with_estimated_clock(design, workload)
+            design, _ = self.estimate_clock(design, workload)
             if self.is_feasible(design, workload):
                 yield design
 
-    def _with_estimated_clock(self, design: DesignPoint, workload: Workload) -> DesignPoint:
+    def estimate_clock(
+        self, design: DesignPoint, workload: Workload
+    ) -> tuple[DesignPoint, ResourceReport]:
+        """The design at the clock its utilization and SLR span allow.
+
+        Returned with the resource report that set the clock: it depends on
+        ``(V, p, buffer shape)`` only, so it is also the report of the clocked
+        design and :meth:`RuntimePredictor.predict` need not rebuild it.
+        """
+        from repro.arch.floorplan import SLRFloorplan
+
         shape = self._buffer_shape(design, workload)
         report = resource_report(
             self.program, self.device, design.V, design.p, shape, self.costs
         )
-        from repro.arch.floorplan import SLRFloorplan
-
         plan = SLRFloorplan(
             self.device,
             design.p,
@@ -225,7 +255,7 @@ class DesignSpace:
         mhz = self.clock_model.estimate_mhz(
             min(1.0, report.binding_utilization), plan.slr_crossings
         )
-        return design.with_clock(mhz)
+        return design.with_clock(mhz), report
 
 
 def tile_for_unroll(

@@ -58,21 +58,8 @@ def gdsp_kernel(kernel: StencilKernel, costs: DSPCostModel = DEFAULT_DSP_COSTS) 
 
 
 def gdsp_program(program: StencilProgram, costs: DSPCostModel = DEFAULT_DSP_COSTS) -> int:
-    """``G_dsp``: DSP blocks for one mesh-point update of the full iteration body.
-
-    Memoized per (program instance, cost model): counting ops walks every
-    expression tree, and DSE evaluators construct a runtime predictor — and
-    therefore ask for ``G_dsp`` — once per trial.
-    """
-    cache = program.__dict__.get("_gdsp_cache")
-    if cache is None:
-        cache = {}
-        object.__setattr__(program, "_gdsp_cache", cache)
-    cached = cache.get(costs)
-    if cached is None:
-        cached = sum(gdsp_kernel(k, costs) for k in program.kernels())
-        cache[costs] = cached
-    return cached
+    """``G_dsp``: DSP blocks for one mesh-point update of the full iteration body."""
+    return sum(gdsp_kernel(k, costs) for k in program.kernels())
 
 
 def p_dsp(device: FPGADevice, V: int, gdsp: int) -> int:
@@ -82,51 +69,28 @@ def p_dsp(device: FPGADevice, V: int, gdsp: int) -> int:
     return device.usable_dsp() // (V * gdsp)
 
 
-def _field_elem_bytes(program: StencilProgram, field: str) -> int:
-    """Bytes of one element of ``field`` as streamed through the pipeline."""
-    scalar = program.mesh.dtype.itemsize
-    if field in program.constant_fields:
-        return scalar
-    return program.mesh.elem_bytes
+def _line_points(shape: tuple[int, ...]) -> int:
+    """Mesh points of one buffered line: a row (2D) or a plane (3D)."""
+    if len(shape) == 2:
+        return shape[0]
+    if len(shape) == 3:
+        return shape[0] * shape[1]
+    raise ValidationError(f"mesh shape must be 2D or 3D, got {shape}")
 
 
 def module_mem_bytes(program: StencilProgram, mesh_shape: tuple[int, ...] | None = None) -> int:
     """On-chip bytes needed by ONE compute module (one unrolled iteration).
 
-    Per fused stage: a window buffer of ``D_f`` rows (2D) or planes (3D) for
-    every buffered (non-self-stencil) input field, following the paper's rule
-    that a ``D``-order stencil buffers ``D`` rows/planes. Fields that bypass
-    a stage to feed later stages (constants and the carried state in RTM)
-    are delayed by the stage's ``D/2`` latency in FIFOs of the same width.
+    The program's window buffers and bypass FIFOs
+    (:attr:`StencilProgram.module_line_bytes`, following the paper's rule
+    that a ``D``-order stencil buffers ``D`` rows/planes) at the row (2D) or
+    plane (3D) size of ``mesh_shape``.
 
     For a one-kernel scalar program this reduces exactly to the paper's
     ``k * D * m`` (2D) / ``k * D * m * n`` (3D) of eq. (7).
     """
     shape = tuple(mesh_shape) if mesh_shape is not None else program.mesh.shape
-    if len(shape) == 2:
-        line_points = shape[0]
-    elif len(shape) == 3:
-        line_points = shape[0] * shape[1]
-    else:
-        raise ValidationError(f"mesh shape must be 2D or 3D, got {shape}")
-
-    kernels = list(program.kernels())
-    total = 0
-    for idx, kernel in enumerate(kernels):
-        spec = kernel.spec()
-        for pattern in spec.patterns:
-            if pattern.is_self_stencil:
-                continue
-            elem = _field_elem_bytes(program, pattern.field)
-            total += pattern.order * line_points * elem
-        if idx < len(kernels) - 1:
-            # bypass FIFOs: delay constants + carried state past this stage
-            delay_lines = max(1, kernel.order // 2)
-            for field in program.constant_fields:
-                total += delay_lines * line_points * _field_elem_bytes(program, field)
-            for field in program.state_fields:
-                total += delay_lines * line_points * _field_elem_bytes(program, field)
-    return total
+    return _line_points(shape) * program.module_line_bytes
 
 
 def p_mem(device: FPGADevice, module_bytes: int) -> int:
@@ -205,24 +169,16 @@ def resource_report(
     check_positive("V", V)
     check_positive("p", p)
     gdsp = gdsp_program(program, costs)
-    module_bytes = module_mem_bytes(program, mesh_shape)
     shape = tuple(mesh_shape) if mesh_shape is not None else program.mesh.shape
-    line_points = shape[0] if len(shape) == 2 else shape[0] * shape[1]
-
-    elem_bits = program.mesh.elem_bytes * 8
-    uram = 0
-    for kernel in program.kernels():
-        for pattern in kernel.spec().patterns:
-            if pattern.is_self_stencil:
-                continue
-            # one line buffer per buffered row/plane, V elements wide
-            uram += pattern.order * uram_blocks_for_buffer(
-                ceil_div(line_points, V), elem_bits * V
-            )
+    line_points = _line_points(shape)
+    # one line buffer per buffered row/plane, V elements wide
+    uram = program.window_lines * uram_blocks_for_buffer(
+        ceil_div(line_points, V), program.mesh.elem_bytes * 8 * V
+    )
     return ResourceReport(
         dsp_used=V * p * gdsp,
         dsp_total=device.dsp_blocks,
-        mem_used_bytes=p * module_bytes,
+        mem_used_bytes=p * module_mem_bytes(program, shape),
         mem_total_bytes=device.on_chip_bytes,
         uram_blocks=p * uram,
         bram_blocks=0,

@@ -28,8 +28,6 @@ from repro.model.resources import (
     DEFAULT_DSP_COSTS,
     DSPCostModel,
     ResourceReport,
-    gdsp_program,
-    module_mem_bytes,
     resource_report,
 )
 from repro.model.tiling import TileDesign, block_cycles, plan_blocks, valid_ratio
@@ -80,7 +78,6 @@ class RuntimePredictor:
         self.design = design
         self.power_model = power_model
         self.costs = costs
-        self.gdsp = gdsp_program(program, costs)
         #: logical (paper-convention) traffic per mesh point per iteration;
         #: defaults to the program's external contract (read+write of state
         #: plus constant reads), which matches the paper for all three apps
@@ -189,8 +186,15 @@ class RuntimePredictor:
         )
 
     # -- prediction ---------------------------------------------------------------
-    def predict(self, workload: Workload) -> PredictedMetrics:
-        """Full model prediction for the workload."""
+    def predict(
+        self, workload: Workload, resources: ResourceReport | None = None
+    ) -> PredictedMetrics:
+        """Full model prediction for the workload.
+
+        ``resources`` is the design's :func:`resource_report` on the
+        workload's buffer shape when the caller already built it (the clock
+        estimate does); it is computed here otherwise.
+        """
         if workload.mesh.ndim != self.program.mesh.ndim:
             raise ValidationError(
                 f"workload mesh rank {workload.mesh.ndim} does not match program "
@@ -200,15 +204,17 @@ class RuntimePredictor:
         memory = self.memory_cycles(workload)
         cycles = max(compute, memory)
         seconds = cycles / self.design.clock_hz
-        shape = workload.mesh.shape
-        if self.design.tile is not None:
-            if len(shape) == 2:
-                shape = (self.design.tile.M, shape[1])
-            else:
-                shape = (self.design.tile.M, self.design.tile.N, shape[2])
-        resources = resource_report(
-            self.program, self.device, self.design.V, self.design.p, shape, self.costs
-        )
+        if resources is None:
+            shape = workload.mesh.shape
+            if self.design.tile is not None:
+                if len(shape) == 2:
+                    shape = (self.design.tile.M, shape[1])
+                else:
+                    shape = (self.design.tile.M, self.design.tile.N, shape[2])
+            resources = resource_report(
+                self.program, self.device, self.design.V, self.design.p, shape,
+                self.costs,
+            )
         power = self.power_model.watts(
             self.device,
             dsp_used=resources.dsp_used,

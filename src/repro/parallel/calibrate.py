@@ -75,7 +75,6 @@ def host_key(dtype=np.float32) -> str:
 def _probe_envs(dtype):
     from repro.apps.registry import app_by_name
     from repro.mesh.mesh import Field, MeshSpec
-    from repro.stencil.plan import required_inputs
 
     app = app_by_name("jacobi3d")
     spec = MeshSpec(
@@ -85,7 +84,7 @@ def _probe_envs(dtype):
     envs = [
         {
             name: Field.random(name, spec, seed=b)
-            for name in required_inputs(program)
+            for name in program.required_inputs
         }
         for b in range(_PROBE_BATCH)
     ]

@@ -76,7 +76,7 @@ from repro.stencil.compiled import (
     run_program_stacked,
     stacked_chunk_sizes,
 )
-from repro.stencil.plan import ProgramPlan, program_token, required_inputs
+from repro.stencil.plan import ProgramPlan, program_token
 from repro.stencil.program import StencilProgram
 from repro.util.errors import ReproError, ValidationError
 
@@ -140,7 +140,7 @@ def plan_token_for(
     yield the same token within a parent process.
     """
     specs = tuple(
-        (name, fields[name].spec) for name in required_inputs(program)
+        (name, fields[name].spec) for name in program.required_inputs
     )
     coeffs = tuple(sorted(
         (name, float(value)) for name, value in (coefficients or {}).items()

@@ -53,7 +53,6 @@ from repro.stencil.plan import (
     View,
     lower_program,
     program_token,
-    required_inputs,
 )
 from repro.stencil.program import StencilProgram
 from repro.util.errors import ValidationError
@@ -522,7 +521,7 @@ class CompiledPlanCache:
         coefficients: Mapping[str, float] | None,
     ) -> tuple:
         specs = []
-        for name in required_inputs(program):
+        for name in program.required_inputs:
             field = fields.get(name)
             if field is None:
                 raise ValidationError(
@@ -560,7 +559,7 @@ class CompiledPlanCache:
             if plan is not None:
                 self._plans.move_to_end(key)
                 return plan
-        inputs = required_inputs(program)
+        inputs = program.required_inputs
         state = program.state_fields[0]
         mesh = fields[state].spec if state in fields else fields[inputs[0]].spec
         input_specs = {name: fields[name].spec for name in inputs}
@@ -726,7 +725,7 @@ def run_program_compiled(
     """
     if niter < 0:
         raise ValidationError(f"niter must be non-negative, got {niter}")
-    for name in required_inputs(program):
+    for name in program.required_inputs:
         if name not in fields:
             raise ValidationError(
                 f"program '{program.name}' needs field '{name}' bound"
@@ -735,7 +734,7 @@ def run_program_compiled(
         # nothing to run: do not compile (and cache) a plan for it
         return dict(fields)
     dtypes = {
-        fields[name].spec.dtype for name in required_inputs(program)
+        fields[name].spec.dtype for name in program.required_inputs
     }
     if len(dtypes) > 1:
         from repro.stencil.numpy_eval import run_program
@@ -757,7 +756,7 @@ def check_stacked_batch(
     """
     if not batch_fields:
         raise ValidationError("batch must contain at least one mesh")
-    required = required_inputs(program)
+    required = program.required_inputs
     first = batch_fields[0]
     for b, env in enumerate(batch_fields):
         for name in required:

@@ -7,22 +7,22 @@ and ``T = Y + K1/2`` into a single loop — that is one kernel with two
 outputs here). Later outputs may reference earlier outputs of the same
 kernel *at the centre point only* (they are wires in the datapath, not
 buffered streams).
+
+Kernels are frozen and their expression trees never change, so everything
+derived from the trees — accesses, rank, spec, order, radius, op counts —
+is a :func:`functools.cached_property`: computed on first read, once per
+instance. The cache sits in the instance ``__dict__`` beside the dataclass
+fields, so ``==``, ``repr`` and ``dataclasses.replace`` never see it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from repro.stencil.expr import (
-    Expr,
-    FieldAccess,
-    OpCounts,
-    coefficient_names,
-    count_ops,
-    field_accesses,
-)
-from repro.stencil.spec import StencilSpec
+from repro.stencil.expr import Coef, Expr, FieldAccess, OpCounts, count_ops, walk
+from repro.stencil.spec import AccessPattern, StencilSpec
 from repro.util.errors import ValidationError
 
 
@@ -89,41 +89,56 @@ class StencilKernel:
                 f"kernel '{self.name}' references coefficients without defaults: {sorted(missing)}"
             )
 
+    @cached_property
+    def _leaves(self) -> tuple[tuple[tuple[FieldAccess, ...], ...], frozenset[str]]:
+        """The one walk over every tree: each output's field accesses, in
+        traversal order, and the names of all coefficients referenced."""
+        coefficients: set[str] = set()
+        per_output = []
+        for out in self.outputs:
+            accesses = []
+            for expr in out.exprs:
+                for node in walk(expr):
+                    if isinstance(node, FieldAccess):
+                        accesses.append(node)
+                    elif isinstance(node, Coef):
+                        coefficients.add(node.name)
+            per_output.append(tuple(accesses))
+        return tuple(per_output), frozenset(coefficients)
+
     def _validate_local_refs(self) -> None:
         """Outputs may read earlier same-kernel outputs only at the centre point."""
         produced: set[str] = set()
         ndim = self.ndim
-        for out in self.outputs:
-            for expr in out.exprs:
-                for access in field_accesses(expr):
-                    if len(access.offset) != ndim:
-                        raise ValidationError(
-                            f"kernel '{self.name}': access {access} has rank "
-                            f"{len(access.offset)}, kernel is {ndim}D"
-                        )
-                    # Reading a field that an *earlier* output of this kernel
-                    # produced refers to the freshly computed value, which is
-                    # a wire in the datapath: centre-point access only.
-                    # Reading the *current* output's own name refers to the
-                    # input (previous-iteration) version — the usual
-                    # ping-pong update U = f(U) — and is unrestricted.
-                    if access.field in produced and any(access.offset):
-                        raise ValidationError(
-                            f"kernel '{self.name}': output '{out.field}' reads "
-                            f"same-kernel output '{access.field}' at non-zero "
-                            f"offset {access.offset}; only centre-point reads of "
-                            "earlier outputs are allowed"
-                        )
+        for out, accesses in zip(self.outputs, self._leaves[0]):
+            for access in accesses:
+                if len(access.offset) != ndim:
+                    raise ValidationError(
+                        f"kernel '{self.name}': access {access} has rank "
+                        f"{len(access.offset)}, kernel is {ndim}D"
+                    )
+                # Reading a field that an *earlier* output of this kernel
+                # produced refers to the freshly computed value, which is
+                # a wire in the datapath: centre-point access only.
+                # Reading the *current* output's own name refers to the
+                # input (previous-iteration) version — the usual
+                # ping-pong update U = f(U) — and is unrestricted.
+                if access.field in produced and any(access.offset):
+                    raise ValidationError(
+                        f"kernel '{self.name}': output '{out.field}' reads "
+                        f"same-kernel output '{access.field}' at non-zero "
+                        f"offset {access.offset}; only centre-point reads of "
+                        "earlier outputs are allowed"
+                    )
             produced.add(out.field)
 
     # -- shape properties ---------------------------------------------------------
-    @property
+    @cached_property
     def ndim(self) -> int:
         """Spatial rank, inferred from the first field access."""
-        for out in self.outputs:
-            for expr in out.exprs:
-                for access in field_accesses(expr):
-                    return len(access.offset)
+        for accesses in self._leaves[0]:
+            for access in accesses:
+                return len(access.offset)
         raise ValidationError(f"kernel '{self.name}' accesses no fields")
 
     @property
@@ -138,7 +153,8 @@ class StencilKernel:
                 return o
         raise ValidationError(f"kernel '{self.name}' does not produce '{field}'")
 
-    def _external_accesses(self) -> list[FieldAccess]:
+    @cached_property
+    def _external_accesses(self) -> tuple[FieldAccess, ...]:
         """Accesses that read kernel *inputs* (not earlier same-kernel outputs).
 
         A read of a field produced by an earlier output of this kernel is a
@@ -147,59 +163,58 @@ class StencilKernel:
         """
         produced: set[str] = set()
         external: list[FieldAccess] = []
-        for out in self.outputs:
-            for expr in out.exprs:
-                for access in field_accesses(expr):
-                    if access.field not in produced:
-                        external.append(access)
+        for out, accesses in zip(self.outputs, self._leaves[0]):
+            external.extend(a for a in accesses if a.field not in produced)
             produced.add(out.field)
-        return external
+        return tuple(external)
 
     def read_fields(self) -> tuple[str, ...]:
         """External fields read, sorted by name."""
-        return tuple(sorted({a.field for a in self._external_accesses()}))
+        return tuple(sorted({a.field for a in self._external_accesses}))
 
-    def spec(self) -> StencilSpec:
-        """Access pattern over external read fields only."""
+    @cached_property
+    def _spec(self) -> StencilSpec:
         by_field: dict[str, set[tuple[int, ...]]] = {}
-        for access in self._external_accesses():
+        for access in self._external_accesses:
             by_field.setdefault(access.field, set()).add(access.offset)
         if not by_field:
             raise ValidationError(f"kernel '{self.name}' reads no external fields")
-        from repro.stencil.spec import AccessPattern
-
         patterns = tuple(
             AccessPattern(field, tuple(sorted(offsets)))
             for field, offsets in sorted(by_field.items())
         )
         return StencilSpec(patterns)
 
+    def spec(self) -> StencilSpec:
+        """Access pattern over external read fields only."""
+        return self._spec
+
     @property
     def order(self) -> int:
         """Stencil order ``D`` of the kernel."""
-        return self.spec().order
+        return self._spec.order
 
     @property
     def radius(self) -> tuple[int, ...]:
         """Per-axis stencil radius (paper order)."""
-        return self.spec().radius
+        return self._spec.radius
 
     # -- cost properties ----------------------------------------------------------
-    def op_counts(self) -> OpCounts:
-        """Total floating-point ops of one mesh-point update (all outputs)."""
+    @cached_property
+    def _op_counts(self) -> OpCounts:
         total = OpCounts()
         for out in self.outputs:
             for expr in out.exprs:
                 total = total + count_ops(expr)
         return total
 
+    def op_counts(self) -> OpCounts:
+        """Total floating-point ops of one mesh-point update (all outputs)."""
+        return self._op_counts
+
     def coefficient_names(self) -> set[str]:
         """All coefficient names referenced by any output expression."""
-        names: set[str] = set()
-        for out in self.outputs:
-            for expr in out.exprs:
-                names |= coefficient_names(expr)
-        return names
+        return set(self._leaves[1])
 
     def with_coefficients(self, **values: float) -> "StencilKernel":
         """A copy of the kernel with some coefficient defaults replaced."""

@@ -280,43 +280,6 @@ def _index_shape(index: tuple, storage_shape: tuple[int, ...]) -> tuple[int, ...
     return tuple(shape)
 
 
-def required_inputs(program: StencilProgram) -> tuple[str, ...]:
-    """Fields the program reads before (or without) producing them.
-
-    The interpreter resolves reads against whatever the caller bound, not
-    just the declared external contract, so the plan must bind the same
-    set: every kernel read and ``init_from`` source that no earlier output
-    satisfies. Memoized on the program instance — the walk visits every
-    expression tree and the plan cache asks on every lookup.
-    """
-    cached = program.__dict__.get("_required_inputs")
-    if cached is not None:
-        return cached
-    produced: set[str] = set()
-    required: list[str] = []
-
-    def need(name: str) -> None:
-        if name not in produced and name not in required:
-            required.append(name)
-
-    for group in program.groups:
-        for kernel in group.kernels:
-            for name in kernel.read_fields():
-                need(name)
-            # init_from resolves against the environment at *kernel entry*
-            # (exactly apply_kernel): an earlier output of the same kernel
-            # does not satisfy it, so defer marking this kernel's outputs
-            # as produced until all of them have been scanned
-            for out in kernel.outputs:
-                if out.init_from is not None:
-                    need(out.init_from)
-            for out in kernel.outputs:
-                produced.add(out.field)
-    result = tuple(required)
-    object.__setattr__(program, "_required_inputs", result)
-    return result
-
-
 def _boundary_settle_iteration(program: StencilProgram) -> int | None:
     """First iteration whose boundary values repeat the previous iteration's.
 
@@ -613,7 +576,7 @@ class _Lowerer:
         self.env: dict[str, str] = {}
         #: field -> spec of the value currently bound (inputs and outputs)
         self.specs: dict[str, MeshSpec] = {}
-        self.inputs = required_inputs(program)
+        self.inputs = program.required_inputs
         for name in self.inputs:
             spec = input_specs[name]
             slot = f"in:{name}"
@@ -1149,7 +1112,7 @@ def lower_program(
     ``input_specs`` gives the spec of every externally bound field (state
     fields carry the mesh element type; constant fields may be scalar).
     """
-    for name in required_inputs(program):
+    for name in program.required_inputs:
         if name not in input_specs:
             raise ValidationError(
                 f"program '{program.name}' needs field '{name}' bound"

@@ -9,11 +9,18 @@ kernels chained through on-chip FIFOs (paper Section V-C).
 The program also declares its *external* data contract — which fields cross
 the memory boundary each outer pass — because memory traffic, not arithmetic,
 bounds most designs.
+
+Groups and programs are frozen, so what they derive from their kernels
+(orders, the external and on-chip byte counts, required inputs) is cached
+per instance the same way the kernels cache their own analysis (see
+:mod:`repro.stencil.kernel`); ``with_mesh`` builds a new instance that
+answers for its own mesh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from repro.mesh.mesh import MeshSpec
@@ -49,17 +56,17 @@ class FusedGroup:
             raise ValidationError("a fused group must contain at least one loop")
         object.__setattr__(self, "loops", tuple(self.loops))
 
-    @property
+    @cached_property
     def kernels(self) -> tuple[StencilKernel, ...]:
         """Kernels in execution order."""
         return tuple(loop.kernel for loop in self.loops)
 
-    @property
+    @cached_property
     def order(self) -> int:
         """Max stencil order ``D`` over the group's kernels."""
         return max(k.order for k in self.kernels)
 
-    @property
+    @cached_property
     def stage_orders(self) -> tuple[int, ...]:
         """Stencil order of each fused stage (used for pipeline fill latency)."""
         return tuple(k.order for k in self.kernels)
@@ -140,12 +147,12 @@ class StencilProgram:
         """Total fused stencil loops per iteration."""
         return sum(len(g.loops) for g in self.groups)
 
-    @property
+    @cached_property
     def order(self) -> int:
         """Program stencil order ``D``: max over all kernels."""
         return max(k.order for k in self.kernels())
 
-    @property
+    @cached_property
     def fused_stage_orders(self) -> tuple[int, ...]:
         """Orders of every fused stage in one iteration, in execution order.
 
@@ -167,29 +174,89 @@ class StencilProgram:
         """Fields streamed back to external memory each pass: the state."""
         return tuple(self.state_fields)
 
-    def bytes_per_cell_pass(self) -> int:
-        """External bytes moved per mesh point per outer pass (read + write).
+    @cached_property
+    def _external_bytes_per_cell(self) -> int:
+        streamed = self.external_reads() + self.external_writes()
+        return sum(self._stream_bytes(f) for f in streamed)
 
-        Memoized on the instance: the model layers (bandwidth feasibility,
-        runtime prediction, accelerator reports) ask for it on every
-        evaluation inside DSE search loops.
-        """
-        cached = self.__dict__.get("_bytes_per_cell_pass")
-        if cached is not None:
-            return cached
-        k = self.mesh.elem_bytes
-        scalar = self.mesh.dtype.itemsize
-        total = 0
-        for f in self.external_reads():
-            total += k if f in self.state_fields else scalar * self._field_components(f)
-        for _ in self.external_writes():
-            total += k
-        object.__setattr__(self, "_bytes_per_cell_pass", total)
-        return total
+    def bytes_per_cell_pass(self) -> int:
+        """External bytes moved per mesh point per outer pass (read + write)."""
+        return self._external_bytes_per_cell
 
     def _field_components(self, field: str) -> int:
         """Components of a constant field (assumed scalar unless a kernel says otherwise)."""
         return 1
+
+    def _stream_bytes(self, field: str) -> int:
+        """Bytes of one element of ``field`` as it streams through the pipeline."""
+        if field in self.constant_fields:
+            return self.mesh.dtype.itemsize * self._field_components(field)
+        return self.mesh.elem_bytes
+
+    # -- on-chip buffering ------------------------------------------------------
+    @cached_property
+    def window_lines(self) -> int:
+        """Rows (2D) or planes (3D) one compute module holds in window buffers.
+
+        The paper's rule (Section III): a stage buffers ``D_f`` lines of every
+        input it reads as a stencil; self-stencil inputs stream straight through.
+        """
+        return sum(
+            p.order for k in self.kernels() for p in k.spec().buffered_fields()
+        )
+
+    @cached_property
+    def module_line_bytes(self) -> int:
+        """On-chip bytes of ONE compute module per mesh point of a buffered line.
+
+        Per fused stage: its window buffers, each as wide as the field's
+        streamed element. Fields that bypass a stage to feed later stages
+        (constants and the carried state in RTM) are delayed by the stage's
+        ``D/2`` latency in FIFOs of the same width. Times the points of one
+        row (2D) or plane (3D) this is the module's buffer footprint — for a
+        one-kernel scalar program exactly the paper's ``k * D`` of eq. (7).
+        """
+        kernels = tuple(self.kernels())
+        bypass = sum(
+            self._stream_bytes(f) for f in self.constant_fields + self.state_fields
+        )
+        total = 0
+        for kernel in kernels:
+            for pattern in kernel.spec().buffered_fields():
+                total += pattern.order * self._stream_bytes(pattern.field)
+        for kernel in kernels[:-1]:
+            total += max(1, kernel.order // 2) * bypass
+        return total
+
+    @cached_property
+    def required_inputs(self) -> tuple[str, ...]:
+        """Fields the program reads before (or without) producing them.
+
+        The interpreter resolves reads against whatever the caller bound, not
+        just the declared external contract, so a plan must bind the same
+        set: every kernel read and ``init_from`` source that no earlier output
+        satisfies.
+        """
+        produced: set[str] = set()
+        required: list[str] = []
+
+        def need(name: str) -> None:
+            if name not in produced and name not in required:
+                required.append(name)
+
+        for kernel in self.kernels():
+            for name in kernel.read_fields():
+                need(name)
+            # init_from resolves against the environment at *kernel entry*
+            # (exactly apply_kernel): an earlier output of the same kernel
+            # does not satisfy it, so defer marking this kernel's outputs
+            # as produced until all of them have been scanned
+            for out in kernel.outputs:
+                if out.init_from is not None:
+                    need(out.init_from)
+            for out in kernel.outputs:
+                produced.add(out.field)
+        return tuple(required)
 
     def intermediate_fields(self) -> tuple[str, ...]:
         """Fields produced but not part of the external contract (on-chip only)."""

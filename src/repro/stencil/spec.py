@@ -10,6 +10,7 @@ stencil radius (5-point star: D=2; the RTM 25-point 8th-order star: D=8).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from repro.stencil.expr import Expr, FieldAccess, field_accesses
@@ -45,19 +46,19 @@ class AccessPattern:
         """Number of distinct stencil points."""
         return len(self.offsets)
 
-    @property
+    @cached_property
     def radius(self) -> tuple[int, ...]:
         """Maximum absolute offset per axis (paper order)."""
         return tuple(
             max(abs(off[axis]) for off in self.offsets) for axis in range(self.ndim)
         )
 
-    @property
+    @cached_property
     def order(self) -> int:
         """Stencil order ``D`` = 2 x max radius over all axes (0 for self-stencils)."""
         return 2 * max(self.radius)
 
-    @property
+    @cached_property
     def is_self_stencil(self) -> bool:
         """True when only the centre point is accessed (zeroth-order)."""
         return self.offsets == ((0,) * self.ndim,)
@@ -114,12 +115,12 @@ class StencilSpec:
         """All fields read, sorted by name."""
         return tuple(p.field for p in self.patterns)
 
-    @property
+    @cached_property
     def order(self) -> int:
         """The kernel's stencil order ``D``: max over all read fields."""
         return max(p.order for p in self.patterns)
 
-    @property
+    @cached_property
     def radius(self) -> tuple[int, ...]:
         """Per-axis radius: elementwise max over all read fields (paper order)."""
         ndim = self.ndim

@@ -20,7 +20,15 @@ class InfeasibleDesignError(ReproError):
     DSP bound (eq. 6) and the on-chip memory bound (eq. 7), or when a mesh
     row does not fit in the device's line-buffer capacity and tiling was not
     enabled.
+
+    ``check`` names the feasibility check that fired (``capacity``,
+    ``buffer``, ``dsp``, ``bandwidth``, ``tile``, ``batch``) for counters
+    and summaries; the message stays the human-readable reason.
     """
+
+    def __init__(self, message: str = "", check: str = ""):
+        super().__init__(message)
+        self.check = check
 
 
 class ResourceExceededError(InfeasibleDesignError):

@@ -65,3 +65,23 @@ def jacobi_app():
 @pytest.fixture
 def rtm_small_app():
     return rtm_app((12, 12, 10))
+
+
+@pytest.fixture
+def spy_on_tree_walks(monkeypatch):
+    """Call it to start recording expression-tree walks; returns the record."""
+
+    def start() -> list:
+        from repro.stencil import expr, kernel
+
+        walks: list = []
+
+        def counting_walk(node, _walk=expr.walk):
+            walks.append(node)
+            return _walk(node)
+
+        monkeypatch.setattr(expr, "walk", counting_walk)
+        monkeypatch.setattr(kernel, "walk", counting_walk)  # imported by name
+        return walks
+
+    return start

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import _parse_mesh, main
@@ -72,6 +74,15 @@ class TestDseCommand:
         out = capsys.readouterr().out
         assert "pareto front" in out
         assert "15 evaluated this run" in out
+        # the same line says how the trials split and how fast they went
+        (line,) = [l for l in out.splitlines() if l.startswith("trials:")]
+        split = re.search(r"feasible (\d+), infeasible (\d+)(?: \((.*?)\))?;", line)
+        feasible, infeasible = int(split[1]), int(split[2])
+        assert feasible + infeasible == 15
+        by_check = dict(part.split() for part in (split[3] or "").split(", ") if part)
+        assert sum(map(int, by_check.values())) == infeasible
+        assert set(by_check) <= {"capacity", "buffer", "dsp", "bandwidth", "tile", "batch"}
+        assert re.search(r"; [\d.]+ s, \d+ configurations/s$", line)
 
     def test_every_strategy_runs(self, capsys):
         for strategy in ("exhaustive", "random", "greedy"):

@@ -71,6 +71,50 @@ class TestEvaluate:
             assert a.feasible == b.feasible
             assert a.values == b.values
 
+    def test_infeasible_trials_are_counted_by_check(self, setup):
+        from repro import observability as obs
+
+        _, _, evaluator, _ = setup
+        too_wide = dict(GOOD, V=64, p=8)  # V*p*Gdsp over the DSP inventory
+        starved = dict(GOOD, memory="DDR4", V=64, p=1)  # eq. (4)
+        obs.enable()
+        try:
+            # BAD's p=4096 plane buffers overflow on-chip memory before the
+            # DSP check is reached; a repeated configuration is a cache hit
+            for config in (GOOD, too_wide, dict(too_wide), starved, BAD):
+                evaluator.evaluate(config)
+        finally:
+            obs.disable()
+        assert evaluator.infeasible == {"dsp": 1, "bandwidth": 1, "buffer": 1}
+        assert evaluator.evaluations == 4
+        registry = obs.metrics_registry()
+        for check in ("dsp", "bandwidth", "buffer"):
+            assert registry.value("dse.trials", feasible=False, check=check) == 1
+        assert registry.value("dse.trials", feasible=True, check="") == 1
+
+    def test_each_new_config_goes_through_evaluate_once(self, setup):
+        """Tracers wrap ``evaluate`` on the instance (the contract benchmark
+        does): batches and studies must route every new configuration
+        through that attribute, exactly once."""
+        from repro.dse.strategies import ExhaustiveSearch
+        from repro.dse.study import Study
+
+        _, _, evaluator, space = setup
+        seen = []
+        inner = evaluator.evaluate
+
+        def wrapped(config, *args, **kwargs):
+            seen.append(dict(config))
+            return inner(config, *args, **kwargs)
+
+        evaluator.evaluate = wrapped
+        study = Study(space, evaluator)
+        study.ask(space.config_at(space.size - 1))
+        study.run(ExhaustiveSearch(batch=16), 40)
+        study.ask(space.config_at(0))  # already seen: free
+        assert seen == [t.config for t in study.trials]
+        assert len(seen) == 41
+
     def test_needs_objectives(self, setup):
         program, workload, _, _ = setup
         with pytest.raises(ValidationError):

@@ -147,6 +147,75 @@ class TestJournal:
         resumed = Study(space, evaluator(), path=path, resume=True)
         assert resumed.replayed == 5
 
+    def test_a_batch_appends_through_one_handle(self, problem, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        space, evaluator = problem
+        opens = []
+        real_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opens.append(self.name)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        path = tmp_path / "study.jsonl"
+        study = Study(space, evaluator(), path=path)
+        study.ask(space.config_at(space.size - 1))  # ask: durable per trial
+        assert opens == ["study.jsonl"]
+        study.run(ExhaustiveSearch(batch=16), trials=40)  # batches of 16, 16, 8
+        assert opens == ["study.jsonl"] * 4
+        assert len(real_open(path).read().splitlines()) == 42  # header + 41
+
+    def test_killed_mid_batch_then_resumed(self, problem, tmp_path):
+        """A process killed while a batch is being journalled loses that
+        batch's unflushed lines and may tear one; resume keeps every whole
+        line and the finished journal replays in full."""
+        import os
+        import subprocess
+        import sys
+
+        space, evaluator = problem
+        path = tmp_path / "study.jsonl"
+        child = f"""
+import os
+from repro.apps import jacobi3d_app
+from repro.arch.device import ALVEO_U280
+from repro.dse import ENERGY, RUNTIME, Evaluator, ExhaustiveSearch, Study, model_space
+from repro.model.design import Workload
+
+program = jacobi3d_app().program_on((64, 64, 64))
+workload = Workload(program.mesh, 100)
+space = model_space(program, ALVEO_U280, workload)
+study = Study(
+    space, Evaluator(program, ALVEO_U280, workload, objectives=(RUNTIME, ENERGY)),
+    path={str(path)!r},
+)
+record = study._record
+
+def killed_in_the_second_batch(result, key, journal):
+    if len(study.trials) == 40:
+        journal.write('{{"number": 40, "config": {{"mem')
+        journal.flush()
+        os._exit(9)
+    return record(result, key, journal)
+
+study._record = killed_in_the_second_batch
+study.run(ExhaustiveSearch(batch=32))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", child], env=env).returncode == 9
+        assert not path.read_text().endswith("\n")  # torn mid-line
+
+        resumed = Study(space, evaluator(), path=path, resume=True)
+        assert resumed.replayed == 40  # batch one whole, eight flushed lines of batch two
+        resumed.run(ExhaustiveSearch(batch=32))
+        straight = Study(space, evaluator()).run(ExhaustiveSearch())
+        assert [t.result for t in resumed.trials] == [t.result for t in straight.trials]
+        # the torn line was ended, not glued to the next trial: nothing is lost twice
+        again = Study(space, evaluator(), path=path, resume=True)
+        assert again.replayed == len(straight.trials)
+
     def test_missing_journal_resume_starts_empty(self, problem, tmp_path):
         space, evaluator = problem
         study = Study(space, evaluator(), path=tmp_path / "nope.jsonl", resume=True)

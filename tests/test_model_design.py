@@ -56,24 +56,27 @@ class TestFeasibility:
     def test_dsp_bound_enforced(self, poisson_app):
         space, app = self._space(poisson_app)
         w = app.workload((200, 100), 60)
-        with pytest.raises(InfeasibleDesignError, match="eq. 6"):
+        with pytest.raises(InfeasibleDesignError, match="eq. 6") as info:
             space.check(DesignPoint(8, 200, 250.0), w)
+        assert info.value.check == "dsp"
 
     def test_mem_bound_enforced(self, jacobi_app):
         program = jacobi_app.program_on((500, 500, 500))
         space = DesignSpace(program, ALVEO_U280)
         w = jacobi_app.workload((500, 500, 500), 29)
         # plane buffers of 500^2 are 1 MB per module: p=60 cannot fit
-        with pytest.raises(InfeasibleDesignError, match="on-chip"):
+        with pytest.raises(InfeasibleDesignError, match="on-chip") as info:
             space.check(DesignPoint(8, 60, 246.0), w)
+        assert info.value.check == "buffer"
 
     def test_bandwidth_bound_enforced(self, poisson_app):
         # DDR4's two channels (38.4 GB/s) feed at most V=16 at 250 MHz;
         # V=32 needs 64 GB/s and must be rejected by the eq. (4) check
         space, app = self._space(poisson_app)
         w = app.workload((200, 100), 60)
-        with pytest.raises(InfeasibleDesignError, match="eq. 4"):
+        with pytest.raises(InfeasibleDesignError, match="eq. 4") as info:
             space.check(DesignPoint(32, 10, 250.0, memory="DDR4"), w)
+        assert info.value.check == "bandwidth"
 
     def test_capacity_bound_enforced(self, poisson_app):
         space, app = self._space(poisson_app, (40000, 40000))
@@ -81,8 +84,22 @@ class TestFeasibility:
         # 1.6 GB mesh x ping-pong fits DDR4 but not 8 GB HBM x 3 copies? it does;
         # use an absurd batch to blow past HBM capacity
         w = app.workload((40000, 40000), 60, batch=4)
-        with pytest.raises(InfeasibleDesignError, match="resident"):
+        with pytest.raises(InfeasibleDesignError, match="resident") as info:
             space.check(DesignPoint(1, 1, 250.0, memory="HBM"), w)
+        assert info.value.check == "capacity"
+
+    def test_check_is_the_resource_checks_then_bandwidth(self, poisson_app):
+        space, app = self._space(poisson_app)
+        w = app.workload((200, 100), 60)
+        starved = DesignPoint(32, 10, 250.0, memory="DDR4")
+        space.check_resources(starved, w)  # only eq. (4) objects, and it reads the clock
+        with pytest.raises(InfeasibleDesignError, match="eq. 4"):
+            space.check_bandwidth(starved)
+        space.check_bandwidth(starved.with_clock(100.0))
+        # failing both, a design is reported for the earlier check, as ever
+        both = DesignPoint(32, 200, 250.0, memory="DDR4")
+        with pytest.raises(InfeasibleDesignError, match="eq. 6"):
+            space.check(both, w)
 
     def test_is_feasible_wrapper(self, poisson_app):
         space, app = self._space(poisson_app)

@@ -534,7 +534,6 @@ class TestLoweringCorners:
         marked A as satisfied, no input buffer was bound, and lowering
         raised ValidationError on a program the interpreter runs).
         """
-        from repro.stencil.plan import required_inputs
 
         mesh = MeshSpec((10, 8))
         U = lambda dx, dy: FieldAccess("U", (dx, dy))
@@ -564,7 +563,7 @@ class TestLoweringCorners:
             (FusedGroup((StencilLoop(kernel), StencilLoop(step))),),
             state_fields=("U",),
         )
-        assert "A" in required_inputs(program)
+        assert "A" in program.required_inputs
         fields = {
             "U": Field.random("U", mesh, seed=1),
             "A": Field.random("A", mesh, seed=2),

@@ -116,3 +116,69 @@ class TestCoefficients:
             "k", "U", Coef("a") * U(0, 0) + Coef("b") * U(1, 0), {"a": 1.0, "b": 2.0}
         )
         assert k.coefficient_names() == {"a", "b"}
+
+
+class TestCachedAnalysis:
+    """Derived facts are computed once per instance and stay out of the value."""
+
+    def _kernel(self):
+        k_expr = Coef("a") * (U(-2, 0) + U(1, 0))
+        t_expr = U(0, 0) + Const(0.5) * FieldAccess("K", (0, 0))
+        return StencilKernel(
+            "fused",
+            (
+                KernelOutput("K", (k_expr,)),
+                KernelOutput("T", (t_expr,), init_from="U"),
+            ),
+            {"a": 0.5},
+        )
+
+    @staticmethod
+    def _read_everything(kernel):
+        spec = kernel.spec()
+        return (
+            kernel.ndim, spec, spec.order, spec.radius, kernel.order,
+            kernel.radius, kernel.op_counts(), kernel.coefficient_names(),
+            kernel.read_fields(),
+            tuple((p.radius, p.order, p.is_self_stencil) for p in spec.patterns),
+        )
+
+    def test_reads_leave_the_value_alone(self):
+        import pickle
+
+        warm, fresh = self._kernel(), self._kernel()
+        answers = self._read_everything(warm)
+        assert warm == fresh and repr(warm) == repr(fresh)
+        # the spec is hashable; it must hash like one that was never read
+        assert hash(warm.spec()) == hash(fresh.spec())
+        assert warm.spec().patterns[0] == fresh.spec().patterns[0]
+        clone = pickle.loads(pickle.dumps(warm))
+        assert clone == fresh
+        assert self._read_everything(clone) == answers
+
+    def test_second_read_walks_no_tree(self, spy_on_tree_walks):
+        k = self._kernel()
+        first = self._read_everything(k)
+        walks = spy_on_tree_walks()
+        assert self._read_everything(k) == first
+        assert k.spec() is k.spec()
+        assert walks == []
+
+    def test_copies_answer_from_their_own_trees(self):
+        from dataclasses import fields, replace
+
+        k = self._kernel()
+        self._read_everything(k)
+        names = {f.name for f in fields(k)}
+        renamed = replace(k, name="other")
+        recoeffed = k.with_coefficients(a=2.0)
+        # only the dataclass fields travel: all a copy holds beyond them is
+        # what its own construction-time validation walked
+        for copy in (renamed, recoeffed):
+            assert set(vars(copy)) - names == {"_leaves", "ndim"}
+            assert copy._leaves is not k._leaves
+        narrower = replace(
+            k, outputs=(KernelOutput("K", (Coef("a") * U(1, 0),)),) + k.outputs[1:]
+        )
+        assert (k.radius, k.order) == ((2, 0), 4)
+        assert (narrower.radius, narrower.order) == ((1, 0), 2)

@@ -108,3 +108,79 @@ class TestRebind:
         fields = prog.groups[0].produced_fields()
         assert fields[0] == "K1"
         assert "Y" in fields
+
+
+class TestCachedAnalysis:
+    """Per-program facts are computed once and stay out of the program's value."""
+
+    @staticmethod
+    def _read_everything(program):
+        return (
+            program.order, program.fused_stage_orders, program.bytes_per_cell_pass(),
+            program.window_lines, program.module_line_bytes, program.required_inputs,
+            tuple((g.kernels, g.order, g.stage_orders) for g in program.groups),
+        )
+
+    def test_reads_leave_the_value_alone(self):
+        import pickle
+
+        from repro.stencil.plan import program_token
+
+        warm, fresh = build_rtm_program((8, 8, 8)), build_rtm_program((8, 8, 8))
+        token = program_token(fresh)
+        answers = self._read_everything(warm)
+        assert warm == fresh and repr(warm) == repr(fresh)
+        assert program_token(warm) is token  # interned: one token per structure
+        clone = pickle.loads(pickle.dumps(warm))
+        assert clone == fresh and program_token(clone) == token
+        assert self._read_everything(clone) == answers
+        for program in (warm, fresh):  # coefficient dicts: never hashable
+            with pytest.raises(TypeError):
+                hash(program)
+
+    def test_with_mesh_answers_for_its_own_mesh(self, poisson_program):
+        import numpy as np
+
+        from repro.model.resources import module_mem_bytes
+
+        self._read_everything(poisson_program)
+        base = module_mem_bytes(poisson_program)
+        longer = poisson_program.with_mesh(MeshSpec((36, 10)))  # rows 12 -> 36
+        assert longer.order == poisson_program.order
+        assert module_mem_bytes(longer) == 3 * base
+        double = poisson_program.with_mesh(MeshSpec((12, 10), dtype=np.float64))
+        assert double.module_line_bytes == 2 * poisson_program.module_line_bytes
+        assert double.bytes_per_cell_pass() == 2 * poisson_program.bytes_per_cell_pass()
+        assert module_mem_bytes(poisson_program) == base  # the original still answers
+
+    def _study_parts(self):
+        from repro.arch.device import ALVEO_U280
+        from repro.dse import Evaluator, model_space
+        from repro.workload import WorkloadSpec
+
+        program = build_rtm_program((32, 32, 32))
+        workload = WorkloadSpec(program.mesh, 60)
+        space = model_space(
+            program, ALVEO_U280, workload,
+            tiled=(False, True), boards=(1, 2), batches=(1, 4),
+        )
+        make = lambda **kw: Evaluator(program, ALVEO_U280, workload, **kw)
+        return space, make
+
+    def test_a_study_walks_no_tree_after_its_first_trial(self, spy_on_tree_walks):
+        from repro.dse import ExhaustiveSearch, Study
+
+        space, make = self._study_parts()
+        assert space.size >= 200
+        study = Study(space, make())
+        study.ask(next(iter(space.grid())))
+        walks = spy_on_tree_walks()
+        study.run(ExhaustiveSearch(), 200)
+        assert len(study.trials) == 201
+        assert walks == []
+
+    def test_concurrent_readers_agree(self):
+        space, make = self._study_parts()
+        configs = list(space.grid())[:200]
+        threaded = make(max_workers=4).evaluate_many(configs)
+        assert threaded == [make().evaluate(c) for c in configs]
