@@ -2,8 +2,8 @@
 
 Times the parallel engine (``repro.parallel``) against the serial compiled
 stacked path on the same footprint-bounded chunk schedule: the only delta
-is whether chunks execute one after another in-process or fan out across a
-persistent worker pool with shared-memory transport. Jacobi-3D rows sweep
+is whether chunks execute one after another on the calling thread or fan
+out across a persistent pool of worker threads. Jacobi-3D rows sweep
 the batch axis (B in {4, 8, 16}) in the small-mesh regime the paper
 batches in hardware; the RTM row exercises the over-budget chunked regime
 with the *calibrated* per-host stacking budget (the adaptive replacement

@@ -118,7 +118,7 @@ class GroupError:
     error: str
     #: total attempts of the failing chunk across every ladder rung
     attempts: int | None = None
-    #: ladder rung the failing chunk ended on ("process"/"thread"/"serial")
+    #: ladder rung the failing chunk ended on ("thread"/"serial")
     backend: str | None = None
 
     def describe(self) -> str:
@@ -277,8 +277,7 @@ class MixScheduler:
         every engine: a set token abandons the run at the next chunk
         boundary and raises :class:`~repro.resilience.ExecutionCancelled`
         (never isolated by ``strict=False`` — cancellation is a caller
-        decision, not a group failure; parallel shared-memory segments are
-        reclaimed before it propagates).
+        decision, not a group failure).
         """
         mix = as_mix(mix)
         specs = list(mix.job_groups().values())
@@ -356,8 +355,7 @@ class MixScheduler:
         all groups freely. A failing chunk surfaces as
         :class:`~repro.parallel.ParallelExecutionError` carrying the
         originating workload spec; still-pending sibling groups are
-        drained and their shared-memory segments reclaimed before it
-        propagates.
+        drained before it propagates.
         """
         from repro.parallel.executor import ParallelExecutionError, submit_stacked
 

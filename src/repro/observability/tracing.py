@@ -1,27 +1,27 @@
-"""Nested trace spans with a process-boundary-crossing context.
+"""Nested trace spans with a context that hands a trace to a worker.
 
 A :class:`Tracer` records a tree of timed spans: ``with tracer.span(name,
 **attrs):`` opens a child of whatever span is currently open on this
 thread, closes it on exit, and appends the finished
 :class:`SpanRecord` to the tracer's ledger. The per-thread open-span
-stack lives in ``threading.local`` so concurrent threads (the thread
-worker backend, the DSE's evaluation pool) each grow their own branch of
+stack lives in ``threading.local`` so concurrent threads (the parallel
+engine's workers, the DSE's evaluation pool) each grow their own branch of
 the tree without interleaving parents.
 
-Crossing the **process** boundary works by value, not by reference: the
+Handing a trace to a worker works by value, not by reference: the
 parent captures a :class:`TraceContext` — trace id plus the currently open
-span's id — and ships it inside the task message. The worker builds a
+span's id — and ships it inside the task. The worker builds a
 throwaway tracer seeded with that context, records its spans, and returns
 them as plain dicts (:meth:`SpanRecord.to_dict`); the parent then
 :meth:`Tracer.adopt`\\ s them, so worker-side chunk spans reattach under
 the submit-side dispatch span they belong to and the assembled tree reads
-compile → chunk dispatch → worker execution across process lines.
+compile → chunk dispatch → worker execution across worker threads.
 
 Span ids are namespaced by tracer (``id_prefix``): a worker-side tracer
 mints ids disjoint from its parent's ``s…`` ids, so the shipped parent
 reference can never be mistaken for an intra-batch one. Adopted ids are
-additionally always remapped to fresh local ids — sibling tasks in one
-worker process each start a throwaway tracer at 1, so batches collide
+additionally always remapped to fresh local ids — sibling worker tasks
+each start a throwaway tracer at 1, so batches collide
 with each other even though neither collides with the parent.
 """
 
@@ -109,7 +109,7 @@ class Tracer:
         #: worker-side tracer grafts its spans under the parent's submit span
         self.root_parent = root_parent
         #: span-id namespace. A worker-side tracer MUST use a prefix
-        #: distinct from its parent's (e.g. ``w<pid>.``): the shipped
+        #: distinct from its parent's (e.g. ``w.``): the shipped
         #: ``root_parent`` travels by id, so a worker id that textually
         #: matched a parent id would make parent references ambiguous at
         #: adoption time.
@@ -168,7 +168,7 @@ class Tracer:
     def adopt(self, records: Sequence[Mapping[str, Any]]) -> list[SpanRecord]:
         """Graft worker-side span dicts into this tracer's ledger.
 
-        Span ids minted by another process can collide with local ones —
+        Span ids minted by another tracer can collide with local ones —
         including spans still *open* here, which are not in the ledger yet
         — so every incoming id is remapped to a fresh local id, and
         intra-batch parent references follow the remap. References to

@@ -1,12 +1,11 @@
 """Parallel chunk fan-out behind the compiled-plan API.
 
 The ``engine="parallel"`` backend: the serial compiled engine's chunked
-stacked schedule, dispatched across a persistent worker pool instead of a
-loop. Process workers move chunk data through shared memory
-(:mod:`repro.parallel.shm`), thread workers share the address space, and
-every worker keeps its own warm compiled-plan instances
-(:mod:`repro.parallel.worker`). Results are bit-identical to the serial
-compiled engine — and therefore to the golden interpreter.
+stacked schedule, dispatched across a persistent thread pool instead of a
+loop. Workers share the parent's address space, take the field
+environments by reference, and each keeps its own warm compiled-plan
+instances (:mod:`repro.parallel.worker`). Results are bit-identical to
+the serial compiled engine — and therefore to the golden interpreter.
 
 :mod:`repro.parallel.calibrate` replaces the static stacking byte budget
 with a measured per-host one, cached on disk.
@@ -21,19 +20,15 @@ from repro.parallel.executor import (
     submit_stacked,
 )
 from repro.parallel.pool import (
-    BACKENDS,
     WorkerPool,
     default_workers,
     shared_pool,
     shutdown_shared_pools,
 )
-from repro.parallel.shm import SharedStack
 
 __all__ = [
-    "BACKENDS",
     "ParallelExecutionError",
     "PendingBatch",
-    "SharedStack",
     "WorkerPool",
     "calibrated_bytes_limit",
     "default_workers",

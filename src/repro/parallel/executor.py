@@ -9,21 +9,16 @@ same dispatch accounting, bit-identical per-mesh results. Only *where*
 the tape replays changes: each chunk becomes one task on a persistent
 :class:`~repro.parallel.pool.WorkerPool`.
 
-Transport is backend-dependent. Process workers (the default for chunks
-past :data:`PROCESS_BACKEND_MIN_BYTES`) receive inputs — and return
-produced fields — through a :class:`~repro.parallel.shm.SharedStack`
-segment, so arrays cross the boundary zero-copy; only the small lowered
-plan pickles. Thread workers share the address space and take the field
-environments directly. Either way the worker binds buffers at most once
-per plan token (:mod:`repro.parallel.worker`) and replays the warm tape.
+Workers are threads: they share the parent's address space and take the
+field environments by reference, bind buffers at most once per plan
+token (:mod:`repro.parallel.worker`) and replay the warm tape.
 
 Execution is **resilient** (:mod:`repro.resilience`): every chunk is
 collected under a :class:`~repro.resilience.RetryPolicy` — a failed,
-crashed, hung or corrupt chunk is retried with deterministic backoff on
-its backend, then degraded down the process → thread → serial ladder;
-the terminal serial rung replays the chunk in-process on the same
-lowered plan, so recovered results are bit-identical to the serial
-engine no matter which backends broke. A
+hung or corrupt chunk is retried with deterministic backoff on the
+thread rung, then degraded to the serial rung, which replays the chunk
+on the collecting thread on the same lowered plan, so recovered results
+are bit-identical to the serial engine. A
 :class:`~repro.resilience.FaultPlan` (``REPRO_FAULT_PLAN`` or the
 ``fault_plan=`` argument) arms deterministic faults into worker tasks so
 each recovery path is testable. Recovery emits ``resilience.retries``,
@@ -41,22 +36,17 @@ submit-and-wait convenience with the same signature as
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro import observability as obs
 from repro.mesh.mesh import Field
 from repro.parallel.pool import WorkerPool, default_workers, shared_pool
-from repro.parallel.shm import SharedStack
-from repro.parallel.worker import run_chunk_fields, run_chunk_shm
+from repro.parallel.worker import run_chunk_fields
 from repro.resilience import (
     DEFAULT_POLICY,
     CancelToken,
@@ -79,14 +69,6 @@ from repro.stencil.compiled import (
 from repro.stencil.plan import ProgramPlan, program_token
 from repro.stencil.program import StencilProgram
 from repro.util.errors import ReproError, ValidationError
-
-#: chunks whose stacked working set is at least this big default to the
-#: process backend; smaller chunks stay on threads, where the dispatch is
-#: a function call instead of a task message + shared-memory segment (the
-#: crossover sits well below a millisecond of tape time, so this only
-#: needs to be the right order of magnitude)
-PROCESS_BACKEND_MIN_BYTES = 1 << 18
-
 
 class ParallelExecutionError(ReproError):
     """A chunk failed beyond recovery under the parallel engine.
@@ -162,21 +144,10 @@ def plan_token_for(
 class _DispatchContext:
     """Everything a chunk needs to be (re-)dispatched after submit time."""
 
-    pool: WorkerPool | None
-    workers: int
+    pool: WorkerPool
     policy: RetryPolicy
     faults: FaultPlan | None
     trace: object = None
-
-    @property
-    def checksum(self) -> bool:
-        return self.policy.verify_checksums
-
-    def pool_for(self, backend: str) -> WorkerPool:
-        """The explicit pool if it matches, else the shared one."""
-        if self.pool is not None and self.pool.backend == backend:
-            return self.pool
-        return shared_pool(backend, self.workers)
 
 
 @dataclass
@@ -189,9 +160,7 @@ class _PendingChunk:
     #: the chunk's own field environments, retained for re-dispatch
     members: Sequence[Mapping[str, Field]]
     future: object = None
-    #: shared-memory segment of the current attempt (process backend only)
-    stack: SharedStack | None = None
-    #: ladder rung of the current attempt ("process"/"thread"/"serial")
+    #: ladder rung of the current attempt ("thread"/"serial")
     backend: str = ""
     #: perf_counter timestamp of the current submit (deadline anchor)
     submitted_at: float = 0.0
@@ -199,8 +168,6 @@ class _PendingChunk:
     attempts: int = 0
     #: recoveries, i.e. ``attempts - 1`` once the chunk lands
     retries: int = 0
-    #: True once the chunk was cancelled before its task ever started
-    cancelled: bool = False
 
 
 @dataclass
@@ -220,10 +187,8 @@ class PendingBatch:
     pending: list[_PendingChunk] = dc_field(default_factory=list)
     #: pre-computed results for degenerate batches that never hit the pool
     ready: list[dict[str, Field]] | None = None
-    #: worker backend the chunks were dispatched on ("process"/"thread")
+    #: backend the chunks were dispatched on ("thread")
     backend: str = ""
-    #: workers bind NativeProgram instances (generated steady loops)
-    native: bool = False
     #: the caller's ``stats=`` dict, so collection can append the
     #: worker-measured ``chunk_seconds`` once results land
     stats: dict | None = None
@@ -233,21 +198,16 @@ class PendingBatch:
     #: loop polls it at every chunk boundary (and in 50 ms wait slices)
     cancel_token: CancelToken = dc_field(default_factory=CancelToken)
     _results: list[dict[str, Field]] | None = None
-    #: serializes shared-memory release between cancel() and result()
-    _release_lock: threading.Lock = dc_field(default_factory=threading.Lock)
 
     def cancel(self, reason: str | None = None) -> None:
         """Cooperatively cancel the batch; safe from any thread.
 
-        Not-yet-started chunk tasks are cancelled on the pool **and their
-        shared-memory slots released right here** — nobody will ever run
-        them, so waiting for a collect that may never come would strand
-        the segments (exactly what used to happen until the next pool
-        reset). In-flight chunks are left to finish their current tape
-        replay: a concurrent :meth:`result` observes the token at its next
-        safe point, reclaims their transport and raises
+        Not-yet-started chunk tasks are cancelled on the pool right here,
+        so their queue slots free immediately. In-flight chunks are left
+        to finish their current tape replay: a concurrent :meth:`result`
+        observes the token at its next safe point and raises
         :class:`~repro.resilience.ExecutionCancelled`; a batch nobody
-        collects reclaims them in :meth:`close`. Idempotent; a no-op once
+        collects waits them out in :meth:`close`. Idempotent; a no-op once
         results have landed.
         """
         if self._results is not None or self.ready is not None:
@@ -257,8 +217,6 @@ class PendingBatch:
         for chunk in self.pending:
             fut = chunk.future
             if fut is not None and fut.cancel():
-                chunk.cancelled = True
-                self._release(chunk)
                 dropped += 1
         obs.inc("exec.batches_cancelled")
         obs.emit(
@@ -279,7 +237,7 @@ class PendingBatch:
         :class:`ParallelExecutionError` naming the chunk and its mesh
         range (callers scheduling several batches add their own context,
         e.g. the originating workload spec); remaining chunks are then
-        abandoned and their segments reclaimed.
+        abandoned.
         """
         if self._results is not None:
             return self._results
@@ -304,11 +262,9 @@ class PendingBatch:
                 out = self._collect_chunk(chunk)
             except ExecutionCancelled as exc:
                 cancelled = exc
-                self._release(chunk)
                 continue
             except BaseException as exc:  # noqa: BLE001 - rewrapped below
                 failure = (chunk, exc)
-                self._release(chunk)
                 continue
             retries += chunk.retries
             seconds = float(out.get("seconds", 0.0))
@@ -319,8 +275,6 @@ class PendingBatch:
             )
             obs.adopt_spans(out.get("spans"))
             self._assemble(chunk, out, results)
-            self._release(chunk)
-        self._cleanup()
         if failure is not None:
             chunk, exc = failure
             elapsed = (
@@ -373,12 +327,9 @@ class PendingBatch:
     # -- per-chunk collection with retry and degradation -----------------------
     def _collect_chunk(self, chunk: _PendingChunk) -> dict:
         """One chunk's result, retried and degraded per the policy."""
-        ctx = self.ctx
-        policy = ctx.policy if ctx is not None else DEFAULT_POLICY
-        rungs = list(policy.rungs_from(self.backend or chunk.backend))
-        if not rungs:
-            rungs = [chunk.backend or self.backend]
-        rung_i = rungs.index(chunk.backend) if chunk.backend in rungs else 0
+        policy = self.ctx.policy
+        rungs = policy.rungs_from(chunk.backend)
+        rung_i = 0
         attempt_on_rung = 1  # the submit-time dispatch is attempt one
         while True:
             self.cancel_token.raise_if_set(
@@ -392,25 +343,19 @@ class PendingBatch:
                     out = self._await(chunk, policy)
                 self._verify(chunk, out)
                 return out
-            except (KeyboardInterrupt, SystemExit):
-                self._release(chunk)
-                raise
-            except ExecutionCancelled:
+            except (KeyboardInterrupt, SystemExit, ExecutionCancelled):
                 # cancellation is a caller decision, never a chunk failure:
                 # it must not be retried or degraded
-                self._release(chunk)
                 raise
             except BaseException as exc:  # noqa: BLE001 - classified below
                 if self.cancel_token.is_set():
                     # a cancel() racing this attempt cancelled the future
                     # out from under us; surface the cancellation, not the
                     # secondary error it provoked
-                    self._release(chunk)
                     raise self._cancelled_error() from exc
                 kind = classify_failure(exc)
                 if kind == "timeout":
-                    self._kill_hung(chunk, rung)
-                self._release(chunk)
+                    self._abandon_hung(chunk, rung)
                 if attempt_on_rung >= policy.max_attempts:
                     if rung_i + 1 >= len(rungs):
                         raise
@@ -441,7 +386,7 @@ class PendingBatch:
                 if delay:
                     time.sleep(delay)
                 if rung != "serial":
-                    _dispatch(self, chunk, rung)
+                    _dispatch(self, chunk)
 
     #: wait-slice width while blocking on a worker future: the collect
     #: thread re-checks the cancel token this often, so an in-flight batch
@@ -479,16 +424,16 @@ class PendingBatch:
         """The terminal rung: replay the chunk in-process, fault-free.
 
         Runs the very same lowered plan through the same worker entry
-        point the thread backend uses, so a chunk rescued here is
-        bit-identical to one that never failed.
+        point the thread workers use, on the collecting thread's own
+        instance cache, so a chunk rescued here is bit-identical to one
+        that never failed.
         """
         chunk.backend = "serial"
         chunk.attempts += 1
         chunk.submitted_at = time.perf_counter()
         return run_chunk_fields(
             self.token, self.plan, chunk.size, self.niter, chunk.members,
-            trace=self.ctx.trace if self.ctx is not None else None,
-            native=self.native,
+            trace=self.ctx.trace,
         )
 
     def _verify(self, chunk: _PendingChunk, out: dict) -> None:
@@ -496,12 +441,7 @@ class PendingBatch:
         shipped = out.get("checksums")
         if shipped is None:
             return
-        if chunk.stack is not None:
-            actual = checksum_arrays(
-                {f: chunk.stack.array(f"o:{f}") for f in shipped}
-            )
-        else:
-            actual = checksum_arrays(out["fields"])
+        actual = checksum_arrays(out["fields"])
         if actual != shipped:
             bad = sorted(n for n in shipped if actual.get(n) != shipped[n])
             raise CorruptResultError(
@@ -509,8 +449,14 @@ class PendingBatch:
                 f"{bad} (plan {self.token[:12]})"
             )
 
-    def _kill_hung(self, chunk: _PendingChunk, rung: str) -> None:
-        """Deadline miss: count it, abandon the future, kill a stuck pool."""
+    def _abandon_hung(self, chunk: _PendingChunk, rung: str) -> None:
+        """Deadline miss: count it and abandon the future.
+
+        A thread cannot be killed: a hung attempt that already started
+        runs to completion on its lane and its result is dropped. It
+        writes only into its own worker-local instance and a fresh copy
+        of the produced fields, so it cannot touch the rescued results.
+        """
         obs.inc("resilience.timeouts", backend=rung)
         obs.emit(
             "resilience.timeout",
@@ -519,9 +465,6 @@ class PendingBatch:
         )
         if chunk.future is not None:
             chunk.future.cancel()
-        if self.ctx is not None and rung == "process":
-            # a hung process worker never frees its lane on its own
-            self.ctx.pool_for(rung).reset(kill=True)
 
     # -- assembly and cleanup --------------------------------------------------
     def _assemble(self, chunk, out, results) -> None:
@@ -531,113 +474,57 @@ class PendingBatch:
             env = dict(self.batch_fields[chunk.start + b])
             for fname in produced:
                 spec = self.plan.produced_specs[fname]
-                if chunk.stack is not None:
-                    # copy out of shared memory before the segment is
-                    # unlinked; thread workers already returned copies
-                    data = np.array(chunk.stack.array(f"o:{fname}")[b])
-                else:
-                    data = fields[fname][b]
-                env[fname] = Field(fname, spec, data)
+                env[fname] = Field(fname, spec, fields[fname][b])
             results[chunk.start + b] = env
 
-    def _release(self, chunk: _PendingChunk) -> None:
-        """Reclaim the current attempt's transport (segment + future).
-
-        Serialized against a concurrent :meth:`cancel`: the stack handoff
-        happens under the batch lock so exactly one thread unlinks it.
-        """
-        with self._release_lock:
-            stack, chunk.stack = chunk.stack, None
-            chunk.future = None
-        if stack is not None:
-            stack.unlink()
-
     def _abandon(self, chunk: _PendingChunk) -> None:
-        """Discard an in-flight chunk: cancel, wait it out, reclaim."""
+        """Discard an in-flight chunk: cancel it, or wait it out."""
         if chunk.future is not None:
             chunk.future.cancel()
             try:
-                timeout = (
-                    self.ctx.policy.chunk_timeout
-                    if self.ctx is not None else None
-                )
-                chunk.future.result(timeout=timeout)
+                chunk.future.result(timeout=self.ctx.policy.chunk_timeout)
             except BaseException:  # noqa: BLE001 - abandoning anyway
                 pass
-        self._release(chunk)
-
-    def _cleanup(self) -> None:
-        for chunk in self.pending:
-            if chunk.stack is not None:
-                chunk.stack.unlink()
-                chunk.stack = None
+        chunk.future = None
 
     def close(self) -> None:
-        """Abandon the batch: wait out in-flight chunks, free segments.
+        """Abandon the batch: cancel queued chunks, wait out running ones.
 
         Used when a sibling batch failed and the caller unwinds — results
-        are discarded, shared memory is reclaimed, errors are swallowed.
+        are discarded and errors are swallowed.
         """
         if self._results is not None or self.ready is not None:
             return
         for chunk in self.pending:
             self._abandon(chunk)
-        self._cleanup()
         self._results = []
 
 
-def _dispatch(batch: PendingBatch, chunk: _PendingChunk, backend: str) -> None:
-    """Submit (or resubmit) one chunk on ``backend``, arming any due fault."""
+def _dispatch(batch: PendingBatch, chunk: _PendingChunk) -> None:
+    """Submit (or resubmit) one chunk on the pool, arming any due fault."""
     ctx = batch.ctx
-    chunk.backend = backend
+    chunk.backend = "thread"
     chunk.attempts += 1
-    pool = ctx.pool_for(backend)
-    if backend == "process":
-        plan = batch.plan
-        dtype = plan.mesh.dtype
-        produced = tuple(plan.final_env(batch.niter))
-        layout: dict[str, tuple[tuple[int, ...], np.dtype]] = {}
-        for name in plan.inputs:
-            layout[f"i:{name}"] = (
-                (chunk.size,) + plan.buffers[f"in:{name}"], dtype
-            )
-        for fname in produced:
-            shape = plan.produced_specs[fname].storage_shape
-            layout[f"o:{fname}"] = ((chunk.size,) + shape, dtype)
-        stack = SharedStack.allocate(layout)
-        chunk.stack = stack
-        for name in plan.inputs:
-            arr = stack.array(f"i:{name}")
-            for b, env in enumerate(chunk.members):
-                np.copyto(arr[b], env[name].data)
-        fault = _draw_fault(batch, chunk, backend)
-        chunk.submitted_at = time.perf_counter()
-        chunk.future = pool.submit(
-            run_chunk_shm, batch.token, plan, chunk.size, batch.niter,
-            stack.handle, ctx.trace, fault, ctx.checksum, batch.native,
-        )
-    else:
-        fault = _draw_fault(batch, chunk, backend)
-        chunk.submitted_at = time.perf_counter()
-        chunk.future = pool.submit(
-            run_chunk_fields, batch.token, batch.plan, chunk.size,
-            batch.niter, chunk.members, ctx.trace, fault, ctx.checksum,
-            batch.native,
-        )
+    fault = _draw_fault(batch, chunk)
+    chunk.submitted_at = time.perf_counter()
+    chunk.future = ctx.pool.submit(
+        run_chunk_fields, batch.token, batch.plan, chunk.size, batch.niter,
+        chunk.members, ctx.trace, fault, ctx.policy.verify_checksums,
+    )
 
 
-def _draw_fault(batch: PendingBatch, chunk: _PendingChunk, backend: str):
+def _draw_fault(batch: PendingBatch, chunk: _PendingChunk):
     """The armed fault for this submit, if the plan has one due."""
     ctx = batch.ctx
-    if ctx is None or ctx.faults is None:
+    if ctx.faults is None:
         return None
     fault = ctx.faults.draw(chunk.index, batch.token)
     if fault is not None:
-        obs.inc("exec.fault_injected", kind=fault.kind, backend=backend)
+        obs.inc("exec.fault_injected", kind=fault.kind, backend=chunk.backend)
         obs.emit(
             "exec.fault_injected",
             fault=fault.kind, chunk=chunk.index, plan=batch.token,
-            backend=backend,
+            backend=chunk.backend,
         )
     return fault
 
@@ -651,23 +538,12 @@ def submit_stacked(
     max_stack_bytes: float | None = None,
     stats: dict | None = None,
     max_workers: int | None = None,
-    backend: str | None = None,
     pool: WorkerPool | None = None,
     policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     cancel: CancelToken | None = None,
-    native: bool | None = None,
 ) -> PendingBatch:
-    """Fan a stacked batch's chunks out over a worker pool; non-blocking.
-
-    ``native=True`` makes every worker bind a
-    :class:`~repro.stencil.native.NativeProgram` for its chunks — the
-    generated steady-loop replay composes with the fan-out, and the
-    content-addressed on-disk artifact cache means the pool pays one cc
-    build total, not one per worker. Defaults to the
-    ``REPRO_PARALLEL_NATIVE=1`` environment toggle, so existing
-    ``engine="parallel"`` callers can opt whole deployments in without a
-    signature change.
+    """Fan a stacked batch's chunks out over a thread pool; non-blocking.
 
     Mirrors :func:`~repro.stencil.compiled.run_program_stacked` — same
     validation, same chunk schedule, same ``stats`` accounting — but
@@ -676,34 +552,25 @@ def submit_stacked(
     (nothing to run), mixed-dtype bindings (golden interpreter per mesh,
     exactly as the serial engine falls back), and single-worker hosts
     (``max_workers``/CPU count <= 1 and no explicit ``pool``), where
-    fan-out could only add dispatch overhead.
-
-    ``backend`` forces ``"process"`` or ``"thread"`` workers; the default
-    picks processes for chunks of at least
-    :data:`PROCESS_BACKEND_MIN_BYTES` and threads below (small meshes are
-    exactly where process transport costs more than the tape). If the
-    host cannot allocate shared memory at all, the dispatch degrades to
-    the thread backend rather than failing.
+    fan-out could only add dispatch overhead. Chunks run on ``pool`` when
+    given, else on the shared pool of width ``max_workers``.
 
     ``policy`` governs recovery at collect time (default
     :data:`~repro.resilience.DEFAULT_POLICY`: two attempts per rung, the
-    full degradation ladder; :meth:`RetryPolicy.disabled` restores
+    thread → serial ladder; :meth:`RetryPolicy.disabled` restores
     fail-fast). ``fault_plan`` arms deterministic faults into this
     dispatch's worker tasks; when omitted, a plan named by
     ``REPRO_FAULT_PLAN`` applies process-wide. ``cancel`` shares a
     :class:`~repro.resilience.CancelToken` with the returned batch
     (:meth:`PendingBatch.cancel` sets the batch's own token either way):
-    once set, collection abandons remaining chunks at the next safe point,
-    reclaims every shared-memory segment and raises
-    :class:`~repro.resilience.ExecutionCancelled`.
+    once set, collection abandons remaining chunks at the next safe point
+    and raises :class:`~repro.resilience.ExecutionCancelled`.
     """
     required, first = check_stacked_batch(program, batch_fields)
     if niter < 0:
         raise ValidationError(f"niter must be non-negative, got {niter}")
     if cancel is not None:
         cancel.raise_if_set("parallel submit")
-    if native is None:
-        native = os.environ.get("REPRO_PARALLEL_NATIVE") == "1"
 
     workers = max_workers if max_workers else default_workers()
 
@@ -747,25 +614,18 @@ def submit_stacked(
         results = run_program_stacked(
             program, batch_fields, niter, coefficients,
             cache=cache, max_stack_bytes=limit, stats=stats, cancel=cancel,
-            engine="native" if native else "compiled",
         )
         _account(chunks, "serial")
         return PendingBatch(batch_fields, plan, niter, ready=results)
-    if backend is None and pool is not None:
-        backend = pool.backend
-    if backend is None:
-        chunk_bytes = plan.nbytes * max(chunks)
-        backend = "process" if chunk_bytes >= PROCESS_BACKEND_MIN_BYTES else "thread"
     token = plan_token_for(program, first, coefficients)
     ctx = _DispatchContext(
-        pool=pool,
-        workers=workers,
+        pool=pool if pool is not None else shared_pool(workers),
         policy=policy if policy is not None else DEFAULT_POLICY,
         faults=fault_plan if fault_plan is not None else FaultPlan.from_env(),
     )
     batch = PendingBatch(
         batch_fields, plan, niter, token=token, stats=stats, ctx=ctx,
-        native=native,
+        backend="thread",
     )
     if cancel is not None:
         batch.cancel_token = cancel
@@ -774,65 +634,28 @@ def submit_stacked(
         program=program.name,
         batch=len(batch_fields),
         niter=niter,
-        backend=backend,
+        backend=batch.backend,
         chunks=len(chunks),
     ):
         ctx.trace = obs.trace_context()
-        try:
-            _submit_chunks(batch, chunks, batch_fields, backend)
-        except OSError as exc:
-            # no shared memory on this host (or it is exhausted): reclaim any
-            # segments we did get and fall back to in-process thread transport
-            warnings.warn(
-                f"shared-memory transport unavailable ({exc!r}); falling back "
-                f"to the thread worker backend for this dispatch",
-                RuntimeWarning,
-                stacklevel=2,
+        start = 0
+        for index, size in enumerate(chunks):
+            chunk = _PendingChunk(
+                index, start, size, members=batch_fields[start : start + size]
             )
-            obs.inc("parallel.shm_fallbacks")
-            obs.emit(
-                "parallel.shm_fallback",
-                program=program.name,
-                batch=len(batch_fields),
-                error=repr(exc),
-            )
-            for chunk in batch.pending:
-                if chunk.stack is not None:
-                    chunk.stack.unlink()
-                    chunk.stack = None
-                chunk.future = None
-                chunk.backend = ""
-                chunk.attempts = 0
-            batch.pending = []
-            backend = "thread"
-            _submit_chunks(batch, chunks, batch_fields, backend)
+            batch.pending.append(chunk)
+            _dispatch(batch, chunk)
+            start += size
         obs.emit(
             "exec.dispatch",
             program=program.name,
-            backend=backend,
+            backend=batch.backend,
             workers=workers,
             chunks=list(chunks),
             niter=niter,
         )
-    batch.backend = backend
-    _account(chunks, backend)
+    _account(chunks, batch.backend)
     return batch
-
-
-def _submit_chunks(
-    batch: PendingBatch,
-    chunks: list[int],
-    batch_fields: Sequence[Mapping[str, Field]],
-    backend: str,
-) -> None:
-    start = 0
-    for index, size in enumerate(chunks):
-        chunk = _PendingChunk(
-            index, start, size, members=batch_fields[start : start + size]
-        )
-        batch.pending.append(chunk)  # tracked before submit: cleanup-safe
-        _dispatch(batch, chunk, backend)
-        start += size
 
 
 def run_program_parallel(
@@ -844,12 +667,10 @@ def run_program_parallel(
     max_stack_bytes: float | None = None,
     stats: dict | None = None,
     max_workers: int | None = None,
-    backend: str | None = None,
     pool: WorkerPool | None = None,
     policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     cancel: CancelToken | None = None,
-    native: bool | None = None,
 ) -> list[dict[str, Field]]:
     """Solve ``B`` same-spec meshes with chunks fanned across the pool.
 
@@ -858,11 +679,11 @@ def run_program_parallel(
     signature semantics plus pool controls, identical chunk schedule and
     ``stats`` accounting, bit-identical per-mesh results (asserted across
     every registry app in the test suite). See :func:`submit_stacked` for
-    the backend-selection, degenerate-path and recovery rules.
+    the degenerate-path and recovery rules.
     """
     return submit_stacked(
         program, batch_fields, niter, coefficients,
         cache=cache, max_stack_bytes=max_stack_bytes, stats=stats,
-        max_workers=max_workers, backend=backend, pool=pool,
-        policy=policy, fault_plan=fault_plan, cancel=cancel, native=native,
+        max_workers=max_workers, pool=pool,
+        policy=policy, fault_plan=fault_plan, cancel=cancel,
     ).result()

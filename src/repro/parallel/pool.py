@@ -1,29 +1,16 @@
-"""Persistent worker pools for chunk fan-out.
+"""Persistent thread pools for chunk fan-out.
 
-A :class:`WorkerPool` wraps a ``concurrent.futures`` executor — **process**
-backed by default (each worker is an OS process with its own interpreter,
-so NumPy tape replays scale across cores regardless of the GIL), with a
-**thread** backend used as the fallback for small meshes, where the cost
-of crossing a process boundary would eat the win (NumPy releases the GIL
-inside large ufunc calls, so threads still overlap medium-sized chunks).
+A :class:`WorkerPool` wraps a ``ThreadPoolExecutor``. Every worker shares
+the parent's address space, so chunk inputs travel by reference and no
+array is copied to reach a worker; the overlap comes from NumPy releasing
+the GIL inside its large array operations.
 
 Pools are deliberately *persistent*: workers are started lazily on first
 submit and then reused across dispatches, so the per-chunk cost is one
-task message, not one process spawn — the per-worker compiled-plan cache
+queue put, not one thread spawn — the per-worker compiled-plan cache
 (:mod:`repro.parallel.worker`) only pays off because the worker outlives
 the chunk. :func:`shared_pool` hands out process-wide singletons keyed by
-``(backend, max_workers)``; they are torn down at interpreter exit.
-
-A crashed worker (e.g. OOM-killed) breaks a process executor permanently.
-:class:`WorkerPool` recovers on **both** sides of that break: a submit
-that finds the executor broken replaces it and retries (as before), and
-every future it hands out is a :class:`PoolFuture` that, when the
-executor breaks *underneath* an already-submitted task, transparently
-resubmits that task once on the replacement executor — in-flight futures
-no longer surface a raw ``BrokenProcessPool`` at collect time while the
-next submit sails through on a fresh pool. :meth:`WorkerPool.reset`
-additionally supports killing hung worker processes outright (the
-resilience layer calls it when a chunk misses its deadline).
+``max_workers``; they are drained at interpreter exit.
 """
 
 from __future__ import annotations
@@ -32,28 +19,10 @@ import atexit
 import os
 import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    process,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro import observability as obs
 from repro.util.errors import ValidationError
-
-#: worker-pool backends accepted across the parallel layer
-BACKENDS = ("process", "thread")
-
-
-def check_backend(backend: str) -> str:
-    """Validate a pool backend name; returns it unchanged."""
-    if backend not in BACKENDS:
-        raise ValidationError(
-            f"unknown pool backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
 
 
 def default_workers() -> int:
@@ -61,83 +30,16 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-class PoolFuture:
-    """A pool task whose broken-executor death is resubmitted once.
-
-    Wraps the executor future together with its ``(fn, args, kwargs)`` so
-    that a :class:`~concurrent.futures.BrokenExecutor` raised at
-    :meth:`result` — the fate of every in-flight future when a sibling
-    task kills its worker — re-runs the task on the pool's replacement
-    executor instead of surfacing an error the task did not cause. One
-    resubmit only: a task that breaks the pool *again* is the problem
-    itself and its error propagates. A cancelled future never resubmits
-    (cancellation means the caller is abandoning the work).
-    """
-
-    __slots__ = ("_pool", "_fn", "_args", "_kwargs", "_inner",
-                 "_resubmitted", "_abandoned")
-
-    def __init__(self, pool: "WorkerPool", fn, args, kwargs):
-        self._pool = pool
-        self._fn = fn
-        self._args = args
-        self._kwargs = kwargs
-        self._resubmitted = False
-        self._abandoned = False
-        self._inner: Future = pool._submit_once(fn, args, kwargs)
-
-    def result(self, timeout: float | None = None):
-        """The task's result; resubmits once if the executor broke."""
-        try:
-            return self._inner.result(timeout)
-        except BrokenExecutor:
-            if self._resubmitted or self._abandoned:
-                raise
-            self._resubmitted = True
-            obs.inc("pool.recoveries", backend=self._pool.backend)
-            obs.emit(
-                "pool.recovered",
-                backend=self._pool.backend,
-                workers=self._pool.max_workers,
-                inflight_resubmit=True,
-            )
-            self._inner = self._pool._submit_once(
-                self._fn, self._args, self._kwargs
-            )
-            return self._inner.result(timeout)
-
-    def exception(self, timeout: float | None = None):
-        """The task's exception (after any resubmit), or None."""
-        try:
-            self.result(timeout)
-        except BaseException as exc:  # noqa: BLE001 - mirror Future API
-            return exc
-        return None
-
-    def cancel(self) -> bool:
-        """Cancel the task and disable any further resubmission."""
-        self._abandoned = True
-        return self._inner.cancel()
-
-    def done(self) -> bool:
-        return self._inner.done()
-
-    def add_done_callback(self, fn) -> None:
-        """Attach to the *current* inner future (may re-fire on resubmit)."""
-        self._inner.add_done_callback(fn)
-
-
 class WorkerPool:
-    """A persistent, lazily-started pool of process or thread workers."""
+    """A persistent, lazily-started pool of worker threads."""
 
-    def __init__(self, max_workers: int | None = None, backend: str = "process"):
+    def __init__(self, max_workers: int | None = None):
         if max_workers is not None and max_workers < 1:
             raise ValidationError(
                 f"max_workers must be positive, got {max_workers}"
             )
-        self.backend = check_backend(backend)
         self.max_workers = max_workers if max_workers else default_workers()
-        self._executor: ProcessPoolExecutor | ThreadPoolExecutor | None = None
+        self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
         self._inflight = 0
 
@@ -148,8 +50,7 @@ class WorkerPool:
         Every submit increments the count and every future resolution —
         result, exception, or *cancellation* — decrements it through the
         future's done callback, so a cancelled not-yet-started task
-        releases its slot immediately instead of being accounted as
-        in-flight until the next pool reset.
+        releases its slot immediately.
         """
         with self._lock:
             return self._inflight
@@ -159,40 +60,20 @@ class WorkerPool:
         """True once workers exist (first submit starts them)."""
         return self._executor is not None
 
-    def _make_executor(self):
-        if self.backend == "thread":
-            return ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-parallel",
-            )
-        return ProcessPoolExecutor(max_workers=self.max_workers)
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        """Schedule ``fn(*args, **kwargs)`` on a worker thread.
 
-    def _ensure(self):
+        The submit happens under the pool lock, so a concurrent
+        :meth:`shutdown` either sees the task (and drains it) or hands this
+        submit a fresh executor — never a shut-down one.
+        """
         with self._lock:
-            executor = self._executor
-            if executor is None:
-                executor = self._executor = self._make_executor()
-            return executor
-
-    def _submit_once(self, fn, args, kwargs) -> Future:
-        """Submit on the live executor, replacing a broken one (once)."""
-        executor = self._ensure()
-        try:
-            future = executor.submit(fn, *args, **kwargs)
-        except (process.BrokenProcessPool, RuntimeError):
-            with self._lock:
-                if self._executor is executor:  # nobody replaced it yet
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    self._executor = self._make_executor()
-                executor = self._executor
-            obs.inc("pool.recoveries", backend=self.backend)
-            obs.emit(
-                "pool.recovered",
-                backend=self.backend,
-                workers=self.max_workers,
-            )
-            future = executor.submit(fn, *args, **kwargs)
-        with self._lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.max_workers,
+                    thread_name_prefix="repro-parallel",
+                )
+            future = self._executor.submit(fn, *args, **kwargs)
             self._inflight += 1
 
         def _release_slot(_fut: Future) -> None:
@@ -200,60 +81,25 @@ class WorkerPool:
                 self._inflight -= 1
                 count = self._inflight
             if obs.is_enabled():
-                obs.set_gauge("pool.inflight", count, backend=self.backend)
+                obs.set_gauge("pool.inflight", count)
 
         future.add_done_callback(_release_slot)
         if obs.is_enabled():
-            obs.inc("pool.submits", backend=self.backend)
+            obs.inc("pool.submits")
             submitted = time.perf_counter()
-            backend = self.backend
 
-            def _observe_latency(fut: Future) -> None:
-                obs.observe(
-                    "pool.task_seconds",
-                    time.perf_counter() - submitted,
-                    backend=backend,
-                )
+            def _observe_latency(_fut: Future) -> None:
+                obs.observe("pool.task_seconds", time.perf_counter() - submitted)
 
             future.add_done_callback(_observe_latency)
         return future
 
-    def submit(self, fn, /, *args, **kwargs) -> PoolFuture:
-        """Schedule ``fn(*args, **kwargs)`` on a worker.
-
-        Broken-pool recovery is consistent on both ends of the task's
-        life: a submit that finds the executor broken replaces it and
-        retries, and the returned :class:`PoolFuture` resubmits the task
-        once if the executor breaks while it is in flight.
-        """
-        return PoolFuture(self, fn, args, kwargs)
-
-    def reset(self, kill: bool = False) -> None:
-        """Replace the executor; the pool restarts lazily on the next submit.
-
-        With ``kill=True`` on the process backend, live worker processes
-        are terminated first — the hung-worker remedy: a worker stuck past
-        its chunk deadline never frees its lane on its own, so the
-        resilience layer kills the pool and resubmits elsewhere. In-flight
-        futures fail with ``BrokenExecutor`` and recover through their
-        :class:`PoolFuture` resubmit (or their caller's retry policy).
-        """
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        if kill and isinstance(executor, ProcessPoolExecutor):
-            for proc in list(getattr(executor, "_processes", {}).values()):
-                try:  # pragma: no cover - racing a normal worker exit
-                    proc.terminate()
-                except Exception:  # noqa: BLE001 - already gone
-                    pass
-        executor.shutdown(wait=False, cancel_futures=True)
-        obs.inc("pool.resets", backend=self.backend, killed=kill)
-        obs.emit("pool.reset", backend=self.backend, killed=kill)
-
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the workers; the pool restarts lazily on the next submit."""
+        """Stop the workers; the pool restarts lazily on the next submit.
+
+        Queued tasks are cancelled; with ``wait=True`` running ones are
+        waited out, so no worker thread outlives the call.
+        """
         with self._lock:
             executor, self._executor = self._executor, None
         if executor is not None:
@@ -267,24 +113,23 @@ class WorkerPool:
 
 
 #: process-wide pools shared by every default parallel dispatch path
-_SHARED: dict[tuple[str, int], WorkerPool] = {}
+_SHARED: dict[int, WorkerPool] = {}
 _SHARED_LOCK = threading.Lock()
 
 
-def shared_pool(backend: str = "process", max_workers: int | None = None) -> WorkerPool:
-    """The process-wide persistent pool for ``(backend, max_workers)``.
+def shared_pool(max_workers: int | None = None) -> WorkerPool:
+    """The process-wide persistent pool of width ``max_workers``.
 
     Sharing keeps workers (and their per-worker plan caches) warm across
     dispatches, mixes and benchmark repeats; distinct widths get distinct
     pools so an explicit ``max_workers=`` can never be diluted by an
     earlier caller's choice.
     """
-    check_backend(backend)
-    key = (backend, max_workers if max_workers else default_workers())
+    key = max_workers if max_workers else default_workers()
     with _SHARED_LOCK:
         pool = _SHARED.get(key)
         if pool is None:
-            pool = _SHARED[key] = WorkerPool(key[1], backend)
+            pool = _SHARED[key] = WorkerPool(key)
         return pool
 
 
@@ -300,12 +145,9 @@ def shutdown_shared_pools(wait: bool = True) -> None:
 def _drain_shared_pools_at_exit() -> None:
     """Interpreter-exit hook: **drain** the shared singleton pools.
 
-    Queued tasks are cancelled (``cancel_futures=True`` inside
-    :meth:`WorkerPool.shutdown`) but running ones are waited out — tearing
-    the executors down with work still running races the multiprocessing
-    resource tracker over the workers' shared-memory attachments and
-    produces intermittent ``/dev/shm`` leak warnings at exit. Tape replays
-    are bounded, so the wait is too.
+    Queued tasks are cancelled but running ones are waited out, so no
+    tape replay is torn down half-written. Tape replays are bounded, so
+    the wait is too.
     """
     shutdown_shared_pools(wait=True)
 

@@ -1,39 +1,30 @@
 """Worker-side chunk execution with a per-worker compiled-plan cache.
 
-Each task message carries the lowered :class:`~repro.stencil.plan.ProgramPlan`
-(plans are small, hold no buffers, and pickle cheaply) together with its
-**plan token** — the parent-computed identity of ``(program structure,
-bound field specs, folded coefficients)``. Workers bind the plan to
-concrete buffers at most once per ``(token, batch)``: repeat chunks of the
-same job shape fetch the warm :class:`CompiledProgram` from the
-worker-local cache and only pay the load/iterate/store cost.
+Each task carries the lowered :class:`~repro.stencil.plan.ProgramPlan`
+together with its **plan token** — the parent-computed identity of
+``(program structure, bound field specs, folded coefficients)``. Workers
+bind the plan to concrete buffers at most once per ``(token, batch)``:
+repeat chunks of the same job shape fetch the warm
+:class:`CompiledProgram` from the worker-local cache and only pay the
+load/iterate/store cost.
 
-The caches are deliberately **per worker** rather than the process-wide
-:data:`repro.stencil.compiled.DEFAULT_CACHE`: a shared compiled instance
-serializes concurrent runs on its internal lock (correct but sequential),
-while a private instance per worker keeps every lane independent — in
-processes trivially (separate address spaces), in threads via
-``threading.local``.
-
-A test-only escape hatch (:data:`CRASH_ENV`) lets the suite provoke a hard
-worker death (``os._exit``) through the full dispatch path, which is the
-only way to exercise broken-pool recovery deterministically.
+The caches are deliberately **per worker thread** (``threading.local``)
+rather than the process-wide :data:`repro.stencil.compiled.DEFAULT_CACHE`:
+a shared compiled instance serializes concurrent runs on its internal
+lock (correct but sequential), while a private instance per lane keeps
+every worker independent.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from repro.mesh.mesh import Field
 from repro.observability.tracing import TraceContext, Tracer
-from repro.parallel.shm import SharedStack, StackHandle
 from repro.resilience.faults import Fault, checksum_arrays, corrupt_first_value
 from repro.stencil.compiled import CompiledProgram
 from repro.stencil.plan import ProgramPlan
@@ -42,14 +33,8 @@ from repro.stencil.plan import ProgramPlan
 #: so this only needs to cover the live job shapes of a mix
 _MAX_INSTANCES = 16
 
-#: set to "1" to make every chunk task kill its worker process outright —
-#: the deterministic stand-in for an OOM-killed worker in the test suite
-CRASH_ENV = "REPRO_PARALLEL_TEST_CRASH"
-
-#: one instance cache per worker lane: thread-local state gives process
-#: workers (which run tasks serially on their main thread) one cache per
-#: process, and thread-pool workers one cache per thread — either way no
-#: two concurrent tasks can ever share (and race on) a bound instance
+#: one instance cache per worker thread: no two concurrent tasks can ever
+#: share (and race on) a bound instance
 _TLS = threading.local()
 
 
@@ -60,30 +45,20 @@ def _cache() -> OrderedDict:
     return cache
 
 
-def bind_instance(
-    token: str, plan: ProgramPlan, batch: int, native: bool = False
-) -> CompiledProgram:
-    """The worker-local compiled instance for ``(token, batch, native)``.
+def bind_instance(token: str, plan: ProgramPlan, batch: int) -> CompiledProgram:
+    """The worker-local compiled instance for ``(token, batch)``.
 
     Binds (allocates buffers for) the plan on first sight, then reuses the
     warm instance — the per-worker analogue of
     :meth:`repro.stencil.compiled.CompiledPlanCache.get`, keyed by the
     parent's plan token so equal bindings share work without re-hashing
-    the program structure worker-side. ``native=True`` binds a
-    :class:`~repro.stencil.native.NativeProgram` instead — the worker pays
-    the one-time lowering (the cc artifact is shared on disk across
-    workers), then every repeat chunk rides the generated steady loop.
+    the program structure worker-side.
     """
     cache = _cache()
-    key = (token, batch, native)
+    key = (token, batch)
     instance = cache.get(key)
     if instance is None:
-        if native:
-            from repro.stencil.native import NativeProgram as _cls
-        else:
-            _cls = CompiledProgram
-        instance = _cls(plan, batch=batch)
-        cache[key] = instance
+        instance = cache[key] = CompiledProgram(plan, batch=batch)
         while len(cache) > _MAX_INSTANCES:
             cache.popitem(last=False)
     else:
@@ -91,126 +66,42 @@ def bind_instance(
     return instance
 
 
-def _apply_entry_fault(fault: Fault | None, process: bool) -> None:
+def _apply_entry_fault(fault: Fault | None) -> None:
     """Fire a task-entry fault (``crash``/``slow``) before any work runs.
 
-    A process-backend crash is a hard ``os._exit`` — the worker dies the
-    way an OOM kill would and breaks the pool; threads cannot take the
-    process down, so there the crash is a raised exception, matching what
-    the parent of a thread pool would actually observe.
+    A crash is a raised exception — what the parent of a thread pool
+    observes when a worker task dies; a slow fault sleeps first.
     """
     if fault is None:
         return
     if fault.kind == "crash":
-        if process:  # pragma: no cover - exits the worker process
-            os._exit(13)
         raise RuntimeError("injected worker crash")
     if fault.kind == "slow":
         time.sleep(fault.seconds)
 
 
 def _worker_tracer(trace: TraceContext | None) -> Tracer | None:
-    """A throwaway tracer seeded with the parent's shipped trace position.
+    """A throwaway tracer seeded with the parent's trace position.
 
     Spans it records become children of the parent's submit-side span once
     the parent :meth:`~repro.observability.tracing.Tracer.adopt`\\ s the
-    returned dicts — observability state never crosses the process
-    boundary by reference, only these values do.
+    returned dicts — the worker never touches the parent's tracer, so
+    concurrent chunks record without sharing state.
     """
     if trace is None:
         return None
     return Tracer(
         trace_id=trace.trace_id,
         root_parent=trace.parent_id,
-        # a namespace disjoint from the parent's "s" ids: the shipped
-        # parent reference travels by id, so worker ids must never
-        # textually collide with it
-        id_prefix=f"w{os.getpid()}.",
+        # a namespace disjoint from the parent's "s" ids: the parent
+        # reference travels by id, so worker ids must never textually
+        # collide with it
+        id_prefix="w.",
     )
 
 
 def _span_dicts(tracer: Tracer | None) -> list[dict[str, Any]] | None:
     return [r.to_dict() for r in tracer.records()] if tracer else None
-
-
-def _load_and_run(
-    instance: CompiledProgram,
-    plan: ProgramPlan,
-    batch: int,
-    niter: int,
-    fetch,
-) -> None:
-    """Load stacked inputs (``fetch(name) -> (B, *storage)``) and iterate."""
-    if batch == 1:
-        instance.load({name: fetch(name)[0] for name in plan.inputs})
-    else:
-        instance.load({name: fetch(name) for name in plan.inputs})
-    instance.run_iterations(niter)
-
-
-def run_chunk_shm(
-    token: str,
-    plan: ProgramPlan,
-    batch: int,
-    niter: int,
-    handle: StackHandle,
-    trace: TraceContext | None = None,
-    fault: Fault | None = None,
-    checksum: bool = False,
-    native: bool = False,
-) -> dict[str, Any]:
-    """Execute one chunk against shared-memory buffers (process backend).
-
-    Inputs are read from — and every produced field written back to — the
-    parent's :class:`SharedStack`, so no array crosses the process boundary
-    through the task pipe; the result fields live in the segment. Returns
-    the chunk's worker-measured wall-clock ``seconds`` plus, when the
-    parent shipped a :class:`TraceContext`, the worker-side ``spans`` for
-    it to adopt, and with ``checksum=True`` a CRC per produced field
-    (computed before the data leaves the worker, so the parent can detect
-    transport corruption). An armed :class:`Fault` fires at its injection
-    point: crash/slow on entry, shm at attach, corrupt after checksumming.
-    """
-    if os.environ.get(CRASH_ENV) == "1":  # pragma: no cover - exits
-        os._exit(13)
-    _apply_entry_fault(fault, process=True)
-    tracer = _worker_tracer(trace)
-    t0 = time.perf_counter()
-    stack = SharedStack.attach(handle, fail=fault is not None and fault.kind == "shm")
-    try:
-        ctx = (
-            tracer.span(
-                "worker.chunk",
-                token=token, batch=batch, niter=niter,
-                backend="process", pid=os.getpid(),
-            )
-            if tracer is not None
-            else nullcontext()
-        )
-        with ctx:
-            instance = bind_instance(token, plan, batch, native=native)
-            _load_and_run(
-                instance, plan, batch, niter, lambda n: stack.array(f"i:{n}")
-            )
-            finals = instance.final_arrays()
-            for fname, final in finals.items():
-                np.copyto(stack.array(f"o:{fname}"), final)
-            # only transient views of the segment below: anything retained
-            # past the finally would make stack.close() raise BufferError
-            checksums = (
-                checksum_arrays({f: stack.array(f"o:{f}") for f in finals})
-                if checksum
-                else None
-            )
-            if fault is not None and fault.kind == "corrupt":
-                corrupt_first_value({f: stack.array(f"o:{f}") for f in finals})
-    finally:
-        stack.close()
-    return {
-        "seconds": time.perf_counter() - t0,
-        "spans": _span_dicts(tracer),
-        "checksums": checksums,
-    }
 
 
 def run_chunk_fields(
@@ -222,39 +113,34 @@ def run_chunk_fields(
     trace: TraceContext | None = None,
     fault: Fault | None = None,
     checksum: bool = False,
-    native: bool = False,
 ) -> dict[str, Any]:
-    """Execute one chunk on in-process field environments (thread backend).
+    """Execute one chunk on the parent's field environments.
 
-    Threads share the parent's address space, so the per-mesh environments
+    Workers share the parent's address space, so the per-mesh environments
     travel by reference and load straight into the instance's buffers —
     the same single copy the serial engine performs. Returns stacked
     ``(B, *storage)`` copies of the produced fields under ``"fields"`` —
     copies, because the warm instance's buffers are overwritten by this
-    worker's next task — plus worker-measured ``seconds``, optional
-    ``spans`` and optional per-field ``checksums``, mirroring
-    :func:`run_chunk_shm`. Faults fire at the analogous injection points;
-    the ``shm`` kind raises the same ``OSError`` even though threads carry
-    no segment, so a plan behaves uniformly across backends.
+    worker's next task — plus worker-measured ``seconds``, the worker-side
+    ``spans`` when the parent shipped a :class:`TraceContext`, and with
+    ``checksum=True`` a CRC per produced field. An armed :class:`Fault`
+    fires at its injection point: crash/slow on entry, corrupt after
+    checksumming.
     """
-    if os.environ.get(CRASH_ENV) == "1":  # threads cannot crash a process;
-        raise RuntimeError("crash requested by test hook")  # raise instead
-    _apply_entry_fault(fault, process=False)
-    if fault is not None and fault.kind == "shm":
-        raise OSError("injected shm attach failure")
+    _apply_entry_fault(fault)
     tracer = _worker_tracer(trace)
     t0 = time.perf_counter()
     ctx = (
         tracer.span(
             "worker.chunk",
             token=token, batch=batch, niter=niter,
-            backend="thread", pid=os.getpid(),
+            backend="thread",
         )
         if tracer is not None
         else nullcontext()
     )
     with ctx:
-        instance = bind_instance(token, plan, batch, native=native)
+        instance = bind_instance(token, plan, batch)
         if batch == 1:
             instance.load(envs[0])
         else:

@@ -4,11 +4,11 @@ The robustness layer of the parallel execution stack
 (:mod:`repro.parallel`): a :class:`RetryPolicy` describes how a failed,
 hung or corrupt chunk is retried (exponential backoff with deterministic
 seeded jitter, per-chunk soft timeouts) and degraded through the
-process → thread → serial ladder until results — always bit-identical to
-the serial compiled engine — are produced; a :class:`FaultPlan` injects
-worker crashes, slow chunks, shared-memory attach failures and corrupt
-results deterministically (``REPRO_FAULT_PLAN`` or an explicit argument)
-so every recovery path is exercisable in tests and CI.
+thread → serial ladder until results — always bit-identical to the
+serial compiled engine — are produced; a :class:`FaultPlan` injects
+worker crashes, slow chunks and corrupt results deterministically
+(``REPRO_FAULT_PLAN`` or an explicit argument) so every recovery path is
+exercisable in tests and CI.
 
 Recovery is observable: retries, degradations, timeouts and injected
 faults all emit :mod:`repro.observability` counters and events

@@ -7,10 +7,8 @@ long-running work can be abandoned *between* chunks without tearing down
 pools or corrupting shared state. Cancellation is cooperative: the
 executing side polls the token at its dispatch boundaries (never inside a
 tape replay, which is always allowed to finish) and raises
-:class:`ExecutionCancelled` after releasing whatever transport the
-abandoned work held — shared-memory segments included, so a cancelled
-dispatch is leak-free by construction (asserted via
-:func:`repro.parallel.shm.live_segments` in the suite).
+:class:`ExecutionCancelled`; not-yet-started chunk tasks are cancelled
+on the pool, so a cancelled dispatch leaves nothing queued behind it.
 
 Tokens are set-once and never reset; a new unit of work takes a new
 token. ``set()`` may be called from any thread (the serving layer cancels

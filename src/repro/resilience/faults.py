@@ -1,38 +1,33 @@
 """Deterministic fault injection for the parallel execution stack.
 
-Real failures — an OOM-killed worker, a hung chunk, an exhausted
-``/dev/shm``, a bit-flipped result — arrive on unlucky hosts at unlucky
-times; a recovery path that is only exercised there is a recovery path
-that is never exercised. A :class:`FaultPlan` makes every failure class
-**injectable and deterministic**: the plan names which chunk of which
-dispatch fails, how, and how many times, and the executor arms the
-matching :class:`Fault` into the worker's task message at submit time, so
-the full production path (pool, transport, retry ladder) runs under the
-fault — nothing is monkeypatched.
+Real failures — a worker task that raises, a hung chunk, a bit-flipped
+result — arrive on unlucky hosts at unlucky times; a recovery path that
+is only exercised there is a recovery path that is never exercised. A
+:class:`FaultPlan` makes every failure class **injectable and
+deterministic**: the plan names which chunk of which dispatch fails, how,
+and how many times, and the executor arms the matching :class:`Fault`
+into the worker's task at submit time, so the full production path
+(pool, retry ladder) runs under the fault — nothing is monkeypatched.
 
 Fault kinds
 -----------
 ``crash``
-    The worker dies on task entry — ``os._exit`` on the process backend
-    (breaking the pool, exactly like an OOM kill), a raised exception on
-    threads.
+    The worker task raises on entry, before any work runs.
 ``slow``
     The worker sleeps ``seconds`` before executing; with a policy
     ``chunk_timeout`` below it, this is the deterministic hung-worker.
-``shm``
-    :meth:`SharedStack.attach` fails in the worker (an ``OSError``), as
-    when the segment vanished or the worker's ``/dev/shm`` is exhausted.
 ``corrupt``
     The worker computes its result and per-field checksums, then flips a
-    byte of the produced data *after* checksumming — transport-level
-    corruption a checksum-verifying parent detects and retries.
+    byte of the produced data *after* checksumming — corruption between
+    computation and receipt that a checksum-verifying parent detects and
+    retries.
 
 Grammar
 -------
 A plan is a comma-separated list of faults::
 
     KIND@CHUNK            crash@0        (chunk 0, once)
-    KIND@*                shm@*          (any chunk, once)
+    KIND@*                corrupt@*      (any chunk, once)
     KIND@CHUNKxTIMES      crash@0x3      (first three submits of chunk 0)
     KIND@CHUNK:ARG        slow@1:0.5     (chunk 1 sleeps 0.5 s)
     KIND@PLAN/CHUNK       crash@plan-7/0 (only dispatches of plan token)
@@ -56,7 +51,7 @@ import numpy as np
 from repro.util.errors import ReproError, ValidationError
 
 #: injectable fault classes, in documentation order
-FAULT_KINDS = ("crash", "slow", "shm", "corrupt")
+FAULT_KINDS = ("crash", "slow", "corrupt")
 
 #: environment variable holding a fault-plan string (CI chaos jobs set it)
 ENV_PLAN = "REPRO_FAULT_PLAN"
@@ -71,7 +66,7 @@ class CorruptResultError(ReproError):
 
 @dataclass(frozen=True)
 class Fault:
-    """One armed fault, shipped inside a worker task message (picklable)."""
+    """One armed fault, handed to a worker task at submit time."""
 
     kind: str
     seconds: float = 0.0

@@ -1,22 +1,23 @@
 """Retry, timeout and backoff policy for the parallel execution stack.
 
 A :class:`RetryPolicy` describes how the chunk fan-out recovers from a
-failed dispatch: how many times a chunk is retried on its current worker
-backend (``max_attempts``), how long to wait between attempts
-(exponential backoff with **deterministic seeded jitter** — two runs with
-the same policy, plan token and chunk index sleep exactly the same
-schedule, so recovery behaviour is reproducible in tests and CI), how
-long a single attempt may run before it is declared hung
-(``chunk_timeout``, enforced through future deadlines; a timed-out
-process worker is killed and its pool replaced), and the
-**graceful-degradation ladder** — the ordered backends a chunk falls
-through once its attempts on a rung are exhausted.
+failed dispatch: how many times a chunk is retried on its current rung
+(``max_attempts``), how long to wait between attempts (exponential
+backoff with **deterministic seeded jitter** — two runs with the same
+policy, plan token and chunk index sleep exactly the same schedule, so
+recovery behaviour is reproducible in tests and CI), how long a single
+attempt may run before it is declared hung (``chunk_timeout``, enforced
+through future deadlines; a timed-out thread cannot be killed, so the
+attempt is abandoned and runs out on its own), and the
+**graceful-degradation ladder** — the ordered rungs a chunk falls
+through once its attempts on a rung are exhausted: the thread pool,
+then ``"serial"``.
 
-The terminal rung ``"serial"`` replays the chunk in-process on the very
-same lowered plan the workers run, so a chunk's final results are
-bit-identical to the serial compiled engine no matter how many backends
-broke on the way: degradation changes *where* the tape replays, never
-what it computes.
+The terminal rung ``"serial"`` replays the chunk on the collecting
+thread on the very same lowered plan the workers run, so a chunk's final
+results are bit-identical to the serial compiled engine no matter how
+many attempts failed on the way: degradation changes *where* the tape
+replays, never what it computes.
 
 Policies are frozen and cheap; the parallel executor consults one per
 dispatch (:data:`DEFAULT_POLICY` unless the caller passes its own). The
@@ -27,15 +28,14 @@ is tracked by ``benchmarks/bench_parallel_sim.py``.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 
 from repro.util.errors import ValidationError
 
-#: the full degradation ladder, fastest transport first; a chunk enters at
-#: its dispatch backend and only ever moves right
-FULL_LADDER = ("process", "thread", "serial")
+#: the full degradation ladder; a chunk enters at the thread pool and only
+#: ever moves right
+FULL_LADDER = ("thread", "serial")
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class RetryPolicy:
     from ``seed``/plan token/chunk index/attempt so recovery schedules are
     reproducible. ``chunk_timeout`` (seconds, ``None`` = no deadline) is a
     soft per-attempt deadline enforced while collecting the chunk's
-    future; a deadline miss counts as a failure (and kills a hung process
-    pool). ``verify_checksums`` makes workers return a CRC per produced
+    future; a deadline miss counts as a failure and the hung attempt is
+    abandoned. ``verify_checksums`` makes workers return a CRC per produced
     field and the parent re-verify it on receipt, so corrupt results are
     detected and retried instead of silently returned. ``ladder`` is the
     ordered degradation sequence; an empty ladder means "fail where you
@@ -102,22 +102,13 @@ class RetryPolicy:
     def rungs_from(self, backend: str) -> tuple[str, ...]:
         """The degradation sequence for a chunk dispatched on ``backend``.
 
-        The chunk enters the ladder at its own backend (a thread dispatch
-        never "degrades" upward to processes) and falls rightward; a
-        backend absent from the ladder gets itself plus every rung below
-        its natural position.
+        The chunk enters at its own backend — even one the ladder omits —
+        and falls to every ladder rung below it, never upward.
         """
-        if backend in self.ladder:
-            idx = self.ladder.index(backend)
-            return self.ladder[idx:]
-        below = (
-            FULL_LADDER.index(backend) if backend in FULL_LADDER else -1
+        below = FULL_LADDER.index(backend)
+        return (backend,) + tuple(
+            r for r in self.ladder if FULL_LADDER.index(r) > below
         )
-        tail = tuple(
-            r for r in self.ladder
-            if FULL_LADDER.index(r) > below
-        )
-        return (backend,) + tail
 
     def backoff_delay(
         self, attempt: int, token: str = "", chunk: int = 0
@@ -158,10 +149,6 @@ def classify_failure(exc: BaseException) -> str:
 
     if isinstance(exc, FuturesTimeout):
         return "timeout"
-    if isinstance(exc, BrokenExecutor):
-        return "crash"
     if isinstance(exc, CorruptResultError):
         return "corrupt"
-    if isinstance(exc, OSError):
-        return "shm"
     return "error"

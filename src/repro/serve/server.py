@@ -30,9 +30,7 @@ The robustness envelope, end to end:
   and timed half-open probes restore the parallel backend when it heals.
 * **Graceful drain** — :meth:`Server.close` stops admissions and either
   drains (every queued/in-flight job resolves or deadline-fails) or sheds
-  everything; either way no shared-memory segment outlives the server
-  (asserted leak-free in the suite via
-  :func:`repro.parallel.shm.live_segments`).
+  everything; either way no job is left unresolved.
 
 Every job resolves **exactly once**: with its per-mesh results, with a
 serve error (queue full, deadline, server closed), or with
@@ -661,8 +659,8 @@ class Server:
         ``drain=True`` lets queued and in-flight jobs finish (or
         deadline-fail); ``drain=False`` cancels everything still queued
         and cooperatively cancels in-flight batches. Either way the
-        server ends with zero outstanding jobs and no shared-memory
-        segment of its dispatches left alive.
+        server ends with zero outstanding jobs and no dispatch of its
+        still running.
         """
         if self._state == "closed":
             return
@@ -684,8 +682,7 @@ class Server:
             # outstanding empties when every job resolves; inflight empties
             # only when each dispatch's worker thread has returned — both
             # must be gone before the loop tasks can be torn down, or a
-            # still-running thread would outlive the server (and its
-            # shared-memory segments with it)
+            # still-running thread would outlive the server
             while self._outstanding or self._inflight:
                 await asyncio.sleep(interval)
             for task in (self._loop_task, self._monitor_task):

@@ -392,9 +392,8 @@ class CompiledProgram:
 
         ``copy=False`` skips the per-buffer copies: produced fields alias
         the live ping-pong buffers. For callers that immediately re-copy
-        the data themselves (the tiler's write-back, the parallel workers'
-        shared-memory marshalling) — the aliases are invalidated by the
-        instance's next :meth:`load` or iteration.
+        the data themselves (the tiler's write-back) — the aliases are
+        invalidated by the instance's next :meth:`load` or iteration.
         """
         if self.batch > 1:
             raise ValidationError(
@@ -435,7 +434,7 @@ class CompiledProgram:
 
         The raw-buffer counterpart of :meth:`result` / :meth:`result_stacked`
         for callers that marshal results themselves (the parallel workers
-        copy these straight into shared memory): no Field wrappers, no
+        copy these into their returned stacks): no Field wrappers, no
         copies — the views alias the live ping-pong buffers, so read them
         before the next :meth:`load`.
         """

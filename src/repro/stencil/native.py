@@ -11,7 +11,7 @@ the per-op tape replay. At bind time it lowers the bound tapes through
     ``ctypes``; one foreign call covers a whole ``run_iterations``
     stretch. Artifacts are content-addressed on disk
     (``~/.cache/repro/native``), so equal ``(plan, batch)`` bindings —
-    including parallel worker processes — reuse one build.
+    across instances and processes — reuse one build.
 ``python``
     The fused-NumPy flavor (:func:`codegen.make_tape_callable`): one
     specialized, fully unrolled Python function per tape. Always
@@ -102,7 +102,7 @@ def _compiled_lib(source: str) -> ctypes.CDLL | None:
     """Build (or reuse) the shared object for one generated C source.
 
     Content-addressed: the key is the sha of source + flags, so equal
-    bindings across instances, threads and worker processes share one
+    bindings across instances, threads and processes share one
     artifact; concurrent builders race benignly through atomic renames.
     """
     global _cc_broken

@@ -85,3 +85,19 @@ def spy_on_tree_walks(monkeypatch):
         return walks
 
     return start
+
+
+@pytest.fixture
+def poisoned_chunks(monkeypatch):
+    """Make every parallel chunk attempt raise, on every ladder rung.
+
+    The thread workers and the terminal serial rung both run chunks
+    through ``repro.parallel.executor.run_chunk_fields``; replacing it
+    fails each attempt deterministically, so a dispatch exhausts its
+    whole retry ladder.
+    """
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("poisoned chunk")
+
+    monkeypatch.setattr("repro.parallel.executor.run_chunk_fields", crash)

@@ -209,7 +209,6 @@ class TestServeCommand:
         assert "serve bench: 2 clients x 2 requests" in out
         assert "p50 ms" in out
         assert "health: state=running, breaker=closed" in out
-        assert "shared-memory segments: all reclaimed" in out
 
     def test_serve_bench_validate_and_trace(self, tmp_path, capsys):
         trace = tmp_path / "serve-events.jsonl"

@@ -158,11 +158,9 @@ class TestParallelScheduling:
                 for name in rs:
                     assert np.array_equal(rp[name].data, rs[name].data)
 
-    def test_worker_failure_names_the_workload(self, monkeypatch):
+    def test_worker_failure_names_the_workload(self, poisoned_chunks):
         from repro.parallel.executor import ParallelExecutionError
-        from repro.parallel.worker import CRASH_ENV
 
-        monkeypatch.setenv(CRASH_ENV, "1")
         spec = WorkloadSpec.parse("poisson2d:24x16:8x2")
         with pytest.raises(ParallelExecutionError, match=spec.describe()):
             MixScheduler(max_workers=2, engine="parallel").run(spec)

@@ -60,8 +60,7 @@ def _batch(app_key, batch):
 class TestStatsParity:
     """Satellite: serial and parallel report identical accounting."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_serial_and_parallel_stats_agree(self, backend):
+    def test_serial_and_parallel_stats_agree(self):
         program, envs = _batch("jacobi3d", 5)
         cache = CompiledPlanCache()
         plan = cache.plan_for(program, envs[0])
@@ -74,7 +73,7 @@ class TestStatsParity:
         parallel_stats: dict = {}
         parallel = run_program_parallel(
             program, envs, 3, cache=cache, max_stack_bytes=limit,
-            stats=parallel_stats, max_workers=2, backend=backend,
+            stats=parallel_stats, max_workers=2,
         )
         for key in ("chunks", "dispatches", "stacked_meshes"):
             assert serial_stats[key] == parallel_stats[key], key
@@ -134,7 +133,7 @@ class TestDisabledDefault:
 class TestEventLogCoverage:
     def test_trace_covers_compile_dispatch_and_worker(self, tmp_path):
         """The hard constraint: an enabled parallel run's event log spans
-        compile → chunk dispatch → worker execution (process backend)."""
+        compile → chunk dispatch → worker execution (thread workers)."""
         path = tmp_path / "trace.jsonl"
         obs.enable(trace_path=str(path))
         program, envs = _batch("jacobi3d", 4)
@@ -143,7 +142,7 @@ class TestEventLogCoverage:
         run_program_parallel(
             program, envs, 3, cache=cache,
             max_stack_bytes=plan.nbytes * 2, stats={},
-            max_workers=2, backend="process",
+            max_workers=2,
         )
         obs.disable()
         events = list(read_events(path))
@@ -154,7 +153,7 @@ class TestEventLogCoverage:
         workers = [s for s in spans if s["name"] == "worker.chunk"]
         assert workers, "no worker-side spans were adopted"
         for w in workers:
-            assert w["attrs"]["backend"] == "process"
+            assert w["attrs"]["backend"] == "thread"
             parent = by_id[w["parent_id"]]
             assert parent["name"] == "parallel.submit"
         assert all(e["v"] == 1 for e in events)
@@ -215,8 +214,7 @@ class TestMixLatency:
 
 
 class TestFailureContext:
-    def test_error_carries_backend_and_elapsed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_TEST_CRASH", "1")
+    def test_error_carries_backend_and_elapsed(self, poisoned_chunks):
         program, envs = _batch("poisson2d", 4)
         cache = CompiledPlanCache()
         plan = cache.plan_for(program, envs[0])
@@ -224,15 +222,14 @@ class TestFailureContext:
             run_program_parallel(
                 program, envs, 2, cache=cache,
                 max_stack_bytes=plan.nbytes * 2,
-                max_workers=2, backend="thread",
+                max_workers=2,
             )
         assert info.value.backend == "thread"
         assert info.value.elapsed is not None and info.value.elapsed >= 0
         assert "backend thread" in str(info.value)
 
-    def test_worker_failure_event_emitted(self, monkeypatch):
+    def test_worker_failure_event_emitted(self, poisoned_chunks):
         obs.enable()
-        monkeypatch.setenv("REPRO_PARALLEL_TEST_CRASH", "1")
         program, envs = _batch("poisson2d", 4)
         cache = CompiledPlanCache()
         plan = cache.plan_for(program, envs[0])
@@ -240,7 +237,7 @@ class TestFailureContext:
             run_program_parallel(
                 program, envs, 2, cache=cache,
                 max_stack_bytes=plan.nbytes * 2,
-                max_workers=2, backend="thread",
+                max_workers=2,
             )
         obs.disable()
         failures = obs.ring_sink().of_kind("parallel.worker_failure")
@@ -248,29 +245,6 @@ class TestFailureContext:
         assert obs.metrics_registry().value(
             "parallel.worker_failures", backend="thread"
         ) >= 1
-
-    def test_shm_fallback_warns_and_emits(self, monkeypatch):
-        obs.enable()
-        from repro.parallel import shm
-
-        def boom(layout):
-            raise OSError("no shared memory on this host")
-
-        monkeypatch.setattr(shm.SharedStack, "allocate", staticmethod(boom))
-        program, envs = _batch("jacobi3d", 4)
-        cache = CompiledPlanCache()
-        plan = cache.plan_for(program, envs[0])
-        with pytest.warns(RuntimeWarning, match="thread worker backend"):
-            stats: dict = {}
-            run_program_parallel(
-                program, envs, 2, cache=cache,
-                max_stack_bytes=plan.nbytes * 2, stats=stats,
-                max_workers=2, backend="process",
-            )
-        obs.disable()
-        assert stats["backend"] == "thread"
-        assert obs.ring_sink().of_kind("parallel.shm_fallback")
-        assert obs.metrics_registry().value("parallel.shm_fallbacks") == 1
 
 
 class TestCLI:

@@ -144,11 +144,11 @@ class TestPrometheusRender:
     def test_counter_and_gauge_lines(self):
         reg = MetricsRegistry()
         reg.counter("plan.cache_hits").inc(3)
-        reg.gauge("pool.width", backend="process").set(4)
+        reg.gauge("pool.width", backend="thread").set(4)
         text = render_prometheus(reg)
         assert "# TYPE repro_plan_cache_hits counter" in text
         assert "repro_plan_cache_hits 3" in text
-        assert 'repro_pool_width{backend="process"} 4' in text
+        assert 'repro_pool_width{backend="thread"} 4' in text
 
     def test_histogram_series(self):
         reg = MetricsRegistry()

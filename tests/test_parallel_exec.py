@@ -3,10 +3,10 @@
 The contract: ``run_program_parallel`` produces per-mesh results
 bit-identical (``np.array_equal``, no tolerance) to the serial chunked
 ``run_program_stacked`` — and therefore to the golden interpreter — on
-every registered application and on random programs, for both worker
-backends, with identical chunk-schedule accounting; worker failures
-surface as :class:`ParallelExecutionError` and never poison the shared
-pool for later dispatches.
+every registered application and on random programs, with identical
+chunk-schedule accounting; worker failures surface as
+:class:`ParallelExecutionError` and never poison the shared pool for
+later dispatches.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from repro.parallel.executor import (
     submit_stacked,
 )
 from repro.parallel.pool import WorkerPool, shutdown_shared_pools
-from repro.parallel.worker import CRASH_ENV, bind_instance, instance_cache_size
-from repro.resilience import ExecutionCancelled
+from repro.parallel.worker import bind_instance, instance_cache_size
+from repro.resilience import ExecutionCancelled, FaultPlan
 from repro.stencil.builders import jacobi2d_5pt
 from repro.stencil.compiled import CompiledPlanCache, run_program_stacked
 from repro.stencil.numpy_eval import run_program
@@ -54,8 +54,7 @@ def _assert_env_equal(gold, got):
 
 class TestBitIdentity:
     @pytest.mark.parametrize("app_key", ["poisson2d", "jacobi3d", "rtm"])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_apps_match_serial_and_interpreter(self, app_key, backend):
+    def test_apps_match_serial_and_interpreter(self, app_key):
         app = all_apps()[app_key]
         shape = APP_MESHES[app_key]
         program = app.program_on(shape)
@@ -66,9 +65,9 @@ class TestBitIdentity:
         stats: dict = {}
         parallel = run_program_parallel(
             program, envs, niter, cache=cache, max_stack_bytes=limit,
-            stats=stats, max_workers=2, backend=backend,
+            stats=stats, max_workers=2,
         )
-        assert stats["backend"] == backend
+        assert stats["backend"] == "thread"
         assert stats["workers"] == 2
         serial_stats: dict = {}
         serial = run_program_stacked(
@@ -88,11 +87,60 @@ class TestBitIdentity:
         shape = APP_MESHES["poisson2d"]
         program = app.program_on(shape)
         env = app.fields(shape, seed=3)
-        got = run_program_parallel(
-            program, [env], 3, max_workers=2, backend="thread"
-        )
+        got = run_program_parallel(program, [env], 3, max_workers=2)
         gold = run_program(program, env, 3, engine="interpreter")
         _assert_env_equal(gold, got[0])
+
+    @pytest.mark.parametrize("app_key", ["poisson2d", "jacobi3d", "rtm"])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_per_mesh_chunks_reassemble_in_order_at_any_width(
+        self, app_key, workers
+    ):
+        """One chunk per mesh finishes in any order on any pool width; the
+        results still come back in submit order, bit-identically."""
+        app = all_apps()[app_key]
+        shape = APP_MESHES[app_key]
+        program = app.program_on(shape)
+        envs = [app.fields(shape, seed=20 + s) for s in range(5)]
+        stats: dict = {}
+        got = run_program_parallel(
+            program, envs, 2, max_stack_bytes=0, stats=stats,
+            max_workers=workers,
+        )
+        assert stats["backend"] == "thread"
+        assert stats["workers"] == workers
+        assert stats["chunks"] == [1] * len(envs)
+        assert len(stats["chunk_seconds"]) == len(envs)
+        for env, res in zip(envs, got):
+            gold = run_program(program, env, 2, engine="interpreter")
+            _assert_env_equal(gold, res)
+
+    @pytest.mark.parametrize(
+        "app_key,shape",
+        [
+            ("jacobi3d", (50, 50, 50)),
+            ("rtm", (32, 32, 32)),
+            ("poisson2d", (400, 400)),
+        ],
+    )
+    def test_large_meshes_match_interpreter(self, app_key, shape):
+        """Meshes past 256 KiB a chunk stay on threads, bit-identically."""
+        app = all_apps()[app_key]
+        program = app.program_on(shape)
+        envs = [app.fields(shape, seed=80 + s) for s in range(2)]
+        cache = CompiledPlanCache()
+        plan = cache.plan_for(program, envs[0])
+        assert plan.nbytes >= 1 << 18
+        stats: dict = {}
+        got = run_program_parallel(
+            program, envs, 2, cache=cache, max_stack_bytes=plan.nbytes,
+            stats=stats, max_workers=2,
+        )
+        assert stats["backend"] == "thread"
+        assert stats["chunks"] == [1, 1]
+        for env, res in zip(envs, got):
+            gold = run_program(program, env, 2, engine="interpreter")
+            _assert_env_equal(gold, res)
 
 
 class TestDegeneratePaths:
@@ -140,7 +188,7 @@ class TestDegeneratePaths:
             envs.append(env)
         stats: dict = {}
         got = run_program_parallel(
-            program, envs, 2, stats=stats, max_workers=2, backend="thread"
+            program, envs, 2, stats=stats, max_workers=2
         )
         assert stats["backend"] == "serial"
         assert stats["dispatches"] == len(envs)
@@ -163,57 +211,62 @@ class TestDegeneratePaths:
         for par, ser in zip(got, serial):
             _assert_env_equal(ser, par)
 
-    def test_auto_backend_picks_threads_for_tiny_chunks(self):
+
+    def test_explicit_one_lane_pool_still_fans_out(self):
         app = all_apps()["poisson2d"]
         shape = APP_MESHES["poisson2d"]
         program = app.program_on(shape)
         envs = [app.fields(shape, seed=s) for s in range(3)]
         stats: dict = {}
-        run_program_parallel(program, envs, 2, stats=stats, max_workers=2)
-        # ~5 KB per mesh is far below PROCESS_BACKEND_MIN_BYTES
+        with WorkerPool(max_workers=1) as pool:
+            got = run_program_parallel(
+                program, envs, 3, stats=stats, pool=pool, max_stack_bytes=0,
+            )
+            assert pool.started  # the chunks really ran on the pool
         assert stats["backend"] == "thread"
+        assert stats["chunks"] == [1, 1, 1]
+        serial = run_program_stacked(program, envs, 3)
+        for par, ser in zip(got, serial):
+            _assert_env_equal(ser, par)
 
 
 class TestFailureHandling:
-    def test_thread_worker_exception_names_the_chunk(self, monkeypatch):
+    def test_thread_worker_exception_names_the_chunk(
+        self, monkeypatch, poisoned_chunks
+    ):
         app = all_apps()["poisson2d"]
         shape = APP_MESHES["poisson2d"]
         program = app.program_on(shape)
         envs = [app.fields(shape, seed=s) for s in range(4)]
-        monkeypatch.setenv(CRASH_ENV, "1")
         with pytest.raises(ParallelExecutionError, match=r"chunk 1/"):
-            run_program_parallel(
-                program, envs, 2, max_workers=2, backend="thread"
-            )
-        monkeypatch.delenv(CRASH_ENV)
+            run_program_parallel(program, envs, 2, max_workers=2)
+        monkeypatch.undo()
         # the same shared pool serves later dispatches untouched
-        got = run_program_parallel(
-            program, envs, 2, max_workers=2, backend="thread"
-        )
+        got = run_program_parallel(program, envs, 2, max_workers=2)
         gold = run_program(program, envs[0], 2, engine="interpreter")
         _assert_env_equal(gold, got[0])
 
-    def test_process_worker_death_surfaces_and_pool_recovers(self, monkeypatch):
+
+    def test_dedicated_pool_serves_the_next_dispatch_after_a_failure(
+        self, monkeypatch, poisoned_chunks
+    ):
         app = all_apps()["jacobi3d"]
         shape = APP_MESHES["jacobi3d"]
         program = app.program_on(shape)
         envs = [app.fields(shape, seed=s) for s in range(4)]
-        # a dedicated pool: the crash breaks the process executor and the
-        # recovery path must replace it on the next submit
-        with WorkerPool(max_workers=2, backend="process") as pool:
-            monkeypatch.setenv(CRASH_ENV, "1")
+        with WorkerPool(max_workers=2) as pool:
             with pytest.raises(ParallelExecutionError):
                 run_program_parallel(
-                    program, envs, 2, max_workers=2, backend="process",
-                    pool=pool,
+                    program, envs, 2, pool=pool, max_stack_bytes=0,
                 )
-            monkeypatch.delenv(CRASH_ENV)
+            monkeypatch.undo()
             got = run_program_parallel(
-                program, envs, 2, max_workers=2, backend="process", pool=pool
+                program, envs, 2, pool=pool, max_stack_bytes=0,
             )
             serial = run_program_stacked(program, envs, 2)
             for par, ser in zip(got, serial):
                 _assert_env_equal(ser, par)
+            assert pool.started
 
 
 class TestPlanTokens:
@@ -268,8 +321,7 @@ class TestPendingBatches:
             envs = [app.fields(shape, seed=s) for s in range(3)]
             pending.append(
                 (program, envs,
-                 submit_stacked(program, envs, 3, cache=cache,
-                                max_workers=2, backend="thread"))
+                 submit_stacked(program, envs, 3, cache=cache, max_workers=2))
             )
         for program, envs, batch in pending:
             results = batch.result()
@@ -284,8 +336,8 @@ class TestPendingBatches:
         program = app.program_on(shape)
         envs = [app.fields(shape, seed=s) for s in range(4)]
         batch = submit_stacked(
-            program, envs, 3, max_workers=2, backend="process",
-            max_stack_bytes=0,  # per-mesh chunks: several segments in flight
+            program, envs, 3, max_workers=2,
+            max_stack_bytes=0,  # per-mesh chunks: several tasks in flight
         )
         batch.close()
         assert batch.result() == []
@@ -301,10 +353,9 @@ class TestPropertyParallelEquivalence:
         batch=st.integers(min_value=1, max_value=5),
         niter=st.integers(min_value=0, max_value=3),
         seed=st.integers(min_value=0, max_value=3),
-        backend=st.sampled_from(["thread", "process"]),
     )
     def test_random_workloads_bit_identical(
-        self, mesh_shape, batch, niter, seed, backend
+        self, mesh_shape, batch, niter, seed
     ):
         mesh = MeshSpec(mesh_shape)
         program = single_kernel_program("par_prop", mesh, jacobi2d_5pt())
@@ -316,7 +367,7 @@ class TestPropertyParallelEquivalence:
         limit = cache.plan_for(program, envs[0]).nbytes  # per-mesh-ish chunks
         got = run_program_parallel(
             program, envs, niter, cache=cache, max_stack_bytes=limit,
-            max_workers=2, backend=backend,
+            max_workers=2,
         )
         for env, res in zip(envs, got):
             gold = run_program(program, env, niter, engine="interpreter")
@@ -324,75 +375,59 @@ class TestPropertyParallelEquivalence:
 
 
 class TestCooperativeCancellation:
-    """PendingBatch.cancel: immediate slot release, clean ExecutionCancelled."""
+    """PendingBatch.cancel: queued chunks cancelled, clean ExecutionCancelled."""
 
-    @pytest.fixture(autouse=True)
-    def _quiesce(self):
-        # earlier tests' abandoned chunks release their segments when the
-        # worker task resolves; drain the pools so the baseline is empty
-        import time
+    @pytest.fixture
+    def pool(self):
+        pool = WorkerPool(max_workers=2)
+        yield pool
+        pool.shutdown()
 
-        from repro.parallel.shm import live_segments
-
-        shutdown_shared_pools()
-        deadline = time.monotonic() + 5.0
-        while live_segments() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert live_segments() == ()
-        yield
-
-    def _submit_many_chunks(self, batch=6, niter=120):
-        from repro.parallel.shm import live_segments
-
+    def _submit_many_chunks(self, pool, batch=6, niter=20):
         app = all_apps()["jacobi3d"]
         shape = APP_MESHES["jacobi3d"]
         program = app.program_on(shape)
         envs = [app.fields(shape, seed=s) for s in range(batch)]
-        pending = submit_stacked(
-            program, envs, niter, max_workers=2, backend="process",
-            max_stack_bytes=0,  # per-mesh chunks: one segment each
+        return submit_stacked(
+            program, envs, niter, pool=pool,
+            max_stack_bytes=0,  # per-mesh chunks: one task each
+            # both lanes sleep on entry, so every later chunk is queued
+            fault_plan=FaultPlan.parse("slow@0:0.3,slow@1:0.3"),
         )
-        assert len(live_segments()) == batch
-        return pending
 
-    def test_cancel_releases_pending_chunk_segments(self):
-        """The satellite regression: cancelling a batch reclaims the shm
-        slots of never-started chunks immediately — not at pool reset."""
-        from repro.parallel.shm import live_segments
+    def test_cancel_cancels_pending_chunk_futures(self, pool):
+        """Cancelling a batch cancels its never-started chunk tasks at once
+        and no worker thread outlives the pool's close."""
+        pending = self._submit_many_chunks(pool, batch=12)
+        threads = list(pool._executor._threads)  # noqa: SLF001
+        pending.cancel("test teardown")
+        futures = [chunk.future for chunk in pending.pending]
+        # the two sleeping lanes hold chunks 0 and 1; the other ten were
+        # still queued and are cancelled right here, not at collect time
+        assert all(f.cancelled() for f in futures[2:])
+        with pytest.raises(ExecutionCancelled):
+            pending.result()
+        assert all(f.done() for f in futures)
+        pool.shutdown()
+        assert not any(t.is_alive() for t in threads)
 
-        workers = 2  # _submit_many_chunks' max_workers
-        pending = self._submit_many_chunks(batch=12)
-        try:
-            pending.cancel("test teardown")
-            # ProcessPoolExecutor marks up to max_workers + 1 queued calls
-            # un-cancellable on top of the max_workers running ones, so up
-            # to 2 * workers + 1 = 5 of the 12 chunks can be past
-            # Future.cancel(); every other segment must already be reclaimed
-            # here (a cancel that reclaims nothing leaves 12 and still fails)
-            assert len(live_segments()) <= 2 * workers + 1
-        finally:
-            # settle the batch whatever happened above: segments that outlive
-            # this test fail the next tests' _quiesce fixture
-            with pytest.raises(ExecutionCancelled):
-                pending.result()
-        assert live_segments() == ()
-
-    def test_result_after_cancel_is_sticky(self):
-        pending = self._submit_many_chunks(batch=3, niter=20)
+    def test_result_after_cancel_is_sticky(self, pool):
+        pending = self._submit_many_chunks(pool, batch=3)
         pending.cancel()
         for _ in range(2):  # the cancelled outcome is stable across calls
             with pytest.raises(ExecutionCancelled):
                 pending.result()
-        assert live_segments_empty()
+        assert not any(
+            chunk.future is not None and not chunk.future.done()
+            for chunk in pending.pending
+        )
 
     def test_cancel_after_results_is_a_noop(self):
         app = all_apps()["poisson2d"]
         shape = APP_MESHES["poisson2d"]
         program = app.program_on(shape)
         envs = [app.fields(shape, seed=s) for s in range(2)]
-        pending = submit_stacked(
-            program, envs, 4, max_workers=2, backend="thread"
-        )
+        pending = submit_stacked(program, envs, 4, max_workers=2)
         results = pending.result()
         pending.cancel("too late")
         assert pending.result() is results
@@ -410,11 +445,7 @@ class TestCooperativeCancellation:
         token = CancelToken()
         token.set("called off before dispatch")
         with pytest.raises(ExecutionCancelled):
-            submit_stacked(
-                program, envs, 4, max_workers=2, backend="thread",
-                cancel=token,
-            )
-        assert live_segments_empty()
+            submit_stacked(program, envs, 4, max_workers=2, cancel=token)
 
     def test_serial_stacked_polls_token_at_chunk_boundaries(self):
         from repro.resilience import CancelToken
@@ -430,8 +461,3 @@ class TestCooperativeCancellation:
                 program, envs, 4, max_stack_bytes=0, cancel=token
             )
 
-
-def live_segments_empty() -> bool:
-    from repro.parallel.shm import live_segments
-
-    return live_segments() == ()

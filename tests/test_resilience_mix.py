@@ -21,7 +21,6 @@ from repro.parallel.executor import (
     plan_token_for,
 )
 from repro.parallel.pool import shutdown_shared_pools
-from repro.parallel.worker import CRASH_ENV
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.util.errors import ValidationError
 from repro.workload import WorkloadMix
@@ -137,9 +136,8 @@ class TestValidateMixSemantics:
     GOOD = {"memory": "HBM", "V": 1, "p": 3, "tiled": False}
 
     def test_best_effort_validate_mix_reports_errors(
-        self, evaluator, monkeypatch
+        self, evaluator, poisoned_chunks
     ):
-        monkeypatch.setenv(CRASH_ENV, "1")  # poisons every ladder rung
         run = evaluator.validate_mix(
             self.GOOD, engine="parallel", max_workers=2, strict=False,
             retry_policy=FRAGILE,
@@ -148,8 +146,7 @@ class TestValidateMixSemantics:
         assert len(run.errors) == len(MIX.job_groups())
         assert run.groups == ()
 
-    def test_strict_validate_mix_raises(self, evaluator, monkeypatch):
-        monkeypatch.setenv(CRASH_ENV, "1")
+    def test_strict_validate_mix_raises(self, evaluator, poisoned_chunks):
         with pytest.raises(ParallelExecutionError):
             evaluator.validate_mix(
                 self.GOOD, engine="parallel", max_workers=2,
@@ -160,8 +157,7 @@ class TestValidateMixSemantics:
 class TestMixCli:
     MIX_ARG = "poisson2d:20x16:2x2,jacobi3d:12x10x8:2x2"
 
-    def test_strict_mix_exits_nonzero_under_faults(self, monkeypatch, capsys):
-        monkeypatch.setenv(CRASH_ENV, "1")
+    def test_strict_mix_exits_nonzero_under_faults(self, poisoned_chunks, capsys):
         code = main(
             ["mix", self.MIX_ARG, "--engine", "parallel", "--max-workers", "2", "--strict"]
         )
@@ -169,9 +165,8 @@ class TestMixCli:
         assert "error:" in capsys.readouterr().err
 
     def test_best_effort_mix_exits_zero_with_failure_rows(
-        self, monkeypatch, capsys
+        self, poisoned_chunks, capsys
     ):
-        monkeypatch.setenv(CRASH_ENV, "1")
         code = main(["mix", self.MIX_ARG, "--engine", "parallel", "--max-workers", "2"])
         assert code == 0
         out = capsys.readouterr().out
@@ -190,10 +185,9 @@ class TestMixCli:
         assert "validated: every mesh bit-identical" in out
 
     def test_validated_footer_is_honest_about_failed_groups(
-        self, monkeypatch, capsys
+        self, poisoned_chunks, capsys
     ):
         # all groups fail: no "every mesh bit-identical" claim may print
-        monkeypatch.setenv(CRASH_ENV, "1")
         code = main(
             ["mix", self.MIX_ARG, "--engine", "parallel",
              "--max-workers", "2", "--validate"]

@@ -7,7 +7,6 @@ parse/describe round-trips, draw accounting, environment activation.
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 
 import numpy as np
@@ -44,7 +43,8 @@ class TestRetryPolicy:
             {"chunk_timeout": 0.0},
             {"backoff_factor": 0.5},
             {"backoff_base": -1.0},
-            {"ladder": ("process", "gpu")},
+            {"ladder": ("process",)},
+            {"ladder": ("thread", "gpu")},
         ],
     )
     def test_validation(self, kwargs):
@@ -54,20 +54,20 @@ class TestRetryPolicy:
     def test_disabled_is_fail_fast(self):
         policy = RetryPolicy.disabled()
         assert policy.max_attempts == 1
-        assert policy.rungs_from("process") == ("process",)
         assert policy.rungs_from("thread") == ("thread",)
 
     def test_rungs_enter_ladder_at_own_backend(self):
         policy = RetryPolicy()
-        assert policy.rungs_from("process") == ("process", "thread", "serial")
+        assert FULL_LADDER == ("thread", "serial")
         assert policy.rungs_from("thread") == ("thread", "serial")
         assert policy.rungs_from("serial") == ("serial",)
 
     def test_rungs_never_degrade_upward(self):
-        # a thread dispatch must not "degrade" to processes
-        policy = RetryPolicy(ladder=("process", "serial"))
+        # a serial-only ladder still lets a thread dispatch fall to serial,
+        # and a serial chunk never climbs back onto the pool
+        policy = RetryPolicy(ladder=("serial",))
         assert policy.rungs_from("thread") == ("thread", "serial")
-        assert policy.rungs_from("process") == ("process", "serial")
+        assert RetryPolicy(ladder=("thread",)).rungs_from("serial") == ("serial",)
 
     def test_backoff_is_deterministic_and_exponential(self):
         policy = RetryPolicy(backoff_base=0.01, backoff_factor=2.0, jitter=0.5)
@@ -109,9 +109,8 @@ class TestClassifyFailure:
         "exc,kind",
         [
             (FuturesTimeout(), "timeout"),
-            (BrokenExecutor("dead"), "crash"),
             (CorruptResultError("bad"), "corrupt"),
-            (OSError("no shm"), "shm"),
+            (OSError("disk"), "error"),
             (ValueError("bug"), "error"),
         ],
     )
@@ -124,7 +123,7 @@ class TestFaultGrammar:
         "text,kind,chunk,plan,times,seconds",
         [
             ("crash@0", "crash", 0, None, 1, 0.05),
-            ("shm@*", "shm", None, None, 1, 0.05),
+            ("corrupt@*", "corrupt", None, None, 1, 0.05),
             ("crash@2x3", "crash", 2, None, 3, 0.05),
             ("slow@1:0.5", "slow", 1, None, 1, 0.5),
             ("crash@plan-7/0", "crash", 0, "plan-7", 1, 0.05),
@@ -139,7 +138,7 @@ class TestFaultGrammar:
         )
 
     def test_describe_round_trips(self):
-        text = "crash@0,shm@*,slow@1x2:0.5,corrupt@plan-7/0"
+        text = "crash@0,corrupt@*,slow@1x2:0.5,corrupt@plan-7/0"
         plan = FaultPlan.parse(text)
         again = FaultPlan.parse(plan.describe())
         assert again.specs == plan.specs
@@ -147,11 +146,16 @@ class TestFaultGrammar:
     @pytest.mark.parametrize(
         "text",
         ["", "bogus", "crash", "crash@", "fly@0", "crash@ab", "slow@1:abc",
-         "crash@0x", "crash@0x0"],
+         "crash@0x", "crash@0x0", "shm@*"],
     )
     def test_rejects_bad_specs(self, text):
         with pytest.raises(ValidationError):
             FaultPlan.parse(text)
+
+    def test_unknown_kind_names_the_allowed_kinds(self):
+        # an unknown kind is rejected with the list of kinds that exist
+        with pytest.raises(ValidationError, match="crash.*slow.*corrupt"):
+            FaultPlan.parse("shm@*")
 
 
 class TestFaultDraws:
@@ -169,9 +173,9 @@ class TestFaultDraws:
         assert plan.draw(1) == Fault("crash")
 
     def test_plan_token_filter(self):
-        plan = FaultPlan.parse("shm@plan-7/*")
+        plan = FaultPlan.parse("corrupt@plan-7/*")
         assert plan.draw(0, "plan-8") is None
-        assert plan.draw(0, "plan-7") == Fault("shm")
+        assert plan.draw(0, "plan-7") == Fault("corrupt")
         assert plan.draw(1, "plan-7") is None  # spent
 
     def test_first_match_wins(self):

@@ -11,6 +11,7 @@ deadline/cancel race in which every job resolves exactly once.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import observability as obs
 from repro.dataflow.scheduler import MixScheduler
-from repro.parallel.shm import live_segments
+from repro.parallel import pool as parallel_pool
 from repro.resilience import ExecutionCancelled, FaultPlan, RetryPolicy
 from repro.serve import (
     DeadlineExceeded,
@@ -42,6 +43,17 @@ def _fresh_observability():
 
 def _serve(coro):
     return asyncio.run(coro)
+
+
+def _assert_pools_idle(timeout: float = 2.0) -> None:
+    """No shared worker pool still holds a chunk task of a served job."""
+    deadline = time.monotonic() + timeout
+    pools = list(parallel_pool._SHARED.values())  # noqa: SLF001
+    # a slot is released by the future's done callback, which runs just
+    # after the collector wakes: allow it a moment to land
+    while any(p.inflight for p in pools) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert [p.inflight for p in pools] == [0] * len(pools)
 
 
 def _assert_envs_equal(got, want):
@@ -114,7 +126,7 @@ class TestOverload:
     def test_reject_is_deterministic_and_drain_is_leak_free(self):
         """The ISSUE's overload acceptance: a bounded queue rejects the
         overflow deterministically, every job resolves exactly once, and
-        close(drain=True) leaves no shm segment and no open span."""
+        close(drain=True) leaves no pool task in flight and no open span."""
         offered = 12
         depth = 2
 
@@ -147,7 +159,7 @@ class TestOverload:
             assert health["jobs"]["completed"] == depth
             assert health["outstanding_jobs"] == 0
             assert health["inflight_groups"] == 0
-            assert live_segments() == ()
+            _assert_pools_idle()
             assert obs.tracer().current_span_id() is None
             kinds = obs.ring_sink().kinds()
             assert kinds.count("serve.job_rejected") == rejected
@@ -245,7 +257,7 @@ class TestCancellation:
 
         health = _serve(_run())
         assert health["jobs"]["cancelled"] == 1
-        assert live_segments() == ()
+        _assert_pools_idle()
 
 
 class TestAdmissionBlock:
@@ -456,7 +468,7 @@ class TestLifecycle:
         assert outcomes == ["cancelled"] * 3
         assert health["state"] == "closed"
         assert health["outstanding_jobs"] == 0
-        assert live_segments() == ()
+        _assert_pools_idle()
 
     def test_server_is_bound_to_one_loop(self):
         server = Server(ServerConfig(engine="compiled"))
@@ -523,7 +535,7 @@ class TestCircuitBreaker:
             assert health["jobs"]["completed"] == 4
             assert health["jobs"]["failed"] == 0
             assert health["jobs"]["degraded"] >= 3
-            assert live_segments() == ()
+            _assert_pools_idle()
             breaker_kinds = [
                 k for k in obs.ring_sink().kinds()
                 if k.startswith("serve.breaker")
@@ -639,4 +651,4 @@ class TestExactlyOnce:
         assert jobs["completed"] == outcomes.count("ok")
         assert jobs["shed"] == outcomes.count("shed")
         assert jobs["cancelled"] == outcomes.count("cancelled")
-        assert live_segments() == ()
+        _assert_pools_idle()

@@ -119,22 +119,6 @@ def test_native_chunked_stacked_dispatch():
         _assert_env_equal(run_program(program, env, 4, engine="interpreter"), o)
 
 
-def test_native_parallel_workers_bit_identical():
-    """Workers bind NativeProgram instances and stay bit-identical."""
-    from repro.parallel.executor import run_program_parallel
-
-    app = app_by_name("poisson2d")
-    mesh = APP_MESHES["poisson2d"]
-    program = app.program_on(mesh)
-    envs = [app.fields(mesh, seed=s) for s in range(4)]
-    got = run_program_parallel(
-        program, envs, 5, cache=CACHE, max_workers=2, backend="thread",
-        native=True,
-    )
-    for env, o in zip(envs, got):
-        _assert_env_equal(run_program(program, env, 5, engine="interpreter"), o)
-
-
 # --------------------------------------------------------------------------- #
 # lowering corners that bit PR 3: mixed-radius init_from, flat mode
 # --------------------------------------------------------------------------- #
