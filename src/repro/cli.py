@@ -40,8 +40,6 @@ Commands
     and the human-readable trace table. ``--serve`` routes the mix
     through the serving layer so the dump includes the serve counters,
     queue-depth gauge and end-to-end latency histogram.
-``calibrate [--force]``
-    Probe this host for the best stacked-dispatch byte budget and cache it.
 ``codegen APP [--out DIR] [--mesh MxN[xL]]``
     Emit the Vivado HLS project for an application's paper design.
 """
@@ -344,19 +342,11 @@ def _dse_body(args: argparse.Namespace) -> int:
 
 def _cmd_mix(args: argparse.Namespace) -> int:
     from repro.dataflow.scheduler import MixScheduler
+    from repro.resilience import FaultPlan
     from repro.util.tables import TextTable
     from repro.workload import WorkloadMix
 
     mix = WorkloadMix.parse(args.workloads)
-    limit = args.stacked_bytes_limit
-    if limit is None and args.calibrate:
-        from repro.parallel.calibrate import calibrated_bytes_limit
-
-        limit = calibrated_bytes_limit()
-        print(f"calibrated stacking budget: {limit} bytes")
-    from repro.resilience import FaultPlan
-
-    fault_plan = None
     if getattr(args, "fault_plan", None):
         fault_plan = FaultPlan.parse(args.fault_plan)
     else:
@@ -365,7 +355,6 @@ def _cmd_mix(args: argparse.Namespace) -> int:
         fault_plan = FaultPlan.from_env()
     scheduler = MixScheduler(
         engine=args.engine,
-        stacked_bytes_limit=limit,
         seed=args.seed,
         max_workers=args.max_workers,
         strict=args.strict,
@@ -530,39 +519,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.parallel.calibrate import (
-        ENV_OVERRIDE,
-        cache_path,
-        cached_entry,
-        calibrated_bytes_limit,
-    )
-    from repro.util.tables import TextTable
-
-    if os.environ.get(ENV_OVERRIDE):
-        print(
-            f"stacking budget forced to {calibrated_bytes_limit()} bytes "
-            f"by {ENV_OVERRIDE}; no probe run"
-        )
-        return 0
-    resolved = calibrated_bytes_limit(force=args.force)
-    entry = cached_entry()
-    if entry and entry.get("timings"):
-        table = TextTable(
-            ["budget (bytes)", "best wall clock (ms)"],
-            title="stacked-dispatch budget probe (Jacobi-3D ladder)",
-        )
-        for budget, seconds in entry["timings"].items():
-            marker = " *" if int(budget) == resolved else ""
-            table.add_row([f"{budget}{marker}", f"{seconds * 1e3:.3f}"])
-        print(table.render())
-    print(f"calibrated stacking budget: {resolved} bytes")
-    print(f"cache: {cache_path()}")
-    return 0
-
-
 def _cmd_codegen(args: argparse.Namespace) -> int:
     from repro.hls.project import HLSProject
 
@@ -695,14 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mix.add_argument(
         "--max-workers", type=int, default=None,
         help="worker-pool width for --engine parallel (default: one per core)",
-    )
-    p_mix.add_argument(
-        "--stacked-bytes-limit", type=float, default=None,
-        help="per-chunk working-set budget in bytes (default: module default)",
-    )
-    p_mix.add_argument(
-        "--calibrate", action="store_true",
-        help="use the calibrated per-host stacking budget (see `repro calibrate`)",
     )
     p_mix.add_argument(
         "--validate", action="store_true",
@@ -845,15 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the structured events and span tree to this JSONL file",
     )
     p_met.set_defaults(fn=_cmd_metrics)
-
-    p_cal = sub.add_parser(
-        "calibrate", help="measure this host's stacked-dispatch byte budget"
-    )
-    p_cal.add_argument(
-        "--force", action="store_true",
-        help="re-probe even when a cached calibration exists",
-    )
-    p_cal.set_defaults(fn=_cmd_calibrate)
 
     p_gen = sub.add_parser("codegen", help="emit the Vivado HLS project")
     p_gen.add_argument("app")

@@ -212,22 +212,17 @@ class FPGAAccelerator:
         batch_fields: Sequence[Mapping[str, Field]],
         niter: int,
         coefficients: Mapping[str, float] | None = None,
-        stacked_bytes_limit: float | None = None,
     ) -> tuple[list[dict[str, Field]], SimReport]:
         """Solve a batch of independent same-shaped meshes.
 
         On the default compiled engine the batch executes batch-major in
         footprint-bounded stacked chunks (Section IV-B, eq. (15)),
         bit-identical per mesh to :meth:`run`; the report uses the batched
-        stream's cycle accounting. ``stacked_bytes_limit`` overrides the
-        per-chunk working-set budget for this call (see
-        :meth:`IterativePipeline.run_batch`).
+        stream's cycle accounting.
         """
         if self.batcher is None:
             raise ValidationError("batched execution is not supported on tiled designs")
-        results = self.batcher.run(
-            batch_fields, niter, coefficients, stacked_bytes_limit
-        )
+        results = self.batcher.run(batch_fields, niter, coefficients)
         mesh = batch_fields[0][self.program.state_fields[0]].spec
         report = self._report(mesh.shape, niter, batch=len(batch_fields), mesh=mesh)
         return results, report
@@ -236,7 +231,6 @@ class FPGAAccelerator:
         self,
         groups: Sequence[tuple[Sequence[Mapping[str, Field]], int]],
         coefficients: Mapping[str, float] | None = None,
-        stacked_bytes_limit: float | None = None,
     ) -> tuple[list[list[dict[str, Field]]], MixReport]:
         """Solve a mix of independent batches back to back.
 
@@ -254,9 +248,7 @@ class FPGAAccelerator:
         results = []
         reports = []
         for batch_fields, niter in groups:
-            group_results, report = self.run_batch(
-                batch_fields, niter, coefficients, stacked_bytes_limit
-            )
+            group_results, report = self.run_batch(batch_fields, niter, coefficients)
             results.append(group_results)
             reports.append(report)
         return results, MixReport(tuple(reports))

@@ -34,14 +34,10 @@ class BatchRunner:
         design: DesignPoint,
         engine: str = "compiled",
         plan_cache=None,
-        stacked_bytes_limit: float | None = None,
         max_workers: int | None = None,
     ):
         self.program = program
         self.design = design
-        #: per-chunk working-set budget for stacked dispatch (None: the
-        #: module default, :data:`repro.stencil.compiled.STACKED_BYTES_LIMIT`)
-        self.stacked_bytes_limit = stacked_bytes_limit
         # every mesh in a batch shares the same spec, so the whole batch
         # rides one compiled plan — stacked batch-major (in footprint-
         # bounded chunks) on the compiled engine, fanned out across a
@@ -62,13 +58,8 @@ class BatchRunner:
         batch_fields: Sequence[Mapping[str, Field]],
         niter: int,
         coefficients: Mapping[str, float] | None = None,
-        stacked_bytes_limit: float | None = None,
     ) -> list[dict[str, Field]]:
-        """Solve every mesh in the batch for ``niter`` iterations.
-
-        ``stacked_bytes_limit`` overrides the runner's per-chunk budget for
-        this call only.
-        """
+        """Solve every mesh in the batch for ``niter`` iterations."""
         if not batch_fields:
             raise ValidationError("batch must contain at least one mesh")
         spec = None
@@ -84,18 +75,12 @@ class BatchRunner:
                     "all meshes in a batch must share the same spec "
                     f"({s} != {spec})"
                 )
-        limit = (
-            stacked_bytes_limit
-            if stacked_bytes_limit is not None
-            else self.stacked_bytes_limit
-        )
-        return self.pipeline.run_batch(batch_fields, niter, coefficients, limit)
+        return self.pipeline.run_batch(batch_fields, niter, coefficients)
 
     def run_mix(
         self,
         groups: Sequence[tuple[Sequence[Mapping[str, Field]], int]],
         coefficients: Mapping[str, float] | None = None,
-        stacked_bytes_limit: float | None = None,
     ) -> list[list[dict[str, Field]]]:
         """Solve a mix of batches: each ``(batch_fields, niter)`` group in turn.
 
@@ -107,7 +92,7 @@ class BatchRunner:
         if not groups:
             raise ValidationError("mix must contain at least one group")
         return [
-            self.run(batch_fields, niter, coefficients, stacked_bytes_limit)
+            self.run(batch_fields, niter, coefficients)
             for batch_fields, niter in groups
         ]
 

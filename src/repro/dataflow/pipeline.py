@@ -117,7 +117,6 @@ class IterativePipeline:
         batch_fields: Sequence[Mapping[str, Field]],
         niter: int,
         coefficients: Mapping[str, float] | None = None,
-        stacked_bytes_limit: float | None = None,
     ) -> list[dict[str, Field]]:
         """Run a batch of independent same-spec meshes (paper Section IV-B).
 
@@ -129,12 +128,8 @@ class IterativePipeline:
         the same chunk schedule but dispatches the chunks across a worker
         pool (:func:`repro.parallel.run_program_parallel`). The
         interpreter engine replays the golden path per mesh. ``niter``
-        must be a multiple of ``p`` exactly as for :meth:`run`.
-
-        ``stacked_bytes_limit`` overrides the per-chunk working-set budget
-        (default :data:`repro.stencil.compiled.STACKED_BYTES_LIMIT`) so
-        DSE sweeps and benchmarks can tune the chunking instead of
-        monkeypatching the module constant.
+        must be a multiple of ``p`` exactly as for :meth:`run`. Chunks are
+        sized by :data:`repro.stencil.compiled.STACKED_BYTES_LIMIT`.
         """
         if not batch_fields:
             raise ValidationError("batch must contain at least one mesh")
@@ -148,14 +143,12 @@ class IterativePipeline:
 
             return run_program_parallel(
                 self.program, batch_fields, niter, coefficients,
-                cache=self.plan_cache, max_stack_bytes=stacked_bytes_limit,
-                max_workers=self.max_workers,
+                cache=self.plan_cache, max_workers=self.max_workers,
             )
         if self.engine in ("compiled", "native"):
             return run_program_stacked(
                 self.program, batch_fields, niter, coefficients,
-                cache=self.plan_cache, max_stack_bytes=stacked_bytes_limit,
-                engine=self.engine,
+                cache=self.plan_cache, engine=self.engine,
             )
         return [
             dict(self._run_iterations(env, niter, coefficients))
@@ -166,7 +159,6 @@ class IterativePipeline:
         self,
         groups: Sequence[tuple[Sequence[Mapping[str, Field]], int]],
         coefficients: Mapping[str, float] | None = None,
-        stacked_bytes_limit: float | None = None,
     ) -> list[list[dict[str, Field]]]:
         """Run a mix of independent batches back to back.
 
@@ -182,7 +174,7 @@ class IterativePipeline:
         if not groups:
             raise ValidationError("mix must contain at least one group")
         return [
-            self.run_batch(batch_fields, niter, coefficients, stacked_bytes_limit)
+            self.run_batch(batch_fields, niter, coefficients)
             for batch_fields, niter in groups
         ]
 

@@ -180,12 +180,13 @@ class MixScheduler:
     application registry for specs carrying app names; app-less specs need
     a ``program_for`` (their initial conditions are then synthesized
     reproducibly from the program's field contract unless ``fields_for``
-    supplies them). ``stacked_bytes_limit`` tunes the per-chunk working-set
-    budget (None: the module default); ``engine="interpreter"`` runs every
-    mesh on the golden path instead (per-mesh dispatch, for reference
-    measurements); ``engine="parallel"`` submits *every group's* chunks to
-    a worker pool before collecting any of them, so independent job groups
-    — not just chunks within one group — overlap on the pool
+    supplies them). Chunks are sized by
+    :data:`repro.stencil.compiled.STACKED_BYTES_LIMIT`;
+    ``engine="interpreter"`` runs every mesh on the golden path instead
+    (per-mesh dispatch, for reference measurements); ``engine="parallel"``
+    submits *every group's* chunks to a worker pool before collecting any
+    of them, so independent job groups — not just chunks within one group
+    — overlap on the pool
     (``max_workers`` bounds its width). Group order, per-mesh result order
     and dispatch accounting are identical on every engine: chunks are
     scheduled deterministically at submit time and reassembled by
@@ -203,7 +204,6 @@ class MixScheduler:
 
     engine: str = "compiled"
     plan_cache: CompiledPlanCache | None = None
-    stacked_bytes_limit: float | None = None
     fields_for: FieldsFor | None = None
     program_for: ProgramFor | None = None
     #: base seed mixed into default initial conditions per member
@@ -322,7 +322,6 @@ class MixScheduler:
                     spec.niter,
                     self.coefficients,
                     cache=self.plan_cache,
-                    max_stack_bytes=self.stacked_bytes_limit,
                     stats=stats,
                     cancel=cancel,
                     engine=self.engine,
@@ -375,7 +374,6 @@ class MixScheduler:
                         spec.niter,
                         self.coefficients,
                         cache=self.plan_cache,
-                        max_stack_bytes=self.stacked_bytes_limit,
                         stats=stats,
                         max_workers=self.max_workers,
                         policy=self.retry_policy,

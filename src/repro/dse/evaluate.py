@@ -418,7 +418,6 @@ class Evaluator:
     def mix_scheduler(
         self,
         plan_cache=None,
-        stacked_bytes_limit: float | None = None,
         seed: int = 0,
         fields_for=None,
         engine: str = "compiled",
@@ -455,7 +454,6 @@ class Evaluator:
         return MixScheduler(
             engine=engine,
             plan_cache=plan_cache,
-            stacked_bytes_limit=stacked_bytes_limit,
             fields_for=fields_for,
             program_for=program_for,
             seed=seed,
@@ -469,7 +467,6 @@ class Evaluator:
         self,
         config: Mapping[str, Any],
         plan_cache=None,
-        stacked_bytes_limit: float | None = None,
         seed: int = 0,
         fields_for=None,
         engine: str = "compiled",
@@ -501,7 +498,7 @@ class Evaluator:
             )
         batch_factor = int(config.get("batch", 1))
         scheduler = self.mix_scheduler(
-            plan_cache, stacked_bytes_limit, seed, fields_for,
+            plan_cache, seed, fields_for,
             engine=engine, max_workers=max_workers,
             strict=strict, retry_policy=retry_policy, fault_plan=fault_plan,
         )

@@ -688,41 +688,35 @@ def run_mix_throughput() -> ExperimentResult:
     Schedules a heterogeneous mix (three apps, differing mesh shapes and
     iteration counts) through :class:`~repro.dataflow.scheduler.MixScheduler`:
     members group by job shape and each group executes through the compiled
-    engine in footprint-bounded stacked chunks, sized by the *calibrated*
-    per-host byte budget (:func:`repro.parallel.calibrate.calibrated_bytes_limit`)
-    rather than the static default. Both budgets' schedules are recorded —
-    the per-mesh dispatch count is the structural baseline (one tape replay
-    per mesh, derived, not executed) — and every mesh is validated
-    bit-identical against the golden interpreter. The estimate column prices
-    each group at paper scale with the app's validated design (kernel
-    seconds from the batched cycle model).
+    engine in stacked chunks bounded by
+    :data:`repro.stencil.compiled.STACKED_BYTES_LIMIT`. The per-mesh
+    dispatch count is the structural baseline (one tape replay per mesh,
+    derived, not executed), and every mesh is validated bit-identical
+    against the golden interpreter. The estimate column prices each group
+    at paper scale with the app's validated design (kernel seconds from the
+    batched cycle model).
     """
     from repro.apps.registry import app_by_name
     from repro.dataflow.scheduler import MixScheduler
-    from repro.parallel.calibrate import calibrated_bytes_limit
     from repro.stencil.compiled import STACKED_BYTES_LIMIT
     from repro.workload import WorkloadMix
 
     mix = WorkloadMix.parse(_MIX_SPEC)
-    calibrated = calibrated_bytes_limit()
-    chunked = MixScheduler(stacked_bytes_limit=calibrated).run(mix, validate=True)
-    default_run = MixScheduler().run(mix)
+    chunked = MixScheduler().run(mix, validate=True)
 
     table = TextTable(
-        ["group", "meshes", "chunks", "dispatches", "default disp.",
-         "per-mesh", "est. kernel s"],
+        ["group", "meshes", "chunks", "dispatches", "per-mesh", "est. kernel s"],
         title="Workload mix: chunked stacked scheduling (validated vs interpreter)",
     )
     result = ExperimentResult(
         "mix-throughput", "Workload mix - chunked stacked scheduling", table,
         notes=(
-            f"mix: {mix.describe()}; chunks sized by the calibrated budget "
-            f"({calibrated} bytes; static default {STACKED_BYTES_LIMIT}); "
-            "'per-mesh' is the one-dispatch-per-mesh baseline; all "
+            f"mix: {mix.describe()}; chunks bounded by {STACKED_BYTES_LIMIT} "
+            "bytes; 'per-mesh' is the one-dispatch-per-mesh baseline; all "
             f"{chunked.meshes} meshes bit-identical to the golden interpreter"
         ),
     )
-    for group, default_group in zip(chunked.groups, default_run.groups):
+    for group in chunked.groups:
         spec = group.spec
         app = app_by_name(spec.app)
         estimate = app.accelerator(spec.mesh.shape).estimate(spec)
@@ -732,7 +726,6 @@ def run_mix_throughput() -> ExperimentResult:
                 group.meshes,
                 "+".join(str(c) for c in group.chunks),
                 group.dispatches,
-                default_group.dispatches,
                 group.meshes,
                 estimate.kernel_seconds,
             ]
@@ -743,24 +736,19 @@ def run_mix_throughput() -> ExperimentResult:
                 "meshes": group.meshes,
                 "chunks": list(group.chunks),
                 "dispatches": group.dispatches,
-                "default_dispatches": default_group.dispatches,
                 "per_mesh_dispatches": group.meshes,
-                "stacked_bytes_limit": calibrated,
                 "kernel_seconds": estimate.kernel_seconds,
             }
         )
     table.add_row(
-        ["total", chunked.meshes, "-", chunked.dispatches,
-         default_run.dispatches, chunked.meshes, None]
+        ["total", chunked.meshes, "-", chunked.dispatches, chunked.meshes, None]
     )
     result.records.append(
         {
             "group": "total",
             "meshes": chunked.meshes,
             "dispatches": chunked.dispatches,
-            "default_dispatches": default_run.dispatches,
             "per_mesh_dispatches": chunked.meshes,
-            "stacked_bytes_limit": calibrated,
         }
     )
     return result

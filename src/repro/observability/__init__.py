@@ -17,8 +17,7 @@ One switch, three instruments:
 Everything is **off by default**: the instrumented hot paths guard each
 call site behind :func:`is_enabled` — a single module attribute read —
 and the zero-alloc steady loop is never instrumented at all, so disabled
-overhead is unmeasurable (asserted by
-``benchmarks/bench_observability_overhead.py``). Enable with::
+overhead is unmeasurable. Enable with::
 
     from repro import observability
 

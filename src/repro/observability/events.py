@@ -1,7 +1,7 @@
 """Structured, schema-versioned event log with pluggable sinks.
 
 Every notable execution-stack occurrence — a plan compile, a cache
-hit/miss burst, a chunk dispatch, a worker failure, a calibration probe,
+hit/miss burst, a chunk dispatch, a worker failure,
 a measured-vs-modeled residual — is one **event**: a flat JSON-friendly
 dict stamped with a schema version, a monotonically increasing sequence
 number and a wall-clock timestamp. Events flow through an
@@ -10,7 +10,7 @@ number and a wall-clock timestamp. Events flow through an
 * :class:`RingSink` — a bounded in-memory deque; the test suite's (and
   ``repro metrics``'s) way to inspect what happened without touching disk.
 * :class:`FileSink` — append-only JSONL, one event per line; what
-  ``repro mix --trace FILE`` and the CI bench-smoke artifact use.
+  ``repro mix --trace FILE`` and the CI event-log artifacts use.
 
 The facade (:mod:`repro.observability`) mirrors finished trace spans into
 the log as ``kind="span"`` events, so a single JSONL file carries both

@@ -6,12 +6,8 @@ loop. Workers share the parent's address space, take the field
 environments by reference, and each keeps its own warm compiled-plan
 instances (:mod:`repro.parallel.worker`). Results are bit-identical to
 the serial compiled engine — and therefore to the golden interpreter.
-
-:mod:`repro.parallel.calibrate` replaces the static stacking byte budget
-with a measured per-host one, cached on disk.
 """
 
-from repro.parallel.calibrate import calibrated_bytes_limit, run_probe
 from repro.parallel.executor import (
     ParallelExecutionError,
     PendingBatch,
@@ -30,10 +26,8 @@ __all__ = [
     "ParallelExecutionError",
     "PendingBatch",
     "WorkerPool",
-    "calibrated_bytes_limit",
     "default_workers",
     "plan_token_for",
-    "run_probe",
     "run_program_parallel",
     "shared_pool",
     "shutdown_shared_pools",

@@ -58,7 +58,6 @@ from repro.resilience import (
     classify_failure,
 )
 from repro.stencil.compiled import (
-    STACKED_BYTES_LIMIT,
     CompiledPlanCache,
     DEFAULT_CACHE,
     check_stacked_batch,
@@ -605,17 +604,20 @@ def submit_stacked(
             stats["chunk_seconds"] = chunk_seconds
         return PendingBatch(batch_fields, None, niter, ready=ready)
     cache = cache if cache is not None else DEFAULT_CACHE
-    limit = max_stack_bytes if max_stack_bytes is not None else STACKED_BYTES_LIMIT
     plan = cache.plan_for(program, first, coefficients)
-    chunks = stacked_chunk_sizes(len(batch_fields), plan.nbytes, limit)
+    chunks = stacked_chunk_sizes(
+        len(batch_fields), plan.nbytes, max_stack_bytes
+    )
     if pool is None and workers <= 1:
         # a one-lane pool cannot overlap anything; run the identical
-        # serial chunked schedule in-process (accounting included)
+        # serial chunked schedule in-process, which records the dispatch
+        # once, under the engine that ran it
         results = run_program_stacked(
-            program, batch_fields, niter, coefficients,
-            cache=cache, max_stack_bytes=limit, stats=stats, cancel=cancel,
+            program, batch_fields, niter, coefficients, cache=cache,
+            max_stack_bytes=max_stack_bytes, stats=stats, cancel=cancel,
         )
-        _account(chunks, "serial")
+        if stats is not None:
+            stats.update(backend="serial", workers=1)
         return PendingBatch(batch_fields, plan, niter, ready=results)
     token = plan_token_for(program, first, coefficients)
     ctx = _DispatchContext(

@@ -21,8 +21,7 @@ replays, never what it computes.
 
 Policies are frozen and cheap; the parallel executor consults one per
 dispatch (:data:`DEFAULT_POLICY` unless the caller passes its own). The
-no-fault fast path adds only a branch per chunk — the overhead contract
-is tracked by ``benchmarks/bench_parallel_sim.py``.
+no-fault fast path adds only a branch per chunk.
 """
 
 from __future__ import annotations

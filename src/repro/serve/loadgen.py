@@ -7,7 +7,7 @@ run is reproducible and an over-capacity configuration rejects/sheds the
 *same* jobs every time. The report counts every terminal outcome
 (completed, rejected, shed, cancelled, failed) and summarizes end-to-end
 latency percentiles of the completed jobs, per spec and overall — the
-numbers ``repro serve`` prints and ``benchmarks/bench_serve.py`` records.
+numbers ``repro serve`` prints.
 """
 
 from __future__ import annotations

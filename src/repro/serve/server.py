@@ -97,8 +97,6 @@ class ServerConfig:
     retry_policy: RetryPolicy | None = None
     #: deterministic faults armed into parallel dispatches (None: env plan)
     fault_plan: FaultPlan | None = None
-    #: per-chunk stacking budget in bytes (None: module default)
-    stacked_bytes_limit: float | None = None
 
     def __post_init__(self):
         check_engine(self.engine)
@@ -717,7 +715,6 @@ class Server:
                 strict=True,
                 retry_policy=self.config.retry_policy,
                 fault_plan=self.config.fault_plan,
-                stacked_bytes_limit=self.config.stacked_bytes_limit,
             )
         return scheduler
 

@@ -662,21 +662,26 @@ DEFAULT_CACHE = CompiledPlanCache()
 #: (whose working set still fits) are faster — measured crossover on the
 #: batched benchmarks sits between ~0.4 and ~4 MB. Batches too large to
 #: stack whole are executed in footprint-bounded chunks rather than
-#: replayed per mesh (see :func:`stacked_chunk_sizes`).
+#: replayed per mesh (see :func:`stacked_chunk_sizes`). This is the one
+#: stacking budget: only the chunk-cutting entry points read it, and their
+#: ``max_stack_bytes=`` overrides it for one call.
 STACKED_BYTES_LIMIT = 1 << 20
 
 
 def stacked_chunk_sizes(
-    batch: int, per_mesh_bytes: int, max_bytes: float
+    batch: int, per_mesh_bytes: int, max_bytes: float | None = None
 ) -> list[int]:
     """Footprint-bounded chunk sizes for stacking ``batch`` meshes.
 
     The chunk capacity is the largest ``C`` whose stacked working set
     ``C * per_mesh_bytes`` stays within ``max_bytes`` (at least 1: even a
-    single over-budget mesh must run). The batch splits into full chunks of
-    that capacity plus one remainder, so every full chunk reuses **one**
-    compiled batch-major instance — ``[C, C, ..., r]`` rather than
-    near-equal sizes, minimizing distinct plan bindings in the cache.
+    single over-budget mesh must run); it defaults to
+    :data:`STACKED_BYTES_LIMIT`, read here at call time, so every chunk
+    schedule resolves its budget in this one place. The batch splits into
+    full chunks of that capacity plus one remainder, so every full chunk
+    reuses **one** compiled batch-major instance — ``[C, C, ..., r]``
+    rather than near-equal sizes, minimizing distinct plan bindings in the
+    cache.
 
     Degenerate ends recover the previous all-or-nothing behaviour: a budget
     covering the whole batch yields ``[batch]`` (one stacked dispatch), a
@@ -684,6 +689,8 @@ def stacked_chunk_sizes(
     """
     if batch < 1:
         raise ValidationError(f"batch must be positive, got {batch}")
+    if max_bytes is None:
+        max_bytes = STACKED_BYTES_LIMIT
     if max_bytes != max_bytes or max_bytes < 0:  # NaN or negative
         raise ValidationError(f"max_bytes must be >= 0, got {max_bytes}")
     if per_mesh_bytes <= 0 or max_bytes == float("inf"):
@@ -778,6 +785,7 @@ def record_dispatch_stats(
     chunks: Sequence[int],
     backend: str | None = None,
     workers: int | None = None,
+    engine: str = "compiled",
 ) -> None:
     """Write the dispatch-accounting keys and mirror them to the registry.
 
@@ -786,8 +794,9 @@ def record_dispatch_stats(
     ``backend``/``workers`` on the parallel paths) is stable and shared by
     the serial and parallel engines. The same quantities feed the
     process-wide :mod:`repro.observability` registry when it is enabled,
-    labelled by the dispatching backend, so aggregate counters and the
-    per-call dicts can never drift apart.
+    labelled by the dispatching backend (``engine`` on the serial paths,
+    which report no backend), so aggregate counters and the per-call dicts
+    can never drift apart.
     """
     if stats is not None:
         stats["chunks"] = list(chunks)
@@ -798,7 +807,7 @@ def record_dispatch_stats(
         if workers is not None:
             stats["workers"] = workers
     if obs.is_enabled():
-        label = backend if backend is not None else "compiled"
+        label = backend if backend is not None else engine
         obs.inc("exec.dispatches", len(chunks), backend=label)
         obs.inc("exec.meshes", sum(chunks), backend=label)
         obs.inc(
@@ -867,7 +876,7 @@ def run_program_stacked(
         cancel.raise_if_set("stacked dispatch")
 
     def _account(chunks: list[int]) -> None:
-        record_dispatch_stats(stats, chunks)
+        record_dispatch_stats(stats, chunks, engine=engine)
 
     def _timed(chunk_seconds: list[float], index: int, size: int, fn):
         if cancel is not None:
@@ -876,7 +885,7 @@ def run_program_stacked(
             t0 = time.perf_counter()
             out = fn()
             chunk_seconds.append(time.perf_counter() - t0)
-        obs.observe("exec.chunk_seconds", chunk_seconds[-1], backend="compiled")
+        obs.observe("exec.chunk_seconds", chunk_seconds[-1], backend=engine)
         return out
 
     chunk_seconds: list[float] = []
@@ -911,21 +920,22 @@ def run_program_stacked(
                 ),
             )
         ]
-    limit = max_stack_bytes if max_stack_bytes is not None else STACKED_BYTES_LIMIT
     with obs.span(
         "exec.stacked",
         program=program.name,
         batch=len(batch_fields),
         niter=niter,
-        engine="compiled",
+        engine=engine,
     ):
         plan = cache.plan_for(program, first, coefficients)
-        chunks = stacked_chunk_sizes(len(batch_fields), plan.nbytes, limit)
+        chunks = stacked_chunk_sizes(
+            len(batch_fields), plan.nbytes, max_stack_bytes
+        )
         _account(chunks)
         obs.emit(
             "exec.dispatch",
             program=program.name,
-            backend="compiled",
+            backend=engine,
             chunks=list(chunks),
             niter=niter,
         )

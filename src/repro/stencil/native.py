@@ -3,29 +3,21 @@
 :class:`NativeProgram` is a drop-in :class:`~repro.stencil.compiled.CompiledProgram`
 whose iterations — warm and steady alike — run generated code instead of
 the per-op tape replay. At bind time it lowers the bound tapes through
-:mod:`repro.stencil.codegen` and takes the first rung that binds:
+:mod:`repro.stencil.codegen` and builds the generated C once with the
+system compiler (``-O3 -march=native -ffp-contract=off``) into a shared
+object loaded via ``ctypes``; one foreign call covers a whole
+``run_iterations`` stretch, by **absolute** iteration index
+(``runner(k0, n)``). Artifacts are content-addressed on disk
+(``~/.cache/repro/native``), so equal ``(plan, batch)`` bindings — across
+instances and processes — reuse one build.
 
-``cc``
-    The generated C compiled once with the system compiler
-    (``-O3 -march=native -ffp-contract=off``) into a shared object loaded via
-    ``ctypes``; one foreign call covers a whole ``run_iterations``
-    stretch. Artifacts are content-addressed on disk
-    (``~/.cache/repro/native``), so equal ``(plan, batch)`` bindings —
-    across instances and processes — reuse one build.
-``python``
-    The fused-NumPy flavor (:func:`codegen.make_tape_callable`): one
-    specialized, fully unrolled Python function per tape. Always
-    available; this is what runs when no compiler is.
-
-Every rung runs iterations by **absolute** index through one
-``runner(k0, n)`` protocol. The ``cc`` candidate is **verified at bind
-time**: the instance runs ``warm + 4`` iterations from iteration 0 on
-seeded pseudo-random inputs through both the tape replay and the candidate
-and compares every buffer bitwise. A mismatch (or a build failure) falls
-back to the fused-Python tapes — so ``engine="native"`` can never return
-anything the interpreter would not. ``REPRO_NATIVE_JIT=python`` pins the
-fallback rung (any other value is ``auto``); ``REPRO_NATIVE_VERIFY=0``
-skips the bind-time check (trusted repeat binds).
+The candidate is **verified at bind time**: the instance runs ``warm + 4``
+iterations from iteration 0 on seeded pseudo-random inputs through both
+the tape replay and the candidate and compares every buffer bitwise. An
+unsupported dtype, a missing compiler, a failed build or a mismatch leaves
+the instance on the inherited tape replay — so ``engine="native"`` can
+never return anything the interpreter would not.
+``REPRO_NATIVE_VERIFY=0`` skips the bind-time check (trusted repeat binds).
 """
 
 from __future__ import annotations
@@ -47,13 +39,10 @@ from repro.stencil.codegen import (
     NativeIR,
     build_ir,
     emit_c,
-    make_tape_callable,
     unique_statements,
 )
 from repro.stencil.compiled import _FLAT_ERRSTATE, CompiledProgram
 
-#: "python" pins the fused-NumPy rung; anything else tries cc first
-JIT_ENV = "REPRO_NATIVE_JIT"
 #: "0" skips the bind-time bitwise self-check
 VERIFY_ENV = "REPRO_NATIVE_VERIFY"
 #: overrides the on-disk artifact cache directory
@@ -72,11 +61,6 @@ _lock = threading.Lock()
 _libs: dict[str, ctypes.CDLL | None] = {}
 #: memoized "the system compiler is unusable" verdict
 _cc_broken = False
-
-
-def _backend_order() -> tuple[str, ...]:
-    pin = os.environ.get(JIT_ENV, "auto").strip().lower()
-    return ("python",) if pin == "python" else ("cc", "python")
 
 
 def _cache_dir() -> Path:
@@ -173,9 +157,8 @@ class NativeProgram(CompiledProgram):
 
     Identical public surface and bit-identical results; only
     :meth:`_iterate` differs. :attr:`native_backend` names what actually
-    runs the tapes: ``"cc"``, ``"python"`` (the fused-NumPy generated
-    functions) or ``"tape"`` while nothing is bound and the instance
-    replays the plain tape.
+    runs the tapes: ``"cc"`` (the generated C) or ``"tape"`` (the
+    inherited replay, when nothing bound).
     """
 
     def __init__(self, plan, batch: int = 1):
@@ -195,7 +178,7 @@ class NativeProgram(CompiledProgram):
 
     # -- backend selection -----------------------------------------------------
     def _bind_native(self) -> None:
-        ir = build_ir(self) if "cc" in _backend_order() else None
+        ir = build_ir(self)
         runner = _bind_cc(ir) if ir is not None else None
         if runner is not None and not self._verify(runner):
             obs.emit(
@@ -203,45 +186,24 @@ class NativeProgram(CompiledProgram):
             )
             runner = None
         if runner is not None:
-            backend, tapes, forwarded = "cc", ir.tapes, ir.forwarded
+            tapes, forwarded = ir.tapes, ir.forwarded
             unique = len(unique_statements(ir))
+            self.native_backend = "cc"
         else:
             # unsupported dtype, no compiler, failed build or vetoed
-            # candidate: the fused-NumPy tapes, which need no verification
-            # (they issue the replay's own calls on the replay's own arrays)
-            backend, runner = "python", self._bind_python()
+            # candidate: the inherited tape replay runs (``_runner`` is None)
             tapes, forwarded = self._warm + self._steady, 0
             unique = sum(map(len, tapes))
         self._runner = runner
-        self.native_backend = backend
         self._stats = {
             "statements": [len(t) for t in tapes],
             "forwarded": forwarded,
             "unique_statements": unique,
         }
         obs.emit(
-            "native.bound", backend=backend, batch=self.batch,
+            "native.bound", backend=self.native_backend, batch=self.batch,
             tapes=len(tapes), **self._stats,
         )
-
-    def _bind_python(self) -> Callable[[int, int], None]:
-        tapes = [make_tape_callable(t) for t in self._warm + self._steady]
-        warm = len(self._warm)
-        tape0, tape1 = tapes[warm:]
-
-        def runner(k0: int, n: int) -> None:
-            k, end = k0, k0 + n
-            while k < end and (k < warm or (k - warm) & 1):
-                tapes[min(k, warm + 1)]()  # warm prefix, odd steady start
-                k += 1
-            # hoisted ping-pong pair: no per-iteration branch or index math
-            for _ in range((end - k) // 2):
-                tape0()
-                tape1()
-            if (end - k) & 1:
-                tape0()
-
-        return runner
 
     def _verify_seeds(self) -> dict[str, int]:
         """Input slot -> RNG seed of the bind-time check. A CRC of the

@@ -190,6 +190,17 @@ class TestWorkloadMixCLI:
         err = capsys.readouterr().err
         assert "drop APP, --mesh, --niter" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["calibrate"],
+        ["mix", "poisson2d:24x16:4", "--calibrate"],
+        ["mix", "poisson2d:24x16:4", "--stacked-bytes-limit", "0"],
+    ])
+    def test_removed_budget_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_validate_mix_requires_workloads(self, capsys):
         assert main([
             "dse", "jacobi3d", "--trials", "5", "--validate-mix",

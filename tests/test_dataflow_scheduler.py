@@ -7,7 +7,12 @@ import pytest
 
 from repro.dataflow.scheduler import MixScheduler
 from repro.mesh.mesh import MeshSpec
-from repro.stencil.compiled import CompiledPlanCache
+from repro.stencil import compiled
+from repro.stencil.compiled import (
+    STACKED_BYTES_LIMIT,
+    CompiledPlanCache,
+    stacked_chunk_sizes,
+)
 from repro.stencil.numpy_eval import run_program
 from repro.util.errors import ValidationError
 from repro.workload import WorkloadMix, WorkloadSpec
@@ -17,6 +22,25 @@ MIX = WorkloadMix.parse(
     "poisson2d:24x16:8x2,jacobi3d:16x14x10:6x3,poisson2d:24x16:8x2@2,"
     "rtm:12x12x10:4x2"
 )
+
+
+#: an RTM group whose stacked footprint is several times the default budget
+OVER_BUDGET = WorkloadSpec.parse("rtm:12x12x10:4x12")
+
+
+@pytest.mark.parametrize("engine", ["compiled", "native", "parallel"])
+def test_over_budget_group_is_cut_by_the_module_budget(engine):
+    """Every stacking engine cuts an over-budget group the same way, from
+    ``STACKED_BYTES_LIMIT`` alone."""
+    run = MixScheduler(engine=engine, max_workers=2).run(OVER_BUDGET)
+    (group,) = run.groups
+    plan = CompiledPlanCache().plan_for(
+        OVER_BUDGET.program(), OVER_BUDGET.fields(seed=0)
+    )
+    want = stacked_chunk_sizes(OVER_BUDGET.batch, plan.nbytes, STACKED_BYTES_LIMIT)
+    assert len(want) > 1  # genuinely over budget
+    assert group.chunks == tuple(want)
+    assert group.dispatches == len(want)
 
 
 class TestScheduling:
@@ -40,9 +64,11 @@ class TestScheduling:
                 )
                 assert np.array_equal(gold[state].data, result[state].data)
 
-    def test_chunked_vs_per_mesh_dispatch_counts(self):
+    def test_chunked_vs_per_mesh_dispatch_counts(self, monkeypatch):
         chunked = MixScheduler().run(MIX)
-        per_mesh = MixScheduler(stacked_bytes_limit=0).run(MIX)
+        # a budget below one mesh footprint degrades to per-mesh replay
+        monkeypatch.setattr(compiled, "STACKED_BYTES_LIMIT", 0)
+        per_mesh = MixScheduler().run(MIX)
         assert per_mesh.dispatches == per_mesh.meshes == chunked.meshes
         assert chunked.dispatches < per_mesh.dispatches
         # results agree between scheduling policies, bitwise

@@ -287,3 +287,42 @@ class TestCLI:
         assert code == 0
         kinds = {e["kind"] for e in read_events(path)}
         assert "dse.trial" in kinds
+
+
+class TestDispatchLabels:
+    """The registry names the engine that ran, once per dispatch."""
+
+    def test_native_stacked_dispatch_is_labelled_native(self):
+        obs.enable()
+        program, envs = _batch("poisson2d", 3)
+        run_program_stacked(
+            program, envs, 2, cache=CompiledPlanCache(), engine="native"
+        )
+        reg = obs.metrics_registry()
+        assert reg.value("exec.dispatches", backend="native") == 1
+        assert math.isnan(reg.value("exec.dispatches", backend="compiled"))
+        (dispatch,) = obs.ring_sink().of_kind("exec.dispatch")
+        assert dispatch["backend"] == "native"
+        (stacked,) = [
+            s for s in obs.tracer().records() if s.name == "exec.stacked"
+        ]
+        assert stacked.attrs["engine"] == "native"
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_single_lane_dispatch_is_recorded_once(self, batch):
+        obs.enable()
+        program, envs = _batch("poisson2d", batch)
+        cache = CompiledPlanCache()
+        plan = cache.plan_for(program, envs[0])
+        stats: dict = {}
+        run_program_parallel(
+            program, envs, 2, cache=cache, max_stack_bytes=plan.nbytes * 2,
+            stats=stats, max_workers=1,
+        )
+        assert stats["backend"] == "serial" and stats["workers"] == 1
+        recorded = sum(
+            metric.value
+            for name, _labels, metric in obs.metrics_registry().items()
+            if name == "exec.dispatches"
+        )
+        assert recorded == len(stats["chunks"])

@@ -28,6 +28,7 @@ from repro.serve import (
     ServerClosedError,
     ServerConfig,
 )
+from repro.stencil import compiled
 from repro.util.errors import ValidationError
 from repro.workload import WorkloadSpec
 
@@ -232,15 +233,16 @@ class TestCancellation:
         assert health["jobs"]["cancelled"] == 1
         assert health["jobs"]["completed"] == 0
 
-    def test_cancel_inflight_job_cancels_its_batch(self):
+    def test_cancel_inflight_job_cancels_its_batch(self, monkeypatch):
+        # tiny stacking budget -> many chunk boundaries -> the worker
+        # thread sees the batch token quickly
+        monkeypatch.setattr(compiled, "STACKED_BYTES_LIMIT", 8_192)
+
         async def _run():
-            # tiny stacking budget -> many chunk boundaries -> the worker
-            # thread sees the batch token quickly
             config = ServerConfig(
                 engine="compiled",
                 batch_window=0.001,
                 monitor_interval=0.005,
-                stacked_bytes_limit=8_192,
             )
             async with Server(config) as server:
                 handle = await server.submit("jacobi3d:12x12x8:200x2")

@@ -12,6 +12,8 @@ flat mode via load-time broadcast expansion of its constant fields.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -639,8 +641,17 @@ class TestChunkedStacking:
             _assert_env_equal(solo, got)
 
 
-class TestStackedBytesLimitKnob:
-    """The budget is a real parameter on every batched entry point."""
+def _resolve(path: str):
+    """``"module:attr.attr"`` -> the object it names."""
+    module, _, attrs = path.partition(":")
+    obj = importlib.import_module(module)
+    for name in attrs.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+class TestStackingBudget:
+    """One budget, ``STACKED_BYTES_LIMIT``, read only where chunks are cut."""
 
     def _setup(self, batch=4):
         from repro.apps.registry import all_apps as _apps
@@ -651,47 +662,74 @@ class TestStackedBytesLimitKnob:
         envs = [app.fields(shape, seed=s) for s in range(batch)]
         return app, program, envs
 
-    def test_pipeline_run_batch_limit(self):
+    def test_pipeline_run_batch_reads_the_module_budget(self, monkeypatch):
         from repro.dataflow.pipeline import IterativePipeline
+        from repro.stencil import compiled
 
         app, program, envs = self._setup()
         cache = CompiledPlanCache()
         pipe = IterativePipeline(program, V=1, p=2, plan_cache=cache)
-        got = pipe.run_batch(envs, 2, stacked_bytes_limit=0)
+        monkeypatch.setattr(compiled, "STACKED_BYTES_LIMIT", 0)
+        got = pipe.run_batch(envs, 2)
         assert cache.misses == 1  # per-mesh: only the single-mesh instance
         for env, res in zip(envs, got):
             gold = run_program(program, env, 2, engine="interpreter")
             _assert_env_equal(gold, res)
-        pipe.run_batch(envs, 2, stacked_bytes_limit=float("inf"))
+        monkeypatch.setattr(compiled, "STACKED_BYTES_LIMIT", float("inf"))
+        pipe.run_batch(envs, 2)
         assert cache.misses == 2  # whole-batch instance bound now
 
-    def test_batch_runner_limit_constructor_and_call(self):
+    def test_batch_runner_reads_the_module_budget(self, monkeypatch):
         from repro.dataflow.batcher import BatchRunner
+        from repro.stencil import compiled
 
         app, program, envs = self._setup()
         cache = CompiledPlanCache()
-        runner = BatchRunner(
-            program, app.design(p=2, V=1), plan_cache=cache,
-            stacked_bytes_limit=0,
-        )
+        runner = BatchRunner(program, app.design(p=2, V=1), plan_cache=cache)
+        monkeypatch.setattr(compiled, "STACKED_BYTES_LIMIT", 0)
         runner.run(envs, 2)
-        assert cache.misses == 1  # constructor default: per-mesh
-        runner.run(envs, 2, stacked_bytes_limit=float("inf"))
-        assert cache.misses == 2  # per-call override wins
+        assert cache.misses == 1  # per-mesh
+        monkeypatch.setattr(compiled, "STACKED_BYTES_LIMIT", float("inf"))
+        runner.run(envs, 2)
+        assert cache.misses == 2  # one whole-batch stack
 
-    def test_accelerator_run_batch_limit(self):
+    def test_accelerator_run_batch_on_the_default_budget(self):
         from repro.dataflow.accelerator import FPGAAccelerator
 
         app, program, envs = self._setup()
         cache = CompiledPlanCache()
         acc = FPGAAccelerator(program, app.design(p=2, V=1), plan_cache=cache)
-        results, report = acc.run_batch(
-            envs, 2, stacked_bytes_limit=float("inf")
-        )
+        results, report = acc.run_batch(envs, 2)
         assert report.passes == 1
         for env, res in zip(envs, results):
             gold = run_program(program, env, 2, engine="interpreter")
             _assert_env_equal(gold, res)
+
+    @pytest.mark.parametrize("layer", [
+        "repro.dataflow.batcher:BatchRunner",
+        "repro.dataflow.batcher:BatchRunner.run",
+        "repro.dataflow.batcher:BatchRunner.run_mix",
+        "repro.dataflow.pipeline:IterativePipeline.run_batch",
+        "repro.dataflow.pipeline:IterativePipeline.run_mix",
+        "repro.dataflow.accelerator:FPGAAccelerator.run_batch",
+        "repro.dataflow.accelerator:FPGAAccelerator.run_mix",
+        "repro.dataflow.scheduler:MixScheduler",
+        "repro.serve.server:ServerConfig",
+        "repro.dse.evaluate:Evaluator.mix_scheduler",
+        "repro.dse.evaluate:Evaluator.validate_mix",
+    ])
+    def test_layers_above_the_chunk_cutters_take_no_budget(self, layer):
+        params = inspect.signature(_resolve(layer)).parameters
+        assert not {"stacked_bytes_limit", "max_stack_bytes"} & set(params)
+
+    @pytest.mark.parametrize("cutter", [
+        "repro.stencil.compiled:run_program_stacked",
+        "repro.parallel.executor:submit_stacked",
+        "repro.parallel.executor:run_program_parallel",
+    ])
+    def test_the_chunk_cutters_keep_a_per_call_override(self, cutter):
+        params = inspect.signature(_resolve(cutter)).parameters
+        assert params["max_stack_bytes"].default is None
 
 
 class TestRunMix:

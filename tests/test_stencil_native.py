@@ -1,18 +1,19 @@
 """``engine="native"``: bit-identity, backend ladder, caching, copy fast path.
 
-The contract mirrors the compiled engine's: the generated code (cc or
-fused-NumPy, whichever bound) must be bit-identical (``tobytes`` equality,
-no tolerance) to the golden interpreter on every registered application
-and on generated star/box kernels — across niter, batch, dtype, the
-mixed-radius ``init_from`` and flat-mode lowering corners, and with the
-compiler pinned off (``REPRO_NATIVE_JIT=python``). The forwarding pass is
-also driven directly, on hand-built statement lists, to pin what it must
+The contract mirrors the compiled engine's: what runs (the cc build, or
+the tape replay when nothing bound) must be bit-identical (``tobytes``
+equality, no tolerance) to the golden interpreter on every registered
+application and on generated star/box kernels — across niter, batch,
+dtype, the mixed-radius ``init_from`` and flat-mode lowering corners, and
+with no working compiler (the tape fallback). The forwarding pass is also
+driven directly, on hand-built statement lists, to pin what it must
 refuse.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
 import zlib
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.stencil.compiled import (
 )
 from repro.stencil.expr import Const, FieldAccess
 from repro.stencil.kernel import KernelOutput, StencilKernel, single_output_kernel
-from repro.stencil.native import NativeProgram, _backend_order, _find_cc
+from repro.stencil.native import NativeProgram, _find_cc
 from repro.stencil.numpy_eval import run_program
 from repro.stencil.program import FusedGroup, StencilLoop, StencilProgram
 
@@ -46,6 +47,14 @@ APP_MESHES = {
 #: module-local cache so native instances built here never collide with
 #: (or warm) the process-wide DEFAULT_CACHE other test modules rely on
 CACHE = CompiledPlanCache()
+
+
+def _cc_works() -> bool:
+    """A C compiler that runs (``CC=false`` names one that does not)."""
+    cc = _find_cc()
+    return cc is not None and subprocess.run(
+        [cc, "--version"], capture_output=True
+    ).returncode == 0
 
 
 def _assert_env_equal(gold, got):
@@ -210,7 +219,7 @@ def test_flat_mode_vector_kernel_native_bit_identical():
 
 
 # --------------------------------------------------------------------------- #
-# backend ladder: cc, then the fused-NumPy tapes
+# backend ladder: cc, then the tape replay
 # --------------------------------------------------------------------------- #
 def _fresh_instance(batch=1):
     app = app_by_name("jacobi3d")
@@ -221,23 +230,17 @@ def _fresh_instance(batch=1):
     return NativeProgram(plan, batch=batch), program, env
 
 
-def test_backend_order_two_rungs(monkeypatch):
-    monkeypatch.delenv("REPRO_NATIVE_JIT", raising=False)
-    assert _backend_order() == ("cc", "python")
-    monkeypatch.setenv("REPRO_NATIVE_JIT", "python")
-    assert _backend_order() == ("python",)
-    # "cc" and anything unknown (a stale "numba" pin included) is auto
-    for pin in ("cc", "numba", "AUTO", ""):
-        monkeypatch.setenv("REPRO_NATIVE_JIT", pin)
-        assert _backend_order() == ("cc", "python")
+@pytest.fixture
+def failed_build(monkeypatch):
+    """Every cc build fails: binds fall back to the tape replay."""
+    monkeypatch.setattr(native, "_bind_cc", lambda ir: None)
 
 
-def test_python_pin_run_is_fully_supported(monkeypatch):
-    """REPRO_NATIVE_JIT=python never builds and stays bit-identical,
+def test_tape_fallback_run_is_fully_supported(failed_build):
+    """With no cc build the inherited replay runs and stays bit-identical,
     batched and across the warm/steady boundary included."""
-    monkeypatch.setenv("REPRO_NATIVE_JIT", "python")
     inst, program, env = _fresh_instance(batch=2)
-    assert inst.native_backend == "python"
+    assert inst.native_backend == "tape"
     app = app_by_name("jacobi3d")
     envs = [app.fields((10, 10, 6), seed=s) for s in range(2)]
     for niter in (1, len(inst._warm), len(inst._warm) + 3):
@@ -247,12 +250,23 @@ def test_python_pin_run_is_fully_supported(monkeypatch):
             )
 
 
-def test_python_fallback_exercised(monkeypatch):
-    """The fused-NumPy rung runs and matches when every JIT is pinned off."""
-    monkeypatch.setenv("REPRO_NATIVE_JIT", "python")
+def test_failed_build_falls_back_to_tape(failed_build):
     inst, program, env = _fresh_instance()
-    assert inst.native_backend == "python"
-    assert inst._runner is not None
+    assert inst.native_backend == "tape"
+    assert inst._runner is None
+    gold = run_program(program, env, 7, engine="interpreter")
+    _assert_env_equal(gold, inst.run(env, 7))
+
+
+def test_missing_compiler_binds_the_tape(monkeypatch, tmp_path):
+    """No compiler at all: nothing is built and the tape replay runs."""
+    monkeypatch.setenv(native.CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(native, "_libs", {})
+    monkeypatch.setattr(native, "_cc_broken", False)
+    monkeypatch.setattr(native, "_find_cc", lambda: None)
+    inst, program, env = _fresh_instance()
+    assert inst.native_backend == "tape"
+    assert not any(tmp_path.iterdir())
     gold = run_program(program, env, 7, engine="interpreter")
     _assert_env_equal(gold, inst.run(env, 7))
 
@@ -283,7 +297,7 @@ def test_unsupported_dtype_degrades_to_tape():
     }
     plan = CACHE.plan_for(program, env)
     inst = NativeProgram(plan)
-    assert inst.native_backend in ("tape", "python")
+    assert inst.native_backend == "tape"
     gold = run_program(program, env, 4, engine="interpreter")
     _assert_env_equal(gold, inst.run(env, 4))
 
@@ -367,15 +381,14 @@ def test_every_app_native_entry(name):
 
 
 # --------------------------------------------------------------------------- #
-# the cc rung binds everywhere: a verify veto silently demotes to the NumPy
-# rung and would otherwise only show as a slow benchmark
+# the cc rung binds everywhere: a verify veto silently demotes to the tape
+# replay and would otherwise only show as a slow benchmark
 # --------------------------------------------------------------------------- #
-needs_cc = pytest.mark.skipif(_find_cc() is None, reason="no system C compiler")
+needs_cc = pytest.mark.skipif(not _cc_works(), reason="no working C compiler")
 
 
 @pytest.fixture
-def auto_ladder(monkeypatch):
-    monkeypatch.delenv("REPRO_NATIVE_JIT", raising=False)
+def verified_binds(monkeypatch):
     monkeypatch.delenv("REPRO_NATIVE_VERIFY", raising=False)
 
 
@@ -388,7 +401,7 @@ def _plan(name, mesh=None):
 @needs_cc
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("name", sorted(all_apps()))
-def test_every_app_binds_cc(name, batch, auto_ladder):
+def test_every_app_binds_cc(name, batch, verified_binds):
     inst = NativeProgram(_plan(name), batch=batch)
     assert inst.native_backend == "cc"
     stats = inst.native_stats
@@ -564,14 +577,15 @@ def test_forward_refuses_non_flat_producer_and_respects_the_load_cap():
 # --------------------------------------------------------------------------- #
 # one runner protocol: absolute iteration index, warm tapes included
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("pin", ["cc", "python"])
+@pytest.mark.parametrize("rung", ["cc", "tape"])
 @pytest.mark.parametrize("batch", [1, 2])
-def test_single_steps_cross_the_warm_steady_boundary(pin, batch, monkeypatch):
-    if pin == "cc" and _find_cc() is None:
-        pytest.skip("no system C compiler")
-    monkeypatch.setenv("REPRO_NATIVE_JIT", pin)
+def test_single_steps_cross_the_warm_steady_boundary(rung, batch, monkeypatch):
+    if rung == "cc" and not _cc_works():
+        pytest.skip("no working C compiler")
+    if rung == "tape":
+        monkeypatch.setattr(native, "_bind_cc", lambda ir: None)
     inst, program, _ = _fresh_instance(batch=batch)
-    assert inst.native_backend == pin
+    assert inst.native_backend == rung
     app = app_by_name("jacobi3d")
     envs = [app.fields((10, 10, 6), seed=s) for s in range(batch)]
     total = len(inst._warm) + 3
@@ -584,28 +598,6 @@ def test_single_steps_cross_the_warm_steady_boundary(pin, batch, monkeypatch):
             inst.run_iterations(1)
         for want, got in zip(one_shot, inst.result_stacked(envs)):
             _assert_env_equal(want, got)
-
-
-def test_python_runner_replays_the_tape_sequence_for_every_k0_n(monkeypatch):
-    """The python rung's hoisted pair loop calls exactly the tapes the
-    absolute-index protocol names, from any start and for any count."""
-    monkeypatch.setenv("REPRO_NATIVE_JIT", "python")
-    inst, _, _ = _fresh_instance()
-    calls = []
-    monkeypatch.setattr(
-        native, "make_tape_callable", lambda tape: lambda: calls.append(id(tape))
-    )
-    runner = inst._bind_python()
-    warm, tapes = len(inst._warm), inst._warm + inst._steady
-    assert warm >= 1
-    for k0 in range(warm + 4):
-        for n in range(7):
-            calls.clear()
-            runner(k0, n)
-            assert calls == [
-                id(tapes[k if k < warm else warm + ((k - warm) & 1)])
-                for k in range(k0, k0 + n)
-            ], (k0, n)
 
 
 # --------------------------------------------------------------------------- #
@@ -660,10 +652,9 @@ def test_generated_kernels_native_bit_identical(case):
     got = run_program_stacked(program, envs, niter, cache=CACHE, engine="native")
     for env, out in zip(envs, got):
         _assert_env_equal(run_program(program, env, niter, engine="interpreter"), out)
-    # and it ran on the rung the environment asks for, not a silent demotion
+    # and it ran on cc wherever a compiler works, not a silent demotion
     bound = CACHE.get(program, envs[0], batch=batch, native=True)
-    want = "cc" if _backend_order()[0] == "cc" and _find_cc() else "python"
-    assert bound.native_backend == want
+    assert bound.native_backend == ("cc" if _cc_works() else "tape")
 
 
 # --------------------------------------------------------------------------- #
@@ -691,8 +682,7 @@ def test_bound_event_carries_native_stats(events):
     assert inst.native_stats["forwarded"] != -1
 
 
-def test_python_rung_reports_the_raw_tapes(monkeypatch):
-    monkeypatch.setenv("REPRO_NATIVE_JIT", "python")
+def test_tape_fallback_reports_the_raw_tapes(failed_build):
     inst, _, _ = _fresh_instance()
     raw = [len(t) for t in inst.plan.warm + inst.plan.steady]
     assert inst.native_stats == {
@@ -700,12 +690,12 @@ def test_python_rung_reports_the_raw_tapes(monkeypatch):
     }
 
 
-def test_verify_veto_is_replayable(events, auto_ladder, monkeypatch):
+def test_verify_veto_is_replayable(events, verified_binds, monkeypatch):
     """A rejected candidate names its input seeds, and they do not depend
     on the process (``hash()`` of a str is salted; a CRC is not)."""
     monkeypatch.setattr(native, "_bind_cc", lambda ir: lambda k0, n: None)
     inst, program, env = _fresh_instance()
-    assert inst.native_backend == "python"
+    assert inst.native_backend == "tape"
     (veto,) = events.of_kind("native.verify_failed")
     assert veto["backend"] == "cc"
     assert veto["seeds"] == {"in:U": zlib.crc32(b"in:U:(6, 10, 10, 1)")}
