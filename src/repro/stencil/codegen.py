@@ -124,6 +124,17 @@ class NativeIR:
         """Every tape in iteration order: warm, then steady even / odd."""
         return (*self.warm, *self.steady)
 
+    @property
+    def referenced(self) -> frozenset[int]:
+        """Indices of ``bases`` some statement stores to or loads from: the
+        only pointer-table entries the emitted code dereferences."""
+        return frozenset(
+            base
+            for tape in self.tapes
+            for stmt in tape
+            for base in (stmt.dest.base, *(a.base for a in _expr_loads(stmt.expr)))
+        )
+
 
 def _map_loads(expr, fn):
     """``expr`` with every ``Load(a)`` replaced by the expression ``fn(a)``."""

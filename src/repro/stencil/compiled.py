@@ -136,32 +136,25 @@ class CompiledProgram:
             slot: int(np.prod(shape)) for slot, shape in plan.buffers.items()
         }
         self._registers: dict[tuple, np.ndarray] = {}
-        for (shape, span), count in plan.registers.items():
-            # flat lane-window registers (span > 0) extend across the whole
-            # stack — one contiguous 1-D array covering all B meshes — so
-            # flat ops never pay NumPy's per-row outer-loop cost; canonical
-            # registers gain a true leading batch axis instead
-            if span and batch > 1:
-                alloc_shape: tuple[int, ...] = (shape[0] + (batch - 1) * span,)
-            else:
-                alloc_shape = self._lead + shape
-            for idx in range(count):
-                self._registers[(shape, span, idx)] = np.empty(
-                    alloc_shape, dtype=dtype
-                )
         self._constants: dict[tuple, np.ndarray] = {}
-        self._warm = tuple(self._bind(tape) for tape in plan.warm)
-        self._steady = (self._bind(plan.steady[0]), self._bind(plan.steady[1]))
+        #: the bound tapes; None while nothing replays them
+        self._warm: tuple[tuple[BoundOp, ...], ...] | None = None
+        self._steady: tuple[tuple[BoundOp, ...], tuple[BoundOp, ...]] | None = None
         #: plans with flat-mode ops iterate under FP-warning suppression
         self._suppress_fp = any(
             op.flat for tape in plan.warm + plan.steady for op in tape
         )
         self._iterations_done = 0
         self._lock = threading.Lock()
+        self._bind_executor()
+
+    def _bind_executor(self) -> None:
+        """Make the instance runnable; here, by binding the tape replay."""
+        self._bind_tapes()
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of all owned buffers, registers and constants."""
+        """Resident bytes of the buffers, registers and constants it owns."""
         arrays = (
             list(self._buffers.values())
             + list(self._registers.values())
@@ -170,6 +163,33 @@ class CompiledProgram:
         return sum(a.nbytes for a in arrays)
 
     # -- binding -------------------------------------------------------------
+    def _allocate_registers(self) -> None:
+        """Allocate every plan register not already owned (uninitialised)."""
+        for (shape, span), count in self.plan.registers.items():
+            # flat lane-window registers (span > 0) extend across the whole
+            # stack — one contiguous 1-D array covering all B meshes — so
+            # flat ops never pay NumPy's per-row outer-loop cost; canonical
+            # registers gain a true leading batch axis instead
+            if span and self.batch > 1:
+                alloc_shape = (shape[0] + (self.batch - 1) * span,)
+            else:
+                alloc_shape = self._lead + shape
+            for idx in range(count):
+                if (shape, span, idx) not in self._registers:
+                    self._registers[(shape, span, idx)] = np.empty(
+                        alloc_shape, dtype=self.plan.mesh.dtype
+                    )
+
+    def _bind_tapes(self) -> None:
+        """Bind every tape, allocating the registers and splatted constants
+        it reads: everything the replay needs beyond the buffers."""
+        self._allocate_registers()
+        plan = self.plan
+        self._warm = tuple(self._bind(tape) for tape in plan.warm)
+        self._steady = (
+            self._bind(plan.steady[0]), self._bind(plan.steady[1])
+        )
+
     def _bind_arg(self, ref):
         if isinstance(ref, View):
             return self._buffers[ref.slot][self._batch_index + ref.index]

@@ -16,7 +16,10 @@ iterations from iteration 0 on seeded pseudo-random inputs through both
 the tape replay and the candidate and compares every buffer bitwise. An
 unsupported dtype, a missing compiler, a failed build or a mismatch leaves
 the instance on the inherited tape replay — so ``engine="native"`` can
-never return anything the interpreter would not.
+never return anything the interpreter would not. A bound candidate
+leaves the instance owning only the buffers and the registers the
+generated code reads; the tapes and their constants live only while the
+verify replays them.
 ``REPRO_NATIVE_VERIFY=0`` skips the bind-time check (trusted repeat binds).
 """
 
@@ -134,14 +137,26 @@ def _compiled_lib(source: str) -> ctypes.CDLL | None:
     return lib
 
 
+def _bits(arr: np.ndarray) -> np.ndarray:
+    """The array's bit patterns: an unsigned-integer view (NaN == NaN)."""
+    return arr.view(np.dtype(f"u{arr.itemsize}"))
+
+
 def _bind_cc(ir: NativeIR) -> Callable[[int, int], None] | None:
     lib = _compiled_lib(emit_c(ir))
     if lib is None:
         return None
     # the pointer table is rebuilt per instance (same source, different
-    # buffers); base data pointers are stable for the instance's lifetime
+    # buffers); base data pointers are stable for the instance's lifetime.
+    # Bases no statement references get a null entry the emitted code
+    # never dereferences, so the instance need not keep them
+    used = ir.referenced
     ptrs = np.array(
-        [b.__array_interface__["data"][0] for b in ir.bases], dtype=np.uint64
+        [
+            b.__array_interface__["data"][0] if i in used else 0
+            for i, b in enumerate(ir.bases)
+        ],
+        dtype=np.uint64,
     )
     addr = ptrs.ctypes.data
     run = lib.repro_run
@@ -159,51 +174,85 @@ class NativeProgram(CompiledProgram):
     :meth:`_iterate` differs. :attr:`native_backend` names what actually
     runs the tapes: ``"cc"`` (the generated C) or ``"tape"`` (the
     inherited replay, when nothing bound).
+
+    A ``cc``-bound instance owns only what its generated code reads: the
+    buffers and the registers a statement references. The bound tapes,
+    their splatted constants and every other register exist only while
+    the bind-time verify replays the tape.
     """
 
     def __init__(self, plan, batch: int = 1):
-        super().__init__(plan, batch)
         self.native_backend = "tape"
         self._runner: Callable[[int, int], None] | None = None
+        #: keys of the registers the runner reads: all a bound runner keeps
+        self._runner_registers: frozenset[tuple] = frozenset()
         self._stats: dict = {}
-        self._bind_native()
+        super().__init__(plan, batch)
 
     @property
     def native_stats(self) -> dict:
         """What the bound rung executes: ``statements`` per tape (warm,
-        then the steady pair), ``forwarded`` register stores elided and
-        ``unique_statements`` emitted (a copy; the ``native.bound`` event
-        carries the same)."""
+        then the steady pair), ``forwarded`` register stores elided,
+        ``unique_statements`` emitted and the ``bytes`` the instance owns
+        (a copy; the ``native.bound`` event carries the same)."""
         return dict(self._stats)
 
     # -- backend selection -----------------------------------------------------
-    def _bind_native(self) -> None:
+    def _bind_executor(self) -> None:
+        # uninitialised registers give build_ir its base table; the tapes
+        # are bound only where something replays them
+        self._allocate_registers()
+        raw = [len(t) for t in self.plan.warm + self.plan.steady]
+        stats = {"statements": raw, "forwarded": 0, "unique_statements": sum(raw)}
         ir = build_ir(self)
         runner = _bind_cc(ir) if ir is not None else None
-        if runner is not None and not self._verify(runner):
-            obs.emit(
-                "native.verify_failed", backend="cc", seeds=self._verify_seeds()
-            )
-            runner = None
         if runner is not None:
-            tapes, forwarded = ir.tapes, ir.forwarded
-            unique = len(unique_statements(ir))
-            self.native_backend = "cc"
-        else:
-            # unsupported dtype, no compiler, failed build or vetoed
-            # candidate: the inherited tape replay runs (``_runner`` is None)
-            tapes, forwarded = self._warm + self._steady, 0
-            unique = sum(map(len, tapes))
-        self._runner = runner
-        self._stats = {
-            "statements": [len(t) for t in tapes],
-            "forwarded": forwarded,
-            "unique_statements": unique,
-        }
+            used = {id(ir.bases[i]) for i in ir.referenced}
+            self._runner_registers = frozenset(
+                key for key, reg in self._registers.items() if id(reg) in used
+            )
+            cc_stats = {
+                "statements": [len(t) for t in ir.tapes],
+                "forwarded": ir.forwarded,
+                "unique_statements": len(unique_statements(ir)),
+            }
+            del ir  # it holds every register: let verify free the unread ones
+            self._runner = runner
+            if self._verify(runner):
+                self.native_backend, stats = "cc", cc_stats
+            else:
+                obs.emit(
+                    "native.verify_failed", backend="cc",
+                    seeds=self._verify_seeds(),
+                )
+                self._runner = None
+        # otherwise (unsupported dtype, no compiler, failed build or vetoed
+        # candidate) the inherited tape replay runs
+        self._settle()
+        self._stats = {**stats, "bytes": self.nbytes}
         obs.emit(
             "native.bound", backend=self.native_backend, batch=self.batch,
-            tapes=len(tapes), **self._stats,
+            tapes=len(stats["statements"]), **self._stats,
         )
+
+    def _release_tapes(self) -> None:
+        """Drop what only the replay reads: the bound tapes, their
+        constants and every register the runner does not read."""
+        self._warm = self._steady = None
+        self._constants = {}
+        self._registers = {
+            key: reg
+            for key, reg in self._registers.items()
+            if key in self._runner_registers
+        }
+
+    def _settle(self) -> None:
+        """Own what runs: the tape replay when no runner is bound, else
+        only the runner's registers."""
+        if self._runner is None:
+            self._bind_tapes()
+        else:
+            self._release_tapes()
 
     def _verify_seeds(self) -> dict[str, int]:
         """Input slot -> RNG seed of the bind-time check. A CRC of the
@@ -214,6 +263,27 @@ class NativeProgram(CompiledProgram):
             for slot in (f"in:{name}" for name in self.plan.inputs)
         }
 
+    def _seed_inputs(self) -> None:
+        """The state both verify runs start from: zeroed buffers, NaN in
+        every register owned, seeded inputs."""
+        # identical starts, so a candidate that skips a store — or reads a
+        # register whose store was elided — cannot pass on what the
+        # reference left behind
+        for buf in self._buffers.values():
+            buf.fill(0)
+        for reg in self._registers.values():
+            reg.fill(np.nan)
+        for slot, seed in self._verify_seeds().items():
+            buf = self._buffers[slot]
+            # values in [0.5, 1.0): safely away from zero so division ops
+            # cannot manufacture infs the replay would also see; drawn
+            # in place, so seeding allocates nothing
+            np.random.default_rng(seed).random(dtype=buf.dtype, out=buf)
+            buf *= 0.5
+            buf += 0.5
+        self._load_expansions()
+        self._iterations_done = 0
+
     def _verify(self, runner: Callable[[int, int], None]) -> bool:
         """Bitwise self-check: candidate vs tape replay on seeded inputs.
 
@@ -221,44 +291,33 @@ class NativeProgram(CompiledProgram):
         parities twice) from iteration 0, twice over identical
         pseudo-random inputs — once through the inherited replay, once
         through the candidate — and compares every buffer bit for bit.
-        Buffers are zeroed after, so a fresh instance is indistinguishable
-        from an unverified one.
+
+        It owns the tape's lifetime, so the copy of the reference never
+        overlaps what only the replay reads: bind the tapes, seed the
+        inputs in place, replay, release the tapes, their constants and
+        every register the runner does not read (:meth:`_release_tapes`),
+        copy the buffers, re-seed (the kept registers NaN-poisoned) and
+        run the candidate. Buffers are zeroed after, and the instance
+        again owns what runs (:meth:`_settle`), so a fresh instance is
+        indistinguishable from an unverified one.
         """
         if os.environ.get(VERIFY_ENV) == "0":
             return True
-        iters = len(self._warm) + 4
-
-        def _seed_inputs() -> None:
-            # both runs start from the same state, so a candidate that
-            # skips a store — or reads a register whose store was elided —
-            # cannot pass on what the reference left behind
-            for buf in self._buffers.values():
-                buf.fill(0)
-            for reg in self._registers.values():
-                reg.fill(np.nan)
-            for slot, seed in self._verify_seeds().items():
-                buf = self._buffers[slot]
-                # values in [0.5, 1.5): safely away from zero so division
-                # ops cannot manufacture infs the replay would also see
-                buf[...] = (
-                    np.random.default_rng(seed).random(buf.shape).astype(buf.dtype)
-                    * 0.5 + 0.5
-                )
-            self._load_expansions()
-            self._iterations_done = 0
-
+        iters = len(self.plan.warm) + 4
         try:
-            _seed_inputs()
+            self._bind_tapes()
+            self._seed_inputs()
             with np.errstate(**_FLAT_ERRSTATE):
                 CompiledProgram._iterate(self, iters)
+            self._release_tapes()
             reference = {
                 slot: buf.copy() for slot, buf in self._buffers.items()
             }
-            _seed_inputs()
+            self._seed_inputs()
             with np.errstate(**_FLAT_ERRSTATE):
                 runner(0, iters)
             ok = all(
-                self._buffers[slot].tobytes() == ref.tobytes()
+                np.array_equal(_bits(self._buffers[slot]), _bits(ref))
                 for slot, ref in reference.items()
             )
         except Exception as exc:  # noqa: BLE001 - a crashing candidate is a veto
@@ -268,6 +327,7 @@ class NativeProgram(CompiledProgram):
             for buf in self._buffers.values():
                 buf.fill(0)
             self._iterations_done = 0
+            self._settle()
         return ok
 
     # -- execution -------------------------------------------------------------

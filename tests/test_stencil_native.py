@@ -243,7 +243,7 @@ def test_tape_fallback_run_is_fully_supported(failed_build):
     assert inst.native_backend == "tape"
     app = app_by_name("jacobi3d")
     envs = [app.fields((10, 10, 6), seed=s) for s in range(2)]
-    for niter in (1, len(inst._warm), len(inst._warm) + 3):
+    for niter in (1, len(inst.plan.warm), len(inst.plan.warm) + 3):
         for e, got in zip(envs, inst.run_stacked(envs, niter)):
             _assert_env_equal(
                 run_program(program, e, niter, engine="interpreter"), got
@@ -272,9 +272,14 @@ def test_missing_compiler_binds_the_tape(monkeypatch, tmp_path):
 
 
 def test_verify_gate_rejects_wrong_runner():
-    """A runner that computes nothing must fail the bind-time self-check."""
-    inst, _, _ = _fresh_instance()
-    assert inst._verify(lambda k0, n: None) is False
+    """A runner that computes nothing must fail the bind-time self-check,
+    however often it is asked, and the instance keeps computing right."""
+    inst, program, env = _fresh_instance()
+    owned = inst.nbytes
+    for _ in range(2):  # the second call re-binds the tape it released
+        assert inst._verify(lambda k0, n: None) is False
+        assert inst.nbytes == owned
+    _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
 
 
 def test_unsupported_dtype_degrades_to_tape():
@@ -408,6 +413,111 @@ def test_every_app_binds_cc(name, batch, verified_binds):
     assert len(stats["statements"]) == len(inst.plan.warm) + 2
     assert stats["forwarded"] > 0
     assert 0 < stats["unique_statements"] <= sum(stats["statements"])
+
+
+# --------------------------------------------------------------------------- #
+# what a cc-bound instance owns: only what its generated code reads
+# --------------------------------------------------------------------------- #
+def _buffer_bytes(inst):
+    return sum(buf.nbytes for buf in inst._buffers.values())
+
+
+@needs_cc
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("name", ["jacobi3d", "poisson2d"])
+def test_cc_instance_owns_only_its_buffers(name, batch, verified_binds):
+    inst = NativeProgram(_plan(name), batch=batch)
+    assert inst.native_backend == "cc"
+    assert inst._constants == {} and inst._registers == {}
+    assert inst._warm is None and inst._steady is None
+    assert inst.nbytes == inst.native_stats["bytes"] == _buffer_bytes(inst)
+    assert inst.nbytes < CompiledProgram(inst.plan, batch=batch).nbytes
+
+
+@needs_cc
+def test_cc_instance_keeps_exactly_the_registers_the_ir_references(verified_binds):
+    plan = _plan("rtm")
+    inst = NativeProgram(plan)
+    assert inst.native_backend == "cc"
+    plain = CompiledProgram(plan)
+    ir = codegen.build_ir(plain)
+    used = [ir.bases[i] for i in ir.referenced]
+    want = {k for k, reg in plain._registers.items() if any(reg is u for u in used)}
+    assert set(inst._registers) == want
+    assert inst._constants == {}
+    kept = sum(reg.nbytes for reg in inst._registers.values())
+    assert inst.nbytes == inst.native_stats["bytes"] == _buffer_bytes(inst) + kept
+
+
+@needs_cc
+def test_cc_bind_peak_holds_one_copy_of_the_buffers(verified_binds):
+    """The bind-time verify's peak: what the tape replay reads, or the
+    buffers plus their reference copy, never both (and no seeding
+    temporaries on top)."""
+    import tracemalloc
+
+    plan = _plan("jacobi3d", (64, 64, 64))
+    NativeProgram(plan)  # builds and loads the artifact outside the trace
+    replay = CompiledProgram(plan).nbytes  # buffers + registers + constants
+    buffers = sum(int(np.prod(s)) for s in plan.buffers.values()) * 4
+    tracemalloc.start()
+    try:
+        inst = NativeProgram(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.native_backend == "cc"
+    assert peak <= replay + buffers + (256 << 10)
+
+
+@needs_cc
+def test_unverified_bind_never_creates_a_constant(monkeypatch):
+    monkeypatch.setenv(native.VERIFY_ENV, "0")
+    splats = []
+    expand = CompiledProgram._expand_scalar
+    monkeypatch.setattr(
+        CompiledProgram, "_expand_scalar",
+        lambda self, value, shape: splats.append(shape) or expand(self, value, shape),
+    )
+    inst, program, env = _fresh_instance()
+    assert inst.native_backend == "cc"
+    assert splats == [] and inst._warm is None
+    assert inst.nbytes == _buffer_bytes(inst)
+    _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
+
+
+def test_cache_bytes_track_what_the_entries_own():
+    app = app_by_name("poisson2d")
+    cache = CompiledPlanCache(capacity=3)
+    for mesh in ((12, 10), (14, 10), (16, 10)):
+        program = app.program_on(mesh)
+        env = app.fields(mesh, seed=0)
+        cache.get(program, env)
+        cache.get(program, env, native=True)
+        assert cache._bytes == sum(e.nbytes for e in cache._entries.values())
+    assert len(cache) == 3  # inserts evicted older entries
+    cache.max_bytes = 1
+    cache.get(program, env, batch=2, native=True)  # evicts all but itself
+    assert len(cache) == 1
+    assert cache._bytes == sum(e.nbytes for e in cache._entries.values())
+
+
+@needs_cc
+def test_cache_sized_for_two_cc_instances_keeps_both(verified_binds):
+    app = app_by_name("jacobi3d")
+    bindings = [
+        (app.program_on(mesh), app.fields(mesh, seed=0))
+        for mesh in ((16, 14, 8), (18, 14, 8))
+    ]
+    plans = [CACHE.plan_for(p, e) for p, e in bindings]
+    sizes = [NativeProgram(plan).nbytes for plan in plans]
+    # at the size a bound plan used to be, the second insert would evict
+    assert sum(sizes) < CompiledProgram(plans[1]).nbytes + min(sizes)
+    cache = CompiledPlanCache(max_bytes=sum(sizes))
+    first = cache.get(*bindings[0], native=True)
+    cache.get(*bindings[1], native=True)
+    assert len(cache) == 2 and cache._bytes == sum(sizes)
+    assert cache.get(*bindings[0], native=True) is first
 
 
 # --------------------------------------------------------------------------- #
@@ -588,7 +698,7 @@ def test_single_steps_cross_the_warm_steady_boundary(rung, batch, monkeypatch):
     assert inst.native_backend == rung
     app = app_by_name("jacobi3d")
     envs = [app.fields((10, 10, 6), seed=s) for s in range(batch)]
-    total = len(inst._warm) + 3
+    total = len(inst.plan.warm) + 3
     one_shot = inst.run_stacked(envs, total)
     for env, got in zip(envs, one_shot):
         _assert_env_equal(run_program(program, env, total, engine="interpreter"), got)
@@ -675,7 +785,8 @@ def test_bound_event_carries_native_stats(events):
     stats = inst.native_stats
     assert {k: bound[k] for k in stats} == stats
     assert bound["backend"] == inst.native_backend
-    assert bound["tapes"] == len(stats["statements"]) == len(inst._warm) + 2
+    assert bound["tapes"] == len(stats["statements"]) == len(inst.plan.warm) + 2
+    assert bound["bytes"] == stats["bytes"] == inst.nbytes
     json.dumps(bound)  # the event log is JSONL
     # a copy: callers cannot edit what the instance reports
     stats["forwarded"] = -1
@@ -687,7 +798,10 @@ def test_tape_fallback_reports_the_raw_tapes(failed_build):
     raw = [len(t) for t in inst.plan.warm + inst.plan.steady]
     assert inst.native_stats == {
         "statements": raw, "forwarded": 0, "unique_statements": sum(raw),
+        "bytes": inst.nbytes,
     }
+    # the replay owns every register and constant it reads
+    assert inst.nbytes == CompiledProgram(inst.plan).nbytes
 
 
 def test_verify_veto_is_replayable(events, verified_binds, monkeypatch):
@@ -720,6 +834,10 @@ def test_verify_poisons_registers_between_its_two_runs():
     )
     env = {"U": Field.random("U", mesh, seed=2), "G": Field.random("G", mesh, seed=3)}
     inst = NativeProgram(CACHE.plan_for(program, env))
+    # a cc-bound instance holds no tapes: bind them here, and let this
+    # candidate read every register they use, so verify must poison each
+    inst._bind_tapes()
+    inst._runner_registers = frozenset(inst._registers)
     g = inst._buffers["in:G"]
     registers = list(inst._registers.values())
     constants = list(inst._constants.values())
@@ -738,7 +856,7 @@ def test_verify_poisons_registers_between_its_two_runs():
     assert any(invariant_store(op) for tape in tapes for op in tape)
 
     def replay_without_those_stores(k0, n):
-        warm = len(inst._warm)
+        warm = len(inst.plan.warm)
         for k in range(k0, k0 + n):
             for fn, args in tapes[k if k < warm else warm + ((k - warm) & 1)]:
                 if not invariant_store((fn, args)):
