@@ -32,7 +32,12 @@ further, to straight-line source code specialized for one
    order and the build disables contraction (``-ffp-contract=off``), so
    results stay **bit-identical** to the tape replay — and
    :mod:`repro.stencil.native` verifies that bitwise at bind time before
-   trusting the build.
+   trusting the build. A nest whose iterations are independent and whose
+   destination is injective (:func:`_parallel_safe`), and that has two or
+   more loops over at least ``_OMP_MIN_CELLS`` cells, gets ``#pragma omp
+   parallel for schedule(static)`` on its outermost loop: the team splits
+   the cells, each computed exactly as before, and no value crosses
+   threads.
 
 The generated sources embed only plan-derived geometry (shapes, strides,
 offsets, folded constants) — never data pointers — so one compiled
@@ -51,6 +56,10 @@ import numpy as np
 #: cap on loads folded into one fused expression — past this the chain is
 #: materialized to keep generated statements (and compile times) bounded
 _MAX_FUSED_LOADS = 48
+
+#: smallest nest (normalized cell count) that forks an OpenMP team — below
+#: it the fork and join cost more than the split saves
+_OMP_MIN_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -448,14 +457,44 @@ def _independent_iterations(stmt: Statement) -> bool:
     )
 
 
+def _injective(dest: Access) -> bool:
+    """True when no two iterations store to one element: with the axes
+    sorted by stride, each stride exceeds the reach of the smaller axes."""
+    reach = 0
+    for stride, extent in sorted(
+        (abs(s), e) for e, s in zip(dest.shape, dest.strides) if e != 1
+    ):
+        if stride <= reach:
+            return False
+        reach += (extent - 1) * stride
+    return True
+
+
+def _parallel_safe(stmt: Statement) -> bool:
+    """True when the nest's iterations may run on any threads in any
+    order: none reads another's store, and no two store to one element."""
+    return _independent_iterations(stmt) and _injective(stmt.dest)
+
+
 def _emit_stmt_c(stmt: Statement, dtype: np.dtype, lines: list[str]) -> None:
     shape, strides = _normalize(stmt)
     for b in sorted({stmt.dest.base} | {a.base for a in _expr_loads(stmt.expr)}):
         lines.append(f"  real_t* b{b} = (real_t*)P[{b}];")
     indent = "  "
     ivdep = _independent_iterations(stmt)
+    # the outer loop of a large nest forks a team in place of its ivdep
+    # (GCC takes one pragma before a `for`; only the innermost loop
+    # vectorizes). Flat nests stay serial: forking RTM's lane statements
+    # cost the batched mix more than their split saved
+    fork = (
+        len(shape) > 1
+        and math.prod(shape) >= _OMP_MIN_CELLS
+        and _parallel_safe(stmt)
+    )
     for axis, extent in enumerate(shape):
-        if ivdep:
+        if fork and axis == 0:
+            lines.append(f"{indent}#pragma omp parallel for schedule(static)")
+        elif ivdep:
             lines.append(f"{indent * (axis + 1)}#pragma GCC ivdep")
         lines.append(
             f"{indent * (axis + 1)}for (int64_t i{axis} = 0; "
@@ -487,10 +526,15 @@ def emit_c(ir: NativeIR) -> str:
     its calls, and ``repro_run(void**, k0, n)`` executes iterations
     ``k0 .. k0+n`` by **absolute** index — warm tape ``k`` while
     ``k < len(warm)``, then the steady pair by parity — so a whole
-    ``run_iterations`` stretch is one foreign call.
+    ``run_iterations`` stretch is one foreign call. ``repro_threads()``
+    is the team size a forked nest runs on.
     """
     ctype = "float" if ir.dtype == np.dtype(np.float32) else "double"
-    lines = ["#include <stdint.h>", "", f"typedef {ctype} real_t;", ""]
+    lines = [
+        "#include <stdint.h>", "#include <omp.h>", "",
+        f"typedef {ctype} real_t;", "",
+        "int repro_threads(void) { return omp_get_max_threads(); }", "",
+    ]
     numbered = unique_statements(ir)
     for stmt, s in numbered.items():
         lines.append(f"static __attribute__((noinline)) void s{s}(void** P) {{")

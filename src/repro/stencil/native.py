@@ -4,12 +4,15 @@
 whose iterations — warm and steady alike — run generated code instead of
 the per-op tape replay. At bind time it lowers the bound tapes through
 :mod:`repro.stencil.codegen` and builds the generated C once with the
-system compiler (``-O3 -march=native -ffp-contract=off``) into a shared
-object loaded via ``ctypes``; one foreign call covers a whole
+system compiler (``-O3 -march=native -ffp-contract=off -fopenmp``) into a
+shared object loaded via ``ctypes``; one foreign call covers a whole
 ``run_iterations`` stretch, by **absolute** iteration index
-(``runner(k0, n)``). Artifacts are content-addressed on disk
-(``~/.cache/repro/native``), so equal ``(plan, batch)`` bindings — across
-instances and processes — reuse one build.
+(``runner(k0, n)``), and inside it every large independent nest runs as
+an OpenMP worksharing loop on libgomp's default team (the CPUs the
+process may use, unless ``OMP_NUM_THREADS`` sets it). Artifacts are
+content-addressed on disk (``~/.cache/repro/native``), so equal
+``(plan, batch)`` bindings — across instances and processes — reuse one
+build.
 
 The candidate is **verified at bind time**: the instance runs ``warm + 4``
 iterations from iteration 0 on seeded pseudo-random inputs through both
@@ -56,8 +59,13 @@ CACHE_DIR_ENV = "REPRO_NATIVE_CACHE_DIR"
 #: which would break bit-identity with the interpreter. -march=native is
 #: safe for the same reason the bind-time verify gate exists: artifacts
 #: are per-host (content-addressed under ~/.cache) and every bind is
-#: bitwise-checked before use.
-_CC_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+#: bitwise-checked before use. -fopenmp is safe on the same terms: a forked
+#: nest splits cells across threads, never a cell's arithmetic, no
+#: reduction crosses threads, and the verify runs the threaded build. A
+#: compiler without OpenMP fails the build, and the tape replay runs.
+_CC_FLAGS = (
+    "-O3", "-march=native", "-ffp-contract=off", "-fopenmp", "-fPIC", "-shared",
+)
 
 _lock = threading.Lock()
 #: source sha -> loaded shared library (or None after a failed build)
@@ -129,6 +137,7 @@ def _compiled_lib(source: str) -> ctypes.CDLL | None:
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
         ]
         lib.repro_run.restype = None
+        lib.repro_threads.restype = ctypes.c_int
     except Exception as exc:  # noqa: BLE001 - any build problem means fallback
         obs.emit("native.cc_build_failed", error=repr(exc))
         lib = None
@@ -164,6 +173,7 @@ def _bind_cc(ir: NativeIR) -> Callable[[int, int], None] | None:
     def runner(k0: int, n: int, _run=run, _addr=addr, _keep=ptrs) -> None:
         _run(_addr, k0, n)
 
+    runner.threads = lib.repro_threads()
     return runner
 
 
@@ -193,8 +203,9 @@ class NativeProgram(CompiledProgram):
     def native_stats(self) -> dict:
         """What the bound rung executes: ``statements`` per tape (warm,
         then the steady pair), ``forwarded`` register stores elided,
-        ``unique_statements`` emitted and the ``bytes`` the instance owns
-        (a copy; the ``native.bound`` event carries the same)."""
+        ``unique_statements`` emitted, the ``threads`` a forked nest runs
+        on (1 on the tape) and the ``bytes`` the instance owns (a copy;
+        the ``native.bound`` event carries the same)."""
         return dict(self._stats)
 
     # -- backend selection -----------------------------------------------------
@@ -203,7 +214,10 @@ class NativeProgram(CompiledProgram):
         # are bound only where something replays them
         self._allocate_registers()
         raw = [len(t) for t in self.plan.warm + self.plan.steady]
-        stats = {"statements": raw, "forwarded": 0, "unique_statements": sum(raw)}
+        stats = {
+            "statements": raw, "forwarded": 0, "unique_statements": sum(raw),
+            "threads": 1,
+        }
         ir = build_ir(self)
         runner = _bind_cc(ir) if ir is not None else None
         if runner is not None:
@@ -219,7 +233,8 @@ class NativeProgram(CompiledProgram):
             del ir  # it holds every register: let verify free the unread ones
             self._runner = runner
             if self._verify(runner):
-                self.native_backend, stats = "cc", cc_stats
+                self.native_backend = "cc"
+                stats = {**cc_stats, "threads": runner.threads}
             else:
                 obs.emit(
                     "native.verify_failed", backend="cc",

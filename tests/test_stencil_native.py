@@ -4,16 +4,18 @@ The contract mirrors the compiled engine's: what runs (the cc build, or
 the tape replay when nothing bound) must be bit-identical (``tobytes``
 equality, no tolerance) to the golden interpreter on every registered
 application and on generated star/box kernels — across niter, batch,
-dtype, the mixed-radius ``init_from`` and flat-mode lowering corners, and
-with no working compiler (the tape fallback). The forwarding pass is also
-driven directly, on hand-built statement lists, to pin what it must
-refuse.
+dtype, the mixed-radius ``init_from`` and flat-mode lowering corners,
+OpenMP teams of one and three threads, and with no working compiler (the
+tape fallback). The forwarding pass and the fork decision are also driven
+directly, on hand-built statements, to pin what they must refuse.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -413,6 +415,7 @@ def test_every_app_binds_cc(name, batch, verified_binds):
     assert len(stats["statements"]) == len(inst.plan.warm) + 2
     assert stats["forwarded"] > 0
     assert 0 < stats["unique_statements"] <= sum(stats["statements"])
+    assert stats["threads"] >= 1
 
 
 # --------------------------------------------------------------------------- #
@@ -685,6 +688,159 @@ def test_forward_refuses_non_flat_producer_and_respects_the_load_cap():
 
 
 # --------------------------------------------------------------------------- #
+# OpenMP worksharing: which nests fork a team, and bit-identity across teams
+# --------------------------------------------------------------------------- #
+OMP = "#pragma omp parallel for schedule(static)"
+
+
+def _emitted(*stmts, dtype=np.float32):
+    ir = codegen.NativeIR(
+        bases=[], warm=(), steady=(list(stmts), list(stmts)),
+        dtype=np.dtype(dtype), registers=frozenset(), forwarded=0,
+    )
+    return codegen.emit_c(ir)
+
+
+def _copy_into(dest, src_base=SRC):
+    return codegen.Statement(
+        dest, _sum(codegen.Access(src_base, 0, dest.shape, (dest.shape[1], 1)))
+    )
+
+
+#: a 256 x 256 interior: twice the fork grain
+BIG = (256, 256)
+
+
+def test_injective_destination_forks_one_team():
+    source = _emitted(_copy_into(_window(DST, 0, BIG, (300, 1))))
+    assert source.count(OMP) == 1
+    assert "int repro_threads(void)" in source
+
+
+def test_zero_stride_destination_never_forks():
+    stmt = _copy_into(_window(DST, 0, BIG, (0, 1)))
+    assert not codegen._injective(stmt.dest)
+    assert "#pragma omp" not in _emitted(stmt)
+
+
+def test_overlapping_destination_never_forks():
+    assert not codegen._injective(_window(DST, 0, (2, 2), (1, 1)))
+    # rows 255 apart overlap a 256-wide row: the last cell of one is the
+    # first of the next
+    stmt = _copy_into(_window(DST, 0, BIG, (255, 1)))
+    assert not codegen._parallel_safe(stmt)
+    assert OMP not in _emitted(stmt)
+
+
+def test_shifted_self_read_never_forks():
+    stmt = codegen.Statement(
+        _window(DST, 301, BIG, (300, 1)), _sum(_window(DST, 302, BIG, (300, 1)))
+    )
+    assert codegen._injective(stmt.dest) and not codegen._parallel_safe(stmt)
+    assert OMP not in _emitted(stmt)
+
+
+def test_nest_below_the_grain_never_forks():
+    rows = codegen._OMP_MIN_CELLS // 256
+    small = _copy_into(_window(DST, 0, (rows - 1, 256), (300, 1)))
+    assert codegen._parallel_safe(small)
+    assert OMP not in _emitted(small)
+    at_grain = _copy_into(_window(DST, 0, (rows, 256), (300, 1)))
+    assert _emitted(at_grain).count(OMP) == 1
+
+
+def test_flat_nest_never_forks():
+    n = 4 * codegen._OMP_MIN_CELLS
+    flat = codegen.Statement(_flat(DST, 0, n), _sum(_flat(SRC, 1, n)))
+    assert codegen._parallel_safe(flat)
+    assert OMP not in _emitted(flat)
+
+
+@pytest.mark.parametrize(
+    "name, mesh", [("jacobi3d", (40, 40, 40)), ("poisson2d", (256, 200))]
+)
+def test_interior_nest_forks_exactly_one_team(name, mesh):
+    ir = codegen.build_ir(CompiledProgram(_plan(name, mesh)))
+    for tape in ir.steady:
+        (stmt,) = tape
+        assert codegen._parallel_safe(stmt)
+        assert _emitted(stmt).count(OMP) == 1
+
+
+#: runs in a fresh interpreter per team size, since libgomp reads
+#: OMP_NUM_THREADS once, at load; saves every native output to an .npz
+#: and prints each binding's rung and team size
+TEAM_SCRIPT = """
+import json, sys
+import numpy as np
+from repro.apps.registry import app_by_name
+from repro.stencil.compiled import CompiledPlanCache, run_program_stacked
+
+cases, out = json.loads(sys.argv[1]), sys.argv[2]
+cache = CompiledPlanCache()
+arrays, bound = {}, {}
+for name, mesh, batch, niter in cases:
+    app = app_by_name(name)
+    program = app.program_on(tuple(mesh))
+    envs = [app.fields(tuple(mesh), seed=b) for b in range(batch)]
+    got = run_program_stacked(program, envs, niter, cache=cache, engine="native")
+    inst = cache.get(program, envs[0], batch=batch, native=True)
+    bound[f"{name}-{batch}"] = [inst.native_backend, inst.native_stats["threads"]]
+    for b, fields in enumerate(got):
+        for fname, field in fields.items():
+            arrays[f"{name}-{batch}-{b}-{fname}"] = field.data
+np.savez(out, **arrays)
+print(json.dumps(bound))
+"""
+
+#: odd and prime extents, every one with a nest past the fork grain
+TEAM_MESHES = {
+    "poisson2d": (257, 211),
+    "jacobi3d": (37, 41, 43),
+    "rtm": (31, 29, 37),
+}
+
+
+@needs_cc
+def test_teams_of_one_and_three_threads_match_the_interpreter(tmp_path, verified_binds):
+    """Three threads on a two-core host split the outer axis unevenly; one
+    thread is the serial loop. Both must equal the golden interpreter."""
+    niter = 5
+    cases = [
+        (name, mesh, batch, niter)
+        for name, mesh in TEAM_MESHES.items() for batch in (1, 3)
+    ]
+    for name, mesh, batch, _ in cases:
+        source = codegen.emit_c(
+            codegen.build_ir(CompiledProgram(_plan(name, mesh), batch=batch))
+        )
+        assert OMP in source, (name, batch)
+    env = {k: v for k, v in os.environ.items() if k != native.VERIFY_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    for threads in (1, 3):
+        out = tmp_path / f"team{threads}.npz"
+        proc = subprocess.run(
+            [sys.executable, "-c", TEAM_SCRIPT, json.dumps(cases), str(out)],
+            env={**env, "OMP_NUM_THREADS": str(threads)},
+            capture_output=True, text=True, check=True,
+        )
+        bound = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert set(map(tuple, bound.values())) == {("cc", threads)}
+        with np.load(out) as got:
+            for name, mesh, batch, _ in cases:
+                app = app_by_name(name)
+                program = app.program_on(mesh)
+                for b in range(batch):
+                    gold = run_program(
+                        program, app.fields(mesh, seed=b), niter,
+                        engine="interpreter",
+                    )
+                    for fname, field in gold.items():
+                        key = f"{name}-{batch}-{b}-{fname}"
+                        assert np.array_equal(got[key], field.data), (key, threads)
+
+
+# --------------------------------------------------------------------------- #
 # one runner protocol: absolute iteration index, warm tapes included
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("rung", ["cc", "tape"])
@@ -798,7 +954,7 @@ def test_tape_fallback_reports_the_raw_tapes(failed_build):
     raw = [len(t) for t in inst.plan.warm + inst.plan.steady]
     assert inst.native_stats == {
         "statements": raw, "forwarded": 0, "unique_statements": sum(raw),
-        "bytes": inst.nbytes,
+        "threads": 1, "bytes": inst.nbytes,
     }
     # the replay owns every register and constant it reads
     assert inst.nbytes == CompiledProgram(inst.plan).nbytes
