@@ -37,7 +37,18 @@ further, to straight-line source code specialized for one
    more loops over at least ``_OMP_MIN_CELLS`` cells, gets ``#pragma omp
    parallel for schedule(static)`` on its outermost loop: the team splits
    the cells, each computed exactly as before, and no value crosses
-   threads.
+   threads. That is the **nests** schedule.
+4. A stacked binding (``batch >= 2``) whose every base splits by member
+   (:func:`member_strides`: each access carries the leading batch axis,
+   each base one member stride, each member's footprint inside its own
+   stride) gets the **members** schedule instead: ``repro_run`` forks once,
+   on the member loop, and each thread carries its members through every
+   requested iteration, warm and steady tapes alike, through per-member
+   statement functions (base pointers offset by ``m * stride``, lead axis
+   dropped, no inner fork). No member reads or writes another's elements,
+   and within a member the statements, iterations and cells keep their
+   order, so every value is computed exactly as by the nests schedule — no
+   halo, and no barrier between iterations.
 
 The generated sources embed only plan-derived geometry (shapes, strides,
 offsets, folded constants) — never data pointers — so one compiled
@@ -127,6 +138,8 @@ class NativeIR:
     registers: frozenset[int]
     #: register stores the forwarding pass elided, over all tapes
     forwarded: int
+    #: meshes stacked on the leading axis of every buffer
+    batch: int = 1
 
     @property
     def tapes(self) -> tuple[list[Statement], ...]:
@@ -231,6 +244,7 @@ def build_ir(compiled) -> NativeIR | None:
         dtype=dtype,
         registers=registers,
         forwarded=sum(map(len, raw)) - sum(map(len, tapes)),
+        batch=compiled.batch,
     )
 
 
@@ -476,10 +490,58 @@ def _parallel_safe(stmt: Statement) -> bool:
     return _independent_iterations(stmt) and _injective(stmt.dest)
 
 
-def _emit_stmt_c(stmt: Statement, dtype: np.dtype, lines: list[str]) -> None:
+def member_strides(ir: NativeIR) -> dict[int, int] | None:
+    """Base index -> member stride when every base the IR touches splits
+    by member, else None (always None below two members or statements).
+
+    A base splits when every access to it, in every tape, has the leading
+    batch axis with one positive stride ``S``, and the access's footprint
+    with the lead index fixed at 0 lies inside ``[0, S)`` — so member
+    ``m`` touches only ``[m*S, (m+1)*S)`` and no two members share an
+    element. Stack-extended flat windows whose lanes cross a member seam
+    have no batch axis and fail.
+    """
+    if ir.batch < 2:
+        return None
+    strides: dict[int, int] = {}
+    for tape in ir.tapes:
+        for stmt in tape:
+            for a in (stmt.dest, *_expr_loads(stmt.expr)):
+                if not a.shape or a.shape[0] != ir.batch:
+                    return None
+                stride = strides.setdefault(a.base, a.strides[0])
+                lo, hi = _span(_member_access(a))
+                if a.strides[0] != stride or stride <= 0 or lo < 0 or hi >= stride:
+                    return None
+    return strides or None
+
+
+def _member_access(a: Access) -> Access:
+    """Member 0's part of a batched access: the lead axis dropped."""
+    return Access(a.base, a.offset, a.shape[1:], a.strides[1:])
+
+
+def _member_statement(stmt: Statement) -> Statement:
+    return Statement(
+        _member_access(stmt.dest),
+        _map_loads(stmt.expr, lambda a: Load(_member_access(a))),
+    )
+
+
+def _emit_stmt_c(
+    stmt: Statement,
+    dtype: np.dtype,
+    lines: list[str],
+    members: dict[int, int] | None = None,
+) -> None:
+    """One loop nest; with ``members`` (base -> member stride), member
+    ``m``'s part of a batched statement, which never forks."""
+    if members is not None:
+        stmt = _member_statement(stmt)
     shape, strides = _normalize(stmt)
     for b in sorted({stmt.dest.base} | {a.base for a in _expr_loads(stmt.expr)}):
-        lines.append(f"  real_t* b{b} = (real_t*)P[{b}];")
+        shift = f" + m * {members[b]}" if members is not None else ""
+        lines.append(f"  real_t* b{b} = (real_t*)P[{b}]{shift};")
     indent = "  "
     ivdep = _independent_iterations(stmt)
     # the outer loop of a large nest forks a team in place of its ivdep
@@ -487,7 +549,8 @@ def _emit_stmt_c(stmt: Statement, dtype: np.dtype, lines: list[str]) -> None:
     # vectorizes). Flat nests stay serial: forking RTM's lane statements
     # cost the batched mix more than their split saved
     fork = (
-        len(shape) > 1
+        members is None
+        and len(shape) > 1
         and math.prod(shape) >= _OMP_MIN_CELLS
         and _parallel_safe(stmt)
     )
@@ -527,7 +590,12 @@ def emit_c(ir: NativeIR) -> str:
     ``k0 .. k0+n`` by **absolute** index — warm tape ``k`` while
     ``k < len(warm)``, then the steady pair by parity — so a whole
     ``run_iterations`` stretch is one foreign call. ``repro_threads()``
-    is the team size a forked nest runs on.
+    is the team size a forked loop runs on.
+
+    Under the members schedule (:func:`member_strides`) each statement
+    function takes the member index ``m`` and ``repro_run`` forks once, on
+    the member loop around the iteration loop; otherwise (the nests
+    schedule) large nests fork inside their own functions.
     """
     ctype = "float" if ir.dtype == np.dtype(np.float32) else "double"
     lines = [
@@ -535,21 +603,27 @@ def emit_c(ir: NativeIR) -> str:
         f"typedef {ctype} real_t;", "",
         "int repro_threads(void) { return omp_get_max_threads(); }", "",
     ]
+    members = member_strides(ir)
+    params, args = ("void** P", "P") if members is None else ("void** P, int64_t m", "P, m")
     numbered = unique_statements(ir)
     for stmt, s in numbered.items():
-        lines.append(f"static __attribute__((noinline)) void s{s}(void** P) {{")
-        _emit_stmt_c(stmt, ir.dtype, lines)
+        lines.append(f"static __attribute__((noinline)) void s{s}({params}) {{")
+        _emit_stmt_c(stmt, ir.dtype, lines, members)
         lines += ["}", ""]
     warm = len(ir.warm)
+    lines.append("void repro_run(void** P, int64_t k0, int64_t n) {")
+    if members is not None:
+        lines += [
+            "  #pragma omp parallel for schedule(static)",
+            f"  for (int64_t m = 0; m < {ir.batch}; ++m)",
+        ]
     lines += [
-        "void repro_run(void** P, int64_t k0, int64_t n) {",
         "  for (int64_t k = k0; k < k0 + n; ++k) {",
         f"    switch (k < {warm} ? k : {warm} + ((k - {warm}) & 1)) {{",
     ]
     for t, tape in enumerate(ir.tapes):
         lines.append(f"      case {t}:")
-        lines += [f"        s{numbered[stmt]}(P);" for stmt in tape]
+        lines += [f"        s{numbered[stmt]}({args});" for stmt in tape]
         lines.append("        break;")
     lines += ["    }", "  }", "}", ""]
     return "\n".join(lines)
-

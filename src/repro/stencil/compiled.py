@@ -717,6 +717,26 @@ def stacked_chunk_sizes(
         cap = batch
     else:
         cap = int(max_bytes // per_mesh_bytes)
+    return _cut(batch, cap)
+
+
+def team_chunk_sizes(
+    batch: int, per_mesh_bytes: int, team: int, max_bytes: float | None = None
+) -> list[int]:
+    """:func:`stacked_chunk_sizes` with the budget read per core.
+
+    The native engine's members schedule gives each of ``team`` cores
+    one batch member at a time, so a core's working set is what one
+    stack of the per-core capacity ``max(1, budget // per_mesh_bytes)``
+    would hold, and a chunk holds ``team`` of those. A team of one cuts
+    exactly as :func:`stacked_chunk_sizes`.
+    """
+    per_core = stacked_chunk_sizes(batch, per_mesh_bytes, max_bytes)[0]
+    return _cut(batch, team * per_core)
+
+
+def _cut(batch: int, cap: int) -> list[int]:
+    """Full chunks of ``cap`` (clamped to ``[1, batch]``), then the rest."""
     cap = max(1, min(batch, cap))
     full, rem = divmod(batch, cap)
     return [cap] * full + ([rem] if rem else [])
@@ -870,7 +890,9 @@ def run_program_stacked(
     of one per mesh, while each chunk's stream stays cache-resident. A
     budget below one mesh footprint degrades to per-mesh replay; pass
     ``float("inf")`` to force one whole-batch stack (the benchmarks do, to
-    measure the mechanism itself).
+    measure the mechanism itself). ``engine="native"`` reads the budget
+    per core (:func:`team_chunk_sizes` over the OpenMP team), since its
+    members schedule gives each core one mesh of a chunk at a time.
 
     Other per-mesh fallbacks: a single-member batch routes through the
     single-mesh path (sharing its cached plan), and bindings with
@@ -948,9 +970,16 @@ def run_program_stacked(
         engine=engine,
     ):
         plan = cache.plan_for(program, first, coefficients)
-        chunks = stacked_chunk_sizes(
-            len(batch_fields), plan.nbytes, max_stack_bytes
-        )
+        if engine == "native":
+            from repro.stencil.native import team_size
+
+            chunks = team_chunk_sizes(
+                len(batch_fields), plan.nbytes, team_size(), max_stack_bytes
+            )
+        else:
+            chunks = stacked_chunk_sizes(
+                len(batch_fields), plan.nbytes, max_stack_bytes
+            )
         _account(chunks)
         obs.emit(
             "exec.dispatch",

@@ -7,12 +7,18 @@ the per-op tape replay. At bind time it lowers the bound tapes through
 system compiler (``-O3 -march=native -ffp-contract=off -fopenmp``) into a
 shared object loaded via ``ctypes``; one foreign call covers a whole
 ``run_iterations`` stretch, by **absolute** iteration index
-(``runner(k0, n)``), and inside it every large independent nest runs as
-an OpenMP worksharing loop on libgomp's default team (the CPUs the
-process may use, unless ``OMP_NUM_THREADS`` sets it). Artifacts are
+(``runner(k0, n)``), and inside it the work forks on libgomp's default
+team (the CPUs the process may use, unless ``OMP_NUM_THREADS`` sets it)
+by one of two schedules (:mod:`repro.stencil.codegen`): ``"members"``, for
+a stacked binding whose every base splits by member, runs each batch
+member through all of its iterations on one thread; ``"nests"``
+otherwise runs every large independent nest as its own OpenMP
+worksharing loop. ``native_stats["schedule"]`` names which one bound, and
+:func:`team_size` is the team, known before any binding. Artifacts are
 content-addressed on disk (``~/.cache/repro/native``), so equal
 ``(plan, batch)`` bindings — across instances and processes — reuse one
-build.
+build; an artifact that does not load is deleted and rebuilt once
+(``native.cache_corrupt``).
 
 The candidate is **verified at bind time**: the instance runs ``warm + 4``
 iterations from iteration 0 on seeded pseudo-random inputs through both
@@ -28,9 +34,11 @@ verify replays them.
 
 from __future__ import annotations
 
+import _ctypes
 import ctypes
 import hashlib
 import os
+import struct
 import subprocess
 import tempfile
 import threading
@@ -45,6 +53,7 @@ from repro.stencil.codegen import (
     NativeIR,
     build_ir,
     emit_c,
+    member_strides,
     unique_statements,
 )
 from repro.stencil.compiled import _FLAT_ERRSTATE, CompiledProgram
@@ -93,17 +102,60 @@ def _find_cc() -> str | None:
     return None
 
 
+def _sha(source: str) -> str:
+    """The artifact key: a digest of the source and the build flags."""
+    return hashlib.sha256(
+        (source + "\x00" + " ".join(_CC_FLAGS)).encode()
+    ).hexdigest()[:32]
+
+
+def _truncated(so_path: Path) -> bool:
+    """True when an ELF64 artifact ends before the bytes its headers place
+    in the file: the loader would fault on the missing pages, not raise."""
+    data = so_path.read_bytes()
+    if data[:6] != b"\x7fELF\x02\x01" or len(data) < 64:
+        return False  # not little-endian ELF64: the loader's checks decide
+    *_, phoff, shoff, _, _, phentsize, phnum, shentsize, shnum, _ = (
+        struct.unpack_from("<16sHHIQQQIHHHHHH", data)
+    )
+    ends = [phoff + phentsize * phnum, shoff + shentsize * shnum]
+    if phentsize >= 56 and ends[0] <= len(data):
+        for at in range(phoff, ends[0], phentsize):
+            _, _, offset, _, _, filesz, _, _ = struct.unpack_from("<IIQQQQQQ", data, at)
+            ends.append(offset + filesz)
+    return max(ends) > len(data)
+
+
+def _load(so_path: Path) -> ctypes.CDLL:
+    """Open one artifact and type its two entry points."""
+    if _truncated(so_path):
+        raise OSError(f"{so_path.name} is shorter than its ELF headers")
+    lib = ctypes.CDLL(str(so_path))
+    try:
+        lib.repro_run.argtypes = [
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        ]
+        lib.repro_threads.restype = ctypes.c_int
+    except AttributeError:
+        # a foreign library: close it, or reopening the rebuilt file at the
+        # same path would hand back this handle
+        _ctypes.dlclose(lib._handle)
+        raise
+    lib.repro_run.restype = None
+    return lib
+
+
 def _compiled_lib(source: str) -> ctypes.CDLL | None:
     """Build (or reuse) the shared object for one generated C source.
 
     Content-addressed: the key is the sha of source + flags, so equal
     bindings across instances, threads and processes share one
     artifact; concurrent builders race benignly through atomic renames.
+    An artifact that does not load as one (truncated, foreign) is deleted
+    and rebuilt once, with a ``native.cache_corrupt`` event.
     """
     global _cc_broken
-    sha = hashlib.sha256(
-        (source + "\x00" + " ".join(_CC_FLAGS)).encode()
-    ).hexdigest()[:32]
+    sha = _sha(source)
     with _lock:
         if sha in _libs:
             return _libs[sha]
@@ -112,7 +164,13 @@ def _compiled_lib(source: str) -> ctypes.CDLL | None:
     lib: ctypes.CDLL | None = None
     try:
         so_path = _cache_dir() / f"{sha}.so"
-        if not so_path.exists():
+        if so_path.exists():
+            try:
+                lib = _load(so_path)
+            except (OSError, AttributeError) as exc:
+                obs.emit("native.cache_corrupt", path=str(so_path), error=repr(exc))
+                so_path.unlink(missing_ok=True)
+        if lib is None:
             cc = _find_cc()
             if cc is None:
                 with _lock:
@@ -132,18 +190,28 @@ def _compiled_lib(source: str) -> ctypes.CDLL | None:
                         f"native build failed: {proc.stderr.decode(errors='replace')[:500]}"
                     )
                 os.replace(out, so_path)
-        lib = ctypes.CDLL(str(so_path))
-        lib.repro_run.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-        ]
-        lib.repro_run.restype = None
-        lib.repro_threads.restype = ctypes.c_int
+            lib = _load(so_path)
     except Exception as exc:  # noqa: BLE001 - any build problem means fallback
         obs.emit("native.cc_build_failed", error=repr(exc))
         lib = None
     with _lock:
         _libs[sha] = lib
     return lib
+
+
+def team_size() -> int:
+    """The OpenMP team a forked loop of a generated artifact runs on — what
+    a bound runner reports as ``threads`` — or 1 when nothing builds.
+
+    Read from a statement-free artifact, built once and cached like any
+    other, so the answer exists before any binding does.
+    """
+    probe = NativeIR(
+        bases=[], warm=(), steady=([], []), dtype=np.dtype(np.float64),
+        registers=frozenset(), forwarded=0,
+    )
+    lib = _compiled_lib(emit_c(probe))
+    return lib.repro_threads() if lib is not None else 1
 
 
 def _bits(arr: np.ndarray) -> np.ndarray:
@@ -174,6 +242,7 @@ def _bind_cc(ir: NativeIR) -> Callable[[int, int], None] | None:
         _run(_addr, k0, n)
 
     runner.threads = lib.repro_threads()
+    runner.schedule = "nests" if member_strides(ir) is None else "members"
     return runner
 
 
@@ -203,9 +272,12 @@ class NativeProgram(CompiledProgram):
     def native_stats(self) -> dict:
         """What the bound rung executes: ``statements`` per tape (warm,
         then the steady pair), ``forwarded`` register stores elided,
-        ``unique_statements`` emitted, the ``threads`` a forked nest runs
-        on (1 on the tape) and the ``bytes`` the instance owns (a copy;
-        the ``native.bound`` event carries the same)."""
+        ``unique_statements`` emitted, the ``threads`` a forked loop runs
+        on (1 on the tape), the ``schedule`` — ``"members"`` when each
+        thread carries whole batch members through every iteration,
+        ``"nests"`` when large nests fork one by one (and on the tape) —
+        and the ``bytes`` the instance owns (a copy; the ``native.bound``
+        event carries the same)."""
         return dict(self._stats)
 
     # -- backend selection -----------------------------------------------------
@@ -216,7 +288,7 @@ class NativeProgram(CompiledProgram):
         raw = [len(t) for t in self.plan.warm + self.plan.steady]
         stats = {
             "statements": raw, "forwarded": 0, "unique_statements": sum(raw),
-            "threads": 1,
+            "threads": 1, "schedule": "nests",
         }
         ir = build_ir(self)
         runner = _bind_cc(ir) if ir is not None else None
@@ -234,7 +306,10 @@ class NativeProgram(CompiledProgram):
             self._runner = runner
             if self._verify(runner):
                 self.native_backend = "cc"
-                stats = {**cc_stats, "threads": runner.threads}
+                stats = {
+                    **cc_stats, "threads": runner.threads,
+                    "schedule": runner.schedule,
+                }
             else:
                 obs.emit(
                     "native.verify_failed", backend="cc",

@@ -12,6 +12,7 @@ from repro.stencil.compiled import (
     STACKED_BYTES_LIMIT,
     CompiledPlanCache,
     stacked_chunk_sizes,
+    team_chunk_sizes,
 )
 from repro.stencil.numpy_eval import run_program
 from repro.util.errors import ValidationError
@@ -30,8 +31,8 @@ OVER_BUDGET = WorkloadSpec.parse("rtm:12x12x10:4x12")
 
 @pytest.mark.parametrize("engine", ["compiled", "native", "parallel"])
 def test_over_budget_group_is_cut_by_the_module_budget(engine):
-    """Every stacking engine cuts an over-budget group the same way, from
-    ``STACKED_BYTES_LIMIT`` alone."""
+    """Every stacking engine cuts an over-budget group from
+    ``STACKED_BYTES_LIMIT`` alone; the native engine reads it per core."""
     run = MixScheduler(engine=engine, max_workers=2).run(OVER_BUDGET)
     (group,) = run.groups
     plan = CompiledPlanCache().plan_for(
@@ -39,6 +40,12 @@ def test_over_budget_group_is_cut_by_the_module_budget(engine):
     )
     want = stacked_chunk_sizes(OVER_BUDGET.batch, plan.nbytes, STACKED_BYTES_LIMIT)
     assert len(want) > 1  # genuinely over budget
+    if engine == "native":
+        from repro.stencil.native import team_size
+
+        want = team_chunk_sizes(
+            OVER_BUDGET.batch, plan.nbytes, team_size(), STACKED_BYTES_LIMIT
+        )
     assert group.chunks == tuple(want)
     assert group.dispatches == len(want)
 

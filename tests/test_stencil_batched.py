@@ -541,6 +541,66 @@ class TestChunkedStacking:
                     # every chunk respects the budget when one mesh fits it
                     assert all(c * 100 <= limit for c in chunks)
 
+    def test_team_chunk_sizes_read_the_budget_per_core(self):
+        from repro.stencil.compiled import team_chunk_sizes
+
+        # capacity: team x max(1, budget // per_mesh), clamped to the batch
+        assert team_chunk_sizes(10, 100, 2, 450) == [8, 2]
+        assert team_chunk_sizes(10, 100, 3, 450) == [10]
+        assert team_chunk_sizes(20, 100, 2, 99) == [2] * 10
+        assert team_chunk_sizes(7, 100, 3, 0) == [3, 3, 1]
+        assert team_chunk_sizes(8, 100, 4, float("inf")) == [8]
+        assert team_chunk_sizes(1, 100, 8, 0) == [1]
+        with pytest.raises(ValidationError):
+            team_chunk_sizes(0, 100, 2, 100)
+
+    def test_team_chunk_sizes_partition_the_batch(self):
+        from repro.stencil.compiled import stacked_chunk_sizes, team_chunk_sizes
+
+        for batch in range(1, 40):
+            for limit in (0, 1, 150, 450, 1000, 10**6, float("inf")):
+                per_core = stacked_chunk_sizes(batch, 100, limit)[0]
+                # a team of one cuts exactly as the shared schedule
+                assert team_chunk_sizes(batch, 100, 1, limit) == (
+                    stacked_chunk_sizes(batch, 100, limit)
+                )
+                for team in (2, 3, 5):
+                    chunks = team_chunk_sizes(batch, 100, team, limit)
+                    assert sum(chunks) == batch
+                    assert all(c >= 1 for c in chunks)
+                    # full chunks first, every core one per-core stack
+                    assert chunks[0] == min(batch, team * per_core)
+                    assert all(c == chunks[0] for c in chunks[:-1])
+
+    @pytest.mark.parametrize("team", [1, 3])
+    def test_native_stacked_dispatch_cuts_per_core(self, team, monkeypatch):
+        """The native engine cuts by team x per-core budget; the tape
+        engine keeps the shared schedule whatever the team."""
+        from repro.stencil import native
+        from repro.stencil.compiled import stacked_chunk_sizes
+
+        monkeypatch.setattr(native, "team_size", lambda: team)
+        app = all_apps()["poisson2d"]
+        shape = APP_MESHES["poisson2d"]
+        program = app.program_on(shape)
+        envs = [app.fields(shape, seed=s) for s in range(7)]
+        cache = CompiledPlanCache()
+        plan_bytes = cache.plan_for(program, envs[0]).nbytes
+        budget = plan_bytes * 2
+        stats: dict = {}
+        got = run_program_stacked(
+            program, envs, 3, cache=cache, engine="native",
+            max_stack_bytes=budget, stats=stats,
+        )
+        assert stats["chunks"] == ([2, 2, 2, 1] if team == 1 else [6, 1])
+        for env, out in zip(envs, got):
+            _assert_env_equal(run_program(program, env, 3, engine="interpreter"), out)
+        tape: dict = {}
+        run_program_stacked(
+            program, envs, 3, cache=cache, max_stack_bytes=budget, stats=tape
+        )
+        assert tape["chunks"] == stacked_chunk_sizes(7, plan_bytes, budget)
+
     @pytest.mark.parametrize("app_key", ["poisson2d", "jacobi3d", "rtm"])
     def test_chunked_equals_unchunked_and_interpreter(self, app_key):
         """Forcing small chunks changes dispatch, never results."""

@@ -6,12 +6,14 @@ equality, no tolerance) to the golden interpreter on every registered
 application and on generated star/box kernels — across niter, batch,
 dtype, the mixed-radius ``init_from`` and flat-mode lowering corners,
 OpenMP teams of one and three threads, and with no working compiler (the
-tape fallback). The forwarding pass and the fork decision are also driven
-directly, on hand-built statements, to pin what they must refuse.
+tape fallback). The forwarding pass, the fork decision and the member
+split are also driven directly, on hand-built statements, to pin what
+they must refuse; damaged artifacts in the on-disk cache must rebuild.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -271,6 +273,43 @@ def test_missing_compiler_binds_the_tape(monkeypatch, tmp_path):
     assert not any(tmp_path.iterdir())
     gold = run_program(program, env, 7, engine="interpreter")
     _assert_env_equal(gold, inst.run(env, 7))
+
+
+@pytest.mark.parametrize("damage", ["garbage", "truncated", "foreign"])
+def test_corrupt_cache_entry_is_rebuilt(damage, monkeypatch, tmp_path, events):
+    """An artifact that does not load as one is deleted and rebuilt once:
+    later processes must not silently run the tape on it."""
+    if not _cc_works():
+        pytest.skip("no working C compiler")
+    monkeypatch.setenv(native.CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(native, "_libs", {})
+    app = app_by_name("jacobi3d")  # the binding _fresh_instance makes
+    program = app.program_on((10, 10, 6))
+    plan = CACHE.plan_for(program, app.fields((10, 10, 6), seed=0))
+    source = codegen.emit_c(codegen.build_ir(CompiledProgram(plan)))
+    so_path = tmp_path / f"{native._sha(source)}.so"
+    # written, never loaded here: the loader would hand back a loaded
+    # library for its path whatever the file holds now
+    if damage == "garbage":
+        so_path.write_bytes(b"not a shared object" * 64)
+    else:
+        c_path = tmp_path / "lib.c"
+        c_path.write_text(
+            source if damage == "truncated" else "int foreign(void) { return 1; }\n"
+        )
+        subprocess.run(
+            [_find_cc(), *native._CC_FLAGS, "-o", str(so_path), str(c_path)],
+            check=True,
+        )
+        if damage == "truncated":
+            so_path.write_bytes(so_path.read_bytes()[:4096])
+    inst, program, env = _fresh_instance()
+    assert inst.native_backend == "cc"
+    (corrupt,) = events.of_kind("native.cache_corrupt")
+    assert corrupt["path"] == str(so_path)
+    assert events.of_kind("native.cc_build_failed") == []
+    assert so_path.read_bytes()[:4] == b"\x7fELF"
+    _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
 
 
 def test_verify_gate_rejects_wrong_runner():
@@ -693,12 +732,15 @@ def test_forward_refuses_non_flat_producer_and_respects_the_load_cap():
 OMP = "#pragma omp parallel for schedule(static)"
 
 
-def _emitted(*stmts, dtype=np.float32):
-    ir = codegen.NativeIR(
+def _ir(*stmts, dtype=np.float32, batch=1):
+    return codegen.NativeIR(
         bases=[], warm=(), steady=(list(stmts), list(stmts)),
-        dtype=np.dtype(dtype), registers=frozenset(), forwarded=0,
+        dtype=np.dtype(dtype), registers=frozenset(), forwarded=0, batch=batch,
     )
-    return codegen.emit_c(ir)
+
+
+def _emitted(*stmts, dtype=np.float32, batch=1):
+    return codegen.emit_c(_ir(*stmts, dtype=dtype, batch=batch))
 
 
 def _copy_into(dest, src_base=SRC):
@@ -767,14 +809,131 @@ def test_interior_nest_forks_exactly_one_team(name, mesh):
         assert _emitted(stmt).count(OMP) == 1
 
 
+# --------------------------------------------------------------------------- #
+# the members schedule: which stacked bindings split by member
+# --------------------------------------------------------------------------- #
+MEMBER_LOOP = "for (int64_t m = 0;"
+
+
+def _members(shape=(2, 8, 8), stride=100, offset=11, base=DST, rows=10):
+    """Each of ``shape[0]`` members: an interior window of its own slab."""
+    return codegen.Access(base, offset, shape, (stride, rows, 1))
+
+
+def _member_copy(dest=None, src=None):
+    """``dest = src + src shifted one cell``; ``src`` defaults to the
+    destination's own window of SRC."""
+    dest = dest if dest is not None else _members()
+    if src is None:
+        src = codegen.Access(SRC, dest.offset, dest.shape, dest.strides)
+    shifted = codegen.Access(src.base, src.offset + 1, src.shape, src.strides)
+    return codegen.Statement(dest, _sum(src, shifted))
+
+
+def test_members_split_a_stack_of_disjoint_slabs():
+    stmt = _member_copy()
+    assert codegen.member_strides(_ir(stmt, batch=2)) == {DST: 100, SRC: 100}
+    source = _emitted(stmt, batch=2)
+    # one fork, on the member loop; each member's bases offset by its slab
+    assert source.count(OMP) == 1
+    assert f"{OMP}\n  {MEMBER_LOOP} m < 2; ++m)" in source
+    assert f"b{DST} = (real_t*)P[{DST}] + m * 100;" in source
+    assert "s0(P, m);" in source
+    # without the lead axis the member nest is the 8 x 8 interior
+    assert "i0 < 8" in source and "i2" not in source
+
+
+def test_member_nests_never_fork_inside():
+    big = _members((3, *BIG), stride=300 * 300, rows=300)
+    stmt = _member_copy(big)
+    assert codegen.member_strides(_ir(stmt, batch=3)) is not None
+    # past the fork grain per member, yet the member loop is the one fork
+    assert _emitted(stmt, batch=3).count(OMP) == 1
+
+
+def test_one_member_never_splits():
+    stmt = _member_copy(_members((1, 8, 8)))
+    assert codegen.member_strides(_ir(stmt, batch=1)) is None
+    assert MEMBER_LOOP not in _emitted(stmt, batch=1)
+
+
+@pytest.mark.parametrize(
+    "stmts",
+    [
+        # a stack-extended flat lane window: no batch axis, and its lanes
+        # run across the seam between the two slabs
+        [
+            codegen.Statement(_flat(REG, 0, 190), _sum(_flat(SRC, 0, 190))),
+            codegen.Statement(_members(), _sum(_members(base=REG))),
+        ],
+        # a per-member window wider than the member stride: member 0's
+        # lanes reach into member 1's slab
+        [_member_copy(src=codegen.Access(SRC, 30, (2, 8, 8), (100, 12, 1)))],
+        # a written base with lead stride 0: every member stores one slab
+        [_member_copy(codegen.Access(DST, 11, (2, 8, 8), (0, 10, 1)))],
+        # a statement with no batch axis beside a member-split one
+        [_member_copy(), _copy_into(_window(DST, 0, (8, 8), (10, 1)))],
+        # one base seen at two member strides
+        [_member_copy(), _member_copy(src=_members(base=SRC, stride=120, offset=0))],
+    ],
+    ids=["flat-seam", "wide-window", "zero-lead-stride", "no-batch-axis", "two-strides"],
+)
+def test_statements_that_keep_the_nest_schedule(stmts):
+    assert codegen.member_strides(_ir(*stmts, batch=2)) is None
+    source = _emitted(*stmts, batch=2)
+    assert MEMBER_LOOP not in source and "int64_t m" not in source
+
+
+@pytest.mark.parametrize("name", sorted(all_apps()))
+def test_every_app_stack_splits_by_member(name):
+    for batch in (2, 5):
+        ir = codegen.build_ir(CompiledProgram(_plan(name), batch=batch))
+        strides = codegen.member_strides(ir)
+        # every base a statement touches splits at its per-member size
+        assert strides is not None and set(strides) == ir.referenced
+        for i, stride in strides.items():
+            assert stride == ir.bases[i][0].size
+    assert codegen.member_strides(codegen.build_ir(CompiledProgram(_plan(name)))) is None
+
+
+#: sha256 prefixes of the batch-1 sources the nests-only emitter produced
+#: for the registry apps at APP_MESHES. A single mesh has no member to
+#: split, so these artifacts — and the single-mesh contract workloads'
+#: — must not change with the members schedule. Update deliberately.
+NESTS_SOURCES = {
+    "poisson2d": "122ebd8b59dc2364",
+    "jacobi3d": "b663bede48872fd2",
+    "rtm": "1e2f67e876a0aeaa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTS_SOURCES))
+def test_single_mesh_sources_keep_the_nest_emission(name):
+    source = codegen.emit_c(codegen.build_ir(CompiledProgram(_plan(name))))
+    assert MEMBER_LOOP not in source and "int64_t m" not in source
+    assert hashlib.sha256(source.encode()).hexdigest()[:16] == NESTS_SOURCES[name]
+
+
+@needs_cc
+@pytest.mark.parametrize("batch", [1, 2])
+def test_bound_schedule_names_the_emission(batch, verified_binds, events):
+    inst = NativeProgram(_plan("rtm"), batch=batch)
+    assert inst.native_backend == "cc"
+    want = "members" if batch > 1 else "nests"
+    assert inst.native_stats["schedule"] == want
+    (bound,) = events.of_kind("native.bound")
+    assert bound["schedule"] == want and bound["batch"] == batch
+
+
 #: runs in a fresh interpreter per team size, since libgomp reads
-#: OMP_NUM_THREADS once, at load; saves every native output to an .npz
-#: and prints each binding's rung and team size
+#: OMP_NUM_THREADS once, at load; runs each case's whole stack on one
+#: instance, saves every native output to an .npz and prints each
+#: binding's rung, team size and schedule
 TEAM_SCRIPT = """
 import json, sys
 import numpy as np
 from repro.apps.registry import app_by_name
-from repro.stencil.compiled import CompiledPlanCache, run_program_stacked
+from repro.stencil.compiled import CompiledPlanCache
 
 cases, out = json.loads(sys.argv[1]), sys.argv[2]
 cache = CompiledPlanCache()
@@ -783,9 +942,12 @@ for name, mesh, batch, niter in cases:
     app = app_by_name(name)
     program = app.program_on(tuple(mesh))
     envs = [app.fields(tuple(mesh), seed=b) for b in range(batch)]
-    got = run_program_stacked(program, envs, niter, cache=cache, engine="native")
     inst = cache.get(program, envs[0], batch=batch, native=True)
-    bound[f"{name}-{batch}"] = [inst.native_backend, inst.native_stats["threads"]]
+    got = inst.run_stacked(envs, niter)
+    stats = inst.native_stats
+    bound[f"{name}-{batch}"] = [
+        inst.native_backend, stats["threads"], stats["schedule"]
+    ]
     for b, fields in enumerate(got):
         for fname, field in fields.items():
             arrays[f"{name}-{batch}-{b}-{fname}"] = field.data
@@ -803,18 +965,20 @@ TEAM_MESHES = {
 
 @needs_cc
 def test_teams_of_one_and_three_threads_match_the_interpreter(tmp_path, verified_binds):
-    """Three threads on a two-core host split the outer axis unevenly; one
-    thread is the serial loop. Both must equal the golden interpreter."""
+    """Three threads on a two-core host split the outer axis of a nest, or
+    two and five members, unevenly; one thread is the serial loop. Both
+    must equal the golden interpreter."""
     niter = 5
     cases = [
         (name, mesh, batch, niter)
-        for name, mesh in TEAM_MESHES.items() for batch in (1, 3)
+        for name, mesh in TEAM_MESHES.items() for batch in (1, 2, 3, 5)
     ]
     for name, mesh, batch, _ in cases:
         source = codegen.emit_c(
             codegen.build_ir(CompiledProgram(_plan(name, mesh), batch=batch))
         )
         assert OMP in source, (name, batch)
+        assert (MEMBER_LOOP in source) == (batch > 1), (name, batch)
     env = {k: v for k, v in os.environ.items() if k != native.VERIFY_ENV}
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
     for threads in (1, 3):
@@ -825,7 +989,9 @@ def test_teams_of_one_and_three_threads_match_the_interpreter(tmp_path, verified
             capture_output=True, text=True, check=True,
         )
         bound = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert set(map(tuple, bound.values())) == {("cc", threads)}
+        for key, rung in bound.items():
+            schedule = "nests" if key.endswith("-1") else "members"
+            assert tuple(rung) == ("cc", threads, schedule), key
         with np.load(out) as got:
             for name, mesh, batch, _ in cases:
                 app = app_by_name(name)
@@ -883,11 +1049,13 @@ def generated_case(draw):
         draw(st.sampled_from([e for e in EXTENTS if e > 2 * radius]))
         for _ in range(ndim)
     )
+    niter = draw(st.integers(2, 8))
     return (
         ndim, box, radius, shape,
         draw(st.sampled_from([np.float32, np.float64])),
-        draw(st.sampled_from([1, 3])),          # batch
-        draw(st.integers(1, 6)),                # niter
+        draw(st.sampled_from([1, 2, 3, 5])),    # batch
+        niter,
+        draw(st.sampled_from(range(1, niter, 2))),  # odd split point k0
         draw(st.integers(0, 999)),              # seed
     )
 
@@ -909,18 +1077,30 @@ def _generated_program(ndim, box, radius, shape, dtype, seed):
 @given(generated_case())
 @settings(max_examples=20, deadline=None)
 def test_generated_kernels_native_bit_identical(case):
-    ndim, box, radius, shape, dtype, batch, niter, seed = case
+    """Two ``run_iterations`` stretches, split at an odd ``k0``: under the
+    members schedule each member resumes mid-warm or on the other steady
+    parity by absolute index, exactly as the whole stack does."""
+    ndim, box, radius, shape, dtype, batch, niter, k0, seed = case
     program = _generated_program(ndim, box, radius, shape, dtype, seed)
     envs = [
         {"U": Field.random("U", program.mesh, seed=seed + b, lo=-1.0, hi=1.0)}
         for b in range(batch)
     ]
-    got = run_program_stacked(program, envs, niter, cache=CACHE, engine="native")
-    for env, out in zip(envs, got):
-        _assert_env_equal(run_program(program, env, niter, engine="interpreter"), out)
-    # and it ran on cc wherever a compiler works, not a silent demotion
-    bound = CACHE.get(program, envs[0], batch=batch, native=True)
-    assert bound.native_backend == ("cc" if _cc_works() else "tape")
+    inst = CACHE.get(program, envs[0], batch=batch, native=True)
+    inst.load_stacked(envs)
+    inst.run_iterations(k0)
+    inst.run_iterations(niter - k0)
+    for env, out in zip(envs, inst.result_stacked(envs)):
+        gold = run_program(program, env, niter, engine="interpreter")
+        assert np.array_equal(gold["U"].data, out["U"].data)
+    # and it ran on cc wherever a compiler works, not a silent demotion;
+    # a stack splits by member once every flat lane sum forwards into the
+    # shaped interior (a sum past the load cap stays a stack-wide window)
+    cc = _cc_works()
+    assert inst.native_backend == ("cc" if cc else "tape")
+    points = len((box_offsets if box else star_offsets)(ndim, radius))
+    members = cc and batch > 1 and points <= codegen._MAX_FUSED_LOADS
+    assert inst.native_stats["schedule"] == ("members" if members else "nests")
 
 
 # --------------------------------------------------------------------------- #
@@ -954,7 +1134,7 @@ def test_tape_fallback_reports_the_raw_tapes(failed_build):
     raw = [len(t) for t in inst.plan.warm + inst.plan.steady]
     assert inst.native_stats == {
         "statements": raw, "forwarded": 0, "unique_statements": sum(raw),
-        "threads": 1, "bytes": inst.nbytes,
+        "threads": 1, "schedule": "nests", "bytes": inst.nbytes,
     }
     # the replay owns every register and constant it reads
     assert inst.nbytes == CompiledProgram(inst.plan).nbytes
