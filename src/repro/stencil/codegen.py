@@ -26,34 +26,38 @@ further, to straight-line source code specialized for one
    classic ``mul/mul/add/add.../copy`` chains collapse into **one loop
    nest per kernel** — memory is touched once, exactly the dataflow fusion
    the paper realizes in hardware.
-3. :func:`emit_c` renders each *distinct* statement once, as a loop nest in
-   its own function, and each tape as a call list (warm and steady tapes
-   share most statements). Expression trees keep the tape's association
-   order and the build disables contraction (``-ffp-contract=off``), so
-   results stay **bit-identical** to the tape replay — and
-   :mod:`repro.stencil.native` verifies that bitwise at bind time before
-   trusting the build. A nest whose iterations are independent and whose
-   destination is injective (:func:`_parallel_safe`), and that has two or
-   more loops over at least ``_OMP_MIN_CELLS`` cells, gets ``#pragma omp
-   parallel for schedule(static)`` on its outermost loop: the team splits
-   the cells, each computed exactly as before, and no value crosses
-   threads. That is the **nests** schedule.
+3. :func:`emit_c` renders each distinct **kernel** once — a statement
+   with its bases renamed to parameter slots (:func:`_kernel`), so the
+   warm tapes, both steady parities and every stage of a multi-stage
+   update that repeat one nest over different buffers share one function
+   — as a loop nest over pointer parameters, and each tape as a call list
+   passing its bases' pointers. Expression trees keep the tape's
+   association order and the build disables contraction
+   (``-ffp-contract=off``), so results stay **bit-identical** to the tape
+   replay — and :mod:`repro.stencil.native` verifies that bitwise at bind
+   time before trusting the build. A nest whose iterations are
+   independent and whose destination is injective (:func:`_parallel_safe`),
+   and that has two or more loops over at least ``_OMP_MIN_CELLS`` cells,
+   gets ``#pragma omp parallel for schedule(static)`` on its outermost
+   loop: the team splits the cells, each computed exactly as before, and
+   no value crosses threads. That is the **nests** schedule.
 4. A stacked binding (``batch >= 2``) whose every base splits by member
    (:func:`member_strides`: each access carries the leading batch axis,
    each base one member stride, each member's footprint inside its own
    stride) gets the **members** schedule instead: ``repro_run`` forks once,
    on the member loop, and each thread carries its members through every
    requested iteration, warm and steady tapes alike, through per-member
-   statement functions (base pointers offset by ``m * stride``, lead axis
-   dropped, no inner fork). No member reads or writes another's elements,
+   kernels (lead axis dropped, no inner fork) called with base pointers
+   offset by ``m * stride``. No member reads or writes another's elements,
    and within a member the statements, iterations and cells keep their
    order, so every value is computed exactly as by the nests schedule — no
    halo, and no barrier between iterations.
 
 The generated sources embed only plan-derived geometry (shapes, strides,
-offsets, folded constants) — never data pointers — so one compiled
-artifact is shared by every instance of the same ``(plan token, batch)``
-and survives on disk across processes.
+offsets, folded constants) — never data pointers, and under the members
+schedule not the member count either — so one compiled artifact is shared
+by every instance of the same plan token (and, on the nests schedule, the
+same batch), and survives on disk across processes.
 """
 
 from __future__ import annotations
@@ -528,31 +532,44 @@ def _member_statement(stmt: Statement) -> Statement:
     )
 
 
-def _emit_stmt_c(
-    stmt: Statement,
-    dtype: np.dtype,
-    lines: list[str],
-    members: dict[int, int] | None = None,
+def _kernel(stmt: Statement) -> tuple[Statement, tuple[int, ...]]:
+    """``stmt`` with its bases renamed to parameter slots, and its bases in
+    slot order: the unit of code emission.
+
+    Slots number the statement's bases by first appearance — the
+    destination, then the loads in expression order — a bijection, so two
+    statements share a kernel only when they are the same nest over the
+    same alias pattern (an in-place update and a read of another base stay
+    apart), and every verdict drawn from base equality
+    (:func:`_independent_iterations`, :func:`_parallel_safe`) reads the
+    same on the kernel as on the statement.
+    """
+    slots: dict[int, int] = {}
+
+    def rename(a: Access) -> Access:
+        return Access(slots.setdefault(a.base, len(slots)), a.offset, a.shape, a.strides)
+
+    dest = rename(stmt.dest)
+    return Statement(dest, _map_loads(stmt.expr, lambda a: Load(rename(a)))), tuple(slots)
+
+
+def _emit_kernel_c(
+    kernel: Statement, dtype: np.dtype, lines: list[str], members: bool
 ) -> None:
-    """One loop nest; with ``members`` (base -> member stride), member
-    ``m``'s part of a batched statement, which never forks."""
-    if members is not None:
-        stmt = _member_statement(stmt)
-    shape, strides = _normalize(stmt)
-    for b in sorted({stmt.dest.base} | {a.base for a in _expr_loads(stmt.expr)}):
-        shift = f" + m * {members[b]}" if members is not None else ""
-        lines.append(f"  real_t* b{b} = (real_t*)P[{b}]{shift};")
+    """One loop nest over the kernel's slot pointers ``b0, b1, ...``; a
+    member kernel (``members``, lead axis already dropped) never forks."""
+    shape, strides = _normalize(kernel)
     indent = "  "
-    ivdep = _independent_iterations(stmt)
+    ivdep = _independent_iterations(kernel)
     # the outer loop of a large nest forks a team in place of its ivdep
     # (GCC takes one pragma before a `for`; only the innermost loop
     # vectorizes). Flat nests stay serial: forking RTM's lane statements
     # cost the batched mix more than their split saved
     fork = (
-        members is None
+        not members
         and len(shape) > 1
         and math.prod(shape) >= _OMP_MIN_CELLS
-        and _parallel_safe(stmt)
+        and _parallel_safe(kernel)
     )
     for axis, extent in enumerate(shape):
         if fork and axis == 0:
@@ -564,38 +581,63 @@ def _emit_stmt_c(
             f"i{axis} < {extent}; ++i{axis})"
         )
     body_indent = indent * (len(shape) + 1)
-    dest_idx = _c_index(stmt.dest.offset, strides[0])
+    dest_idx = _c_index(kernel.dest.offset, strides[0])
     suffix = "f" if dtype == np.dtype(np.float32) else ""
-    expr = _c_expr(stmt.expr, suffix, iter(strides[1:]))
-    lines.append(f"{body_indent}b{stmt.dest.base}[{dest_idx}] = {expr};")
+    expr = _c_expr(kernel.expr, suffix, iter(strides[1:]))
+    lines.append(f"{body_indent}b{kernel.dest.base}[{dest_idx}] = {expr};")
+
+
+def _numbered(items) -> dict:
+    """Each distinct item, numbered by first appearance."""
+    return {item: n for n, item in enumerate(dict.fromkeys(items))}
 
 
 def unique_statements(ir: NativeIR) -> dict[Statement, int]:
     """Each distinct statement of the IR, numbered by first appearance."""
-    numbered: dict[Statement, int] = {}
-    for tape in ir.tapes:
-        for stmt in tape:
-            numbered.setdefault(stmt, len(numbered))
-    return numbered
+    return _numbered(stmt for tape in ir.tapes for stmt in tape)
+
+
+def _kernel_tapes(
+    ir: NativeIR, members: dict[int, int] | None
+) -> list[list[tuple[Statement, tuple[int, ...]]]]:
+    """Per tape, each statement's kernel and bases (:func:`_kernel`) —
+    member ``m``'s part of it under the members schedule."""
+    return [
+        [_kernel(stmt if members is None else _member_statement(stmt)) for stmt in tape]
+        for tape in ir.tapes
+    ]
+
+
+def kernels(ir: NativeIR) -> dict[Statement, int]:
+    """Each distinct kernel of the IR, numbered by first appearance: one
+    emitted function each."""
+    tapes = _kernel_tapes(ir, member_strides(ir))
+    return _numbered(kernel for tape in tapes for kernel, _ in tape)
 
 
 def emit_c(ir: NativeIR) -> str:
     """C source for every tape of the instance.
 
-    Each distinct statement is one ``noinline`` function holding its loop
-    nest — warm and steady tapes of one parity differ in little but their
-    boundary ops, and compiling the shared nests once keeps the build's
-    time and memory near the steady pair's alone. A tape is the list of
-    its calls, and ``repro_run(void**, k0, n)`` executes iterations
-    ``k0 .. k0+n`` by **absolute** index — warm tape ``k`` while
-    ``k < len(warm)``, then the steady pair by parity — so a whole
-    ``run_iterations`` stretch is one foreign call. ``repro_threads()``
-    is the team size a forked loop runs on.
+    Each distinct kernel (:func:`_kernel`: a statement with its bases
+    renamed to parameter slots) is one ``noinline`` function holding its
+    loop nest, over pointer parameters ``b0, b1, ...`` — warm and steady
+    tapes, both parities and the stages of a multi-stage update repeat
+    the same nests over different buffers, and compiling each nest once
+    keeps the build's time and memory near one tape's. A tape is the list
+    of its calls, each passing its bases' pointers from the table, and
+    ``repro_run(void**, k0, n, batch)`` executes iterations ``k0 .. k0+n``
+    by **absolute** index — warm tape ``k`` while ``k < len(warm)``, then
+    the steady pair by parity — so a whole ``run_iterations`` stretch is
+    one foreign call. ``repro_threads()`` is the team size a forked loop
+    runs on.
 
-    Under the members schedule (:func:`member_strides`) each statement
-    function takes the member index ``m`` and ``repro_run`` forks once, on
-    the member loop around the iteration loop; otherwise (the nests
-    schedule) large nests fork inside their own functions.
+    Under the members schedule (:func:`member_strides`) each kernel is one
+    member's nest, called with every pointer offset by ``m * stride``, and
+    ``repro_run`` forks once, on the loop over its ``batch`` members
+    around the iteration loop — the member count is an argument, so every
+    stacked binding of one plan shares one source. Otherwise (the nests
+    schedule) ``batch`` is unused and large nests fork inside their own
+    functions.
     """
     ctype = "float" if ir.dtype == np.dtype(np.float32) else "double"
     lines = [
@@ -604,26 +646,36 @@ def emit_c(ir: NativeIR) -> str:
         "int repro_threads(void) { return omp_get_max_threads(); }", "",
     ]
     members = member_strides(ir)
-    params, args = ("void** P", "P") if members is None else ("void** P, int64_t m", "P, m")
-    numbered = unique_statements(ir)
-    for stmt, s in numbered.items():
-        lines.append(f"static __attribute__((noinline)) void s{s}({params}) {{")
-        _emit_stmt_c(stmt, ir.dtype, lines, members)
+    tapes = _kernel_tapes(ir, members)
+    numbered = _numbered(kernel for tape in tapes for kernel, _ in tape)
+    for kernel, k in numbered.items():
+        slots = 1 + max(a.base for a in (kernel.dest, *_expr_loads(kernel.expr)))
+        params = ", ".join(f"real_t* b{slot}" for slot in range(slots))
+        lines.append(f"static __attribute__((noinline)) void s{k}({params}) {{")
+        _emit_kernel_c(kernel, ir.dtype, lines, members is not None)
         lines += ["}", ""]
+
+    def pointer(b: int) -> str:
+        shift = f" + m * {members[b]}" if members is not None else ""
+        return f"(real_t*)P[{b}]{shift}"
+
     warm = len(ir.warm)
-    lines.append("void repro_run(void** P, int64_t k0, int64_t n) {")
+    lines.append("void repro_run(void** P, int64_t k0, int64_t n, int64_t batch) {")
     if members is not None:
         lines += [
             "  #pragma omp parallel for schedule(static)",
-            f"  for (int64_t m = 0; m < {ir.batch}; ++m)",
+            "  for (int64_t m = 0; m < batch; ++m)",
         ]
     lines += [
         "  for (int64_t k = k0; k < k0 + n; ++k) {",
         f"    switch (k < {warm} ? k : {warm} + ((k - {warm}) & 1)) {{",
     ]
-    for t, tape in enumerate(ir.tapes):
+    for t, tape in enumerate(tapes):
         lines.append(f"      case {t}:")
-        lines += [f"        s{numbered[stmt]}({args});" for stmt in tape]
+        lines += [
+            f"        s{numbered[kernel]}({', '.join(map(pointer, bases))});"
+            for kernel, bases in tape
+        ]
         lines.append("        break;")
     lines += ["    }", "  }", "}", ""]
     return "\n".join(lines)

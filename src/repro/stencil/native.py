@@ -15,9 +15,10 @@ member through all of its iterations on one thread; ``"nests"``
 otherwise runs every large independent nest as its own OpenMP
 worksharing loop. ``native_stats["schedule"]`` names which one bound, and
 :func:`team_size` is the team, known before any binding. Artifacts are
-content-addressed on disk (``~/.cache/repro/native``), so equal
-``(plan, batch)`` bindings — across instances and processes — reuse one
-build; an artifact that does not load is deleted and rebuilt once
+content-addressed on disk (``~/.cache/repro/native``), so bindings of one
+plan — across instances, threads, processes and, on the members schedule,
+stacked batch sizes — reuse one build, which one binder at a time runs;
+an artifact that does not load is deleted and rebuilt once
 (``native.cache_corrupt``).
 
 The candidate is **verified at bind time**: the instance runs ``warm + 4``
@@ -42,6 +43,7 @@ import struct
 import subprocess
 import tempfile
 import threading
+import time
 import zlib
 from pathlib import Path
 from typing import Callable
@@ -53,6 +55,7 @@ from repro.stencil.codegen import (
     NativeIR,
     build_ir,
     emit_c,
+    kernels,
     member_strides,
     unique_statements,
 )
@@ -79,6 +82,8 @@ _CC_FLAGS = (
 _lock = threading.Lock()
 #: source sha -> loaded shared library (or None after a failed build)
 _libs: dict[str, ctypes.CDLL | None] = {}
+#: source sha -> the lock its builder holds while later callers wait
+_gates: dict[str, threading.Lock] = {}
 #: memoized "the system compiler is unusable" verdict
 _cc_broken = False
 
@@ -133,7 +138,7 @@ def _load(so_path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(so_path))
     try:
         lib.repro_run.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ]
         lib.repro_threads.restype = ctypes.c_int
     except AttributeError:
@@ -145,23 +150,40 @@ def _load(so_path: Path) -> ctypes.CDLL:
     return lib
 
 
-def _compiled_lib(source: str) -> ctypes.CDLL | None:
-    """Build (or reuse) the shared object for one generated C source.
+def _compiled_lib(source: str) -> tuple[ctypes.CDLL | None, float]:
+    """Build (or reuse) the shared object for one generated C source, and
+    the compiler seconds this call spent (0.0 on a memo or disk hit).
 
     Content-addressed: the key is the sha of source + flags, so equal
-    bindings across instances, threads and processes share one
-    artifact; concurrent builders race benignly through atomic renames.
-    An artifact that does not load as one (truncated, foreign) is deleted
-    and rebuilt once, with a ``native.cache_corrupt`` event.
+    sources across instances, threads and processes share one artifact.
+    Within a process the build is single-flight — the first caller of a
+    sha builds under that sha's lock and later callers wait for its
+    result — and concurrent processes race benignly through atomic
+    renames. An artifact that does not load as one (truncated, foreign) is
+    deleted and rebuilt once, with a ``native.cache_corrupt`` event.
     """
-    global _cc_broken
     sha = _sha(source)
     with _lock:
-        if sha in _libs:
-            return _libs[sha]
-        if _cc_broken:
-            return None
+        gate = _gates.setdefault(sha, threading.Lock())
+    with gate:
+        with _lock:  # built, or found no compiler, by an earlier caller
+            if sha in _libs:
+                return _libs[sha], 0.0
+            if _cc_broken:
+                return None, 0.0
+        lib, build_s = _build(sha, source)
+        with _lock:
+            if not _cc_broken:
+                _libs[sha] = lib
+    return lib, build_s
+
+
+def _build(sha: str, source: str) -> tuple[ctypes.CDLL | None, float]:
+    """Load the artifact of ``sha`` from disk, or compile ``source`` into
+    it: the library (None when nothing builds) and the compiler seconds."""
+    global _cc_broken
     lib: ctypes.CDLL | None = None
+    build_s = 0.0
     try:
         so_path = _cache_dir() / f"{sha}.so"
         if so_path.exists():
@@ -175,16 +197,18 @@ def _compiled_lib(source: str) -> ctypes.CDLL | None:
             if cc is None:
                 with _lock:
                     _cc_broken = True
-                return None
+                return None, 0.0
             with tempfile.TemporaryDirectory(dir=so_path.parent) as tmp:
                 c_path = Path(tmp) / f"{sha}.c"
                 c_path.write_text(source)
                 out = Path(tmp) / f"{sha}.so"
+                start = time.perf_counter()
                 proc = subprocess.run(
                     [cc, *_CC_FLAGS, "-o", str(out), str(c_path)],
                     capture_output=True,
                     timeout=120,
                 )
+                build_s = time.perf_counter() - start
                 if proc.returncode != 0:
                     raise OSError(
                         f"native build failed: {proc.stderr.decode(errors='replace')[:500]}"
@@ -194,9 +218,7 @@ def _compiled_lib(source: str) -> ctypes.CDLL | None:
     except Exception as exc:  # noqa: BLE001 - any build problem means fallback
         obs.emit("native.cc_build_failed", error=repr(exc))
         lib = None
-    with _lock:
-        _libs[sha] = lib
-    return lib
+    return lib, build_s
 
 
 def team_size() -> int:
@@ -210,7 +232,7 @@ def team_size() -> int:
         bases=[], warm=(), steady=([], []), dtype=np.dtype(np.float64),
         registers=frozenset(), forwarded=0,
     )
-    lib = _compiled_lib(emit_c(probe))
+    lib, _ = _compiled_lib(emit_c(probe))
     return lib.repro_threads() if lib is not None else 1
 
 
@@ -220,7 +242,12 @@ def _bits(arr: np.ndarray) -> np.ndarray:
 
 
 def _bind_cc(ir: NativeIR) -> Callable[[int, int], None] | None:
-    lib = _compiled_lib(emit_c(ir))
+    """A runner over the instance's bases, or None when nothing builds.
+
+    The runner reports the ``threads`` its forked loops run on, the
+    ``schedule`` emitted and the compiler seconds its build took
+    (``build_s``, 0.0 when the artifact was memoized or on disk)."""
+    lib, build_s = _compiled_lib(emit_c(ir))
     if lib is None:
         return None
     # the pointer table is rebuilt per instance (same source, different
@@ -238,11 +265,14 @@ def _bind_cc(ir: NativeIR) -> Callable[[int, int], None] | None:
     addr = ptrs.ctypes.data
     run = lib.repro_run
 
-    def runner(k0: int, n: int, _run=run, _addr=addr, _keep=ptrs) -> None:
-        _run(_addr, k0, n)
+    def runner(
+        k0: int, n: int, _run=run, _addr=addr, _batch=ir.batch, _keep=ptrs
+    ) -> None:
+        _run(_addr, k0, n, _batch)
 
     runner.threads = lib.repro_threads()
     runner.schedule = "nests" if member_strides(ir) is None else "members"
+    runner.build_s = build_s
     return runner
 
 
@@ -272,12 +302,16 @@ class NativeProgram(CompiledProgram):
     def native_stats(self) -> dict:
         """What the bound rung executes: ``statements`` per tape (warm,
         then the steady pair), ``forwarded`` register stores elided,
-        ``unique_statements`` emitted, the ``threads`` a forked loop runs
+        ``unique_statements``, the ``kernels`` emitted (one function
+        each; on the tape, one per raw op like ``unique_statements``), the
+        ``threads`` a forked loop runs
         on (1 on the tape), the ``schedule`` — ``"members"`` when each
         thread carries whole batch members through every iteration,
         ``"nests"`` when large nests fork one by one (and on the tape) —
         and the ``bytes`` the instance owns (a copy; the ``native.bound``
-        event carries the same)."""
+        event carries the same, plus the ``build_s`` compiler seconds and
+        ``verify_s`` self-check seconds the bind spent, 0.0 where it built
+        or checked nothing)."""
         return dict(self._stats)
 
     # -- backend selection -----------------------------------------------------
@@ -288,8 +322,9 @@ class NativeProgram(CompiledProgram):
         raw = [len(t) for t in self.plan.warm + self.plan.steady]
         stats = {
             "statements": raw, "forwarded": 0, "unique_statements": sum(raw),
-            "threads": 1, "schedule": "nests",
+            "kernels": sum(raw), "threads": 1, "schedule": "nests",
         }
+        timing = {"build_s": 0.0, "verify_s": 0.0}
         ir = build_ir(self)
         runner = _bind_cc(ir) if ir is not None else None
         if runner is not None:
@@ -301,10 +336,17 @@ class NativeProgram(CompiledProgram):
                 "statements": [len(t) for t in ir.tapes],
                 "forwarded": ir.forwarded,
                 "unique_statements": len(unique_statements(ir)),
+                "kernels": len(kernels(ir)),
             }
             del ir  # it holds every register: let verify free the unread ones
             self._runner = runner
-            if self._verify(runner):
+            start = time.perf_counter()
+            verified = self._verify(runner)
+            timing = {
+                "build_s": getattr(runner, "build_s", 0.0),
+                "verify_s": time.perf_counter() - start,
+            }
+            if verified:
                 self.native_backend = "cc"
                 stats = {
                     **cc_stats, "threads": runner.threads,
@@ -322,7 +364,7 @@ class NativeProgram(CompiledProgram):
         self._stats = {**stats, "bytes": self.nbytes}
         obs.emit(
             "native.bound", backend=self.native_backend, batch=self.batch,
-            tapes=len(stats["statements"]), **self._stats,
+            tapes=len(stats["statements"]), **self._stats, **timing,
         )
 
     def _release_tapes(self) -> None:

@@ -593,8 +593,10 @@ def test_ir_rtm_statement_budget():
     assert all(len(tape) <= 62 for tape in ir.tapes)
     # warm and steady tapes of one parity share most of their loop nests
     assert len(codegen.unique_statements(ir)) < 0.6 * sum(map(len, ir.tapes))
+    # ... and the same nests over different buffers share one function
     source = codegen.emit_c(ir)
-    assert source.count("noinline") == len(codegen.unique_statements(ir))
+    assert source.count("noinline") == len(codegen.kernels(ir))
+    assert len(codegen.kernels(ir)) < len(codegen.unique_statements(ir))
 
 
 def test_constants_keep_the_sign_of_zero():
@@ -834,11 +836,11 @@ def test_members_split_a_stack_of_disjoint_slabs():
     stmt = _member_copy()
     assert codegen.member_strides(_ir(stmt, batch=2)) == {DST: 100, SRC: 100}
     source = _emitted(stmt, batch=2)
-    # one fork, on the member loop; each member's bases offset by its slab
+    # one fork, on the member loop; each member's bases offset by its
+    # slab where the kernel is called, the member count an argument
     assert source.count(OMP) == 1
-    assert f"{OMP}\n  {MEMBER_LOOP} m < 2; ++m)" in source
-    assert f"b{DST} = (real_t*)P[{DST}] + m * 100;" in source
-    assert "s0(P, m);" in source
+    assert f"{OMP}\n  {MEMBER_LOOP} m < batch; ++m)" in source
+    assert f"s0((real_t*)P[{DST}] + m * 100, (real_t*)P[{SRC}] + m * 100);" in source
     # without the lead axis the member nest is the 8 x 8 interior
     assert "i0 < 8" in source and "i2" not in source
 
@@ -896,14 +898,15 @@ def test_every_app_stack_splits_by_member(name):
     assert codegen.member_strides(codegen.build_ir(CompiledProgram(_plan(name)))) is None
 
 
-#: sha256 prefixes of the batch-1 sources the nests-only emitter produced
-#: for the registry apps at APP_MESHES. A single mesh has no member to
-#: split, so these artifacts — and the single-mesh contract workloads'
-#: — must not change with the members schedule. Update deliberately.
+#: sha256 prefixes of the batch-1 sources the one-function-per-kernel
+#: emitter produces for the registry apps at APP_MESHES. A single mesh has
+#: no member to split, so these artifacts — and the single-mesh contract
+#: workloads' — must not change with the members schedule. Update
+#: deliberately.
 NESTS_SOURCES = {
-    "poisson2d": "122ebd8b59dc2364",
-    "jacobi3d": "b663bede48872fd2",
-    "rtm": "1e2f67e876a0aeaa",
+    "poisson2d": "f050baad6864cc12",
+    "jacobi3d": "f36c5aaa9f7ac4db",
+    "rtm": "aa27b4baecc29dfa",
 }
 
 
@@ -923,6 +926,155 @@ def test_bound_schedule_names_the_emission(batch, verified_binds, events):
     assert inst.native_stats["schedule"] == want
     (bound,) = events.of_kind("native.bound")
     assert bound["schedule"] == want and bound["batch"] == batch
+
+
+# --------------------------------------------------------------------------- #
+# one function per kernel: a statement with its bases renamed to slots
+# --------------------------------------------------------------------------- #
+OTHER = 3  # a fourth base: another buffer
+
+
+def _kernel_functions(source):
+    return source.count("noinline")
+
+
+@pytest.mark.parametrize("shift", [0, 1], ids=["in-place", "shifted"])
+def test_self_read_and_other_base_read_are_two_kernels(shift):
+    """Slots keep the alias pattern: reading the destination's own base
+    and reading another base at the same offsets are different kernels,
+    each with the statement's own ivdep and fork verdicts."""
+    dest = _window(DST, 301, BIG, (300, 1))
+    read = lambda base: _window(base, 301 + shift, BIG, (300, 1))
+    own = codegen.Statement(dest, _sum(read(DST), read(SRC)))
+    other = codegen.Statement(dest, _sum(read(OTHER), read(SRC)))
+    (k_own, bases_own), (k_other, bases_other) = map(codegen._kernel, (own, other))
+    assert bases_own == (DST, SRC) and bases_other == (DST, OTHER, SRC)
+    assert k_own != k_other
+    assert len(codegen.kernels(_ir(own, other))) == 2
+    for stmt, kernel in ((own, k_own), (other, k_other)):
+        assert codegen._independent_iterations(kernel) == codegen._independent_iterations(stmt)
+        assert codegen._parallel_safe(kernel) == codegen._parallel_safe(stmt)
+    # a shifted self-read carries a dependency: no ivdep, no fork
+    assert codegen._parallel_safe(k_own) == (shift == 0)
+    assert codegen._parallel_safe(k_other)
+    source = _emitted(own, other)
+    assert _kernel_functions(source) == 2
+    assert source.count(OMP) == (2 if shift == 0 else 1)
+    s_own = source[source.index("void s0("):source.index("void s1(")]
+    assert ("ivdep" in s_own) == (shift == 0) and (OMP in s_own) == (shift == 0)
+
+
+def test_the_same_nest_over_other_bases_is_one_kernel():
+    one = _copy_into(_window(DST, 0, (8, 8), (10, 1)))
+    two = _copy_into(_window(OTHER, 0, (8, 8), (10, 1)), src_base=REG)
+    assert codegen._kernel(one)[0] == codegen._kernel(two)[0]
+    source = _emitted(one, two)
+    assert _kernel_functions(source) == 1
+    assert f"s0((real_t*)P[{DST}], (real_t*)P[{SRC}]);" in source
+    assert f"s0((real_t*)P[{OTHER}], (real_t*)P[{REG}]);" in source
+
+
+def test_kernels_differing_in_an_offset_or_a_zero_sign_stay_apart():
+    dest = _window(DST, 11)
+    base = codegen.Statement(dest, _sum(_window(SRC, 11)))
+    shifted = codegen.Statement(dest, _sum(_window(SRC, 12)))
+    scaled = lambda zero: codegen.Statement(
+        dest, codegen.OpExpr("mul", (codegen.Const(zero.hex()), codegen.Load(_window(SRC))))
+    )
+    stmts = [base, shifted, scaled(0.0), scaled(-0.0)]
+    assert len({codegen._kernel(s)[0] for s in stmts}) == 4
+    assert _kernel_functions(_emitted(*stmts)) == 4
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_rtm_emits_few_kernels(batch):
+    """RTM's warm tapes, steady parities and stages repeat a handful of
+    nests over different buffers: ~130 statements, at most 20 functions."""
+    ir = codegen.build_ir(CompiledProgram(_plan("rtm"), batch=batch))
+    assert len(codegen.unique_statements(ir)) > 100
+    assert _kernel_functions(codegen.emit_c(ir)) == len(codegen.kernels(ir)) <= 20
+
+
+@pytest.fixture
+def counted_builds(monkeypatch, tmp_path):
+    """A fresh artifact cache and memo; the list of compiler runs."""
+    monkeypatch.setenv(native.CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(native, "_libs", {})
+    calls = []
+    run = subprocess.run
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(native.subprocess, "run", counting)
+    return calls
+
+
+@needs_cc
+def test_stacked_batch_sizes_share_one_build(counted_builds, verified_binds):
+    """On the members schedule the member count is a runner argument: RTM
+    stacked two and three deep is one source and one compiler run, and
+    each binding still verifies and computes the interpreter's answer."""
+    plan = _plan("rtm")
+    sources = {
+        codegen.emit_c(codegen.build_ir(CompiledProgram(plan, batch=batch)))
+        for batch in (2, 3)
+    }
+    assert len(sources) == 1
+    app = app_by_name("rtm")
+    program = app.program_on(APP_MESHES["rtm"])
+    niter = len(plan.warm) + 3
+    for batch in (2, 3):
+        inst = NativeProgram(plan, batch=batch)
+        assert inst.native_backend == "cc"
+        assert inst.native_stats["schedule"] == "members"
+        envs = [app.fields(APP_MESHES["rtm"], seed=s) for s in range(batch)]
+        for env, got in zip(envs, inst.run_stacked(envs, niter)):
+            _assert_env_equal(run_program(program, env, niter, engine="interpreter"), got)
+    assert len(counted_builds) == 1
+
+
+@needs_cc
+def test_concurrent_binders_of_one_plan_build_once(counted_builds):
+    """More binders of one plan than cores, at once: one runs the
+    compiler, the others wait for its artifact, and all of them bind it."""
+    import threading
+
+    plan = _plan("rtm")
+    binders = 4
+    start = threading.Barrier(binders)
+    bound = []
+
+    def bind():
+        start.wait()
+        bound.append(NativeProgram(plan).native_backend)
+
+    threads = [threading.Thread(target=bind) for _ in range(binders)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bound == ["cc"] * binders
+    assert len(counted_builds) == 1
+
+
+@needs_cc
+def test_bound_event_times_the_build_and_the_verify(counted_builds, verified_binds, events):
+    plan = _plan("jacobi3d")
+    first, again = NativeProgram(plan), NativeProgram(plan)
+    assert first.native_backend == again.native_backend == "cc"
+    built, memo = events.of_kind("native.bound")
+    assert built["build_s"] > 0 and memo["build_s"] == 0.0  # one compiler run
+    assert built["verify_s"] > 0 and memo["verify_s"] > 0  # every bind checks
+    assert built["kernels"] == first.native_stats["kernels"] < built["unique_statements"]
+    assert len(counted_builds) == 1
 
 
 #: runs in a fresh interpreter per team size, since libgomp reads
@@ -1134,7 +1286,8 @@ def test_tape_fallback_reports_the_raw_tapes(failed_build):
     raw = [len(t) for t in inst.plan.warm + inst.plan.steady]
     assert inst.native_stats == {
         "statements": raw, "forwarded": 0, "unique_statements": sum(raw),
-        "threads": 1, "schedule": "nests", "bytes": inst.nbytes,
+        "kernels": sum(raw), "threads": 1, "schedule": "nests",
+        "bytes": inst.nbytes,
     }
     # the replay owns every register and constant it reads
     assert inst.nbytes == CompiledProgram(inst.plan).nbytes
