@@ -12,6 +12,22 @@ from repro.stencil.builders import jacobi2d_5pt, jacobi3d_7pt
 from repro.stencil.program import single_kernel_program
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "fuzz: long differential-fuzzing profiles; run with -m fuzz"
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Fuzz profiles run only when ``-m`` selects them."""
+    if "fuzz" in (config.getoption("markexpr") or ""):
+        return
+    skip = pytest.mark.skip(reason="long fuzz profile; run with -m fuzz")
+    for item in items:
+        if "fuzz" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture
 def spec2d() -> MeshSpec:
     return MeshSpec((12, 10))

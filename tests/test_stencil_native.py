@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import observability as obs
 from repro.apps.registry import all_apps, app_by_name
@@ -1185,55 +1186,113 @@ def test_single_steps_cross_the_warm_steady_boundary(rung, batch, monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# beyond the registry: generated star/box kernels, awkward extents
+# beyond the registry: a differential fuzzer over generated programs
 # --------------------------------------------------------------------------- #
-#: odd and prime extents: no axis is a multiple of a vector width
-EXTENTS = (7, 9, 11, 13, 17)
+#: odd and prime extents on both sides of the proxy mesh's: no axis is a
+#: multiple of a vector width
+EXTENTS = (7, 9, 11, 13, 17, 19, 23, 29, 31)
+#: meshes whose interior nests straddle the fork grain (2**15 cells)
+LARGE_MESHES = {2: (199, 181), 3: (41, 37, 31)}
+#: coefficients a stage may carry in place of one of its weights
+SPECIALS = (None, None, None, "nan", "inf", "-inf", "-0", "denormal")
 
 
 @st.composite
 def generated_case(draw):
+    """A chain of one to three kernels over a 1-3 component state ``U``:
+    star or box stencils of radius 1-3, each stage's output seeded from
+    its source (a boundary ring) or not, one coefficient per stage maybe
+    NaN, an infinity, -0.0 or a denormal."""
     ndim = draw(st.sampled_from([2, 3]))
-    box = draw(st.booleans())
-    # a 3-D box of radius 3 is 343 points: correct but slow to compile
-    radius = draw(st.integers(1, 2 if box and ndim == 3 else 3))
-    shape = tuple(
-        draw(st.sampled_from([e for e in EXTENTS if e > 2 * radius]))
-        for _ in range(ndim)
+    stages = tuple(
+        (
+            box,
+            # a 3-D box past radius 1 is hundreds of points: slow to compile
+            draw(st.integers(1, 1 if box and ndim == 3 else 3)),
+            draw(st.booleans()),  # init_from its source: a boundary ring
+            draw(st.sampled_from(SPECIALS)),
+        )
+        for box in draw(st.lists(st.booleans(), min_size=1, max_size=3))
     )
+    reach = max(radius for _, radius, _, _ in stages)
+    if draw(st.sampled_from([False, False, False, True])):
+        shape, batches = LARGE_MESHES[ndim], [1, 2]
+    else:
+        shape = tuple(
+            draw(st.sampled_from([e for e in EXTENTS if e > 2 * reach]))
+            for _ in range(ndim)
+        )
+        batches = [1, 2, 3, 5]
     niter = draw(st.integers(2, 8))
     return (
-        ndim, box, radius, shape,
+        ndim,
+        draw(st.integers(1, 3)),                    # components
+        stages,
+        shape,
         draw(st.sampled_from([np.float32, np.float64])),
-        draw(st.sampled_from([1, 2, 3, 5])),    # batch
+        draw(st.sampled_from(batches)),
         niter,
         draw(st.sampled_from(range(1, niter, 2))),  # odd split point k0
-        draw(st.integers(0, 999)),              # seed
+        draw(st.integers(0, 999)),                  # seed
     )
 
 
-def _generated_program(ndim, box, radius, shape, dtype, seed):
-    offsets = (box_offsets if box else star_offsets)(ndim, radius)
-    weights = np.random.default_rng(seed).uniform(-1.0, 1.0, len(offsets))
-    expr = None
-    for w, off in zip(weights / len(offsets), offsets):
-        term = Const(float(w)) * FieldAccess("U", off)
-        expr = term if expr is None else expr + term
-    kernel = single_output_kernel("generated", "U", expr)
+def _bit_pattern(arr):
+    """``arr``'s bit patterns with every NaN one pattern: IEEE 754 leaves
+    the sign and payload of a NaN result open, and NumPy's vector loops and
+    their scalar tails already differ on it. Every other value, -0.0, the
+    infinities and denormals included, compares bit for bit."""
+    bits = np.ascontiguousarray(arr).view(f"u{arr.itemsize}").copy()
+    bits[np.isnan(arr)] = np.array(np.nan, arr.dtype).view(bits.dtype)
+    return bits
+
+
+def _special(name, dtype):
+    if name == "denormal":
+        return float(np.finfo(dtype).smallest_subnormal) * 3
+    return {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0": -0.0}[name]
+
+
+def _generated_program(ndim, comps, stages, shape, dtype, seed):
+    """Stage ``s`` reads the previous stage's output (``U`` first) and, past
+    the first, the state at its centre; the last stage writes ``U``."""
+    origin = (0,) * ndim
+    loops = []
+    src = "U"
+    for s, (box, radius, ring, special) in enumerate(stages):
+        offsets = (box_offsets if box else star_offsets)(ndim, radius)
+        rng = np.random.default_rng(seed + s)
+        weights = [float(w) for w in rng.uniform(-1.0, 1.0, len(offsets) + 2) / len(offsets)]
+        if special is not None:  # on a term every component reads
+            slot = seed % (len(offsets) + 1)
+            weights[slot if slot < len(offsets) else -2] = _special(special, dtype)
+        exprs = []
+        for c in range(comps):
+            expr = Const(weights[-2]) * FieldAccess(src, origin, (c + 1) % comps)
+            for w, off in zip(weights, offsets):
+                expr = expr + Const(w) * FieldAccess(src, off, c)
+            if s:
+                expr = expr + Const(weights[-1]) * FieldAccess("U", origin, c)
+            exprs.append(expr)
+        out = "U" if s == len(stages) - 1 else f"A{s}"
+        kernel = StencilKernel(
+            f"stage{s}", (KernelOutput(out, tuple(exprs), init_from=src if ring else None),)
+        )
+        loops.append(StencilLoop(kernel))
+        src = out
     return StencilProgram(
-        "generated", MeshSpec(shape, 1, np.dtype(dtype)),
-        (FusedGroup((StencilLoop(kernel),)),), state_fields=("U",),
+        "generated", MeshSpec(shape, comps, np.dtype(dtype)),
+        (FusedGroup(tuple(loops)),), state_fields=("U",),
     )
 
 
-@given(generated_case())
-@settings(max_examples=20, deadline=None)
-def test_generated_kernels_native_bit_identical(case):
-    """Two ``run_iterations`` stretches, split at an odd ``k0``: under the
+def _check_generated(case):
+    """Interpreter and native agree bit for bit (NaN payloads included) over
+    two ``run_iterations`` stretches split at an odd ``k0``: under the
     members schedule each member resumes mid-warm or on the other steady
     parity by absolute index, exactly as the whole stack does."""
-    ndim, box, radius, shape, dtype, batch, niter, k0, seed = case
-    program = _generated_program(ndim, box, radius, shape, dtype, seed)
+    ndim, comps, stages, shape, dtype, batch, niter, k0, seed = case
+    program = _generated_program(ndim, comps, stages, shape, dtype, seed)
     envs = [
         {"U": Field.random("U", program.mesh, seed=seed + b, lo=-1.0, hi=1.0)}
         for b in range(batch)
@@ -1244,15 +1303,30 @@ def test_generated_kernels_native_bit_identical(case):
     inst.run_iterations(niter - k0)
     for env, out in zip(envs, inst.result_stacked(envs)):
         gold = run_program(program, env, niter, engine="interpreter")
-        assert np.array_equal(gold["U"].data, out["U"].data)
-    # and it ran on cc wherever a compiler works, not a silent demotion;
-    # a stack splits by member once every flat lane sum forwards into the
-    # shaped interior (a sum past the load cap stays a stack-wide window)
-    cc = _cc_works()
-    assert inst.native_backend == ("cc" if cc else "tape")
-    points = len((box_offsets if box else star_offsets)(ndim, radius))
-    members = cc and batch > 1 and points <= codegen._MAX_FUSED_LOADS
-    assert inst.native_stats["schedule"] == ("members" if members else "nests")
+        assert np.array_equal(_bit_pattern(gold["U"].data), _bit_pattern(out["U"].data))
+    # and it ran on cc wherever a compiler works and every folded constant
+    # is finite, not a silent demotion
+    finite = all(special in (None, "-0", "denormal") for *_, special in stages)
+    assert inst.native_backend == ("cc" if _cc_works() and finite else "tape")
+    if batch == 1:
+        assert inst.native_stats["schedule"] == "nests"
+
+
+@given(generated_case())
+@settings(max_examples=20, deadline=None)
+# NaN lanes whose sign differs between the interpreter and the tape replay
+@example((2, 1, ((False, 2, False, "nan"), (False, 1, False, "inf")),
+          (199, 181), np.float32, 1, 2, 1, 0))
+def test_generated_programs_native_bit_identical(case):
+    _check_generated(case)
+
+
+@pytest.mark.fuzz
+@given(generated_case())
+@settings(max_examples=400, deadline=None)
+def test_generated_programs_fuzz(case):
+    """The long profile of the same property: ``pytest -m fuzz``."""
+    _check_generated(case)
 
 
 # --------------------------------------------------------------------------- #
