@@ -4,8 +4,8 @@ The compiled engine (:mod:`repro.stencil.compiled`) replays a plan's tapes
 as a flat list of ``ufunc(a, b, out)`` calls — allocation-free, but every
 op still pays NumPy's fixed dispatch cost and writes its intermediate to a
 full scratch register. This module lowers a **bound** tape one level
-further, to straight-line source code specialized for one
-``(plan, batch)`` binding:
+further, to straight-line source code for the binding's program
+structure, and the descriptor that places it on the binding's mesh:
 
 1. :func:`build_ir` walks every bound tape — warm and steady — and
    normalizes each op into a strided-access :class:`Statement`: each
@@ -26,21 +26,25 @@ further, to straight-line source code specialized for one
    classic ``mul/mul/add/add.../copy`` chains collapse into **one loop
    nest per kernel** — memory is touched once, exactly the dataflow fusion
    the paper realizes in hardware.
-3. :func:`emit_c` renders each distinct **kernel** once — a statement
-   with its bases renamed to parameter slots (:func:`_kernel`), so the
-   warm tapes, both steady parities and every stage of a multi-stage
-   update that repeat one nest over different buffers share one function
-   — as a loop nest over pointer parameters, and each tape as a call list
-   passing its bases' pointers. Expression trees keep the tape's
-   association order and the build disables contraction
+3. :func:`lower_c` renders each distinct **kernel** once — a statement
+   with its bases renamed to parameter slots and its extents, offsets and
+   outer strides lifted into a descriptor block (:func:`_kernel`), so the
+   warm tapes, both steady parities, every stage of a multi-stage update
+   and the faces of a boundary ring, which repeat one nest over other
+   buffers and offsets, share one function — as a loop nest over pointer
+   parameters with one row pointer per stencil row hoisted out of the
+   innermost loop, and each tape as a call list passing its bases'
+   pointers and its block of the ``int64`` descriptor. Expression trees
+   keep the tape's association order and the build disables contraction
    (``-ffp-contract=off``), so results stay **bit-identical** to the tape
-   replay — and :mod:`repro.stencil.native` verifies that bitwise at bind
+   replay — and :mod:`repro.stencil.native` checks that bitwise at bind
    time before trusting the build. A nest whose iterations are
    independent and whose destination is injective (:func:`_parallel_safe`),
-   and that has two or more loops over at least ``_OMP_MIN_CELLS`` cells,
-   gets ``#pragma omp parallel for schedule(static)`` on its outermost
-   loop: the team splits the cells, each computed exactly as before, and
-   no value crosses threads. That is the **nests** schedule.
+   and that has two or more loops, gets ``#pragma omp parallel for
+   schedule(static) if(cells >= grain)`` on its outermost loop, ``grain``
+   a run-time argument (``_OMP_MIN_CELLS`` in use): the team splits the
+   cells, each computed exactly as before, and no value crosses threads.
+   That is the **nests** schedule.
 4. A stacked binding (``batch >= 2``) whose every base splits by member
    (:func:`member_strides`: each access carries the leading batch axis,
    each base one member stride, each member's footprint inside its own
@@ -48,16 +52,23 @@ further, to straight-line source code specialized for one
    on the member loop, and each thread carries its members through every
    requested iteration, warm and steady tapes alike, through per-member
    kernels (lead axis dropped, no inner fork) called with base pointers
-   offset by ``m * stride``. No member reads or writes another's elements,
+   offset by ``m`` times the base's member stride. No member reads or writes another's elements,
    and within a member the statements, iterations and cells keep their
    order, so every value is computed exactly as by the nests schedule — no
    halo, and no barrier between iterations.
 
-The generated sources embed only plan-derived geometry (shapes, strides,
-offsets, folded constants) — never data pointers, and under the members
-schedule not the member count either — so one compiled artifact is shared
-by every instance of the same plan token (and, on the nests schedule, the
-same batch), and survives on disk across processes.
+The generated sources embed only the program's structure — loop depths,
+folded constants and association, alias patterns, the relative row and
+element shifts of a stencil's accesses, strides and extents within one
+mesh element, the warm-tape count — and never a data pointer, a mesh
+extent, an offset or an outer stride, nor the member count: those are the
+pointer table's, the descriptor's and the call's. So one compiled
+artifact is shared by every mesh, block and stacked batch size of one
+program structure (on the nests schedule, every batch size past one), it
+survives on disk across processes, and a small mesh of the same program
+runs the very binary a large one will: :mod:`repro.stencil.native` checks
+each build there. :func:`footprints` reads back, from the descriptor
+alone, the element range every access of every call reaches.
 """
 
 from __future__ import annotations
@@ -75,6 +86,13 @@ _MAX_FUSED_LOADS = 48
 #: smallest nest (normalized cell count) that forks an OpenMP team — below
 #: it the fork and join cost more than the split saves
 _OMP_MIN_CELLS = 1 << 15
+
+#: widest mesh element (components) whose layout the generated code keeps
+#: literal: an innermost extent or stride no larger comes from the
+#: element's layout, not the mesh's extents, and the vectoriser unrolls or
+#: interleaves it; a larger one (a row or plane step) is read from the
+#: descriptor
+_ELEMENT_SPAN = 8
 
 
 @dataclass(frozen=True)
@@ -330,10 +348,21 @@ def _forward(tape: Sequence[Statement], local: set[int]) -> list[Statement]:
     * the merged statement stays within ``_MAX_FUSED_LOADS``.
     """
     stmts = list(tape)
+    # each expression's loads, walked once: the scan below revisits every
+    # later statement for every producer. The entry keeps its expression
+    # alive, so an id is never reused while it is cached
+    walked: dict[int, tuple[object, list[Access]]] = {}
+
+    def loads(expr) -> list[Access]:
+        hit = walked.get(id(expr))
+        if hit is None:
+            hit = walked[id(expr)] = (expr, _expr_loads(expr))
+        return hit[1]
+
     k = 0
     while k < len(stmts):
-        j = _consumer(stmts, k, local)
-        fused = _inline(stmts[k], stmts[j]) if j is not None else None
+        j = _consumer(stmts, k, local, loads)
+        fused = _inline(stmts[k], stmts[j], loads) if j is not None else None
         if fused is None:
             k += 1
         else:
@@ -342,16 +371,18 @@ def _forward(tape: Sequence[Statement], local: set[int]) -> list[Statement]:
     return stmts
 
 
-def _consumer(stmts: Sequence[Statement], k: int, local: set[int]) -> int | None:
+def _consumer(
+    stmts: Sequence[Statement], k: int, local: set[int], loads=_expr_loads
+) -> int | None:
     """The index of statement ``k``'s unique, hazard-free reader, or None."""
     dest = stmts[k].dest
     if dest.base not in local:
         return None
-    reads = {a.base for a in _expr_loads(stmts[k].expr)}
+    reads = {a.base for a in loads(stmts[k].expr)}
     consumer: int | None = None
     for j in range(k + 1, len(stmts)):
         stmt = stmts[j]
-        uses = sum(a.base == dest.base for a in _expr_loads(stmt.expr))
+        uses = sum(a.base == dest.base for a in loads(stmt.expr))
         if uses and (uses > 1 or consumer is not None):
             return None  # second load: the value must exist in memory
         if uses:
@@ -363,12 +394,12 @@ def _consumer(stmts: Sequence[Statement], k: int, local: set[int]) -> int | None
     return consumer
 
 
-def _inline(p: Statement, c: Statement) -> Statement | None:
+def _inline(p: Statement, c: Statement, loads=_expr_loads) -> Statement | None:
     """``c`` with its load of ``p.dest``'s register replaced by ``p.expr``."""
     reg = p.dest.base
-    if any(a.base == c.dest.base for a in _expr_loads(p.expr)):
+    if any(a.base == c.dest.base for a in loads(p.expr)):
         return None
-    (use,) = (a for a in _expr_loads(c.expr) if a.base == reg)
+    (use,) = (a for a in loads(c.expr) if a.base == reg)
     if use == p.dest:
         expr = p.expr
     elif c.dest.base == reg:
@@ -377,10 +408,11 @@ def _inline(p: Statement, c: Statement) -> Statement | None:
         expr = _reindex(p, use)
         if expr is None:
             return None
-    fused = _map_loads(c.expr, lambda a: expr if a.base == reg else Load(a))
-    if len(_expr_loads(fused)) > _MAX_FUSED_LOADS:
+    if len(loads(c.expr)) - 1 + len(loads(expr)) > _MAX_FUSED_LOADS:
         return None
-    return Statement(c.dest, fused)
+    return Statement(
+        c.dest, _map_loads(c.expr, lambda a: expr if a.base == reg else Load(a))
+    )
 
 
 def _reindex(p: Statement, use: Access):
@@ -434,29 +466,19 @@ def _normalize(stmt: Statement) -> tuple[tuple[int, ...], list[list[int]]]:
 
 
 # -- C emission ---------------------------------------------------------------
-def _c_index(offset: int, strides: Sequence[int]) -> str:
-    parts = [str(offset)] if offset else []
-    for axis, stride in enumerate(strides):
-        if stride:
-            parts.append(f"i{axis}*{stride}" if stride != 1 else f"i{axis}")
-    return " + ".join(parts) if parts else "0"
-
-
-def _c_expr(expr, suffix: str, load_strides) -> str:
-    """``load_strides`` yields the normalized strides of each load, in the
-    order this renderer visits them (expression order)."""
+def _c_expr(expr, suffix: str, operand) -> str:
+    """``operand(i)`` renders the load of the kernel's ``i``-th access."""
     if isinstance(expr, Const):
         return expr.hex + suffix
-    if isinstance(expr, Load):
-        a = expr.access
-        return f"b{a.base}[{_c_index(a.offset, next(load_strides))}]"
+    if isinstance(expr, Arg):
+        return operand(expr.index)
     sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
     if expr.op == "neg":
-        return f"(-{_c_expr(expr.args[0], suffix, load_strides)})"
+        return f"(-{_c_expr(expr.args[0], suffix, operand)})"
     lhs, rhs = expr.args
     return (
-        f"({_c_expr(lhs, suffix, load_strides)} {sym[expr.op]} "
-        f"{_c_expr(rhs, suffix, load_strides)})"
+        f"({_c_expr(lhs, suffix, operand)} {sym[expr.op]} "
+        f"{_c_expr(rhs, suffix, operand)})"
     )
 
 
@@ -532,59 +554,214 @@ def _member_statement(stmt: Statement) -> Statement:
     )
 
 
-def _kernel(stmt: Statement) -> tuple[Statement, tuple[int, ...]]:
-    """``stmt`` with its bases renamed to parameter slots, and its bases in
-    slot order: the unit of code emission.
+@dataclass(frozen=True)
+class Arg:
+    """A kernel operand: the kernel's ``index``-th distinct access (the
+    destination is access 0)."""
 
-    Slots number the statement's bases by first appearance — the
-    destination, then the loads in expression order — a bijection, so two
-    statements share a kernel only when they are the same nest over the
-    same alias pattern (an in-place update and a read of another base stay
-    apart), and every verdict drawn from base equality
-    (:func:`_independent_iterations`, :func:`_parallel_safe`) reads the
-    same on the kernel as on the statement.
+    index: int
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """A statement with every mesh-dependent number lifted into its
+    descriptor block (:func:`_kernel`): the unit of code emission.
+
+    What stays is the nest's structure. Its ``rank`` loops split in two:
+    the first ``split`` read their strides from the descriptor, and each
+    of the rest steps every access by a stride within ``_ELEMENT_SPAN`` —
+    the element's layout, kept literal so the vectoriser sees it (only the
+    innermost loop may instead read a stride, None here, from the
+    descriptor). Accesses with one base and one set of strides form a
+    group (``groups``: the base's parameter slot, bases numbered by first
+    appearance, and its inner strides); a group's accesses that differ
+    only in which outer row they start on share a row pointer (``rows``:
+    the group and the row shift on each outer axis), and each distinct
+    access (``operands``) is a row pointer and a literal element shift.
+    The innermost ``extent`` stays literal when an outer loop also steps
+    within the element: then it runs over part of one element (the
+    components), not along the mesh.
+    The expression reads :class:`Arg` operands and keeps its constants and
+    association, and the ``ivdep`` and ``fork`` verdicts are drawn from
+    the statement. Statements that differ only in extents, offsets or
+    outer strides — the faces of a boundary ring, one nest on two meshes —
+    share one kernel.
     """
+
+    rank: int
+    split: int
+    extent: int | None
+    groups: tuple[tuple[int, tuple[int | None, ...]], ...]
+    rows: tuple[tuple[int, tuple[int, ...]], ...]
+    operands: tuple[tuple[int, int], ...]
+    expr: object
+    ivdep: bool
+    fork: bool
+
+
+def _literal(value: int) -> int | None:
+    """``value`` when it is the element's layout, kept literal; else None."""
+    return value if 0 <= value <= _ELEMENT_SPAN else None
+
+
+def _row_shift(delta: int, strides: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """``delta`` as whole steps along ``strides`` (outermost first, each to
+    the nearest) and the element shift left over."""
+    steps = []
+    for stride in strides:
+        step = round(delta / stride) if stride else 0
+        steps.append(step)
+        delta -= step * stride
+    return tuple(steps), delta
+
+
+def _kernel(
+    stmt: Statement, members: bool = False
+) -> tuple[Kernel, tuple[int, ...], tuple[int, ...]]:
+    """``stmt``'s kernel, its bases in slot order and its descriptor block.
+
+    Accesses are told apart by the elements they address in loop order,
+    so an in-place update reads through the destination's own operand.
+    Slots number the bases by first appearance — a bijection, so two
+    statements share a kernel only under the same alias pattern (an
+    in-place update and a read of another base stay apart), and every
+    verdict drawn from base equality (:func:`_independent_iterations`,
+    :func:`_parallel_safe`) reads the same on either. A group's first
+    access anchors its offset; every other access of it is a whole number
+    of outer rows and a literal element shift away (:func:`_row_shift`).
+    A nest whose every loop steps within the element (``split`` 0) has
+    no rows to shift by: each of its accesses is its own group. A member
+    kernel (``members``) never forks: the member loop is the one fork.
+    """
+    shape, strides = _normalize(stmt)
+    rank = len(shape)
+    split = rank
+    while split and all(_literal(s[split - 1]) is not None for s in strides):
+        split -= 1
+    split = min(split, max(rank - 1, 0))
+    terms = [stmt.dest] + _expr_loads(stmt.expr)
+    accesses: dict[tuple, int] = {}
+    ids = [
+        accesses.setdefault((t.base, t.offset, tuple(s)), len(accesses))
+        for t, s in zip(terms, strides)
+    ]
     slots: dict[int, int] = {}
-
-    def rename(a: Access) -> Access:
-        return Access(slots.setdefault(a.base, len(slots)), a.offset, a.shape, a.strides)
-
-    dest = rename(stmt.dest)
-    return Statement(dest, _map_loads(stmt.expr, lambda a: Load(rename(a)))), tuple(slots)
-
-
-def _emit_kernel_c(
-    kernel: Statement, dtype: np.dtype, lines: list[str], members: bool
-) -> None:
-    """One loop nest over the kernel's slot pointers ``b0, b1, ...``; a
-    member kernel (``members``, lead axis already dropped) never forks."""
-    shape, strides = _normalize(kernel)
-    indent = "  "
-    ivdep = _independent_iterations(kernel)
-    # the outer loop of a large nest forks a team in place of its ivdep
-    # (GCC takes one pragma before a `for`; only the innermost loop
-    # vectorizes). Flat nests stay serial: forking RTM's lane statements
-    # cost the batched mix more than their split saved
-    fork = (
-        not members
-        and len(shape) > 1
-        and math.prod(shape) >= _OMP_MIN_CELLS
-        and _parallel_safe(kernel)
+    groups: dict[tuple, int] = {}
+    anchors: list[tuple[int, int, tuple[int, ...]]] = []
+    rows: dict[tuple, int] = {}
+    operands = []
+    for base, offset, s in accesses:
+        slots.setdefault(base, len(slots))
+        key = (base, s) if split else (base, s, offset)
+        g = groups.setdefault(key, len(groups))
+        if g == len(anchors):
+            anchors.append((base, offset, s))
+        steps, shift = _row_shift(offset - anchors[g][1], s[:split])
+        operands.append((rows.setdefault((g, steps), len(rows)), shift))
+    loads = iter(ids[1:])
+    kernel = Kernel(
+        rank=rank,
+        split=split,
+        extent=_literal(shape[-1]) if split <= rank - 2 else None,
+        groups=tuple(
+            (slots[base], tuple(_literal(x) for x in s[split:])) for base, _, s in anchors
+        ),
+        rows=tuple(rows),
+        operands=tuple(operands),
+        expr=_map_loads(stmt.expr, lambda a: Arg(next(loads))),
+        ivdep=_independent_iterations(stmt),
+        fork=not members and rank > 1 and _parallel_safe(stmt),
     )
-    for axis, extent in enumerate(shape):
-        if fork and axis == 0:
-            lines.append(f"{indent}#pragma omp parallel for schedule(static)")
-        elif ivdep:
-            lines.append(f"{indent * (axis + 1)}#pragma GCC ivdep")
+    block = (*shape, *(v for _, off, s in anchors for v in (off, *s)))
+    return kernel, tuple(slots), block
+
+
+def _term(index: str, step: int) -> str:
+    if step == 0:
+        return index
+    return f"({index} {'+' if step > 0 else '-'} {abs(step)})"
+
+
+def _emit_kernel_c(kernel: Kernel, k: int, suffix: str, lines: list[str]) -> None:
+    """Kernel ``k``: one loop nest over its slot pointers ``b0, b1, ...``,
+    reading its extents, offsets and outer strides from its descriptor
+    block ``d``.
+
+    Each row pointer ``p<j>`` is hoisted out of the loops that step within
+    the element, which index it at literal strides and shifts — the
+    vectoriser sees the same loop a literal nest gives it, and the
+    accesses a row pointer serves are immediate displacements of it. The
+    outer loop of a forked nest splits across the team when the nest has
+    at least ``grain`` cells (GCC takes one pragma before a ``for``; only
+    the innermost loop vectorizes, so only it carries the ivdep).
+    """
+    r, split, ind = kernel.rank, kernel.split, "  "
+    params = ", ".join(
+        f"real_t* b{slot}" for slot in range(1 + max(s for s, _ in kernel.groups))
+    )
+    # a strided store (one component of a vector field, the faces of a
+    # ring across rows) vectorizes into gathers and scatters whose
+    # compile time outweighs what they save: its loops stay scalar
+    dest = kernel.groups[kernel.rows[kernel.operands[0][0]][0]][1]
+    scalar = ', optimize("no-tree-loop-vectorize")' if dest and dest[-1] != 1 else ""
+    lines.append(
+        f"static __attribute__((noinline{scalar})) void s{k}({params}, "
+        "const int64_t* d, int64_t grain) {"
+    )
+    if r:
+        extents = [f"d[{a}]" for a in range(r)]
+        if kernel.extent is not None:
+            extents[-1] = str(kernel.extent)
         lines.append(
-            f"{indent * (axis + 1)}for (int64_t i{axis} = 0; "
-            f"i{axis} < {extent}; ++i{axis})"
+            f"{ind}const int64_t "
+            + ", ".join(f"n{a} = {e}" for a, e in enumerate(extents)) + ";"
         )
-    body_indent = indent * (len(shape) + 1)
-    dest_idx = _c_index(kernel.dest.offset, strides[0])
-    suffix = "f" if dtype == np.dtype(np.float32) else ""
-    expr = _c_expr(kernel.expr, suffix, iter(strides[1:]))
-    lines.append(f"{body_indent}b{kernel.dest.base}[{dest_idx}] = {expr};")
+
+    def loop(a: int) -> None:
+        if a == 0 and kernel.fork:
+            cells = " * ".join(f"n{x}" for x in range(r))
+            lines.append(
+                f"{ind}#pragma omp parallel for schedule(static) if({cells} >= grain)"
+            )
+        if a == r - 1 and kernel.ivdep:
+            lines.append(f"{ind * (a + 1)}#pragma GCC ivdep")
+        brace = " {" if a == split - 1 else ""
+        lines.append(f"{ind * (a + 1)}for (int64_t i{a} = 0; i{a} < n{a}; ++i{a}){brace}")
+
+    for a in range(split):
+        loop(a)
+    at = lambda g: r + g * (1 + r)  # the group's offset in the block
+    for g, (_, inner) in enumerate(kernel.groups):
+        if inner and inner[-1] is None:
+            lines.append(f"{ind * (split + 1)}const int64_t t{g} = d[{at(g) + r}];")
+    for j, (g, steps) in enumerate(kernel.rows):
+        terms = [f"b{kernel.groups[g][0]}", f"d[{at(g)}]"] + [
+            f"{_term(f'i{a}', step)}*d[{at(g) + 1 + a}]" for a, step in enumerate(steps)
+        ]
+        lines.append(f"{ind * (split + 1)}real_t* p{j} = {' + '.join(terms)};")
+    for a in range(split, r):
+        loop(a)
+
+    def operand(i: int) -> str:
+        row, shift = kernel.operands[i]
+        g = kernel.rows[row][0]
+        terms = []
+        for a, stride in enumerate(kernel.groups[g][1], split):
+            if stride is None:
+                terms.append(f"i{a}*t{g}")
+            elif stride:
+                terms.append(f"i{a}" if stride == 1 else f"i{a}*{stride}")
+        index = " + ".join(terms) if terms else ""
+        if shift:
+            index = f"{index} {'+' if shift > 0 else '-'} {abs(shift)}" if index else str(shift)
+        return f"p{row}[{index or 0}]"
+
+    lines.append(
+        f"{ind * (r + 1)}{operand(0)} = {_c_expr(kernel.expr, suffix, operand)};"
+    )
+    if split:
+        lines.append(f"{ind * split}}}")
+    lines += ["}", ""]
 
 
 def _numbered(items) -> dict:
@@ -597,70 +774,85 @@ def unique_statements(ir: NativeIR) -> dict[Statement, int]:
     return _numbered(stmt for tape in ir.tapes for stmt in tape)
 
 
-def _kernel_tapes(
-    ir: NativeIR, members: dict[int, int] | None
-) -> list[list[tuple[Statement, tuple[int, ...]]]]:
-    """Per tape, each statement's kernel and bases (:func:`_kernel`) —
-    member ``m``'s part of it under the members schedule."""
-    return [
-        [_kernel(stmt if members is None else _member_statement(stmt)) for stmt in tape]
-        for tape in ir.tapes
-    ]
+@dataclass(frozen=True)
+class NativeCode:
+    """The generated source of one instance and the descriptor it runs on.
+
+    ``source`` holds no extent, offset or outer stride, so instances of
+    one program structure share it (and its artifact); ``descriptor`` is
+    the instance's: the member stride of each base (0 on the nests
+    schedule), then one block per call. ``calls`` lists each call's
+    kernel, its bases in slot order and the start of its block, which is
+    what :func:`footprints` reads the descriptor by.
+    """
+
+    source: str
+    descriptor: np.ndarray
+    calls: tuple[tuple[Kernel, tuple[int, ...], int], ...]
+    kernels: dict[Kernel, int]
+    members: bool
 
 
-def kernels(ir: NativeIR) -> dict[Statement, int]:
-    """Each distinct kernel of the IR, numbered by first appearance: one
-    emitted function each."""
-    tapes = _kernel_tapes(ir, member_strides(ir))
-    return _numbered(kernel for tape in tapes for kernel, _ in tape)
+def lower_c(ir: NativeIR) -> NativeCode:
+    """C source for every tape of the instance, and its descriptor.
 
-
-def emit_c(ir: NativeIR) -> str:
-    """C source for every tape of the instance.
-
-    Each distinct kernel (:func:`_kernel`: a statement with its bases
-    renamed to parameter slots) is one ``noinline`` function holding its
-    loop nest, over pointer parameters ``b0, b1, ...`` — warm and steady
-    tapes, both parities and the stages of a multi-stage update repeat
-    the same nests over different buffers, and compiling each nest once
-    keeps the build's time and memory near one tape's. A tape is the list
-    of its calls, each passing its bases' pointers from the table, and
-    ``repro_run(void**, k0, n, batch)`` executes iterations ``k0 .. k0+n``
-    by **absolute** index — warm tape ``k`` while ``k < len(warm)``, then
-    the steady pair by parity — so a whole ``run_iterations`` stretch is
-    one foreign call. ``repro_threads()`` is the team size a forked loop
-    runs on.
+    Each distinct kernel (:class:`Kernel`) is one ``noinline`` function
+    holding its loop nest, over pointer parameters ``b0, b1, ...``, its
+    descriptor block and the fork grain — warm and steady tapes, both
+    parities, the stages of a multi-stage update and the faces of a
+    boundary ring repeat the same nests over different buffers and
+    offsets, and compiling each nest once keeps the build's time and
+    memory near one tape's. A tape is the list of its calls, each passing
+    its bases' pointers from the table and its block of the descriptor,
+    and ``repro_run(void** P, const int64_t* D, k0, n, batch, grain)``
+    executes iterations ``k0 .. k0+n`` by **absolute** index — warm tape
+    ``k`` while ``k < len(warm)``, then the steady pair by parity — so a
+    whole ``run_iterations`` stretch is one foreign call. ``grain`` is the
+    fewest cells a forked nest splits at (0 forks every one);
+    ``repro_threads()`` is the team size a forked loop runs on.
 
     Under the members schedule (:func:`member_strides`) each kernel is one
-    member's nest, called with every pointer offset by ``m * stride``, and
-    ``repro_run`` forks once, on the loop over its ``batch`` members
-    around the iteration loop — the member count is an argument, so every
-    stacked binding of one plan shares one source. Otherwise (the nests
+    member's nest, called with every pointer offset by ``m`` times its
+    base's member stride, and ``repro_run`` forks once, on the loop over
+    its ``batch`` members around the iteration loop. Otherwise (the nests
     schedule) ``batch`` is unused and large nests fork inside their own
     functions.
     """
     ctype = "float" if ir.dtype == np.dtype(np.float32) else "double"
+    suffix = "f" if ir.dtype == np.dtype(np.float32) else ""
+    members = member_strides(ir)
+    descriptor = [
+        members.get(b, 0) if members else 0
+        for b in range(max(len(ir.bases), 1 + max(ir.referenced, default=-1)))
+    ]
+    numbered: dict[Kernel, int] = {}
+    tapes = []
+    for tape in ir.tapes:
+        calls = []
+        for stmt in tape:
+            if members is not None:
+                stmt = _member_statement(stmt)
+            kernel, bases, block = _kernel(stmt, members is not None)
+            numbered.setdefault(kernel, len(numbered))
+            calls.append((kernel, bases, len(descriptor)))
+            descriptor += block
+        tapes.append(calls)
     lines = [
         "#include <stdint.h>", "#include <omp.h>", "",
         f"typedef {ctype} real_t;", "",
         "int repro_threads(void) { return omp_get_max_threads(); }", "",
     ]
-    members = member_strides(ir)
-    tapes = _kernel_tapes(ir, members)
-    numbered = _numbered(kernel for tape in tapes for kernel, _ in tape)
     for kernel, k in numbered.items():
-        slots = 1 + max(a.base for a in (kernel.dest, *_expr_loads(kernel.expr)))
-        params = ", ".join(f"real_t* b{slot}" for slot in range(slots))
-        lines.append(f"static __attribute__((noinline)) void s{k}({params}) {{")
-        _emit_kernel_c(kernel, ir.dtype, lines, members is not None)
-        lines += ["}", ""]
+        _emit_kernel_c(kernel, k, suffix, lines)
 
     def pointer(b: int) -> str:
-        shift = f" + m * {members[b]}" if members is not None else ""
-        return f"(real_t*)P[{b}]{shift}"
+        return f"(real_t*)P[{b}]" + (f" + m * D[{b}]" if members is not None else "")
 
     warm = len(ir.warm)
-    lines.append("void repro_run(void** P, int64_t k0, int64_t n, int64_t batch) {")
+    lines.append(
+        "void repro_run(void** P, const int64_t* D, int64_t k0, int64_t n, "
+        "int64_t batch, int64_t grain) {"
+    )
     if members is not None:
         lines += [
             "  #pragma omp parallel for schedule(static)",
@@ -670,12 +862,59 @@ def emit_c(ir: NativeIR) -> str:
         "  for (int64_t k = k0; k < k0 + n; ++k) {",
         f"    switch (k < {warm} ? k : {warm} + ((k - {warm}) & 1)) {{",
     ]
-    for t, tape in enumerate(tapes):
+    for t, calls in enumerate(tapes):
         lines.append(f"      case {t}:")
         lines += [
-            f"        s{numbered[kernel]}({', '.join(map(pointer, bases))});"
-            for kernel, bases in tape
+            f"        s{numbered[kernel]}({', '.join(map(pointer, bases))}, "
+            f"D + {at}, grain);"
+            for kernel, bases, at in calls
         ]
         lines.append("        break;")
     lines += ["    }", "  }", "}", ""]
-    return "\n".join(lines)
+    return NativeCode(
+        source="\n".join(lines),
+        descriptor=np.array(descriptor, dtype=np.int64),
+        calls=tuple(call for calls in tapes for call in calls),
+        kernels=numbered,
+        members=members is not None,
+    )
+
+
+def emit_c(ir: NativeIR) -> str:
+    """The C source :func:`lower_c` generates for the instance."""
+    return lower_c(ir).source
+
+
+def kernels(ir: NativeIR) -> dict[Kernel, int]:
+    """Each distinct kernel of the IR, numbered by first appearance: one
+    emitted function each."""
+    return lower_c(ir).kernels
+
+
+def footprints(code: NativeCode, batch: int):
+    """``(base, lowest, highest element)`` of every access of every call,
+    read from the descriptor the way the generated code reads it, over
+    ``batch`` members on the members schedule: what a binding checks
+    against its bases before its first call."""
+    d = code.descriptor.tolist()
+    for kernel, bases, at in code.calls:
+        r, split = kernel.rank, kernel.split
+        extents = d[at : at + r]
+        if r and kernel.extent is not None:
+            extents[-1] = kernel.extent
+        if any(e <= 0 for e in extents):
+            continue  # the nest runs no iteration
+        for row, shift in kernel.operands:
+            g, steps = kernel.rows[row]
+            slot, inner = kernel.groups[g]
+            o = at + r + g * (1 + r)
+            strides = d[o + 1 : o + 1 + r]
+            for a, stride in enumerate(inner, split):
+                if stride is not None:
+                    strides[a] = stride  # the literal the code reads
+            lo = hi = d[o] + shift + sum(q * x for q, x in zip(steps, strides))
+            base = bases[slot]
+            for extent, stride in zip((*extents, batch), (*strides, d[base])):
+                reach = (extent - 1) * stride
+                lo, hi = lo + min(reach, 0), hi + max(reach, 0)
+            yield base, lo, hi

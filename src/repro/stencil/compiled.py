@@ -38,12 +38,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro import observability as obs
-from repro.mesh.mesh import Field
+from repro.mesh.mesh import Field, MeshSpec
 from repro.resilience.cancel import CancelToken
 from repro.stencil.plan import (
     FlatView,
@@ -533,20 +534,28 @@ class CompiledPlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _key(
-        self,
-        program: StencilProgram,
-        fields: Mapping[str, Field],
-        coefficients: Mapping[str, float] | None,
-    ) -> tuple:
-        specs = []
+    def _specs(
+        self, program: StencilProgram, fields: Mapping[str, Field]
+    ) -> tuple[MeshSpec, dict[str, MeshSpec]]:
+        """The binding's mesh and the spec of every input it must bind."""
+        specs = {}
         for name in program.required_inputs:
             field = fields.get(name)
             if field is None:
                 raise ValidationError(
                     f"program '{program.name}' needs field '{name}' bound"
                 )
-            specs.append((name, field.spec))
+            specs[name] = field.spec
+        state = program.state_fields[0]
+        mesh = fields[state].spec if state in fields else specs[program.required_inputs[0]]
+        return mesh, specs
+
+    def _key(
+        self,
+        program: StencilProgram,
+        specs: Mapping[str, MeshSpec],
+        coefficients: Mapping[str, float] | None,
+    ) -> tuple:
         known = set()
         for kernel in program.kernels():
             known.update(kernel.coefficients)
@@ -557,7 +566,7 @@ class CompiledPlanCache:
                 if name in known
             )
         )
-        return (program_token(program), tuple(specs), overrides)
+        return (program_token(program), tuple(specs.items()), overrides)
 
     def plan_for(
         self,
@@ -572,19 +581,24 @@ class CompiledPlanCache:
         stacked-dispatch heuristic also reads ``plan.nbytes`` from here
         without allocating any buffers.
         """
-        key = self._key(program, fields, coefficients)
+        return self._plan(program, *self._specs(program, fields), coefficients)
+
+    def _plan(
+        self,
+        program: StencilProgram,
+        mesh: MeshSpec,
+        specs: Mapping[str, MeshSpec],
+        coefficients: Mapping[str, float] | None,
+    ) -> ProgramPlan:
+        key = self._key(program, specs, coefficients)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
                 self._plans.move_to_end(key)
                 return plan
-        inputs = program.required_inputs
-        state = program.state_fields[0]
-        mesh = fields[state].spec if state in fields else fields[inputs[0]].spec
-        input_specs = {name: fields[name].spec for name in inputs}
         with obs.span("plan.compile", program=program.name):
             t0 = time.perf_counter()
-            plan = lower_program(program, mesh, input_specs, coefficients)
+            plan = lower_program(program, mesh, specs, coefficients)
         if obs.is_enabled():
             seconds = time.perf_counter() - t0
             obs.observe("plan.compile_seconds", seconds)
@@ -604,6 +618,41 @@ class CompiledPlanCache:
                 self._plans.popitem(last=False)
         return plan
 
+    def _proxy(
+        self,
+        program: StencilProgram,
+        fields: Mapping[str, Field],
+        coefficients: Mapping[str, float] | None,
+        batch: int,
+    ):
+        """The small binding a native candidate is checked on
+        (:class:`~repro.stencil.native.Proxy`): the program on
+        :func:`~repro.stencil.native.proxy_shape` of its mesh, stacked
+        ``min(batch, team + 1)`` deep — one member more than a team splits
+        evenly. None when the binding is its own proxy, an input is not
+        mesh-shaped, or the proxy mesh leaves no interior: the candidate is
+        then checked on the binding itself."""
+        from repro.stencil.native import Proxy, proxy_shape, team_size
+
+        mesh, specs = self._specs(program, fields)
+        shape = proxy_shape(mesh.shape)
+        # a team of at least one splits two members evenly
+        proxy_batch = batch if batch <= 2 else min(batch, team_size() + 1)
+        if (shape, proxy_batch) == (mesh.shape, batch) or any(
+            spec.shape != mesh.shape for spec in specs.values()
+        ):
+            return None
+        proxy_specs = {name: replace(spec, shape=shape) for name, spec in specs.items()}
+        proxy_mesh = replace(mesh, shape=shape)
+        proxy_program = program.with_mesh(proxy_mesh)
+        try:
+            plan = self._plan(proxy_program, proxy_mesh, proxy_specs, coefficients)
+        except ValidationError:
+            return None
+        return Proxy(
+            plan, proxy_batch, self._key(proxy_program, proxy_specs, coefficients)
+        )
+
     def get(
         self,
         program: StencilProgram,
@@ -620,11 +669,14 @@ class CompiledPlanCache:
         sizes via :meth:`plan_for`, only the bound buffers differ.
 
         ``native=True`` yields a :class:`~repro.stencil.native.NativeProgram`
-        — same plan, same buffers, generated loop nests — cached
-        under its own key next to the plain instance, so the one-time
-        lowering/JIT cost is paid per (binding, batch), not per run.
+        — same plan, same buffers, generated loop nests, checked on the
+        binding's proxy (:meth:`_proxy`) — cached under its own key next to
+        the plain instance, so the one-time lowering/JIT cost is paid per
+        (binding, batch), not per run.
         """
-        key = self._key(program, fields, coefficients) + (batch, native)
+        key = self._key(program, self._specs(program, fields)[1], coefficients) + (
+            batch, native,
+        )
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -632,13 +684,15 @@ class CompiledPlanCache:
                 self.hits += 1
                 obs.inc("plan.cache_hits")
                 return entry
+        plan = self.plan_for(program, fields, coefficients)
         if native:
-            from repro.stencil.native import NativeProgram as _cls
+            from repro.stencil.native import NativeProgram
+
+            compiled = NativeProgram(
+                plan, batch, self._proxy(program, fields, coefficients, batch)
+            )
         else:
-            _cls = CompiledProgram
-        compiled = _cls(
-            self.plan_for(program, fields, coefficients), batch=batch
-        )
+            compiled = CompiledProgram(plan, batch=batch)
         with self._lock:
             if key in self._entries:  # racing compile: keep the incumbent
                 self.hits += 1

@@ -1,36 +1,46 @@
-"""``engine="native"``: generated loop nests with a verified fallback.
+"""``engine="native"``: shape-generic loop nests, checked on a proxy mesh.
 
 :class:`NativeProgram` is a drop-in :class:`~repro.stencil.compiled.CompiledProgram`
 whose iterations — warm and steady alike — run generated code instead of
 the per-op tape replay. At bind time it lowers the bound tapes through
-:mod:`repro.stencil.codegen` and builds the generated C once with the
-system compiler (``-O3 -march=native -ffp-contract=off -fopenmp``) into a
-shared object loaded via ``ctypes``; one foreign call covers a whole
+:mod:`repro.stencil.codegen` into C that keeps the program's structure but
+no extent, offset or outer stride — those travel in an ``int64``
+descriptor beside the pointer table — and builds it once with the system
+compiler (``-O3 -march=native -ffp-contract=off -fopenmp``) into a shared
+object loaded via ``ctypes``; one foreign call covers a whole
 ``run_iterations`` stretch, by **absolute** iteration index
 (``runner(k0, n)``), and inside it the work forks on libgomp's default
 team (the CPUs the process may use, unless ``OMP_NUM_THREADS`` sets it)
 by one of two schedules (:mod:`repro.stencil.codegen`): ``"members"``, for
 a stacked binding whose every base splits by member, runs each batch
 member through all of its iterations on one thread; ``"nests"``
-otherwise runs every large independent nest as its own OpenMP
-worksharing loop. ``native_stats["schedule"]`` names which one bound, and
-:func:`team_size` is the team, known before any binding. Artifacts are
-content-addressed on disk (``~/.cache/repro/native``), so bindings of one
-plan — across instances, threads, processes and, on the members schedule,
-stacked batch sizes — reuse one build, which one binder at a time runs;
-an artifact that does not load is deleted and rebuilt once
-(``native.cache_corrupt``).
+otherwise runs every nest of at least ``_OMP_MIN_CELLS`` cells as its own
+OpenMP worksharing loop. ``native_stats["schedule"]`` names which one
+bound, and :func:`team_size` is the team, known before any binding.
+Artifacts are content-addressed on disk (``~/.cache/repro/native``), so
+bindings of one program structure — across meshes, instances, threads,
+processes and, on the members schedule, stacked batch sizes — reuse one
+build, which one binder at a time runs; an artifact that does not load is
+deleted and rebuilt once (``native.cache_corrupt``).
 
-The candidate is **verified at bind time**: the instance runs ``warm + 4``
-iterations from iteration 0 on seeded pseudo-random inputs through both
-the tape replay and the candidate and compares every buffer bitwise. An
-unsupported dtype, a missing compiler, a failed build or a mismatch leaves
-the instance on the inherited tape replay — so ``engine="native"`` can
-never return anything the interpreter would not. A bound candidate
-leaves the instance owning only the buffers and the registers the
-generated code reads; the tapes and their constants live only while the
-verify replays them.
-``REPRO_NATIVE_VERIFY=0`` skips the bind-time check (trusted repeat binds).
+The candidate is **checked on a proxy** before it binds: the same program
+on a small mesh (:func:`proxy_shape`, lowered by
+:meth:`~repro.stencil.compiled.CompiledPlanCache.get`) whose source has
+the same sha — so the same loaded library — runs ``warm + 4`` iterations
+from iteration 0 on seeded pseudo-random inputs, once with every
+parallel-safe nest forked (grain 0) and once at ``_OMP_MIN_CELLS``, and
+every buffer is compared bitwise with the tape replay of the proxy. The full
+binding then differs from what was checked only in its pointer table and
+descriptor, and before its first call every footprint the descriptor
+gives is checked to lie inside its base (``native.out_of_bounds``). The
+verdict is memoized per (sha, proxy binding, proxy batch). A proxy whose
+source differs (``native.proxy_mismatch``) and a binding built with no
+proxy are checked the same way on their own mesh. An unsupported dtype,
+a missing compiler, a failed build, an out-of-bounds descriptor or a
+mismatch leaves the instance on the inherited tape replay — so
+``engine="native"`` can never return anything the interpreter would not.
+A bound candidate never binds the tape: the instance owns only the
+buffers and the registers the generated code reads.
 """
 
 from __future__ import annotations
@@ -46,35 +56,36 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Callable
+from typing import Hashable, NamedTuple
 
 import numpy as np
 
 from repro import observability as obs
 from repro.stencil.codegen import (
+    _OMP_MIN_CELLS,
+    NativeCode,
     NativeIR,
     build_ir,
     emit_c,
-    kernels,
-    member_strides,
+    footprints,
+    lower_c,
     unique_statements,
 )
 from repro.stencil.compiled import _FLAT_ERRSTATE, CompiledProgram
+from repro.stencil.plan import ProgramPlan
 
-#: "0" skips the bind-time bitwise self-check
-VERIFY_ENV = "REPRO_NATIVE_VERIFY"
 #: overrides the on-disk artifact cache directory
 CACHE_DIR_ENV = "REPRO_NATIVE_CACHE_DIR"
 
 #: compile flags shared by every cc build. -ffp-contract=off is load-
 #: bearing: a contracted mul+add rounds once where NumPy rounds twice,
 #: which would break bit-identity with the interpreter. -march=native is
-#: safe for the same reason the bind-time verify gate exists: artifacts
-#: are per-host (content-addressed under ~/.cache) and every bind is
+#: safe for the same reason the bind-time check exists: artifacts
+#: are per-host (content-addressed under ~/.cache) and every artifact is
 #: bitwise-checked before use. -fopenmp is safe on the same terms: a forked
 #: nest splits cells across threads, never a cell's arithmetic, no
-#: reduction crosses threads, and the verify runs the threaded build. A
-#: compiler without OpenMP fails the build, and the tape replay runs.
+#: reduction crosses threads, and the check runs every forkable nest forked.
+#: A compiler without OpenMP fails the build, and the tape replay runs.
 _CC_FLAGS = (
     "-O3", "-march=native", "-ffp-contract=off", "-fopenmp", "-fPIC", "-shared",
 )
@@ -86,6 +97,36 @@ _libs: dict[str, ctypes.CDLL | None] = {}
 _gates: dict[str, threading.Lock] = {}
 #: memoized "the system compiler is unusable" verdict
 _cc_broken = False
+#: (source sha, proxy binding key, proxy batch) -> the proxy check's verdict
+_verdicts: dict[tuple, bool] = {}
+
+#: proxy extents per axis, in paper order (m, n, l)
+_PROXY_EXTENTS = (23, 21, 19)
+
+
+def proxy_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The mesh a candidate for ``shape`` is checked on: per axis the
+    largest odd extent at most the full one and :data:`_PROXY_EXTENTS`'s,
+    and unlike every other axis's — so no vector width divides a row and a
+    swapped pair of axes cannot pass unseen."""
+    out: list[int] = []
+    for full, want in zip(shape, _PROXY_EXTENTS):
+        extent = min(full, want)
+        extent -= 1 - extent % 2
+        while extent in out:
+            extent -= 2
+        out.append(max(extent, 1))
+    return tuple(out)
+
+
+class Proxy(NamedTuple):
+    """The binding a candidate is checked on."""
+
+    plan: ProgramPlan
+    batch: int
+    #: what the verdict is memoized under, with the sha and batch; None
+    #: checks on every bind
+    key: Hashable | None
 
 
 def _cache_dir() -> Path:
@@ -138,7 +179,8 @@ def _load(so_path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(so_path))
     try:
         lib.repro_run.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int64, ctypes.c_int64,
         ]
         lib.repro_threads.restype = ctypes.c_int
     except AttributeError:
@@ -241,39 +283,151 @@ def _bits(arr: np.ndarray) -> np.ndarray:
     return arr.view(np.dtype(f"u{arr.itemsize}"))
 
 
-def _bind_cc(ir: NativeIR) -> Callable[[int, int], None] | None:
-    """A runner over the instance's bases, or None when nothing builds.
+class _Runner:
+    """One loaded artifact bound to one instance's bases and descriptor.
 
-    The runner reports the ``threads`` its forked loops run on, the
-    ``schedule`` emitted and the compiler seconds its build took
-    (``build_s``, 0.0 when the artifact was memoized or on disk)."""
-    lib, build_s = _compiled_lib(emit_c(ir))
+    ``runner(k0, n)`` runs iterations ``k0 .. k0+n`` forking nests of at
+    least ``_OMP_MIN_CELLS`` cells; ``grain=`` overrides that for the check. It
+    reports the ``sha`` of its source, the ``kernels`` it emits, the
+    ``threads`` its forked loops run on, the ``schedule`` emitted and the
+    compiler seconds its build took (``build_s``, 0.0 when the artifact
+    was memoized or on disk)."""
+
+    def __init__(
+        self, lib: ctypes.CDLL, sha: str, build_s: float, ir: NativeIR, code: NativeCode
+    ):
+        # the pointer table and descriptor are per instance (same source,
+        # different buffers and extents); base data pointers are stable for
+        # the instance's lifetime. Bases no statement references get a null
+        # entry the emitted code never dereferences, so the instance need
+        # not keep them
+        used = ir.referenced
+        self._ptrs = np.array(
+            [
+                b.__array_interface__["data"][0] if i in used else 0
+                for i, b in enumerate(ir.bases)
+            ],
+            dtype=np.uint64,
+        )
+        self._descriptor = code.descriptor
+        self._args = (self._ptrs.ctypes.data, self._descriptor.ctypes.data)
+        self._run = lib.repro_run
+        self._batch = ir.batch
+        self.kernels = len(code.kernels)
+        self.sha = sha
+        self.build_s = build_s
+        self.threads = lib.repro_threads()
+        self.schedule = "members" if code.members else "nests"
+
+    def __call__(self, k0: int, n: int, grain: int = _OMP_MIN_CELLS) -> None:
+        self._run(*self._args, k0, n, self._batch, grain)
+
+
+def _bind_cc(ir: NativeIR, code: NativeCode | None = None) -> _Runner | None:
+    """A runner over the instance's bases (``code``: the IR's lowering,
+    when the caller has it), or None when nothing builds or a footprint
+    its descriptor gives reaches outside its base — checked before the
+    runner exists, so such a runner never runs."""
+    code = code or lower_c(ir)
+    lib, build_s = _compiled_lib(code.source)
     if lib is None:
         return None
-    # the pointer table is rebuilt per instance (same source, different
-    # buffers); base data pointers are stable for the instance's lifetime.
-    # Bases no statement references get a null entry the emitted code
-    # never dereferences, so the instance need not keep them
-    used = ir.referenced
-    ptrs = np.array(
-        [
-            b.__array_interface__["data"][0] if i in used else 0
-            for i, b in enumerate(ir.bases)
-        ],
-        dtype=np.uint64,
+    for base, lo, hi in footprints(code, ir.batch):
+        if lo < 0 or hi >= ir.bases[base].size:
+            obs.emit(
+                "native.out_of_bounds", base=base, lo=lo, hi=hi,
+                size=ir.bases[base].size,
+            )
+            return None
+    return _Runner(lib, _sha(code.source), build_s, ir, code)
+
+
+def _verify_seeds(inst: CompiledProgram) -> dict[str, int]:
+    """Input slot -> RNG seed of the check. A CRC of the slot name and
+    shape, not ``hash()``: str hashes are salted per process, and a
+    rejected candidate must be replayable."""
+    return {
+        slot: zlib.crc32(f"{slot}:{inst._buffers[slot].shape}".encode())
+        for slot in (f"in:{name}" for name in inst.plan.inputs)
+    }
+
+
+def _seed_inputs(inst: CompiledProgram) -> None:
+    """The state every run of the check starts from: zeroed buffers, NaN
+    in every register, seeded inputs."""
+    # identical starts, so a candidate that skips a store — or reads a
+    # register whose store was elided — cannot pass on what the
+    # reference left behind
+    for buf in inst._buffers.values():
+        buf.fill(0)
+    for reg in inst._registers.values():
+        reg.fill(np.nan)
+    for slot, seed in _verify_seeds(inst).items():
+        buf = inst._buffers[slot]
+        # values in [0.5, 1.0): safely away from zero so division ops
+        # cannot manufacture infs the replay would also see
+        np.random.default_rng(seed).random(dtype=buf.dtype, out=buf)
+        buf *= 0.5
+        buf += 0.5
+    inst._load_expansions()
+    inst._iterations_done = 0
+
+
+def _check(runner: _Runner, proxy: Proxy) -> bool | str:
+    """Bitwise check of ``runner``'s artifact on ``proxy``: True or False,
+    or the sha of the proxy's own source when it is not ``runner``'s.
+
+    A tape-bound instance of the proxy replays ``warm + 4`` iterations
+    (every warm tape, both steady parities twice) from seeded inputs;
+    the candidate — the same library bound to the proxy's bases and
+    descriptor — then runs them twice from the same inputs, every
+    register NaN-poisoned: at grain 0, every parallel-safe nest forked,
+    and at ``_OMP_MIN_CELLS``, the serial nests the proxy's size gives. Every
+    buffer must match the replay bit for bit both times.
+    """
+    inst = CompiledProgram(proxy.plan, batch=proxy.batch)
+    ir = build_ir(inst)
+    code = lower_c(ir) if ir is not None else None
+    sha = _sha(code.source) if code is not None else ""
+    candidate = _bind_cc(ir, code) if sha == runner.sha else None
+    if candidate is None:
+        return sha
+    del ir, code
+    iters = len(proxy.plan.warm) + 4
+    _seed_inputs(inst)
+    with np.errstate(**_FLAT_ERRSTATE):
+        CompiledProgram._iterate(inst, iters)
+    reference = {slot: buf.copy() for slot, buf in inst._buffers.items()}
+    for grain in (0, _OMP_MIN_CELLS):
+        _seed_inputs(inst)
+        with np.errstate(**_FLAT_ERRSTATE):
+            candidate(0, iters, grain)
+        if not all(
+            np.array_equal(_bits(inst._buffers[slot]), _bits(ref))
+            for slot, ref in reference.items()
+        ):
+            obs.emit(
+                "native.verify_failed", backend="cc", grain=grain,
+                mesh=list(proxy.plan.mesh.shape), batch=proxy.batch,
+                seeds=_verify_seeds(inst),
+            )
+            return False
+    return True
+
+
+def team_size() -> int:
+    """The OpenMP team a forked loop of a generated artifact runs on — what
+    a bound runner reports as ``threads`` — or 1 when nothing builds.
+
+    Read from a statement-free artifact, built once and cached like any
+    other, so the answer exists before any binding does.
+    """
+    probe = NativeIR(
+        bases=[], warm=(), steady=([], []), dtype=np.dtype(np.float64),
+        registers=frozenset(), forwarded=0,
     )
-    addr = ptrs.ctypes.data
-    run = lib.repro_run
-
-    def runner(
-        k0: int, n: int, _run=run, _addr=addr, _batch=ir.batch, _keep=ptrs
-    ) -> None:
-        _run(_addr, k0, n, _batch)
-
-    runner.threads = lib.repro_threads()
-    runner.schedule = "nests" if member_strides(ir) is None else "members"
-    runner.build_s = build_s
-    return runner
+    lib, _ = _compiled_lib(emit_c(probe))
+    return lib.repro_threads() if lib is not None else 1
 
 
 class NativeProgram(CompiledProgram):
@@ -284,17 +438,17 @@ class NativeProgram(CompiledProgram):
     runs the tapes: ``"cc"`` (the generated C) or ``"tape"`` (the
     inherited replay, when nothing bound).
 
-    A ``cc``-bound instance owns only what its generated code reads: the
-    buffers and the registers a statement references. The bound tapes,
-    their splatted constants and every other register exist only while
-    the bind-time verify replays the tape.
+    ``proxy`` is the binding the candidate is checked on
+    (:meth:`~repro.stencil.compiled.CompiledPlanCache.get` passes one);
+    without it the instance's own plan and batch are. A ``cc``-bound
+    instance owns only what its generated code reads: the buffers and the
+    registers a statement references. It never binds the tape.
     """
 
-    def __init__(self, plan, batch: int = 1):
+    def __init__(self, plan, batch: int = 1, proxy: Proxy | None = None):
         self.native_backend = "tape"
-        self._runner: Callable[[int, int], None] | None = None
-        #: keys of the registers the runner reads: all a bound runner keeps
-        self._runner_registers: frozenset[tuple] = frozenset()
+        self._runner: _Runner | None = None
+        self._proxy = proxy
         self._stats: dict = {}
         super().__init__(plan, batch)
 
@@ -309,158 +463,96 @@ class NativeProgram(CompiledProgram):
         thread carries whole batch members through every iteration,
         ``"nests"`` when large nests fork one by one (and on the tape) —
         and the ``bytes`` the instance owns (a copy; the ``native.bound``
-        event carries the same, plus the ``build_s`` compiler seconds and
-        ``verify_s`` self-check seconds the bind spent, 0.0 where it built
-        or checked nothing)."""
+        event carries the same, plus the binding's ``mesh``, the ``sha``
+        of the candidate's artifact, the ``build_s`` compiler seconds and
+        ``verify_s`` check seconds the bind spent, 0.0 where it built or
+        checked nothing, and the ``verify_mesh`` and ``verify_batch`` of
+        the binding whose check licenses the candidate — None where no
+        candidate built)."""
         return dict(self._stats)
 
     # -- backend selection -----------------------------------------------------
     def _bind_executor(self) -> None:
         # uninitialised registers give build_ir its base table; the tapes
-        # are bound only where something replays them
+        # are bound only when no candidate passes
         self._allocate_registers()
         raw = [len(t) for t in self.plan.warm + self.plan.steady]
         stats = {
             "statements": raw, "forwarded": 0, "unique_statements": sum(raw),
             "kernels": sum(raw), "threads": 1, "schedule": "nests",
         }
-        timing = {"build_s": 0.0, "verify_s": 0.0}
+        bound = {
+            "sha": None, "build_s": 0.0, "verify_s": 0.0,
+            "verify_mesh": None, "verify_batch": None,
+        }
         ir = build_ir(self)
         runner = _bind_cc(ir) if ir is not None else None
         if runner is not None:
-            used = {id(ir.bases[i]) for i in ir.referenced}
-            self._runner_registers = frozenset(
-                key for key, reg in self._registers.items() if id(reg) in used
-            )
-            cc_stats = {
-                "statements": [len(t) for t in ir.tapes],
-                "forwarded": ir.forwarded,
-                "unique_statements": len(unique_statements(ir)),
-                "kernels": len(kernels(ir)),
-            }
-            del ir  # it holds every register: let verify free the unread ones
-            self._runner = runner
             start = time.perf_counter()
-            verified = self._verify(runner)
-            timing = {
-                "build_s": getattr(runner, "build_s", 0.0),
+            verified, checked = self._verify(runner)
+            bound = {
+                "sha": runner.sha,
+                "build_s": runner.build_s,
                 "verify_s": time.perf_counter() - start,
+                "verify_mesh": list(checked.plan.mesh.shape),
+                "verify_batch": checked.batch,
             }
             if verified:
                 self.native_backend = "cc"
+                self._runner = runner
+                used = {id(ir.bases[i]) for i in ir.referenced}
+                self._registers = {
+                    key: reg for key, reg in self._registers.items() if id(reg) in used
+                }
                 stats = {
-                    **cc_stats, "threads": runner.threads,
+                    "statements": [len(t) for t in ir.tapes],
+                    "forwarded": ir.forwarded,
+                    "unique_statements": len(unique_statements(ir)),
+                    "kernels": runner.kernels,
+                    "threads": runner.threads,
                     "schedule": runner.schedule,
                 }
-            else:
-                obs.emit(
-                    "native.verify_failed", backend="cc",
-                    seeds=self._verify_seeds(),
-                )
-                self._runner = None
-        # otherwise (unsupported dtype, no compiler, failed build or vetoed
-        # candidate) the inherited tape replay runs
-        self._settle()
+        del ir
+        if self._runner is None:
+            # unsupported dtype, no compiler, failed build, out-of-bounds
+            # descriptor or vetoed candidate: the inherited tape replay runs
+            self._bind_tapes()
         self._stats = {**stats, "bytes": self.nbytes}
         obs.emit(
-            "native.bound", backend=self.native_backend, batch=self.batch,
-            tapes=len(stats["statements"]), **self._stats, **timing,
+            "native.bound", backend=self.native_backend,
+            mesh=list(self.plan.mesh.shape), batch=self.batch,
+            tapes=len(stats["statements"]), **self._stats, **bound,
         )
 
-    def _release_tapes(self) -> None:
-        """Drop what only the replay reads: the bound tapes, their
-        constants and every register the runner does not read."""
-        self._warm = self._steady = None
-        self._constants = {}
-        self._registers = {
-            key: reg
-            for key, reg in self._registers.items()
-            if key in self._runner_registers
-        }
-
-    def _settle(self) -> None:
-        """Own what runs: the tape replay when no runner is bound, else
-        only the runner's registers."""
-        if self._runner is None:
-            self._bind_tapes()
-        else:
-            self._release_tapes()
-
-    def _verify_seeds(self) -> dict[str, int]:
-        """Input slot -> RNG seed of the bind-time check. A CRC of the
-        slot name and shape, not ``hash()``: str hashes are salted per
-        process, and a rejected candidate must be replayable."""
-        return {
-            slot: zlib.crc32(f"{slot}:{self._buffers[slot].shape}".encode())
-            for slot in (f"in:{name}" for name in self.plan.inputs)
-        }
-
-    def _seed_inputs(self) -> None:
-        """The state both verify runs start from: zeroed buffers, NaN in
-        every register owned, seeded inputs."""
-        # identical starts, so a candidate that skips a store — or reads a
-        # register whose store was elided — cannot pass on what the
-        # reference left behind
-        for buf in self._buffers.values():
-            buf.fill(0)
-        for reg in self._registers.values():
-            reg.fill(np.nan)
-        for slot, seed in self._verify_seeds().items():
-            buf = self._buffers[slot]
-            # values in [0.5, 1.0): safely away from zero so division ops
-            # cannot manufacture infs the replay would also see; drawn
-            # in place, so seeding allocates nothing
-            np.random.default_rng(seed).random(dtype=buf.dtype, out=buf)
-            buf *= 0.5
-            buf += 0.5
-        self._load_expansions()
-        self._iterations_done = 0
-
-    def _verify(self, runner: Callable[[int, int], None]) -> bool:
-        """Bitwise self-check: candidate vs tape replay on seeded inputs.
-
-        Runs ``warm + 4`` iterations (every warm tape, both steady
-        parities twice) from iteration 0, twice over identical
-        pseudo-random inputs — once through the inherited replay, once
-        through the candidate — and compares every buffer bit for bit.
-
-        It owns the tape's lifetime, so the copy of the reference never
-        overlaps what only the replay reads: bind the tapes, seed the
-        inputs in place, replay, release the tapes, their constants and
-        every register the runner does not read (:meth:`_release_tapes`),
-        copy the buffers, re-seed (the kept registers NaN-poisoned) and
-        run the candidate. Buffers are zeroed after, and the instance
-        again owns what runs (:meth:`_settle`), so a fresh instance is
-        indistinguishable from an unverified one.
-        """
-        if os.environ.get(VERIFY_ENV) == "0":
-            return True
-        iters = len(self.plan.warm) + 4
+    def _verify(self, runner: _Runner) -> tuple[bool, Proxy]:
+        """The check's verdict on ``runner`` (:func:`_check`) and the
+        binding it ran on: the proxy, memoized; or, when the proxy's
+        source differs or there is none, this binding itself."""
+        proxy = self._proxy or Proxy(self.plan, self.batch, None)
+        memo = (runner.sha, proxy.key, proxy.batch) if proxy.key is not None else None
+        with _lock:
+            verdict = _verdicts.get(memo)
+        if verdict is not None:
+            return verdict, proxy
         try:
-            self._bind_tapes()
-            self._seed_inputs()
-            with np.errstate(**_FLAT_ERRSTATE):
-                CompiledProgram._iterate(self, iters)
-            self._release_tapes()
-            reference = {
-                slot: buf.copy() for slot, buf in self._buffers.items()
-            }
-            self._seed_inputs()
-            with np.errstate(**_FLAT_ERRSTATE):
-                runner(0, iters)
-            ok = all(
-                np.array_equal(_bits(self._buffers[slot]), _bits(ref))
-                for slot, ref in reference.items()
-            )
+            verdict = _check(runner, proxy)
         except Exception as exc:  # noqa: BLE001 - a crashing candidate is a veto
             obs.emit("native.verify_error", error=repr(exc))
-            ok = False
-        finally:
-            for buf in self._buffers.values():
-                buf.fill(0)
-            self._iterations_done = 0
-            self._settle()
-        return ok
+            verdict = False
+        if isinstance(verdict, str) and self._proxy is None:
+            verdict = False  # the binding's own source must be its own
+        if isinstance(verdict, str):
+            obs.emit(
+                "native.proxy_mismatch", sha=runner.sha, proxy_sha=verdict,
+                mesh=list(self.plan.mesh.shape), batch=self.batch,
+                proxy_mesh=list(proxy.plan.mesh.shape), proxy_batch=proxy.batch,
+            )
+            self._proxy = None
+            return self._verify(runner)
+        if memo is not None:
+            with _lock:
+                _verdicts[memo] = verdict
+        return verdict, proxy
 
     # -- execution -------------------------------------------------------------
     def _iterate(self, n: int) -> None:

@@ -62,6 +62,9 @@ def _cc_works() -> bool:
     ).returncode == 0
 
 
+needs_cc = pytest.mark.skipif(not _cc_works(), reason="no working C compiler")
+
+
 def _assert_env_equal(gold, got):
     assert set(gold) == set(got)
     for name in gold:
@@ -238,7 +241,7 @@ def _fresh_instance(batch=1):
 @pytest.fixture
 def failed_build(monkeypatch):
     """Every cc build fails: binds fall back to the tape replay."""
-    monkeypatch.setattr(native, "_bind_cc", lambda ir: None)
+    monkeypatch.setattr(native, "_bind_cc", lambda ir, code=None: None)
 
 
 def test_tape_fallback_run_is_fully_supported(failed_build):
@@ -313,14 +316,59 @@ def test_corrupt_cache_entry_is_rebuilt(damage, monkeypatch, tmp_path, events):
     _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
 
 
-def test_verify_gate_rejects_wrong_runner():
-    """A runner that computes nothing must fail the bind-time self-check,
-    however often it is asked, and the instance keeps computing right."""
-    inst, program, env = _fresh_instance()
-    owned = inst.nbytes
-    for _ in range(2):  # the second call re-binds the tape it released
-        assert inst._verify(lambda k0, n: None) is False
-        assert inst.nbytes == owned
+class _Sabotaged:
+    """A real runner that computes nothing on the calls ``skip(grain)``
+    picks; otherwise what it wraps."""
+
+    def __init__(self, runner, skip):
+        self.runner, self.skip = runner, skip
+        self.sha, self.build_s, self.kernels = runner.sha, runner.build_s, runner.kernels
+        self.threads, self.schedule = runner.threads, runner.schedule
+
+    def __call__(self, k0, n, grain=codegen._OMP_MIN_CELLS):
+        if not self.skip(grain):
+            self.runner(k0, n, grain)
+
+
+@pytest.fixture
+def sabotage(monkeypatch):
+    """``sabotage(skip)``: every runner a bind makes is :class:`_Sabotaged`
+    by ``skip``, and no memoized verdict spares it the check."""
+    monkeypatch.setattr(native, "_verdicts", {})
+    real = native._bind_cc
+
+    def arm(skip):
+        def bind(ir, code=None):
+            runner = real(ir, code)
+            return None if runner is None else _Sabotaged(runner, skip)
+
+        monkeypatch.setattr(native, "_bind_cc", bind)
+
+    return arm
+
+
+#: a Jacobi mesh past its proxy on every axis
+PROXIED = (40, 36, 30)
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "grain", [0, codegen._OMP_MIN_CELLS], ids=["wrong-when-forked", "wrong-when-serial"]
+)
+def test_proxy_rejects_a_wrong_runner(grain, sabotage, events):
+    """A runner wrong only when its nests fork, or only when they do not,
+    fails the check on the proxy — whose nests fork only at grain 0 — and
+    the instance keeps computing right on the tape."""
+    sabotage(lambda g: g == grain)
+    app = app_by_name("jacobi3d")
+    program, env = app.program_on(PROXIED), app.fields(PROXIED, seed=0)
+    inst = CompiledPlanCache().get(program, env, native=True)
+    assert inst.native_backend == "tape"
+    proxy = list(native.proxy_shape(PROXIED))
+    (veto,) = events.of_kind("native.verify_failed")
+    assert veto["grain"] == grain and veto["mesh"] == proxy
+    (bound,) = events.of_kind("native.bound")
+    assert bound["verify_mesh"] == proxy and bound["verify_batch"] == 1
     _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
 
 
@@ -431,14 +479,6 @@ def test_every_app_native_entry(name):
 # the cc rung binds everywhere: a verify veto silently demotes to the tape
 # replay and would otherwise only show as a slow benchmark
 # --------------------------------------------------------------------------- #
-needs_cc = pytest.mark.skipif(not _cc_works(), reason="no working C compiler")
-
-
-@pytest.fixture
-def verified_binds(monkeypatch):
-    monkeypatch.delenv("REPRO_NATIVE_VERIFY", raising=False)
-
-
 def _plan(name, mesh=None):
     app = app_by_name(name)
     mesh = mesh or APP_MESHES[name]
@@ -448,7 +488,7 @@ def _plan(name, mesh=None):
 @needs_cc
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("name", sorted(all_apps()))
-def test_every_app_binds_cc(name, batch, verified_binds):
+def test_every_app_binds_cc(name, batch):
     inst = NativeProgram(_plan(name), batch=batch)
     assert inst.native_backend == "cc"
     stats = inst.native_stats
@@ -468,7 +508,7 @@ def _buffer_bytes(inst):
 @needs_cc
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("name", ["jacobi3d", "poisson2d"])
-def test_cc_instance_owns_only_its_buffers(name, batch, verified_binds):
+def test_cc_instance_owns_only_its_buffers(name, batch):
     inst = NativeProgram(_plan(name), batch=batch)
     assert inst.native_backend == "cc"
     assert inst._constants == {} and inst._registers == {}
@@ -478,7 +518,7 @@ def test_cc_instance_owns_only_its_buffers(name, batch, verified_binds):
 
 
 @needs_cc
-def test_cc_instance_keeps_exactly_the_registers_the_ir_references(verified_binds):
+def test_cc_instance_keeps_exactly_the_registers_the_ir_references():
     plan = _plan("rtm")
     inst = NativeProgram(plan)
     assert inst.native_backend == "cc"
@@ -493,39 +533,37 @@ def test_cc_instance_keeps_exactly_the_registers_the_ir_references(verified_bind
 
 
 @needs_cc
-def test_cc_bind_peak_holds_one_copy_of_the_buffers(verified_binds):
-    """The bind-time verify's peak: what the tape replay reads, or the
-    buffers plus their reference copy, never both (and no seeding
-    temporaries on top)."""
+def test_full_size_cc_bind_never_touches_the_tape(monkeypatch):
+    """The full-size instance of a proxied bind never binds its tape,
+    splats a tape constant, keeps an unread register or copies a buffer:
+    its bind's peak is what its plan allocates (every register
+    uninitialised, for the IR's base table), and only the proxy, checked
+    once, ever replays the tape."""
     import tracemalloc
 
-    plan = _plan("jacobi3d", (64, 64, 64))
-    NativeProgram(plan)  # builds and loads the artifact outside the trace
-    replay = CompiledProgram(plan).nbytes  # buffers + registers + constants
-    buffers = sum(int(np.prod(s)) for s in plan.buffers.values()) * 4
-    tracemalloc.start()
-    try:
-        inst = NativeProgram(plan)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert inst.native_backend == "cc"
-    assert peak <= replay + buffers + (256 << 10)
-
-
-@needs_cc
-def test_unverified_bind_never_creates_a_constant(monkeypatch):
-    monkeypatch.setenv(native.VERIFY_ENV, "0")
+    app = app_by_name("jacobi3d")
+    mesh = (64, 64, 64)
+    program, env = app.program_on(mesh), app.fields(mesh, seed=0)
+    cache = CompiledPlanCache()
+    cache.get(program, env, native=True)  # builds and checks outside the trace
     splats = []
     expand = CompiledProgram._expand_scalar
     monkeypatch.setattr(
         CompiledProgram, "_expand_scalar",
-        lambda self, value, shape: splats.append(shape) or expand(self, value, shape),
+        lambda self, value, shape: splats.append(self.plan.mesh.shape)
+        or expand(self, value, shape),
     )
-    inst, program, env = _fresh_instance()
+    plan = cache.plan_for(program, env)
+    tracemalloc.start()
+    try:
+        inst = NativeProgram(plan, proxy=cache._proxy(program, env, None, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert inst.native_backend == "cc"
-    assert splats == [] and inst._warm is None
-    assert inst.nbytes == _buffer_bytes(inst)
+    assert inst._warm is None and inst._steady is None and inst._constants == {}
+    assert splats == []  # the proxy's verdict is memoized
+    assert peak <= plan.nbytes + (256 << 10)
     _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
 
 
@@ -546,7 +584,7 @@ def test_cache_bytes_track_what_the_entries_own():
 
 
 @needs_cc
-def test_cache_sized_for_two_cc_instances_keeps_both(verified_binds):
+def test_cache_sized_for_two_cc_instances_keeps_both():
     app = app_by_name("jacobi3d")
     bindings = [
         (app.program_on(mesh), app.fields(mesh, seed=0))
@@ -785,13 +823,15 @@ def test_shifted_self_read_never_forks():
     assert OMP not in _emitted(stmt)
 
 
-def test_nest_below_the_grain_never_forks():
+def test_the_fork_grain_is_a_run_time_clause():
+    """A nest below the grain and one at it are one source: the fork
+    compares the nest's cells with the ``grain`` argument of the call."""
     rows = codegen._OMP_MIN_CELLS // 256
     small = _copy_into(_window(DST, 0, (rows - 1, 256), (300, 1)))
-    assert codegen._parallel_safe(small)
-    assert OMP not in _emitted(small)
     at_grain = _copy_into(_window(DST, 0, (rows, 256), (300, 1)))
-    assert _emitted(at_grain).count(OMP) == 1
+    assert codegen._parallel_safe(small)
+    assert _emitted(small) == _emitted(at_grain)
+    assert _emitted(small).count(f"{OMP} if(n0 * n1 >= grain)") == 1
 
 
 def test_flat_nest_never_forks():
@@ -841,9 +881,12 @@ def test_members_split_a_stack_of_disjoint_slabs():
     # slab where the kernel is called, the member count an argument
     assert source.count(OMP) == 1
     assert f"{OMP}\n  {MEMBER_LOOP} m < batch; ++m)" in source
-    assert f"s0((real_t*)P[{DST}] + m * 100, (real_t*)P[{SRC}] + m * 100);" in source
+    assert f"s0((real_t*)P[{DST}] + m * D[{DST}], (real_t*)P[{SRC}] + m * D[{SRC}], D + " in source
+    code = codegen.lower_c(_ir(stmt, batch=2))
+    assert code.descriptor[DST] == code.descriptor[SRC] == 100
     # without the lead axis the member nest is the 8 x 8 interior
-    assert "i0 < 8" in source and "i2" not in source
+    (_, _, at), _ = code.calls
+    assert list(code.descriptor[at : at + 2]) == [8, 8] and "i2" not in source
 
 
 def test_member_nests_never_fork_inside():
@@ -899,15 +942,15 @@ def test_every_app_stack_splits_by_member(name):
     assert codegen.member_strides(codegen.build_ir(CompiledProgram(_plan(name)))) is None
 
 
-#: sha256 prefixes of the batch-1 sources the one-function-per-kernel
-#: emitter produces for the registry apps at APP_MESHES. A single mesh has
-#: no member to split, so these artifacts — and the single-mesh contract
-#: workloads' — must not change with the members schedule. Update
-#: deliberately.
+#: sha256 prefixes of the batch-1 sources the shape-generic emitter
+#: produces for the registry apps (at APP_MESHES, and at any mesh whose
+#: proxy keeps their structure). A single mesh has no member to split, so
+#: these artifacts — and the single-mesh contract workloads' — must not
+#: change with the members schedule. Update deliberately.
 NESTS_SOURCES = {
-    "poisson2d": "f050baad6864cc12",
-    "jacobi3d": "f36c5aaa9f7ac4db",
-    "rtm": "aa27b4baecc29dfa",
+    "poisson2d": "583f9654e478d7e5",
+    "jacobi3d": "be64c426dba078bf",
+    "rtm": "c43169000b2eed90",
 }
 
 
@@ -918,9 +961,109 @@ def test_single_mesh_sources_keep_the_nest_emission(name):
     assert hashlib.sha256(source.encode()).hexdigest()[:16] == NESTS_SOURCES[name]
 
 
+#: a larger mesh per registered app: its bench mesh where the bench runs it
+LARGER_MESHES = {
+    "poisson2d": (300, 150),
+    "jacobi3d": (256, 256, 256),
+    "rtm": (32, 32, 32),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("name", sorted(LARGER_MESHES))
+def test_registry_sources_are_shape_generic(name, batch):
+    """The source holds no extent, offset or outer stride: each app emits
+    one source at APP_MESHES, at its proxy and at a larger mesh — one
+    artifact, and the proxy's check is the larger mesh's."""
+    meshes = (
+        APP_MESHES[name], native.proxy_shape(LARGER_MESHES[name]), LARGER_MESHES[name]
+    )
+    sources = set()
+    for mesh in meshes:
+        ir = codegen.build_ir(CompiledProgram(_plan(name, mesh), batch=batch))
+        sources.add(codegen.emit_c(ir))
+        del ir  # the 256**3 instance: one at a time
+    assert len(sources) == 1
+
+
+@needs_cc
+def test_two_poisson_meshes_bind_with_one_build(counted_builds, events):
+    """Two meshes of one program are one artifact, and one proxy check."""
+    app = app_by_name("poisson2d")
+    cache = CompiledPlanCache()
+    for mesh in ((60, 40), (90, 70)):
+        program, env = app.program_on(mesh), app.fields(mesh, seed=1)
+        inst = cache.get(program, env, native=True)
+        assert inst.native_backend == "cc"
+        _assert_env_equal(run_program(program, env, 7, engine="interpreter"), inst.run(env, 7))
+    assert len(counted_builds) == 1
+    built, shared = events.of_kind("native.bound")
+    assert built["build_s"] > 0 and shared["build_s"] == 0.0
+    assert built["verify_mesh"] == shared["verify_mesh"] == [23, 21]
+
+
+@needs_cc
+@pytest.mark.parametrize("batch", [1, 5])
+def test_bound_event_names_the_binding_that_was_checked(batch, events):
+    app = app_by_name("jacobi3d")
+    envs = [app.fields(PROXIED, seed=s) for s in range(batch)]
+    program = app.program_on(PROXIED)
+    inst = CompiledPlanCache().get(program, envs[0], batch=batch, native=True)
+    assert inst.native_backend == "cc"
+    (bound,) = events.of_kind("native.bound")
+    assert bound["verify_mesh"] == list(native.proxy_shape(PROXIED)) == [23, 21, 19]
+    assert bound["verify_batch"] == min(batch, native.team_size() + 1)
+    assert bound["verify_s"] < 1.0
+    for env, got in zip(envs, inst.run_stacked(envs, 6)):
+        _assert_env_equal(run_program(program, env, 6, engine="interpreter"), got)
+
+
+@needs_cc
+def test_a_mismatching_proxy_checks_the_full_mesh(monkeypatch, events):
+    """A proxy too small to keep the program's structure emits another
+    source: the bind says so and checks the binding's own mesh."""
+    monkeypatch.setattr(native, "_PROXY_EXTENTS", (7, 5, 3))
+    app = app_by_name("jacobi3d")
+    mesh = (16, 14, 8)
+    program, env = app.program_on(mesh), app.fields(mesh, seed=4)
+    inst = CompiledPlanCache().get(program, env, native=True)
+    assert inst.native_backend == "cc"
+    (mismatch,) = events.of_kind("native.proxy_mismatch")
+    assert mismatch["mesh"] == list(mesh) and mismatch["proxy_mesh"] == [7, 5, 3]
+    assert mismatch["sha"] != mismatch["proxy_sha"]
+    (bound,) = events.of_kind("native.bound")
+    assert bound["verify_mesh"] == list(mesh) and bound["verify_batch"] == 1
+    gold = run_program(program, env, 6, engine="interpreter")
+    got = inst.run(env, 6)
+    for name in gold:
+        assert np.array_equal(gold[name].data, got[name].data), name
+
+
+@needs_cc
+def test_an_out_of_bounds_descriptor_binds_the_tape_and_never_runs(monkeypatch, events):
+    lower = native.lower_c
+
+    def stretched(ir):
+        code = lower(ir)
+        _, _, at = code.calls[-1]
+        code.descriptor[at] *= 3  # three times the planes of the interior
+        return code
+
+    runs = []
+    monkeypatch.setattr(native, "lower_c", stretched)
+    monkeypatch.setattr(native._Runner, "__call__", lambda self, *args: runs.append(args))
+    app = app_by_name("jacobi3d")
+    program, env = app.program_on(PROXIED), app.fields(PROXIED, seed=0)
+    inst = CompiledPlanCache().get(program, env, native=True)
+    assert inst.native_backend == "tape" and runs == []
+    (oob,) = events.of_kind("native.out_of_bounds")
+    assert oob["hi"] >= oob["size"]
+    _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
+
+
 @needs_cc
 @pytest.mark.parametrize("batch", [1, 2])
-def test_bound_schedule_names_the_emission(batch, verified_binds, events):
+def test_bound_schedule_names_the_emission(batch, events):
     inst = NativeProgram(_plan("rtm"), batch=batch)
     assert inst.native_backend == "cc"
     want = "members" if batch > 1 else "nests"
@@ -948,16 +1091,16 @@ def test_self_read_and_other_base_read_are_two_kernels(shift):
     read = lambda base: _window(base, 301 + shift, BIG, (300, 1))
     own = codegen.Statement(dest, _sum(read(DST), read(SRC)))
     other = codegen.Statement(dest, _sum(read(OTHER), read(SRC)))
-    (k_own, bases_own), (k_other, bases_other) = map(codegen._kernel, (own, other))
+    (k_own, bases_own, _), (k_other, bases_other, _) = map(codegen._kernel, (own, other))
     assert bases_own == (DST, SRC) and bases_other == (DST, OTHER, SRC)
     assert k_own != k_other
     assert len(codegen.kernels(_ir(own, other))) == 2
     for stmt, kernel in ((own, k_own), (other, k_other)):
-        assert codegen._independent_iterations(kernel) == codegen._independent_iterations(stmt)
-        assert codegen._parallel_safe(kernel) == codegen._parallel_safe(stmt)
+        assert kernel.ivdep == codegen._independent_iterations(stmt)
+        assert kernel.fork == codegen._parallel_safe(stmt)
     # a shifted self-read carries a dependency: no ivdep, no fork
-    assert codegen._parallel_safe(k_own) == (shift == 0)
-    assert codegen._parallel_safe(k_other)
+    assert k_own.fork == (shift == 0)
+    assert k_other.fork
     source = _emitted(own, other)
     assert _kernel_functions(source) == 2
     assert source.count(OMP) == (2 if shift == 0 else 1)
@@ -971,18 +1114,24 @@ def test_the_same_nest_over_other_bases_is_one_kernel():
     assert codegen._kernel(one)[0] == codegen._kernel(two)[0]
     source = _emitted(one, two)
     assert _kernel_functions(source) == 1
-    assert f"s0((real_t*)P[{DST}], (real_t*)P[{SRC}]);" in source
-    assert f"s0((real_t*)P[{OTHER}], (real_t*)P[{REG}]);" in source
+    assert f"s0((real_t*)P[{DST}], (real_t*)P[{SRC}], D + " in source
+    assert f"s0((real_t*)P[{OTHER}], (real_t*)P[{REG}], D + " in source
 
 
-def test_kernels_differing_in_an_offset_or_a_zero_sign_stay_apart():
+def test_kernels_differing_in_an_offset_merge_and_a_zero_sign_stays_apart():
+    """An offset, an extent or an outer stride is the descriptor's; a
+    constant, a relative shift or an alias pattern is the source's."""
     dest = _window(DST, 11)
     base = codegen.Statement(dest, _sum(_window(SRC, 11)))
     shifted = codegen.Statement(dest, _sum(_window(SRC, 12)))
+    wider = codegen.Statement(
+        _window(DST, 0, (8, 12), (20, 1)), _sum(_window(SRC, 3, (8, 12), (30, 1)))
+    )
+    apart = codegen.Statement(dest, _sum(_window(SRC, 11), _window(SRC, 12)))
     scaled = lambda zero: codegen.Statement(
         dest, codegen.OpExpr("mul", (codegen.Const(zero.hex()), codegen.Load(_window(SRC))))
     )
-    stmts = [base, shifted, scaled(0.0), scaled(-0.0)]
+    stmts = [base, shifted, wider, apart, scaled(0.0), scaled(-0.0)]
     assert len({codegen._kernel(s)[0] for s in stmts}) == 4
     assert _kernel_functions(_emitted(*stmts)) == 4
 
@@ -1013,7 +1162,7 @@ def counted_builds(monkeypatch, tmp_path):
 
 
 @needs_cc
-def test_stacked_batch_sizes_share_one_build(counted_builds, verified_binds):
+def test_stacked_batch_sizes_share_one_build(counted_builds):
     """On the members schedule the member count is a runner argument: RTM
     stacked two and three deep is one source and one compiler run, and
     each binding still verifies and computes the interpreter's answer."""
@@ -1067,7 +1216,7 @@ def test_concurrent_binders_of_one_plan_build_once(counted_builds):
 
 
 @needs_cc
-def test_bound_event_times_the_build_and_the_verify(counted_builds, verified_binds, events):
+def test_bound_event_times_the_build_and_the_verify(counted_builds, events):
     plan = _plan("jacobi3d")
     first, again = NativeProgram(plan), NativeProgram(plan)
     assert first.native_backend == again.native_backend == "cc"
@@ -1117,7 +1266,7 @@ TEAM_MESHES = {
 
 
 @needs_cc
-def test_teams_of_one_and_three_threads_match_the_interpreter(tmp_path, verified_binds):
+def test_teams_of_one_and_three_threads_match_the_interpreter(tmp_path):
     """Three threads on a two-core host split the outer axis of a nest, or
     two and five members, unevenly; one thread is the serial loop. Both
     must equal the golden interpreter."""
@@ -1132,8 +1281,7 @@ def test_teams_of_one_and_three_threads_match_the_interpreter(tmp_path, verified
         )
         assert OMP in source, (name, batch)
         assert (MEMBER_LOOP in source) == (batch > 1), (name, batch)
-    env = {k: v for k, v in os.environ.items() if k != native.VERIFY_ENV}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     for threads in (1, 3):
         out = tmp_path / f"team{threads}.npz"
         proc = subprocess.run(
@@ -1168,7 +1316,7 @@ def test_single_steps_cross_the_warm_steady_boundary(rung, batch, monkeypatch):
     if rung == "cc" and not _cc_works():
         pytest.skip("no working C compiler")
     if rung == "tape":
-        monkeypatch.setattr(native, "_bind_cc", lambda ir: None)
+        monkeypatch.setattr(native, "_bind_cc", lambda ir, code=None: None)
     inst, program, _ = _fresh_instance(batch=batch)
     assert inst.native_backend == rung
     app = app_by_name("jacobi3d")
@@ -1367,25 +1515,28 @@ def test_tape_fallback_reports_the_raw_tapes(failed_build):
     assert inst.nbytes == CompiledProgram(inst.plan).nbytes
 
 
-def test_verify_veto_is_replayable(events, verified_binds, monkeypatch):
+@needs_cc
+def test_verify_veto_is_replayable(events, sabotage):
     """A rejected candidate names its input seeds, and they do not depend
     on the process (``hash()`` of a str is salted; a CRC is not)."""
-    monkeypatch.setattr(native, "_bind_cc", lambda ir: lambda k0, n: None)
+    sabotage(lambda grain: True)
     inst, program, env = _fresh_instance()
     assert inst.native_backend == "tape"
     (veto,) = events.of_kind("native.verify_failed")
     assert veto["backend"] == "cc"
     assert veto["seeds"] == {"in:U": zlib.crc32(b"in:U:(6, 10, 10, 1)")}
-    assert veto["seeds"] == inst._verify_seeds()
+    assert veto["seeds"] == native._verify_seeds(inst)
     # the demoted instance still computes the right thing
     _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
 
 
-def test_verify_poisons_registers_between_its_two_runs():
+@needs_cc
+def test_the_proxy_check_poisons_registers_between_its_runs(monkeypatch):
     """A candidate that never stores an iteration-invariant register value
     (here ``0.5 * G``, a function of a constant field only) would find it
-    where the reference run left it; the check must not pass on that."""
-    mesh = MeshSpec((12, 10))
+    where the reference run left it; the check on the proxy must not pass
+    on that."""
+    mesh = MeshSpec((40, 30))
     U = lambda dx, dy: FieldAccess("U", (dx, dy))
     # operand order matters: the product reuses its right operand's
     # register, so 0.5 * G is the last value its own register sees
@@ -1396,34 +1547,48 @@ def test_verify_poisons_registers_between_its_two_runs():
         state_fields=("U",), constant_fields=("G",),
     )
     env = {"U": Field.random("U", mesh, seed=2), "G": Field.random("G", mesh, seed=3)}
-    inst = NativeProgram(CACHE.plan_for(program, env))
-    # a cc-bound instance holds no tapes: bind them here, and let this
-    # candidate read every register they use, so verify must poison each
-    inst._bind_tapes()
-    inst._runner_registers = frozenset(inst._registers)
-    g = inst._buffers["in:G"]
-    registers = list(inst._registers.values())
-    constants = list(inst._constants.values())
+    # the check's tape-bound proxy instance, and a candidate that replays
+    # its tapes without the invariant stores
+    proxies = []
 
-    def invariant_store(op):
+    class Capturing(CompiledProgram):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            proxies.append(self)
+
+    def invariant_store(inst, op):
         fn, args = op
         if fn is np.copyto:
             return False
         *sources, dest = args
-        return any(np.shares_memory(dest, r) for r in registers) and all(
-            np.shares_memory(s, g) or any(s is c for c in constants)
-            for s in sources
+        g = inst._buffers["in:G"]
+        constants = list(inst._constants.values())
+        return any(np.shares_memory(dest, r) for r in inst._registers.values()) and all(
+            np.shares_memory(x, g) or any(x is c for c in constants) for x in sources
         )
 
-    tapes = inst._warm + inst._steady
-    assert any(invariant_store(op) for tape in tapes for op in tape)
+    class WithoutInvariantStores(_Sabotaged):
+        def __call__(self, k0, n, grain=codegen._OMP_MIN_CELLS):
+            inst = proxies[-1]
+            tapes = inst._warm + inst._steady
+            assert any(invariant_store(inst, op) for tape in tapes for op in tape)
+            warm = len(inst.plan.warm)
+            for k in range(k0, k0 + n):
+                for fn, args in tapes[k if k < warm else warm + ((k - warm) & 1)]:
+                    if not invariant_store(inst, (fn, args)):
+                        fn(*args)
 
-    def replay_without_those_stores(k0, n):
-        warm = len(inst.plan.warm)
-        for k in range(k0, k0 + n):
-            for fn, args in tapes[k if k < warm else warm + ((k - warm) & 1)]:
-                if not invariant_store((fn, args)):
-                    fn(*args)
+    real = native._bind_cc
 
-    assert inst._verify(replay_without_those_stores) is False
+    def bind(ir, code=None):
+        runner = real(ir, code)
+        checking = proxies and any(b is buf for b in ir.bases for buf in proxies[-1]._buffers.values())
+        return WithoutInvariantStores(runner, None) if checking else runner
+
+    monkeypatch.setattr(native, "CompiledProgram", Capturing)
+    monkeypatch.setattr(native, "_bind_cc", bind)
+    monkeypatch.setattr(native, "_verdicts", {})
+    inst = CompiledPlanCache().get(program, env, native=True)
+    assert [p.plan.mesh.shape for p in proxies] == [native.proxy_shape(mesh.shape)]
+    assert inst.native_backend == "tape"
     _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
