@@ -37,7 +37,7 @@ from repro.stencil.compiled import (
     run_program_stacked,
 )
 from repro.stencil.expr import Const, FieldAccess
-from repro.stencil.kernel import KernelOutput, StencilKernel, single_output_kernel
+from repro.stencil.kernel import KernelOutput, StencilKernel
 from repro.stencil.native import NativeProgram, _find_cc
 from repro.stencil.numpy_eval import run_program
 from repro.stencil.program import FusedGroup, StencilLoop, StencilProgram
@@ -1186,19 +1186,27 @@ def test_stacked_batch_sizes_share_one_build(counted_builds):
 
 
 @needs_cc
-def test_concurrent_binders_of_one_plan_build_once(counted_builds):
-    """More binders of one plan than cores, at once: one runs the
-    compiler, the others wait for its artifact, and all of them bind it."""
+def test_concurrent_binders_of_one_plan_build_once(counted_builds, monkeypatch):
+    """More binders of one plan than cores, at once, each checked on the
+    same proxy: one runs the compiler, the others wait for its artifact,
+    all of them bind it, and the proxy's memoized verdict holds one
+    entry."""
     import threading
 
-    plan = _plan("rtm")
+    monkeypatch.setattr(native, "_verdicts", {})
+    app = app_by_name("rtm")
+    mesh = (28, 26, 24)
+    program, env = app.program_on(mesh), app.fields(mesh, seed=0)
+    cache = CompiledPlanCache()
+    plan, proxy = cache.plan_for(program, env), cache._proxy(program, env, None, 1)
+    assert proxy.plan.mesh.shape == native.proxy_shape(mesh)
     binders = 4
     start = threading.Barrier(binders)
     bound = []
 
     def bind():
         start.wait()
-        bound.append(NativeProgram(plan).native_backend)
+        bound.append(NativeProgram(plan, proxy=proxy).native_backend)
 
     threads = [threading.Thread(target=bind) for _ in range(binders)]
     interval = sys.getswitchinterval()
@@ -1213,6 +1221,7 @@ def test_concurrent_binders_of_one_plan_build_once(counted_builds):
     assert not any(t.is_alive() for t in threads)
     assert bound == ["cc"] * binders
     assert len(counted_builds) == 1
+    assert list(native._verdicts.values()) == [True]
 
 
 @needs_cc
