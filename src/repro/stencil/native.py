@@ -97,8 +97,11 @@ _libs: dict[str, ctypes.CDLL | None] = {}
 _gates: dict[str, threading.Lock] = {}
 #: memoized "the system compiler is unusable" verdict
 _cc_broken = False
-#: (source sha, proxy binding key, proxy batch) -> the proxy check's verdict
+#: (source sha, proxy binding key, proxy batch) -> the proxy check's
+#: verdict, oldest first; at most _MAX_VERDICTS, since each key pins its
+#: program's structural token
 _verdicts: dict[tuple, bool] = {}
+_MAX_VERDICTS = 1024
 
 #: proxy extents per axis, in paper order (m, n, l)
 _PROXY_EXTENTS = (23, 21, 19)
@@ -552,6 +555,8 @@ class NativeProgram(CompiledProgram):
         if memo is not None:
             with _lock:
                 _verdicts[memo] = verdict
+                if len(_verdicts) > _MAX_VERDICTS:
+                    del _verdicts[next(iter(_verdicts))]
         return verdict, proxy
 
     # -- execution -------------------------------------------------------------

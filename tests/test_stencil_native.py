@@ -3,12 +3,16 @@
 The contract mirrors the compiled engine's: what runs (the cc build, or
 the tape replay when nothing bound) must be bit-identical (``tobytes``
 equality, no tolerance) to the golden interpreter on every registered
-application and on generated star/box kernels — across niter, batch,
-dtype, the mixed-radius ``init_from`` and flat-mode lowering corners,
-OpenMP teams of one and three threads, and with no working compiler (the
-tape fallback). The forwarding pass, the fork decision and the member
-split are also driven directly, on hand-built statements, to pin what
-they must refuse; damaged artifacts in the on-disk cache must rebuild.
+application and on generated programs (a differential fuzzer; its long
+profile runs under ``-m fuzz``) — across niter, batch, dtype, meshes on
+both sides of the proxy's and of the fork grain, the mixed-radius
+``init_from`` and flat-mode lowering corners, OpenMP teams of one and
+three threads, and with no working compiler (the tape fallback). The
+forwarding pass, the fork decision, the member split and the descriptor
+emission are also driven directly, on hand-built statements, to pin what
+they must refuse; the proxy check must reject wrong runners and
+out-of-bounds descriptors; damaged artifacts in the on-disk cache must
+rebuild.
 """
 
 from __future__ import annotations
@@ -1016,6 +1020,20 @@ def test_bound_event_names_the_binding_that_was_checked(batch, events):
     assert bound["verify_s"] < 1.0
     for env, got in zip(envs, inst.run_stacked(envs, 6)):
         _assert_env_equal(run_program(program, env, 6, engine="interpreter"), got)
+
+
+@needs_cc
+def test_memoized_verdicts_stay_bounded(monkeypatch):
+    """Each verdict's key pins its program's structural token: the memo
+    keeps the newest ``_MAX_VERDICTS`` only."""
+    monkeypatch.setattr(native, "_verdicts", {})
+    monkeypatch.setattr(native, "_MAX_VERDICTS", 1)
+    cache = CompiledPlanCache()
+    for name, mesh in (("poisson2d", (60, 40)), ("jacobi3d", PROXIED)):
+        app = app_by_name(name)
+        assert cache.get(app.program_on(mesh), app.fields(mesh, seed=0), native=True).native_backend == "cc"
+    ((sha, _, _),) = native._verdicts
+    assert sha == cache.get(app.program_on(mesh), app.fields(mesh, seed=0), native=True)._runner.sha
 
 
 @needs_cc
