@@ -348,21 +348,10 @@ def _forward(tape: Sequence[Statement], local: set[int]) -> list[Statement]:
     * the merged statement stays within ``_MAX_FUSED_LOADS``.
     """
     stmts = list(tape)
-    # each expression's loads, walked once: the scan below revisits every
-    # later statement for every producer. The entry keeps its expression
-    # alive, so an id is never reused while it is cached
-    walked: dict[int, tuple[object, list[Access]]] = {}
-
-    def loads(expr) -> list[Access]:
-        hit = walked.get(id(expr))
-        if hit is None:
-            hit = walked[id(expr)] = (expr, _expr_loads(expr))
-        return hit[1]
-
     k = 0
     while k < len(stmts):
-        j = _consumer(stmts, k, local, loads)
-        fused = _inline(stmts[k], stmts[j], loads) if j is not None else None
+        j = _consumer(stmts, k, local)
+        fused = _inline(stmts[k], stmts[j]) if j is not None else None
         if fused is None:
             k += 1
         else:
@@ -371,18 +360,16 @@ def _forward(tape: Sequence[Statement], local: set[int]) -> list[Statement]:
     return stmts
 
 
-def _consumer(
-    stmts: Sequence[Statement], k: int, local: set[int], loads=_expr_loads
-) -> int | None:
+def _consumer(stmts: Sequence[Statement], k: int, local: set[int]) -> int | None:
     """The index of statement ``k``'s unique, hazard-free reader, or None."""
     dest = stmts[k].dest
     if dest.base not in local:
         return None
-    reads = {a.base for a in loads(stmts[k].expr)}
+    reads = {a.base for a in _expr_loads(stmts[k].expr)}
     consumer: int | None = None
     for j in range(k + 1, len(stmts)):
         stmt = stmts[j]
-        uses = sum(a.base == dest.base for a in loads(stmt.expr))
+        uses = sum(a.base == dest.base for a in _expr_loads(stmt.expr))
         if uses and (uses > 1 or consumer is not None):
             return None  # second load: the value must exist in memory
         if uses:
@@ -394,12 +381,12 @@ def _consumer(
     return consumer
 
 
-def _inline(p: Statement, c: Statement, loads=_expr_loads) -> Statement | None:
+def _inline(p: Statement, c: Statement) -> Statement | None:
     """``c`` with its load of ``p.dest``'s register replaced by ``p.expr``."""
     reg = p.dest.base
-    if any(a.base == c.dest.base for a in loads(p.expr)):
+    if any(a.base == c.dest.base for a in _expr_loads(p.expr)):
         return None
-    (use,) = (a for a in loads(c.expr) if a.base == reg)
+    (use,) = (a for a in _expr_loads(c.expr) if a.base == reg)
     if use == p.dest:
         expr = p.expr
     elif c.dest.base == reg:
@@ -408,11 +395,10 @@ def _inline(p: Statement, c: Statement, loads=_expr_loads) -> Statement | None:
         expr = _reindex(p, use)
         if expr is None:
             return None
-    if len(loads(c.expr)) - 1 + len(loads(expr)) > _MAX_FUSED_LOADS:
+    fused = _map_loads(c.expr, lambda a: expr if a.base == reg else Load(a))
+    if len(_expr_loads(fused)) > _MAX_FUSED_LOADS:
         return None
-    return Statement(
-        c.dest, _map_loads(c.expr, lambda a: expr if a.base == reg else Load(a))
-    )
+    return Statement(c.dest, fused)
 
 
 def _reindex(p: Statement, use: Access):

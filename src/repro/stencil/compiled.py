@@ -649,9 +649,7 @@ class CompiledPlanCache:
             plan = self._plan(proxy_program, proxy_mesh, proxy_specs, coefficients)
         except ValidationError:
             return None
-        return Proxy(
-            plan, proxy_batch, self._key(proxy_program, proxy_specs, coefficients)
-        )
+        return Proxy(plan, proxy_batch)
 
     def get(
         self,

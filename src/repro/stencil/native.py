@@ -32,10 +32,10 @@ parallel-safe nest forked (grain 0) and once at ``_OMP_MIN_CELLS``, and
 every buffer is compared bitwise with the tape replay of the proxy. The full
 binding then differs from what was checked only in its pointer table and
 descriptor, and before its first call every footprint the descriptor
-gives is checked to lie inside its base (``native.out_of_bounds``). The
-verdict is memoized per (sha, proxy binding, proxy batch). A proxy whose
-source differs (``native.proxy_mismatch``) and a binding built with no
-proxy are checked the same way on their own mesh. An unsupported dtype,
+gives is checked to lie inside its base (``native.out_of_bounds``). A
+proxy whose source differs (``native.proxy_mismatch``) and a binding built
+with no proxy are checked the same way on their own mesh, releasing the
+tape before the reference copy is taken. An unsupported dtype,
 a missing compiler, a failed build, an out-of-bounds descriptor or a
 mismatch leaves the instance on the inherited tape replay — so
 ``engine="native"`` can never return anything the interpreter would not.
@@ -56,7 +56,7 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Hashable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,11 +97,6 @@ _libs: dict[str, ctypes.CDLL | None] = {}
 _gates: dict[str, threading.Lock] = {}
 #: memoized "the system compiler is unusable" verdict
 _cc_broken = False
-#: (source sha, proxy binding key, proxy batch) -> the proxy check's
-#: verdict, oldest first; at most _MAX_VERDICTS, since each key pins its
-#: program's structural token
-_verdicts: dict[tuple, bool] = {}
-_MAX_VERDICTS = 1024
 
 #: proxy extents per axis, in paper order (m, n, l)
 _PROXY_EXTENTS = (23, 21, 19)
@@ -127,9 +122,6 @@ class Proxy(NamedTuple):
 
     plan: ProgramPlan
     batch: int
-    #: what the verdict is memoized under, with the sha and batch; None
-    #: checks on every bind
-    key: Hashable | None
 
 
 def _cache_dir() -> Path:
@@ -376,30 +368,32 @@ def _seed_inputs(inst: CompiledProgram) -> None:
     inst._iterations_done = 0
 
 
-def _check(runner: _Runner, proxy: Proxy) -> bool | str:
-    """Bitwise check of ``runner``'s artifact on ``proxy``: True or False,
-    or the sha of the proxy's own source when it is not ``runner``'s.
+def _check(inst: CompiledProgram, candidate: _Runner, keep: frozenset) -> bool:
+    """Bitwise check of ``candidate``, bound to ``inst``'s bases, against
+    ``inst``'s own tape replay.
 
-    A tape-bound instance of the proxy replays ``warm + 4`` iterations
-    (every warm tape, both steady parities twice) from seeded inputs;
-    the candidate — the same library bound to the proxy's bases and
-    descriptor — then runs them twice from the same inputs, every
-    register NaN-poisoned: at grain 0, every parallel-safe nest forked,
-    and at ``_OMP_MIN_CELLS``, the serial nests the proxy's size gives. Every
-    buffer must match the replay bit for bit both times.
+    The replay runs ``warm + 4`` iterations (every warm tape, both steady
+    parities twice) from seeded inputs; the candidate then runs them twice
+    from the same inputs, every register it reads NaN-poisoned: at grain
+    0, every parallel-safe nest forked, and at ``_OMP_MIN_CELLS``, the
+    serial nests ``inst``'s size gives. Every buffer must match the replay
+    bit for bit both times.
+
+    It owns the tape's lifetime, so the reference copy never overlaps what
+    only the replay reads: bind the tapes, replay, drop the tapes, their
+    constants and every register not in ``keep`` (keys of the registers
+    the candidate reads), then copy the buffers. On the full mesh the
+    peak is the replay's or two copies of the buffers, never both.
     """
-    inst = CompiledProgram(proxy.plan, batch=proxy.batch)
-    ir = build_ir(inst)
-    code = lower_c(ir) if ir is not None else None
-    sha = _sha(code.source) if code is not None else ""
-    candidate = _bind_cc(ir, code) if sha == runner.sha else None
-    if candidate is None:
-        return sha
-    del ir, code
-    iters = len(proxy.plan.warm) + 4
+    iters = len(inst.plan.warm) + 4
+    if inst._warm is None:
+        inst._bind_tapes()
     _seed_inputs(inst)
     with np.errstate(**_FLAT_ERRSTATE):
         CompiledProgram._iterate(inst, iters)
+    inst._warm = inst._steady = None
+    inst._constants = {}
+    inst._registers = {key: reg for key, reg in inst._registers.items() if key in keep}
     reference = {slot: buf.copy() for slot, buf in inst._buffers.items()}
     for grain in (0, _OMP_MIN_CELLS):
         _seed_inputs(inst)
@@ -411,26 +405,35 @@ def _check(runner: _Runner, proxy: Proxy) -> bool | str:
         ):
             obs.emit(
                 "native.verify_failed", backend="cc", grain=grain,
-                mesh=list(proxy.plan.mesh.shape), batch=proxy.batch,
+                mesh=list(inst.plan.mesh.shape), batch=inst.batch,
                 seeds=_verify_seeds(inst),
             )
             return False
     return True
 
 
-def team_size() -> int:
-    """The OpenMP team a forked loop of a generated artifact runs on — what
-    a bound runner reports as ``threads`` — or 1 when nothing builds.
+def _read_registers(inst: CompiledProgram, ir: NativeIR) -> frozenset:
+    """Keys of ``inst``'s registers that ``ir``'s statements read."""
+    used = {id(ir.bases[i]) for i in ir.referenced}
+    return frozenset(key for key, reg in inst._registers.items() if id(reg) in used)
 
-    Read from a statement-free artifact, built once and cached like any
-    other, so the answer exists before any binding does.
-    """
-    probe = NativeIR(
-        bases=[], warm=(), steady=([], []), dtype=np.dtype(np.float64),
-        registers=frozenset(), forwarded=0,
-    )
-    lib, _ = _compiled_lib(emit_c(probe))
-    return lib.repro_threads() if lib is not None else 1
+
+def _check_on_proxy(runner: _Runner, proxy: Proxy) -> bool | str:
+    """:func:`_check` of ``runner``'s artifact on a fresh instance of
+    ``proxy``, or the sha of the proxy's own source when it is not
+    ``runner``'s."""
+    inst = CompiledProgram(proxy.plan, batch=proxy.batch)
+    ir = build_ir(inst)
+    code = lower_c(ir) if ir is not None else None
+    sha = _sha(code.source) if code is not None else ""
+    if sha != runner.sha:
+        return sha
+    candidate = _bind_cc(ir, code)
+    if candidate is None:
+        return False
+    keep = _read_registers(inst, ir)
+    del ir, code
+    return _check(inst, candidate, keep)
 
 
 class NativeProgram(CompiledProgram):
@@ -491,8 +494,18 @@ class NativeProgram(CompiledProgram):
         ir = build_ir(self)
         runner = _bind_cc(ir) if ir is not None else None
         if runner is not None:
+            keep = _read_registers(self, ir)
+            cc_stats = {
+                "statements": [len(t) for t in ir.tapes],
+                "forwarded": ir.forwarded,
+                "unique_statements": len(unique_statements(ir)),
+                "kernels": runner.kernels,
+                "threads": runner.threads,
+                "schedule": runner.schedule,
+            }
+            del ir  # it holds every register: let a full-mesh check free them
             start = time.perf_counter()
-            verified, checked = self._verify(runner)
+            verified, checked = self._verify(runner, keep)
             bound = {
                 "sha": runner.sha,
                 "build_s": runner.build_s,
@@ -503,19 +516,10 @@ class NativeProgram(CompiledProgram):
             if verified:
                 self.native_backend = "cc"
                 self._runner = runner
-                used = {id(ir.bases[i]) for i in ir.referenced}
                 self._registers = {
-                    key: reg for key, reg in self._registers.items() if id(reg) in used
+                    key: reg for key, reg in self._registers.items() if key in keep
                 }
-                stats = {
-                    "statements": [len(t) for t in ir.tapes],
-                    "forwarded": ir.forwarded,
-                    "unique_statements": len(unique_statements(ir)),
-                    "kernels": runner.kernels,
-                    "threads": runner.threads,
-                    "schedule": runner.schedule,
-                }
-        del ir
+                stats = cc_stats
         if self._runner is None:
             # unsupported dtype, no compiler, failed build, out-of-bounds
             # descriptor or vetoed candidate: the inherited tape replay runs
@@ -527,37 +531,32 @@ class NativeProgram(CompiledProgram):
             tapes=len(stats["statements"]), **self._stats, **bound,
         )
 
-    def _verify(self, runner: _Runner) -> tuple[bool, Proxy]:
-        """The check's verdict on ``runner`` (:func:`_check`) and the
-        binding it ran on: the proxy, memoized; or, when the proxy's
-        source differs or there is none, this binding itself."""
-        proxy = self._proxy or Proxy(self.plan, self.batch, None)
-        memo = (runner.sha, proxy.key, proxy.batch) if proxy.key is not None else None
-        with _lock:
-            verdict = _verdicts.get(memo)
-        if verdict is not None:
-            return verdict, proxy
+    def _verify(self, runner: _Runner, keep: frozenset) -> tuple[bool, Proxy]:
+        """The check's verdict on ``runner`` and the binding it ran on: the
+        proxy (:func:`_check_on_proxy`) or, when the proxy's source differs
+        or there is none, this instance itself (:func:`_check`, ``keep``
+        the registers ``runner`` reads), whose buffers are zeroed after."""
+        proxy = self._proxy
         try:
-            verdict = _check(runner, proxy)
+            if proxy is not None:
+                verdict = _check_on_proxy(runner, proxy)
+                if isinstance(verdict, bool):
+                    return verdict, proxy
+                obs.emit(
+                    "native.proxy_mismatch", sha=runner.sha, proxy_sha=verdict,
+                    mesh=list(self.plan.mesh.shape), batch=self.batch,
+                    proxy_mesh=list(proxy.plan.mesh.shape), proxy_batch=proxy.batch,
+                )
+                proxy = None
+            try:
+                return _check(self, runner, keep), Proxy(self.plan, self.batch)
+            finally:
+                for buf in self._buffers.values():
+                    buf.fill(0)
+                self._iterations_done = 0
         except Exception as exc:  # noqa: BLE001 - a crashing candidate is a veto
             obs.emit("native.verify_error", error=repr(exc))
-            verdict = False
-        if isinstance(verdict, str) and self._proxy is None:
-            verdict = False  # the binding's own source must be its own
-        if isinstance(verdict, str):
-            obs.emit(
-                "native.proxy_mismatch", sha=runner.sha, proxy_sha=verdict,
-                mesh=list(self.plan.mesh.shape), batch=self.batch,
-                proxy_mesh=list(proxy.plan.mesh.shape), proxy_batch=proxy.batch,
-            )
-            self._proxy = None
-            return self._verify(runner)
-        if memo is not None:
-            with _lock:
-                _verdicts[memo] = verdict
-                if len(_verdicts) > _MAX_VERDICTS:
-                    del _verdicts[next(iter(_verdicts))]
-        return verdict, proxy
+            return False, proxy or Proxy(self.plan, self.batch)
 
     # -- execution -------------------------------------------------------------
     def _iterate(self, n: int) -> None:

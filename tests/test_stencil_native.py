@@ -337,8 +337,7 @@ class _Sabotaged:
 @pytest.fixture
 def sabotage(monkeypatch):
     """``sabotage(skip)``: every runner a bind makes is :class:`_Sabotaged`
-    by ``skip``, and no memoized verdict spares it the check."""
-    monkeypatch.setattr(native, "_verdicts", {})
+    by ``skip``."""
     real = native._bind_cc
 
     def arm(skip):
@@ -509,6 +508,10 @@ def _buffer_bytes(inst):
     return sum(buf.nbytes for buf in inst._buffers.values())
 
 
+def _plan_buffer_bytes(plan):
+    return sum(int(np.prod(s)) for s in plan.buffers.values()) * plan.mesh.dtype.itemsize
+
+
 @needs_cc
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("name", ["jacobi3d", "poisson2d"])
@@ -541,8 +544,8 @@ def test_full_size_cc_bind_never_touches_the_tape(monkeypatch):
     """The full-size instance of a proxied bind never binds its tape,
     splats a tape constant, keeps an unread register or copies a buffer:
     its bind's peak is what its plan allocates (every register
-    uninitialised, for the IR's base table), and only the proxy, checked
-    once, ever replays the tape."""
+    uninitialised, for the IR's base table) plus the proxy's check, and
+    only the proxy ever replays the tape."""
     import tracemalloc
 
     app = app_by_name("jacobi3d")
@@ -557,17 +560,47 @@ def test_full_size_cc_bind_never_touches_the_tape(monkeypatch):
         lambda self, value, shape: splats.append(self.plan.mesh.shape)
         or expand(self, value, shape),
     )
-    plan = cache.plan_for(program, env)
+    plan, proxy = cache.plan_for(program, env), cache._proxy(program, env, None, 1)
     tracemalloc.start()
     try:
-        inst = NativeProgram(plan, proxy=cache._proxy(program, env, None, 1))
+        inst = NativeProgram(plan, proxy=proxy)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert inst.native_backend == "cc"
     assert inst._warm is None and inst._steady is None and inst._constants == {}
-    assert splats == []  # the proxy's verdict is memoized
-    assert peak <= plan.nbytes + (256 << 10)
+    assert set(splats) == {proxy.plan.mesh.shape}
+    # the proxy check: its replay, and a copy of its buffers
+    check = CompiledProgram(proxy.plan).nbytes + _plan_buffer_bytes(proxy.plan)
+    assert peak <= plan.nbytes + check + (256 << 10)
+    _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
+
+
+@needs_cc
+def test_a_full_mesh_check_holds_one_copy_of_the_buffers(monkeypatch, events):
+    """A binding checked on its own mesh (here after a proxy mismatch)
+    peaks at what the tape replay reads or at the buffers plus their
+    reference copy, never both: the tape, its constants and the unread
+    registers are dropped before the copy is taken."""
+    import tracemalloc
+
+    monkeypatch.setattr(native, "_PROXY_EXTENTS", (7, 5, 3))
+    app = app_by_name("jacobi3d")
+    mesh = (64, 64, 64)
+    program, env = app.program_on(mesh), app.fields(mesh, seed=0)
+    cache = CompiledPlanCache()
+    cache.get(program, env, native=True)  # builds both artifacts outside the trace
+    plan, proxy = cache.plan_for(program, env), cache._proxy(program, env, None, 1)
+    replay = CompiledProgram(plan).nbytes  # buffers + registers + constants
+    tracemalloc.start()
+    try:
+        inst = NativeProgram(plan, proxy=proxy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.native_backend == "cc"
+    assert events.of_kind("native.bound")[-1]["verify_mesh"] == list(mesh)
+    assert peak <= replay + _plan_buffer_bytes(plan) + (256 << 10)
     _assert_env_equal(run_program(program, env, 5, engine="interpreter"), inst.run(env, 5))
 
 
@@ -1023,20 +1056,6 @@ def test_bound_event_names_the_binding_that_was_checked(batch, events):
 
 
 @needs_cc
-def test_memoized_verdicts_stay_bounded(monkeypatch):
-    """Each verdict's key pins its program's structural token: the memo
-    keeps the newest ``_MAX_VERDICTS`` only."""
-    monkeypatch.setattr(native, "_verdicts", {})
-    monkeypatch.setattr(native, "_MAX_VERDICTS", 1)
-    cache = CompiledPlanCache()
-    for name, mesh in (("poisson2d", (60, 40)), ("jacobi3d", PROXIED)):
-        app = app_by_name(name)
-        assert cache.get(app.program_on(mesh), app.fields(mesh, seed=0), native=True).native_backend == "cc"
-    ((sha, _, _),) = native._verdicts
-    assert sha == cache.get(app.program_on(mesh), app.fields(mesh, seed=0), native=True)._runner.sha
-
-
-@needs_cc
 def test_a_mismatching_proxy_checks_the_full_mesh(monkeypatch, events):
     """A proxy too small to keep the program's structure emits another
     source: the bind says so and checks the binding's own mesh."""
@@ -1207,11 +1226,9 @@ def test_stacked_batch_sizes_share_one_build(counted_builds):
 def test_concurrent_binders_of_one_plan_build_once(counted_builds, monkeypatch):
     """More binders of one plan than cores, at once, each checked on the
     same proxy: one runs the compiler, the others wait for its artifact,
-    all of them bind it, and the proxy's memoized verdict holds one
-    entry."""
+    and all of them bind it."""
     import threading
 
-    monkeypatch.setattr(native, "_verdicts", {})
     app = app_by_name("rtm")
     mesh = (28, 26, 24)
     program, env = app.program_on(mesh), app.fields(mesh, seed=0)
@@ -1239,7 +1256,6 @@ def test_concurrent_binders_of_one_plan_build_once(counted_builds, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert bound == ["cc"] * binders
     assert len(counted_builds) == 1
-    assert list(native._verdicts.values()) == [True]
 
 
 @needs_cc
@@ -1462,8 +1478,9 @@ def _generated_program(ndim, comps, stages, shape, dtype, seed):
 
 
 def _check_generated(case):
-    """Interpreter and native agree bit for bit (NaN payloads included) over
-    two ``run_iterations`` stretches split at an odd ``k0``: under the
+    """Interpreter and native agree over two ``run_iterations`` stretches
+    split at an odd ``k0`` — NaNs as one class, every other value bit for
+    bit (:func:`_bit_pattern`): under the
     members schedule each member resumes mid-warm or on the other steady
     parity by absolute index, exactly as the whole stack does."""
     ndim, comps, stages, shape, dtype, batch, niter, k0, seed = case
@@ -1483,8 +1500,16 @@ def _check_generated(case):
     # is finite, not a silent demotion
     finite = all(special in (None, "-0", "denormal") for *_, special in stages)
     assert inst.native_backend == ("cc" if _cc_works() and finite else "tape")
+    schedule = inst.native_stats["schedule"]
     if batch == 1:
-        assert inst.native_stats["schedule"] == "nests"
+        assert schedule == "nests"
+    elif inst.native_backend == "cc" and len(stages) == 1 and comps == 1 and not stages[0][2]:
+        # one kernel, no ring, one component: a stack splits by member once
+        # every flat lane sum forwards into the shaped interior (a sum past
+        # the load cap stays a stack-wide window)
+        box, radius, _, _ = stages[0]
+        points = len((box_offsets if box else star_offsets)(ndim, radius))
+        assert schedule == ("members" if points <= codegen._MAX_FUSED_LOADS else "nests")
 
 
 @given(generated_case())
@@ -1492,6 +1517,9 @@ def _check_generated(case):
 # NaN lanes whose sign differs between the interpreter and the tape replay
 @example((2, 1, ((False, 2, False, "nan"), (False, 1, False, "inf")),
           (199, 181), np.float32, 1, 2, 1, 0))
+# a stack that splits by member, and one whose lane sum passes the load cap
+@example((3, 1, ((False, 2, False, None),), (11, 9, 13), np.float64, 3, 5, 3, 7))
+@example((2, 1, ((True, 3, False, None),), (9, 13), np.float32, 2, 4, 1, 5))
 def test_generated_programs_native_bit_identical(case):
     _check_generated(case)
 
@@ -1595,26 +1623,33 @@ def test_the_proxy_check_poisons_registers_between_its_runs(monkeypatch):
         )
 
     class WithoutInvariantStores(_Sabotaged):
-        def __call__(self, k0, n, grain=codegen._OMP_MIN_CELLS):
-            inst = proxies[-1]
+        def __init__(self, runner, inst):
+            super().__init__(runner, None)
+            # the tapes as bound now: the check drops them, and their
+            # constants, before the candidate runs
             tapes = inst._warm + inst._steady
-            assert any(invariant_store(inst, op) for tape in tapes for op in tape)
-            warm = len(inst.plan.warm)
+            self.warm = len(inst.plan.warm)
+            self.tapes = [[op for op in t if not invariant_store(inst, op)] for t in tapes]
+            assert sum(map(len, self.tapes)) < sum(map(len, tapes))
+
+        def __call__(self, k0, n, grain=codegen._OMP_MIN_CELLS):
+            warm = self.warm
             for k in range(k0, k0 + n):
-                for fn, args in tapes[k if k < warm else warm + ((k - warm) & 1)]:
-                    if not invariant_store(inst, (fn, args)):
-                        fn(*args)
+                for fn, args in self.tapes[k if k < warm else warm + ((k - warm) & 1)]:
+                    fn(*args)
 
     real = native._bind_cc
 
     def bind(ir, code=None):
         runner = real(ir, code)
         checking = proxies and any(b is buf for b in ir.bases for buf in proxies[-1]._buffers.values())
-        return WithoutInvariantStores(runner, None) if checking else runner
+        return WithoutInvariantStores(runner, proxies[-1]) if checking else runner
 
     monkeypatch.setattr(native, "CompiledProgram", Capturing)
     monkeypatch.setattr(native, "_bind_cc", bind)
-    monkeypatch.setattr(native, "_verdicts", {})
+    # this candidate reads every register the tapes use: the check must
+    # poison each
+    monkeypatch.setattr(native, "_read_registers", lambda inst, ir: frozenset(inst._registers))
     inst = CompiledPlanCache().get(program, env, native=True)
     assert [p.plan.mesh.shape for p in proxies] == [native.proxy_shape(mesh.shape)]
     assert inst.native_backend == "tape"
