@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from repro.dataflow.datamover import DataMover
 from repro.dataflow.pipeline import IterativePipeline
 from repro.mesh.mesh import Field, MeshSpec
@@ -71,14 +73,32 @@ class SpatialTiler:
         niter: int,
         coefficients: Mapping[str, float] | None = None,
     ) -> dict[str, Field]:
-        """Run ``niter`` iterations (multiple of ``p``) with tiled passes."""
+        """Run ``niter`` iterations (multiple of ``p``) with tiled passes.
+
+        Mirrors the interpreter: the caller's bindings, with every state
+        field replaced; the caller's arrays are only read. A pass writes
+        its state fields into arrays of the run's own, which the valid
+        regions of its blocks cover exactly, and the arrays a pass read
+        take the output of the pass after it: two arrays per state field
+        at most, however many passes run.
+        """
         if niter % self.design.p:
             raise ValidationError(
                 f"niter={niter} is not a multiple of p={self.design.p}"
             )
-        env = {name: f.copy() for name, f in fields.items()}
-        for _ in range(niter // self.design.p):
-            env = self._run_pass(env, coefficients)
+        env = dict(fields)
+        spare: dict[str, np.ndarray] = {}
+        for k in range(niter // self.design.p):
+            read = env
+            out = {
+                name: spare[name] if name in spare else np.empty(
+                    read[name].spec.storage_shape, dtype=read[name].spec.dtype
+                )
+                for name in self.program.state_fields
+            }
+            env = self._run_pass(read, out, coefficients)
+            if k:  # the previous pass's output, read for the last time
+                spare = {name: read[name].data for name in self.program.state_fields}
         return env
 
     def _axis_plans(self, mesh: MeshSpec) -> list[list[BlockPlan]]:
@@ -94,12 +114,16 @@ class SpatialTiler:
     def _run_pass(
         self,
         env: dict[str, Field],
+        out: dict[str, np.ndarray],
         coefficients: Mapping[str, float] | None,
     ) -> dict[str, Field]:
+        """One pass over every block of ``env``, each state field written
+        into its array of ``out`` (neither read nor aliased by ``env``)."""
         mesh = next(iter(env.values())).spec
         axis_plans = self._axis_plans(mesh)
         state_out = {
-            name: env[name].copy() for name in self.program.state_fields
+            name: Field(name, env[name].spec, out[name])
+            for name in self.program.state_fields
         }
         if mesh.ndim == 2:
             combos = [(bm,) for bm in axis_plans[0]]
@@ -135,8 +159,9 @@ class SpatialTiler:
             f = env[name]
             sub_spec = MeshSpec(shape, f.spec.components, f.spec.dtype)
             # a view, not a copy: no engine writes through its inputs (the
-            # compiled ones copy into the plan's buffers at load, the
-            # interpreter computes into fresh arrays)
+            # compiled ones copy a strided view into the plan's buffers at
+            # load, the native one never stores into an input it reads in
+            # place, the interpreter computes into fresh arrays)
             block_env[name] = Field(name, sub_spec, f.data[storage])
         return block_env
 

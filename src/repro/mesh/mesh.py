@@ -21,6 +21,10 @@ import numpy as np
 from repro.util.errors import ValidationError
 from repro.util.validation import check_positive, check_shape
 
+#: values :meth:`Field.random` draws per call: its float64 temporary
+#: stays at 512 KiB whatever the field's size
+_RANDOM_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class MeshSpec:
@@ -177,9 +181,19 @@ class Field:
 
     @classmethod
     def random(cls, name: str, spec: MeshSpec, seed: int = 0, lo: float = 0.0, hi: float = 1.0) -> "Field":
-        """A reproducibly random field (uniform in ``[lo, hi)``)."""
+        """A reproducibly random field (uniform in ``[lo, hi)``).
+
+        Drawn into the field's array :data:`_RANDOM_CHUNK` values at a
+        time: the generator consumes one ``uint64`` per ``float64`` in
+        order, so the values are those of one ``uniform(...)`` call cast
+        to the field's dtype, and no full-size ``float64`` copy exists.
+        """
         rng = np.random.default_rng(seed)
-        data = rng.uniform(lo, hi, size=spec.storage_shape).astype(spec.dtype)
+        data = np.empty(spec.storage_shape, dtype=spec.dtype)
+        flat = data.reshape(-1)
+        for start in range(0, flat.size, _RANDOM_CHUNK):
+            chunk = flat[start : start + _RANDOM_CHUNK]
+            np.copyto(chunk, rng.uniform(lo, hi, chunk.size), casting="unsafe")
         return cls(name, spec, data)
 
     @classmethod

@@ -38,8 +38,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -270,8 +271,9 @@ class CompiledProgram:
         """A ``(B, *per-mesh storage)`` view of a buffer, for any batch."""
         return buf.reshape((self.batch,) + buf.shape[len(self._lead) :])
 
-    def _load_expansions(self) -> None:
-        """Fill the ``inx:`` broadcast buffers from the loaded inputs.
+    def _load_expansions(self, inputs: Mapping[str, np.ndarray]) -> None:
+        """Fill the ``inx:`` broadcast buffers from the input arrays
+        (``inputs``: input name -> array, wherever the input lives).
 
         Each expansion splats one fixed component of an input field across
         the consuming run's component axis (flat-mode merged runs need
@@ -279,8 +281,53 @@ class CompiledProgram:
         load time is the only point the expansions can change.
         """
         for slot, (fname, comp) in self.plan.expansions.items():
-            src = self._buffers[f"in:{fname}"][..., comp : comp + 1]
-            np.copyto(self._buffers[slot], src)
+            np.copyto(self._buffers[slot], inputs[fname][..., comp : comp + 1])
+
+    def _input_buffer(self, name: str) -> np.ndarray:
+        """The ``in:`` buffer input ``name`` is copied into. An instance
+        that reads its inputs in place drops these at bind time; the first
+        copy that needs one allocates it again."""
+        slot = f"in:{name}"
+        buf = self._buffers.get(slot)
+        if buf is None:
+            buf = self._buffers[slot] = np.empty(
+                self._lead + self.plan.buffers[slot], dtype=self.plan.mesh.dtype
+            )
+        return buf
+
+    def _input_arrays(
+        self, fields: Mapping[str, Field | np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """Input name -> the caller's array, checked against the plan's
+        input buffer shape and dtype."""
+        arrays = {}
+        for name in self.plan.inputs:
+            field = fields.get(name)
+            if field is None:
+                raise ValidationError(f"field '{name}' is not bound")
+            data = field.data if isinstance(field, Field) else np.asarray(field)
+            shape = self._lead + self.plan.buffers[f"in:{name}"]
+            if data.shape != shape:
+                raise ValidationError(
+                    f"field '{name}' shape {data.shape} does not match "
+                    f"the compiled plan's shape {shape}"
+                    + (
+                        f" (batch-major: {self.batch} meshes stacked on a "
+                        f"leading axis)"
+                        if self.batch > 1
+                        else ""
+                    )
+                )
+            if data.dtype != self.plan.mesh.dtype:
+                # a silent cast here would diverge from the interpreter,
+                # which computes with NumPy promotion on the native dtypes
+                raise ValidationError(
+                    f"field '{name}' dtype {data.dtype} does not match "
+                    f"the compiled plan's dtype {self.plan.mesh.dtype}; "
+                    f"mixed-dtype bindings run on the interpreter"
+                )
+            arrays[name] = data
+        return arrays
 
     def load(self, fields: Mapping[str, Field | np.ndarray]) -> None:
         """Copy the caller's input fields into the plan's input buffers.
@@ -290,33 +337,11 @@ class CompiledProgram:
         ``(B, *storage_shape)`` (see :meth:`load_stacked` for loading from
         a sequence of per-mesh environments directly).
         """
-        for name in self.plan.inputs:
-            field = fields.get(name)
-            if field is None:
-                raise ValidationError(f"field '{name}' is not bound")
-            data = field.data if isinstance(field, Field) else np.asarray(field)
-            buf = self._buffers[f"in:{name}"]
-            if data.shape != buf.shape:
-                raise ValidationError(
-                    f"field '{name}' shape {data.shape} does not match "
-                    f"the compiled plan's shape {buf.shape}"
-                    + (
-                        f" (batch-major: {self.batch} meshes stacked on a "
-                        f"leading axis)"
-                        if self.batch > 1
-                        else ""
-                    )
-                )
-            if data.dtype != buf.dtype:
-                # a silent cast here would diverge from the interpreter,
-                # which computes with NumPy promotion on the native dtypes
-                raise ValidationError(
-                    f"field '{name}' dtype {data.dtype} does not match "
-                    f"the compiled plan's dtype {buf.dtype}; mixed-dtype "
-                    f"bindings run on the interpreter"
-                )
-            np.copyto(buf, data)
-        self._load_expansions()
+        inputs = {}
+        for name, data in self._input_arrays(fields).items():
+            inputs[name] = self._input_buffer(name)
+            np.copyto(inputs[name], data)
+        self._load_expansions(inputs)
         self._iterations_done = 0
 
     def load_stacked(self, batch_fields: Sequence[Mapping[str, Field]]) -> None:
@@ -329,8 +354,9 @@ class CompiledProgram:
             raise ValidationError(
                 f"expected {self.batch} batch members, got {len(batch_fields)}"
             )
-        for name in self.plan.inputs:
-            stack = self._stacked_view(self._buffers[f"in:{name}"])
+        inputs = {name: self._input_buffer(name) for name in self.plan.inputs}
+        for name, buf in inputs.items():
+            stack = self._stacked_view(buf)
             for b, env in enumerate(batch_fields):
                 field = env.get(name)
                 if field is None:
@@ -351,7 +377,7 @@ class CompiledProgram:
                         f"run on the interpreter"
                     )
                 np.copyto(stack[b], field.data)
-        self._load_expansions()
+        self._load_expansions(inputs)
         self._iterations_done = 0
 
     def run_iterations(self, n: int) -> None:
@@ -468,15 +494,29 @@ class CompiledProgram:
     def run(
         self, fields: Mapping[str, Field], niter: int, copy: bool = True
     ) -> dict[str, Field]:
-        """Run the full solve: load, iterate ``niter`` times, materialize."""
+        """Run the full solve: load, iterate ``niter`` times, materialize.
+
+        Inputs are bound for the length of the call by
+        :meth:`_bound_inputs`: here copied in as :meth:`load` does; a
+        ``cc``-bound :class:`~repro.stencil.native.NativeProgram` reads
+        eligible ones where they live instead. Either way the caller's
+        arrays are never written, and the instance keeps no reference to
+        them once the call returns.
+        """
         if niter < 0:
             raise ValidationError(f"niter must be non-negative, got {niter}")
         if niter == 0:
             return dict(fields)
-        with self._lock:
-            self.load(fields)
+        with self._lock, self._bound_inputs(fields):
             self.run_iterations(niter)
             return self.result(fields, copy=copy)
+
+    @contextmanager
+    def _bound_inputs(self, fields: Mapping[str, Field]) -> Iterator[None]:
+        """The caller's inputs, readable by the iterations of one
+        :meth:`run` call: copied into the instance's input buffers."""
+        self.load(fields)
+        yield
 
     def run_stacked(
         self,
@@ -524,6 +564,10 @@ class CompiledPlanCache:
         #: footprint without binding any buffers). Plans hold no arrays, so
         #: this memo is bounded by entry count only.
         self._plans: OrderedDict[tuple, ProgramPlan] = OrderedDict()
+        #: resident bytes charged per entry, refreshed on every hit: a
+        #: native instance that reads its inputs in place allocates an
+        #: input buffer when a call first has to copy one
+        self._charged: dict[tuple, int] = {}
         self._bytes = 0
         self._lock = threading.Lock()
         #: lookups answered from the cache
@@ -679,6 +723,7 @@ class CompiledPlanCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
+                self._charge(key, entry)
                 self.hits += 1
                 obs.inc("plan.cache_hits")
                 return entry
@@ -698,7 +743,7 @@ class CompiledPlanCache:
                 self._entries.move_to_end(key)
                 return self._entries[key]
             self._entries[key] = compiled
-            self._bytes += compiled.nbytes
+            self._charge(key, compiled)
             self.misses += 1
             obs.inc("plan.cache_misses")
             obs.emit(
@@ -712,15 +757,22 @@ class CompiledPlanCache:
             while len(self._entries) > 1 and (
                 len(self._entries) > self.capacity or self._bytes > self.max_bytes
             ):
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
+                evicted, _ = self._entries.popitem(last=False)
+                self._bytes -= self._charged.pop(evicted)
         return compiled
+
+    def _charge(self, key: tuple, entry: CompiledProgram) -> None:
+        """Charge ``entry``'s resident bytes now; the caller holds the lock."""
+        nbytes = entry.nbytes
+        self._bytes += nbytes - self._charged.get(key, 0)
+        self._charged[key] = nbytes
 
     def clear(self) -> None:
         """Drop all entries and memoized plans (buffers are freed with them)."""
         with self._lock:
             self._entries.clear()
             self._plans.clear()
+            self._charged.clear()
             self._bytes = 0
 
 

@@ -41,6 +41,17 @@ mismatch leaves the instance on the inherited tape replay — so
 ``engine="native"`` can never return anything the interpreter would not.
 A bound candidate never binds the tape: the instance owns only the
 buffers and the registers the generated code reads.
+
+At batch 1 a bound candidate reads its inputs **where they live**. Each
+input no statement stores into (checked on the IR at bind time) loses
+its ``in:`` buffer, and for the length of one :meth:`NativeProgram.run`
+its pointer-table entry addresses the caller's array instead. That holds
+when the array has the buffer's shape, dtype and C-contiguous layout and
+shares no memory with an array the instance writes. Any other array is
+copied into an ``in:`` buffer, allocated the first time a copy needs it,
+as :meth:`~repro.stencil.compiled.CompiledProgram.load` always does. The
+``inx:`` expansions are filled from wherever the input lives, and the
+pointers are cleared before ``run`` returns.
 """
 
 from __future__ import annotations
@@ -55,12 +66,14 @@ import tempfile
 import threading
 import time
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from repro import observability as obs
+from repro.mesh.mesh import Field
 from repro.stencil.codegen import (
     _OMP_MIN_CELLS,
     NativeCode,
@@ -73,6 +86,7 @@ from repro.stencil.codegen import (
 )
 from repro.stencil.compiled import _FLAT_ERRSTATE, CompiledProgram
 from repro.stencil.plan import ProgramPlan
+from repro.util.errors import ValidationError
 
 #: overrides the on-disk artifact cache directory
 CACHE_DIR_ENV = "REPRO_NATIVE_CACHE_DIR"
@@ -317,6 +331,14 @@ class _Runner:
     def __call__(self, k0: int, n: int, grain: int = _OMP_MIN_CELLS) -> None:
         self._run(*self._args, k0, n, self._batch, grain)
 
+    def point(self, base: int, arr: np.ndarray | None = None) -> None:
+        """Address ``base`` at ``arr``'s data, or at nothing."""
+        self._ptrs[base] = 0 if arr is None else arr.__array_interface__["data"][0]
+
+    def pointed(self, bases) -> bool:
+        """True when every base of ``bases`` addresses an array."""
+        return all(self._ptrs[base] for base in bases)
+
 
 def _bind_cc(ir: NativeIR, code: NativeCode | None = None) -> _Runner | None:
     """A runner over the instance's bases (``code``: the IR's lowering,
@@ -364,7 +386,9 @@ def _seed_inputs(inst: CompiledProgram) -> None:
         np.random.default_rng(seed).random(dtype=buf.dtype, out=buf)
         buf *= 0.5
         buf += 0.5
-    inst._load_expansions()
+    inst._load_expansions(
+        {name: inst._buffers[f"in:{name}"] for name in inst.plan.inputs}
+    )
     inst._iterations_done = 0
 
 
@@ -412,6 +436,30 @@ def _check(inst: CompiledProgram, candidate: _Runner, keep: frozenset) -> bool:
     return True
 
 
+def _in_place_inputs(inst: CompiledProgram, ir: NativeIR) -> dict[str, int]:
+    """Input name -> base of every input ``ir``'s code may read where the
+    caller's array lives: at batch 1, each input whose buffer no statement
+    stores into; none on a stacked binding, which copies its members in."""
+    if inst.batch > 1:
+        return {}
+    index = {id(base): i for i, base in enumerate(ir.bases)}
+    stored = {stmt.dest.base for tape in ir.tapes for stmt in tape}
+    bases = {name: index[id(inst._buffers[f"in:{name}"])] for name in inst.plan.inputs}
+    return {name: base for name, base in bases.items() if base not in stored}
+
+
+def _readable_in_place(data: np.ndarray, owned) -> bool:
+    """True when generated code may read ``data`` where it lives: laid out
+    as the input buffer it stands in for (C-contiguous and aligned, so the
+    descriptor's strides and checked footprints hold for it) and sharing
+    no memory with an array of ``owned``, which the instance writes."""
+    return (
+        data.flags.c_contiguous
+        and data.flags.aligned
+        and not any(np.shares_memory(data, arr) for arr in owned)
+    )
+
+
 def _read_registers(inst: CompiledProgram, ir: NativeIR) -> frozenset:
     """Keys of ``inst``'s registers that ``ir``'s statements read."""
     used = {id(ir.bases[i]) for i in ir.referenced}
@@ -448,7 +496,11 @@ class NativeProgram(CompiledProgram):
     (:meth:`~repro.stencil.compiled.CompiledPlanCache.get` passes one);
     without it the instance's own plan and batch are. A ``cc``-bound
     instance owns only what its generated code reads: the buffers and the
-    registers a statement references. It never binds the tape.
+    registers a statement references. It never binds the tape. At batch 1
+    it owns no input buffer either: :meth:`run` points the code at the
+    caller's arrays for the length of the call, and an input buffer is
+    allocated only when a copy first needs it (:meth:`load`, an array
+    that cannot be read in place).
     """
 
     def __init__(self, plan, batch: int = 1, proxy: Proxy | None = None):
@@ -456,6 +508,8 @@ class NativeProgram(CompiledProgram):
         self._runner: _Runner | None = None
         self._proxy = proxy
         self._stats: dict = {}
+        #: input name -> base of each input a run reads where it lives
+        self._in_place: dict[str, int] = {}
         super().__init__(plan, batch)
 
     @property
@@ -472,9 +526,10 @@ class NativeProgram(CompiledProgram):
         event carries the same, plus the binding's ``mesh``, the ``sha``
         of the candidate's artifact, the ``build_s`` compiler seconds and
         ``verify_s`` check seconds the bind spent, 0.0 where it built or
-        checked nothing, and the ``verify_mesh`` and ``verify_batch`` of
+        checked nothing, the ``verify_mesh`` and ``verify_batch`` of
         the binding whose check licenses the candidate — None where no
-        candidate built)."""
+        candidate built — and ``in_place``, the inputs :meth:`run` reads
+        where they live: ``[]`` on the tape and when stacked)."""
         return dict(self._stats)
 
     # -- backend selection -----------------------------------------------------
@@ -495,6 +550,7 @@ class NativeProgram(CompiledProgram):
         runner = _bind_cc(ir) if ir is not None else None
         if runner is not None:
             keep = _read_registers(self, ir)
+            in_place = _in_place_inputs(self, ir)
             cc_stats = {
                 "statements": [len(t) for t in ir.tapes],
                 "forwarded": ir.forwarded,
@@ -519,6 +575,10 @@ class NativeProgram(CompiledProgram):
                 self._registers = {
                     key: reg for key, reg in self._registers.items() if key in keep
                 }
+                self._in_place = in_place
+                for name, base in in_place.items():
+                    del self._buffers[f"in:{name}"]
+                    runner.point(base)
                 stats = cc_stats
         if self._runner is None:
             # unsupported dtype, no compiler, failed build, out-of-bounds
@@ -529,6 +589,7 @@ class NativeProgram(CompiledProgram):
             "native.bound", backend=self.native_backend,
             mesh=list(self.plan.mesh.shape), batch=self.batch,
             tapes=len(stats["statements"]), **self._stats, **bound,
+            in_place=list(self._in_place),
         )
 
     def _verify(self, runner: _Runner, keep: frozenset) -> tuple[bool, Proxy]:
@@ -558,10 +619,56 @@ class NativeProgram(CompiledProgram):
             obs.emit("native.verify_error", error=repr(exc))
             return False, proxy or Proxy(self.plan, self.batch)
 
+    # -- inputs ------------------------------------------------------------------
+    def _input_buffer(self, name: str) -> np.ndarray:
+        buf = super()._input_buffer(name)
+        if name in self._in_place:  # the copy is what the code reads now
+            self._runner.point(self._in_place[name], buf)
+        return buf
+
+    @contextmanager
+    def _bound_inputs(self, fields: Mapping[str, Field]) -> Iterator[None]:
+        """Point the code at each in-place input the caller's array can
+        stand in for (:func:`_readable_in_place`) and copy the rest, for
+        the length of one :meth:`run`; the caller holds the instance lock.
+        When no array qualifies, every input is copied in by :meth:`load`.
+        On the way out every pointer set here is cleared, so the instance
+        keeps nothing of the caller's."""
+        arrays = self._input_arrays(fields) if self._in_place else {}
+        owned = [*self._buffers.values(), *self._registers.values()]
+        pointed = {
+            name: data for name, data in arrays.items()
+            if name in self._in_place and _readable_in_place(data, owned)
+        }
+        if not pointed:
+            with super()._bound_inputs(fields):
+                yield
+            return
+        inputs: dict[str, np.ndarray] = {}
+        try:
+            for name, data in arrays.items():
+                if name in pointed:
+                    self._runner.point(self._in_place[name], data)
+                    inputs[name] = data
+                else:
+                    inputs[name] = self._input_buffer(name)
+                    np.copyto(inputs[name], data)
+            self._load_expansions(inputs)
+            self._iterations_done = 0
+            yield
+        finally:
+            for name in pointed:
+                self._runner.point(self._in_place[name])
+
     # -- execution -------------------------------------------------------------
     def _iterate(self, n: int) -> None:
         if self._runner is None:
             super()._iterate(n)
             return
+        if not self._runner.pointed(self._in_place.values()):
+            # bound, or last run, on the caller's arrays: nothing to read
+            raise ValidationError(
+                "no inputs loaded: load() them before run_iterations()"
+            )
         self._runner(self._iterations_done, n)
         self._iterations_done += n

@@ -109,6 +109,29 @@ class TestTilerAliasing:
         assert np.array_equal(ours["U"].data, gold["U"].data)
 
 
+class TestTilerReuse:
+    """A run writes each pass into one of two arrays per state field, so
+    the third pass writes over the first's output; a cell a pass left
+    unwritten would show the data of another pass or run."""
+
+    @pytest.mark.parametrize("engine", ["compiled", "native"])
+    @pytest.mark.parametrize(
+        "shape, kernel, tile",
+        [((37, 9), jacobi2d_5pt, (17,)), ((24, 20, 6), jacobi3d_7pt, (10, 12))],
+    )
+    def test_two_inputs_back_to_back(self, engine, shape, kernel, tile):
+        spec = MeshSpec(shape)
+        prog = single_kernel_program("p", spec, kernel())
+        tiler = SpatialTiler(prog, _tiled_design(tile), ALVEO_U280, engine=engine)
+        for seed in (41, 42):
+            f = Field.random("U", spec, seed=seed)
+            before = f.data.tobytes()
+            ours = tiler.run({"U": f}, 6)
+            assert f.data.tobytes() == before
+            gold = run_program(prog, {"U": f}, 6, engine="interpreter")
+            assert np.array_equal(ours["U"].data, gold["U"].data)
+
+
 class TestTilerCycles:
     def test_pass_cycles_positive_and_scaling(self):
         spec = MeshSpec((15000, 15000))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh.mesh import Field, MeshSpec
+from repro.mesh.mesh import _RANDOM_CHUNK, Field, MeshSpec
 from repro.util.errors import ValidationError
 
 
@@ -26,6 +26,36 @@ class TestConstruction:
         a = Field.random("U", spec2d, seed=3)
         b = Field.random("U", spec2d, seed=4)
         assert not np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "rows, components",
+        [
+            (7, 1),
+            (_RANDOM_CHUNK // 64, 1),
+            (_RANDOM_CHUNK // 64 + 3, 1),
+            (_RANDOM_CHUNK // 96, 3),
+        ],
+    )
+    def test_random_is_one_draw_cast(self, rows, components, dtype):
+        """Drawn chunk by chunk (below, at and across one chunk, and a
+        vector field), the values are those of one draw cast at once."""
+        spec = MeshSpec((64, rows), components, np.dtype(dtype))
+        want = np.random.default_rng(5).uniform(-1.0, 2.0, size=spec.storage_shape)
+        got = Field.random("U", spec, seed=5, lo=-1.0, hi=2.0).data
+        assert got.tobytes() == want.astype(dtype).tobytes()
+
+    def test_random_draws_no_full_size_float64_copy(self):
+        import tracemalloc
+
+        spec = MeshSpec((1024, 1024))  # 4 MB of float32; a float64 copy is 8 MB
+        tracemalloc.start()
+        try:
+            f = Field.random("U", spec, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= f.data.nbytes + _RANDOM_CHUNK * 8 + (64 << 10)
 
     def test_scalar_array_promoted_to_component_axis(self, spec2d):
         raw = np.ones(tuple(reversed(spec2d.shape)), dtype=np.float32)

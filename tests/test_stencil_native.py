@@ -17,6 +17,7 @@ rebuild.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -45,6 +46,7 @@ from repro.stencil.kernel import KernelOutput, StencilKernel
 from repro.stencil.native import NativeProgram, _find_cc
 from repro.stencil.numpy_eval import run_program
 from repro.stencil.program import FusedGroup, StencilLoop, StencilProgram
+from repro.util.errors import ValidationError
 
 #: small-but-representative functional meshes per registered app
 APP_MESHES = {
@@ -636,6 +638,152 @@ def test_cache_sized_for_two_cc_instances_keeps_both():
     cache.get(*bindings[1], native=True)
     assert len(cache) == 2 and cache._bytes == sum(sizes)
     assert cache.get(*bindings[0], native=True) is first
+
+
+# --------------------------------------------------------------------------- #
+# inputs read where they live: a batch-1 cc run points its code at the
+# caller's arrays for the length of the call, and copies only what it must
+# --------------------------------------------------------------------------- #
+def _app_binding(name, seed=0):
+    app = app_by_name(name)
+    mesh = APP_MESHES[name]
+    return app.program_on(mesh), app.fields(mesh, seed=seed)
+
+
+def _input_bytes(plan, names):
+    cells = sum(int(np.prod(plan.buffers[f"in:{name}"])) for name in names)
+    return cells * plan.mesh.dtype.itemsize
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(APP_MESHES))
+def test_run_reads_every_input_in_place(name, events):
+    """Bit-identical to the interpreter with every input read where it
+    lives (RTM's ``rho`` and ``mu`` on every iteration), and the instance
+    neither owns nor counts an input buffer."""
+    program, env = _app_binding(name)
+    inst = CompiledPlanCache().get(program, env, native=True)
+    assert inst.native_backend == "cc"
+    (bound,) = events.of_kind("native.bound")
+    assert bound["in_place"] == list(inst.plan.inputs)
+    registers = sum(reg.nbytes for reg in inst._registers.values())
+    want = _plan_buffer_bytes(inst.plan) - _input_bytes(inst.plan, bound["in_place"])
+    assert bound["bytes"] == inst.nbytes == want + registers
+    for niter in (1, len(inst.plan.warm) + 3):
+        gold = run_program(program, env, niter, engine="interpreter")
+        _assert_env_equal(gold, inst.run(env, niter))
+    assert not [slot for slot in inst._buffers if slot.startswith("in:")]
+
+
+def test_an_input_a_statement_stores_into_is_copied():
+    """Whether an input may be read in place is read off the IR's store
+    destinations, not assumed from the plan."""
+    inst = CompiledProgram(_plan("jacobi3d"))
+    ir = codegen.build_ir(inst)
+    base = list(inst._buffers).index("in:U")
+    assert native._in_place_inputs(inst, ir) == {"U": base}
+    stmt = ir.steady[0][0]
+    store = dataclasses.replace(stmt.dest, base=base)
+    ir.steady[0].append(codegen.Statement(store, stmt.expr))
+    assert native._in_place_inputs(inst, ir) == {}
+    assert native._in_place_inputs(CompiledProgram(_plan("jacobi3d"), batch=2), ir) == {}
+
+
+@needs_cc
+def test_run_keeps_nothing_of_the_callers_arrays():
+    """Once ``run`` returns, no pointer addresses the caller's arrays and
+    no reference pins them; the step-wise API then needs a ``load()``."""
+    import gc
+    import weakref
+
+    program, env = _app_binding("rtm")
+    inst = CompiledPlanCache().get(program, env, native=True)
+    refs = [weakref.ref(field.data) for field in env.values()]
+    out = inst.run(env, 3)
+    assert not any(inst._runner._ptrs[base] for base in inst._in_place.values())
+    with pytest.raises(ValidationError, match="load"):
+        inst.run_iterations(1)
+    del env, out
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+@needs_cc
+def test_a_result_alias_fed_back_is_copied():
+    """``result(copy=False)`` aliases a buffer the code writes: fed back to
+    ``run``, it is copied in, not read in place."""
+    program, env = _app_binding("jacobi3d")
+    inst = CompiledPlanCache().get(program, env, native=True)
+    aliased = inst.run(env, 3, copy=False)
+    final = inst._buffers[inst.plan.final_env(3)["U"]]
+    assert np.shares_memory(aliased["U"].data, final)
+    gold = run_program(
+        program, run_program(program, env, 3, engine="interpreter"), 4,
+        engine="interpreter",
+    )
+    _assert_env_equal(gold, inst.run(aliased, 4))
+    assert "in:U" in inst._buffers
+
+
+@needs_cc
+@pytest.mark.parametrize("strided", [False, True])
+def test_a_non_contiguous_input_is_copied(strided):
+    """A view that is not C-contiguous — a tiler block, or a strided one —
+    is copied into an input buffer, allocated on first use."""
+    program, env = _app_binding("poisson2d")
+    inst = CompiledPlanCache().get(program, env, native=True)
+    data = env["U"].data
+    n, m, c = data.shape
+    backing = np.zeros((n, 2 * m, c), dtype=data.dtype)
+    view = backing[:, ::2] if strided else backing[:, :m]
+    view[...] = data
+    assert not view.flags.c_contiguous
+    gold = run_program(program, env, 5, engine="interpreter")
+    _assert_env_equal(gold, inst.run({"U": Field("U", env["U"].spec, view)}, 5))
+    assert np.array_equal(inst._buffers["in:U"], data)
+    assert inst.nbytes == inst.native_stats["bytes"] + data.nbytes
+
+
+@needs_cc
+def test_stepwise_load_copies_the_inputs():
+    """``load()`` keeps its copy semantics: editing the caller's array
+    before ``run_iterations()`` does not change the result."""
+    program, env = _app_binding("rtm")
+    inst = CompiledPlanCache().get(program, env, native=True)
+    gold = run_program(program, env, 4, engine="interpreter")
+    mine = {name: field.copy() for name, field in env.items()}
+    inst.load(mine)
+    for field in mine.values():
+        field.data[...] = 0
+    inst.run_iterations(4)
+    _assert_env_equal(gold, inst.result(env))
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_tape_fallback_and_stacked_bindings_copy(failed_build, events, batch):
+    """The tape replay, and a stacked binding, copy every input in and own
+    every input buffer from the bind on."""
+    program, env = _app_binding("jacobi3d")
+    inst = CompiledPlanCache().get(program, env, batch=batch, native=True)
+    assert inst.native_backend == "tape"
+    assert events.of_kind("native.bound")[-1]["in_place"] == []
+    assert inst.nbytes == CompiledProgram(inst.plan, batch=batch).nbytes
+    gold = run_program(program, env, 3, engine="interpreter")
+    if batch == 1:
+        _assert_env_equal(gold, inst.run(env, 3))
+        assert np.array_equal(inst._buffers["in:U"], env["U"].data)
+    else:
+        for got in inst.run_stacked([env, env], 3):
+            _assert_env_equal(gold, got)
+
+
+@needs_cc
+def test_stacked_cc_binding_copies(events):
+    program, env = _app_binding("jacobi3d")
+    inst = CompiledPlanCache().get(program, env, batch=2, native=True)
+    assert inst.native_backend == "cc"
+    assert events.of_kind("native.bound")[-1]["in_place"] == []
+    assert inst.native_stats["bytes"] == 2 * _plan_buffer_bytes(inst.plan)
 
 
 # --------------------------------------------------------------------------- #
