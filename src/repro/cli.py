@@ -209,7 +209,6 @@ def _explore_study(args: argparse.Namespace, objectives, tiled, constraints=()):
         workload if workloads is None else None,
         objectives=objectives,
         constraints=constraints,
-        max_workers=getattr(args, "workers", None),
         workloads=workloads,
     )
     study = Study(
@@ -611,9 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dse.add_argument("--top", type=int, default=5)
     p_dse.add_argument("--seed", type=int, default=0)
-    p_dse.add_argument(
-        "--workers", type=int, default=None, help="evaluation worker threads"
-    )
     p_dse.add_argument(
         "--engine",
         default="compiled",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.arch.device import ALVEO_U280, FPGADevice
-from repro.dataflow.batcher import BatchRunner
 from repro.dataflow.datamover import DataMover
 from repro.dataflow.pipeline import IterativePipeline
 from repro.dataflow.tiler import SpatialTiler
@@ -75,68 +74,6 @@ class SimReport:
         return self.physical_bytes / self.seconds
 
 
-@dataclass(frozen=True)
-class MixReport:
-    """Aggregate execution report of a workload-mix run.
-
-    Groups execute back to back on one accelerator, so extensive
-    quantities (cycles, seconds, bytes, energy) sum over the per-group
-    :class:`SimReport` s; ``power_w`` is the peak draw across groups (the
-    board's provisioning number, not an average).
-    """
-
-    reports: tuple[SimReport, ...]
-
-    def __post_init__(self):
-        if not self.reports:
-            raise ValidationError("a MixReport needs at least one group report")
-
-    @property
-    def cycles(self) -> float:
-        """Total structural cycles over all groups."""
-        return sum(r.cycles for r in self.reports)
-
-    @property
-    def kernel_seconds(self) -> float:
-        """Total kernel runtime over all groups."""
-        return sum(r.kernel_seconds for r in self.reports)
-
-    @property
-    def host_seconds(self) -> float:
-        """Total host overhead over all groups."""
-        return sum(r.host_seconds for r in self.reports)
-
-    @property
-    def seconds(self) -> float:
-        """End-to-end mix runtime (groups run back to back)."""
-        return sum(r.seconds for r in self.reports)
-
-    @property
-    def logical_bytes(self) -> float:
-        """Total paper-convention logical traffic."""
-        return sum(r.logical_bytes for r in self.reports)
-
-    @property
-    def physical_bytes(self) -> float:
-        """Total external-memory traffic."""
-        return sum(r.physical_bytes for r in self.reports)
-
-    @property
-    def power_w(self) -> float:
-        """Peak board power across the groups."""
-        return max(r.power_w for r in self.reports)
-
-    @property
-    def energy_j(self) -> float:
-        """Board energy over the whole mix."""
-        return sum(r.energy_j for r in self.reports)
-
-    @property
-    def logical_bandwidth(self) -> float:
-        """Paper-convention bandwidth over the whole mix."""
-        return self.logical_bytes / self.seconds
-
-
 class FPGAAccelerator:
     """A configured accelerator: program + design point + device."""
 
@@ -150,7 +87,6 @@ class FPGAAccelerator:
         logical_bytes_per_cell_iter: float | None = None,
         engine: str = "compiled",
         plan_cache=None,
-        max_workers: int | None = None,
     ):
         self.program = program
         self.design = design
@@ -163,27 +99,16 @@ class FPGAAccelerator:
             else float(program.bytes_per_cell_pass())
         )
         if design.tile is not None:
-            # tiled designs run tile-by-tile through the spatial tiler;
-            # batch fan-out does not apply, so "parallel" degrades to the
-            # compiled path it is built on
+            # tiled designs run tile-by-tile through the spatial tiler
             self.tiler: SpatialTiler | None = SpatialTiler(
-                program, design, device,
-                "compiled" if engine == "parallel" else engine, plan_cache,
+                program, design, device, engine, plan_cache
             )
             self.pipeline = self.tiler.pipeline
         else:
             self.tiler = None
             self.pipeline = IterativePipeline(
-                program, design.V, design.p, engine, plan_cache,
-                max_workers=max_workers,
+                program, design.V, design.p, engine, plan_cache
             )
-        self.batcher = (
-            BatchRunner(
-                program, design, engine, plan_cache, max_workers=max_workers
-            )
-            if design.tile is None
-            else None
-        )
         # resources and power depend only on the resource shape (and fixed
         # design/device inputs), not on niter/batch: memoize them so DSE
         # search loops hammering estimate() pay the model walk once
@@ -215,43 +140,19 @@ class FPGAAccelerator:
     ) -> tuple[list[dict[str, Field]], SimReport]:
         """Solve a batch of independent same-shaped meshes.
 
-        On the default compiled engine the batch executes batch-major in
-        footprint-bounded stacked chunks (Section IV-B, eq. (15)),
-        bit-identical per mesh to :meth:`run`; the report uses the batched
-        stream's cycle accounting.
+        The batch executes batch-major in footprint-bounded stacked chunks
+        (Section IV-B, eq. (15)) through
+        :meth:`IterativePipeline.run_batch`, bit-identical per mesh to
+        :meth:`run`; the report uses the batched stream's cycle
+        accounting. Workload mixes run through
+        :class:`~repro.dataflow.scheduler.MixScheduler`.
         """
-        if self.batcher is None:
+        if self.tiler is not None:
             raise ValidationError("batched execution is not supported on tiled designs")
-        results = self.batcher.run(batch_fields, niter, coefficients)
+        results = self.pipeline.run_batch(batch_fields, niter, coefficients)
         mesh = batch_fields[0][self.program.state_fields[0]].spec
         report = self._report(mesh.shape, niter, batch=len(batch_fields), mesh=mesh)
         return results, report
-
-    def run_mix(
-        self,
-        groups: Sequence[tuple[Sequence[Mapping[str, Field]], int]],
-        coefficients: Mapping[str, float] | None = None,
-    ) -> tuple[list[list[dict[str, Field]]], MixReport]:
-        """Solve a mix of independent batches back to back.
-
-        Each ``(batch_fields, niter)`` group executes exactly like
-        :meth:`run_batch` (mesh specs may differ across groups — plans are
-        keyed by the bound specs); the returned :class:`MixReport`
-        aggregates the per-group reports over the whole mix. Workload-level
-        orchestration of a :class:`~repro.workload.WorkloadMix` lives in
-        :class:`repro.dataflow.scheduler.MixScheduler`.
-        """
-        if self.batcher is None:
-            raise ValidationError("batched execution is not supported on tiled designs")
-        if not groups:
-            raise ValidationError("mix must contain at least one group")
-        results = []
-        reports = []
-        for batch_fields, niter in groups:
-            group_results, report = self.run_batch(batch_fields, niter, coefficients)
-            results.append(group_results)
-            reports.append(report)
-        return results, MixReport(tuple(reports))
 
     # -- reporting ---------------------------------------------------------------
     def estimate(self, workload: Workload) -> SimReport:

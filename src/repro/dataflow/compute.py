@@ -1,18 +1,14 @@
 """Compute units: V-way replicated kernel datapaths.
 
-A :class:`ComputeUnit` is the vectorized execution of one kernel — the
-"cell-parallel" replicas of Fig. 1. Functionally it delegates to the golden
-evaluator (bit-identical float32); structurally it reports how many cycles
-the unit needs to stream a given mesh region at vectorization ``V``.
+A :class:`ComputeUnit` models the vectorized datapath of one kernel — the
+"cell-parallel" replicas of Fig. 1: how many cycles the unit needs to
+stream a given mesh region at vectorization ``V``, and what one replica
+costs.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.mesh.mesh import Field
 from repro.stencil.kernel import StencilKernel
-from repro.stencil.numpy_eval import apply_kernel
 from repro.util.rounding import ceil_div
 from repro.util.validation import check_positive
 
@@ -26,14 +22,6 @@ class ComputeUnit:
         self.V = V
         #: DSP-relevant op counts of a single replica
         self.ops = kernel.op_counts()
-
-    def process(
-        self,
-        fields: Mapping[str, Field],
-        coefficients: Mapping[str, float] | None = None,
-    ) -> dict[str, Field]:
-        """Apply the kernel over the mesh interior (vectorized)."""
-        return apply_kernel(self.kernel, fields, coefficients)
 
     def stream_cycles(self, mesh_shape: tuple[int, ...]) -> int:
         """Cycles to stream the whole mesh through this unit (no fill).

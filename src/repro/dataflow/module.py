@@ -5,24 +5,14 @@ A :class:`StencilModule` chains the program's fused stages (each a
 one iteration — the unit that iterative unrolling replicates ``p`` times
 (paper Fig. 2).
 
-Functionally the module executes through the plan-compiled engine by
-default (:mod:`repro.stencil.compiled`), falling back to the tree-walking
-golden interpreter when constructed with ``engine="interpreter"``. Both
-paths are bit-identical; the structural accounting (fill latency, stream
-cycles, DSP cost) is engine-independent.
+The module is structural: it reports fill latency, stream cycles and DSP
+cost. Running meshes is the stencil engines' job
+(:mod:`repro.stencil.compiled`), which the pipeline calls directly.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.dataflow.compute import ComputeUnit
-from repro.mesh.mesh import Field
-from repro.stencil.compiled import (
-    CompiledPlanCache,
-    check_engine,
-    run_program_compiled,
-)
 from repro.stencil.program import StencilProgram
 from repro.util.validation import check_positive
 
@@ -30,37 +20,11 @@ from repro.util.validation import check_positive
 class StencilModule:
     """One iteration of the program body as a chained dataflow stage."""
 
-    def __init__(
-        self,
-        program: StencilProgram,
-        V: int,
-        engine: str = "compiled",
-        plan_cache: CompiledPlanCache | None = None,
-    ):
+    def __init__(self, program: StencilProgram, V: int):
         check_positive("V", V)
         self.program = program
         self.V = V
-        self.engine = check_engine(engine)
-        self.plan_cache = plan_cache
         self.units = [ComputeUnit(k, V) for k in program.kernels()]
-
-    def process(
-        self,
-        fields: Mapping[str, Field],
-        coefficients: Mapping[str, float] | None = None,
-    ) -> dict[str, Field]:
-        """Run one time iteration; returns the updated field environment."""
-        # "parallel" differs from "compiled" only at batch granularity — a
-        # single-mesh single-iteration step has nothing to fan out
-        if self.engine != "interpreter":
-            return run_program_compiled(
-                self.program, fields, 1, coefficients, cache=self.plan_cache,
-                engine=self.engine,
-            )
-        env: dict[str, Field] = dict(fields)
-        for unit in self.units:
-            env.update(unit.process(env, coefficients))
-        return env
 
     def fill_lines(self) -> int:
         """Fill latency of the module: sum of its stages' ``D/2`` lines."""

@@ -4,6 +4,12 @@ Unrolling the time loop feeds iteration ``k``'s output straight into
 iteration ``k+1`` without touching external memory; one *pass* through the
 pipeline advances the solution by ``p`` iterations at the cost of one mesh
 traversal plus the chained fill latency ``p * sum(D_i/2)`` lines.
+
+The pipeline's own work is that structural accounting. Its functional
+entry points (:meth:`IterativePipeline.run`, :meth:`~IterativePipeline.run_pass`,
+:meth:`~IterativePipeline.run_batch`) check the unroll contract and make
+one call into :mod:`repro.stencil.compiled`, which picks the per-mesh or
+stacked path for the engine.
 """
 
 from __future__ import annotations
@@ -27,15 +33,15 @@ from repro.util.validation import check_positive
 class IterativePipeline:
     """A chain of ``p`` identical compute modules.
 
-    Functional execution defaults to the plan-compiled engine: a whole run
-    (or pass) is one replay of the cached op tape, so chained passes never
-    re-interpret the program. ``engine="interpreter"`` selects the golden
-    tree-walking path; ``engine="parallel"`` keeps the compiled path for
-    single meshes and fans batch chunks out over a worker pool of up to
-    ``max_workers`` lanes (:mod:`repro.parallel`); ``engine="native"``
-    replays the steady tapes as generated fused code
-    (:mod:`repro.stencil.native`). Results are bit-identical on every
-    engine.
+    Functional execution is one call into the stencil engines: a mesh runs
+    through :func:`~repro.stencil.compiled.run_program_compiled`, a batch
+    through :func:`~repro.stencil.compiled.run_program_stacked`, and those
+    two decide how ``engine`` runs it — one replay of the cached op tape
+    per run or pass on ``"compiled"`` (the default), generated loop nests
+    on ``"native"`` (:mod:`repro.stencil.native`), the golden tree-walker
+    mesh by mesh on ``"interpreter"``. ``engine="parallel"`` runs a mesh
+    on the tape and fans batch chunks out over the shared worker pool
+    (:mod:`repro.parallel`). Results are bit-identical on every engine.
     """
 
     def __init__(
@@ -45,7 +51,6 @@ class IterativePipeline:
         p: int,
         engine: str = "compiled",
         plan_cache: CompiledPlanCache | None = None,
-        max_workers: int | None = None,
     ):
         check_positive("p", p)
         self.program = program
@@ -53,11 +58,23 @@ class IterativePipeline:
         self.p = p
         self.engine = check_engine(engine)
         self.plan_cache = plan_cache
-        self.max_workers = max_workers
-        # modules are identical hardware; one functional instance suffices
-        self.module = StencilModule(program, V, engine, plan_cache)
+        # modules are identical hardware; one instance carries the accounting
+        self.module = StencilModule(program, V)
 
     # -- functional ---------------------------------------------------------------
+    def _check_niter(self, niter: int) -> None:
+        """Refuse an ``niter`` that is not a positive multiple of ``p``.
+
+        The hardware pipeline always advances ``p`` iterations per pass; a
+        remainder would need a bypass datapath the paper's designs do not
+        implement.
+        """
+        check_positive("niter", niter)
+        if niter % self.p:
+            raise ValidationError(
+                f"niter={niter} is not a multiple of the unroll factor p={self.p}"
+            )
+
     def _run_iterations(
         self,
         fields: Mapping[str, Field],
@@ -65,18 +82,10 @@ class IterativePipeline:
         coefficients: Mapping[str, float] | None,
         copy: bool = True,
     ) -> dict[str, Field]:
-        if self.engine != "interpreter":
-            # a single mesh has no chunks to fan out: the parallel engine
-            # and the compiled engine are the same path here (the native
-            # engine swaps in the generated steady-loop replay)
-            return run_program_compiled(
-                self.program, fields, niter, coefficients,
-                cache=self.plan_cache, engine=self.engine, copy=copy,
-            )
-        env: dict[str, Field] = dict(fields)
-        for _ in range(niter):
-            env = self.module.process(env, coefficients)
-        return env
+        return run_program_compiled(
+            self.program, fields, niter, coefficients,
+            cache=self.plan_cache, engine=self.engine, copy=copy,
+        )
 
     def run_pass(
         self,
@@ -99,17 +108,8 @@ class IterativePipeline:
         niter: int,
         coefficients: Mapping[str, float] | None = None,
     ) -> dict[str, Field]:
-        """Run ``niter`` iterations (must be a multiple of ``p``).
-
-        The hardware pipeline always advances ``p`` iterations per pass; a
-        remainder would require a bypass datapath the paper's designs do not
-        implement.
-        """
-        check_positive("niter", niter)
-        if niter % self.p:
-            raise ValidationError(
-                f"niter={niter} is not a multiple of the unroll factor p={self.p}"
-            )
+        """Run ``niter`` iterations (must be a multiple of ``p``)."""
+        self._check_niter(niter)
         return self._run_iterations(fields, niter, coefficients)
 
     def run_batch(
@@ -120,63 +120,29 @@ class IterativePipeline:
     ) -> list[dict[str, Field]]:
         """Run a batch of independent same-spec meshes (paper Section IV-B).
 
-        On the compiled engine the batch is stacked batch-major and
-        advances through one replay of the op tape per footprint-bounded
-        chunk — the software analogue of streaming the meshes back to back
-        through one pipeline (eq. (15)); per-mesh results are bit-identical
-        to ``B`` independent :meth:`run` calls. The parallel engine keeps
-        the same chunk schedule but dispatches the chunks across a worker
-        pool (:func:`repro.parallel.run_program_parallel`). The
-        interpreter engine replays the golden path per mesh. ``niter``
-        must be a multiple of ``p`` exactly as for :meth:`run`. Chunks are
-        sized by :data:`repro.stencil.compiled.STACKED_BYTES_LIMIT`.
+        The batch is stacked batch-major and advances through one replay
+        of the op tape per footprint-bounded chunk — the software analogue
+        of streaming the meshes back to back through one pipeline (eq.
+        (15)); per-mesh results are bit-identical to ``B`` independent
+        :meth:`run` calls, which is how ``"interpreter"`` runs it. The
+        parallel engine dispatches the same chunks
+        across the shared worker pool
+        (:func:`repro.parallel.run_program_parallel`). ``niter`` must be a
+        multiple of ``p`` exactly as for :meth:`run`; every member must
+        bind the program's inputs on one shared spec.
         """
-        if not batch_fields:
-            raise ValidationError("batch must contain at least one mesh")
-        check_positive("niter", niter)
-        if niter % self.p:
-            raise ValidationError(
-                f"niter={niter} is not a multiple of the unroll factor p={self.p}"
-            )
+        self._check_niter(niter)
         if self.engine == "parallel":
             from repro.parallel.executor import run_program_parallel
 
             return run_program_parallel(
                 self.program, batch_fields, niter, coefficients,
-                cache=self.plan_cache, max_workers=self.max_workers,
+                cache=self.plan_cache,
             )
-        if self.engine in ("compiled", "native"):
-            return run_program_stacked(
-                self.program, batch_fields, niter, coefficients,
-                cache=self.plan_cache, engine=self.engine,
-            )
-        return [
-            dict(self._run_iterations(env, niter, coefficients))
-            for env in batch_fields
-        ]
-
-    def run_mix(
-        self,
-        groups: Sequence[tuple[Sequence[Mapping[str, Field]], int]],
-        coefficients: Mapping[str, float] | None = None,
-    ) -> list[list[dict[str, Field]]]:
-        """Run a mix of independent batches back to back.
-
-        Each group is a ``(batch_fields, niter)`` pair; meshes within a
-        group must share one spec (they ride one chunked stacked dispatch,
-        see :meth:`run_batch`), while specs and iteration counts may differ
-        freely across groups — the compiled engine keys plans by the bound
-        field specs, so one pipeline serves every mesh shape in the mix.
-        Higher-level mix orchestration (grouping a
-        :class:`~repro.workload.WorkloadMix`, dispatch accounting) lives in
-        :class:`repro.dataflow.scheduler.MixScheduler`.
-        """
-        if not groups:
-            raise ValidationError("mix must contain at least one group")
-        return [
-            self.run_batch(batch_fields, niter, coefficients)
-            for batch_fields, niter in groups
-        ]
+        return run_program_stacked(
+            self.program, batch_fields, niter, coefficients,
+            cache=self.plan_cache, engine=self.engine,
+        )
 
     # -- structural cycle accounting ------------------------------------------
     def pass_cycles(self, mesh_shape: tuple[int, ...], batch: int = 1, ii: float = 1.0) -> float:

@@ -26,7 +26,6 @@ interpreter and raises on any mismatch.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Mapping
 
@@ -54,21 +53,6 @@ from repro.workload import MixLike, WorkloadMix, WorkloadSpec, as_mix
 FieldsFor = Callable[[WorkloadSpec, int], Mapping[str, Field]]
 #: resolves the program a spec runs: ``spec -> StencilProgram``
 ProgramFor = Callable[[WorkloadSpec], StencilProgram]
-
-
-def per_mesh_stats(meshes: int) -> dict:
-    """The dispatch accounting of a strictly per-mesh engine.
-
-    One dispatch per mesh, nothing stacked — the default the scheduler
-    assumes when an engine reports no accounting at all (the interpreter
-    reference path fills its ``chunk_seconds`` in as it runs).
-    """
-    return {
-        "chunks": [1] * meshes,
-        "dispatches": meshes,
-        "stacked_meshes": 0,
-        "chunk_seconds": [],
-    }
 
 
 @dataclass(frozen=True)
@@ -315,30 +299,19 @@ class MixScheduler:
             batch=spec.batch,
             engine=self.engine,
         ):
-            if self.engine in ("compiled", "native"):
-                results = run_program_stacked(
-                    program,
-                    envs,
-                    spec.niter,
-                    self.coefficients,
-                    cache=self.plan_cache,
-                    stats=stats,
-                    cancel=cancel,
-                    engine=self.engine,
-                )
-            else:
-                stats = per_mesh_stats(len(envs))
-                seconds = stats["chunk_seconds"]
-                results = []
-                for env in envs:
-                    if cancel is not None:
-                        cancel.raise_if_set(f"mix group {spec.describe()}")
-                    t0 = time.perf_counter()
-                    results.append(self._golden(program, env, spec.niter))
-                    seconds.append(time.perf_counter() - t0)
+            results = run_program_stacked(
+                program,
+                envs,
+                spec.niter,
+                self.coefficients,
+                cache=self.plan_cache,
+                stats=stats,
+                cancel=cancel,
+                engine=self.engine,
+            )
         if validate and self.engine != "interpreter":
             self._validate_group(spec, program, envs, results)
-        return self._group_run(spec, envs, results, stats)
+        return self._group_run(spec, results, stats)
 
     def _run_parallel(
         self,
@@ -416,7 +389,7 @@ class MixScheduler:
                         raise
                     errors.append(self._group_error(spec, exc))
                     continue
-                groups.append(self._group_run(spec, envs, results, stats))
+                groups.append(self._group_run(spec, results, stats))
             return MixRunResult(
                 tuple(groups), validated=validate, errors=tuple(errors)
             )
@@ -453,12 +426,9 @@ class MixScheduler:
                     )
 
     @staticmethod
-    def _group_run(spec, envs, results, stats: dict) -> GroupRun:
-        # an engine that filled nothing in gets the per-mesh default once;
-        # a partially-filled dict is taken at face value — chunks are never
-        # fabricated to paper over missing accounting
-        if not stats:
-            stats = per_mesh_stats(len(envs))
+    def _group_run(spec, results, stats: dict) -> GroupRun:
+        # every engine reports its own accounting; a partially-filled dict
+        # is taken at face value — chunks are never fabricated
         chunks = tuple(stats.get("chunks", ()))
         return GroupRun(
             spec,

@@ -1,4 +1,4 @@
-"""Memoizing, parallel trial evaluation against the analytic model.
+"""Memoizing trial evaluation against the analytic model.
 
 The :class:`Evaluator` turns a declarative configuration (see
 :mod:`repro.dse.space`) into a concrete :class:`DesignPoint` — estimating
@@ -9,8 +9,9 @@ result against the study's objectives.
 
 Results are memoized by canonical configuration key, so a configuration is
 never evaluated twice within a study (or across a resumed one: the study
-seeds the cache from its journal).  Batch evaluation fans out over
-``concurrent.futures`` worker threads.
+seeds the cache from its journal).  Evaluation is serial: the model is pure
+CPU-bound Python and no objective does I/O, so worker threads only add
+overhead.
 
 With ``workloads=`` (a :class:`~repro.workload.WorkloadMix` or a list of
 specs) a single configuration is scored against a whole workload
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Mapping, Sequence
 
@@ -105,13 +105,10 @@ class Evaluator:
         constraints: Sequence[Constraint] = (),
         clock_model: ClockModel = DEFAULT_CLOCK_MODEL,
         logical_bytes_per_cell_iter: float | None = None,
-        max_workers: int | None = None,
         workloads: MixLike | None = None,
     ):
         if not objectives:
             raise ValidationError("an Evaluator needs at least one objective")
-        if max_workers is not None and max_workers < 0:
-            raise ValidationError(f"max_workers must be >= 0, got {max_workers}")
         if workload is None and workloads is None:
             raise ValidationError(
                 "an Evaluator needs a workload (or a workload mix via workloads=)"
@@ -125,7 +122,6 @@ class Evaluator:
         self.objectives = tuple(objectives)
         self.constraints = tuple(constraints)
         self.logical_bytes_per_cell_iter = logical_bytes_per_cell_iter
-        self.max_workers = max_workers
         #: the workload mix this evaluator scores configurations against
         #: (None when scoring a single workload the pre-mix way)
         self.mix: WorkloadMix | None = None
@@ -268,37 +264,6 @@ class Evaluator:
             return self.workload
         return Workload(self.workload.mesh, self.workload.niter, batch)
 
-    def batch_runner(
-        self,
-        config: Mapping[str, Any],
-        engine: str = "compiled",
-        plan_cache=None,
-    ):
-        """A :class:`~repro.dataflow.batcher.BatchRunner` realizing a trial.
-
-        Functional companion to the ``batch`` axis: the returned runner
-        executes batches through the stacked tape (one compiled replay for
-        all ``B`` meshes) on the design the configuration denotes, so
-        search results can be validated — bit-identically against the
-        golden interpreter — on the very batched workloads they were scored
-        for. Tiled designs are rejected, mirroring
-        :meth:`~repro.dataflow.accelerator.FPGAAccelerator.run_batch` (and
-        the evaluator scores tiled batch>1 configurations as infeasible).
-        """
-        from repro.dataflow.batcher import BatchRunner
-
-        if self.mix is not None:
-            raise ValidationError(
-                "this evaluator scores a workload mix; a BatchRunner would "
-                "exercise only one member — use validate_mix()/mix_scheduler()"
-            )
-        design = self.design_for(config)
-        if design.tile is not None:
-            raise ValidationError(
-                "batched execution is not supported on tiled designs"
-            )
-        return BatchRunner(self.program, design, engine, plan_cache)
-
     def design_for(self, config: Mapping[str, Any]) -> DesignPoint:
         """The concrete design point a configuration denotes.
 
@@ -360,7 +325,7 @@ class Evaluator:
                 reason=result.reason or None,
             )
         with self._lock:
-            if key in self._cache:  # a racing worker got there first
+            if key in self._cache:  # a racing caller got there first
                 self.cache_hits += 1
                 return self._cache[key]
             self._cache[key] = result
@@ -374,13 +339,10 @@ class Evaluator:
         configs: Sequence[Mapping[str, Any]],
         keys: Sequence[ConfigKey] | None = None,
     ) -> list[TrialResult]:
-        """Evaluate a batch, optionally fanning out over worker threads.
+        """Evaluate a batch of configurations.
 
         Duplicate configurations within the batch are evaluated once; the
-        returned list is positionally aligned with ``configs``.  The default
-        (``max_workers=None``) is serial: the analytic model is pure
-        CPU-bound python, so threads only pay off when an objective or
-        constraint does I/O — opt in by passing ``max_workers > 0``.
+        returned list is positionally aligned with ``configs``.
         ``keys`` are the configurations' :func:`config_key` s, if known.
         """
         if keys is None:
@@ -388,12 +350,8 @@ class Evaluator:
         unique: dict[ConfigKey, Mapping[str, Any]] = {}
         for key, config in zip(keys, configs):
             unique.setdefault(key, config)
-        if len(unique) <= 1 or not self.max_workers:
-            for key, config in unique.items():
-                self.evaluate(config, key)
-        else:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                list(pool.map(self.evaluate, unique.values(), unique))
+        for key, config in unique.items():
+            self.evaluate(config, key)
         with self._lock:
             return [self._cache[key] for key in keys]
 
@@ -443,7 +401,7 @@ class Evaluator:
 
         if self.mix is None:
             raise ValidationError(
-                "this evaluator scores a single workload; use batch_runner()"
+                "this evaluator scores a single workload; no mix to schedule"
             )
         by_key = {b.spec.job_key: b.program for b in self._entries}
 
@@ -483,13 +441,14 @@ class Evaluator:
         against per-mesh golden-interpreter replay; returns the
         :class:`~repro.dataflow.scheduler.MixRunResult` with its dispatch
         accounting. Tiled configurations are rejected, mirroring
-        :meth:`batch_runner`. ``strict=False`` returns a result whose
+        :meth:`~repro.dataflow.accelerator.FPGAAccelerator.run_batch`.
+        ``strict=False`` returns a result whose
         ``errors`` lists isolated group failures instead of raising on the
         first one (residuals are then reported for the groups that ran).
         """
         if self.mix is None:
             raise ValidationError(
-                "this evaluator scores a single workload; use batch_runner()"
+                "this evaluator scores a single workload; no mix to validate"
             )
         design = self.design_for(config)
         if design.tile is not None:
@@ -580,8 +539,8 @@ class Evaluator:
         try:
             workload = self.workload_for(config)
             if int(config.get("batch", 1)) > 1 and config.get("tiled", False):
-                # the executable surface (FPGAAccelerator.run_batch /
-                # BatchRunner) has no batched path for tiled designs; a
+                # the executable surface (FPGAAccelerator.run_batch) has
+                # no batched path for tiled designs; a
                 # tiled batch>1 *axis* config must not win a front it
                 # cannot run. A study-level batched workload (Workload
                 # batch, no batch axis) keeps its pre-existing analytic

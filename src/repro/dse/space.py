@@ -205,8 +205,9 @@ def model_space(
     (multi-FPGA spatial scaling) and ``batch`` (how many same-shaped meshes
     are streamed back to back per solve, eq. (15) — a *workload* axis: one
     design must serve every batch size well, and the functional path behind
-    it is the stacked-tape :class:`~repro.dataflow.batcher.BatchRunner`, see
-    :meth:`repro.dse.evaluate.Evaluator.batch_runner`).  The grid is
+    it is the stacked tape of
+    :meth:`~repro.dataflow.accelerator.FPGAAccelerator.run_batch` on the
+    design :meth:`repro.dse.evaluate.Evaluator.design_for` returns).  The grid is
     deliberately rectangular — combinations outside a particular
     (memory, V) cap simply evaluate as infeasible, which keeps
     configurations declarative and resumable.

@@ -573,52 +573,24 @@ def submit_stacked(
 
     workers = max_workers if max_workers else default_workers()
 
-    def _account(chunks: list[int], backend_used: str) -> None:
-        record_dispatch_stats(
-            stats, chunks,
-            backend=backend_used,
-            workers=1 if backend_used == "serial" else workers,
-        )
-
-    if niter == 0:
-        _account([], "serial")
-        if stats is not None:
-            stats["chunk_seconds"] = []
-        return PendingBatch(
-            batch_fields, None, niter, ready=[dict(env) for env in batch_fields]
-        )
     dtypes = {first[name].spec.dtype for name in required}
-    if len(dtypes) > 1:
-        from repro.stencil.numpy_eval import run_program
-
-        chunk_seconds: list[float] = []
-        ready = []
-        for env in batch_fields:
-            t0 = time.perf_counter()
-            ready.append(
-                run_program(program, env, niter, coefficients, engine="interpreter")
-            )
-            chunk_seconds.append(time.perf_counter() - t0)
-        _account([1] * len(batch_fields), "serial")
-        if stats is not None:
-            stats["chunk_seconds"] = chunk_seconds
-        return PendingBatch(batch_fields, None, niter, ready=ready)
-    cache = cache if cache is not None else DEFAULT_CACHE
-    plan = cache.plan_for(program, first, coefficients)
-    chunks = stacked_chunk_sizes(
-        len(batch_fields), plan.nbytes, max_stack_bytes
-    )
-    if pool is None and workers <= 1:
-        # a one-lane pool cannot overlap anything; run the identical
-        # serial chunked schedule in-process, which records the dispatch
-        # once, under the engine that ran it
+    if niter == 0 or len(dtypes) > 1 or (pool is None and workers <= 1):
+        # nothing to run, a mixed-dtype binding (the golden interpreter per
+        # mesh) or a one-lane pool that cannot overlap anything: run the
+        # serial path in-process, which records the dispatch once, under
+        # the engine that ran it
         results = run_program_stacked(
             program, batch_fields, niter, coefficients, cache=cache,
             max_stack_bytes=max_stack_bytes, stats=stats, cancel=cancel,
         )
         if stats is not None:
             stats.update(backend="serial", workers=1)
-        return PendingBatch(batch_fields, plan, niter, ready=results)
+        return PendingBatch(batch_fields, None, niter, ready=results)
+    cache = cache if cache is not None else DEFAULT_CACHE
+    plan = cache.plan_for(program, first, coefficients)
+    chunks = stacked_chunk_sizes(
+        len(batch_fields), plan.nbytes, max_stack_bytes
+    )
     token = plan_token_for(program, first, coefficients)
     ctx = _DispatchContext(
         pool=pool if pool is not None else shared_pool(workers),
@@ -656,7 +628,7 @@ def submit_stacked(
             chunks=list(chunks),
             niter=niter,
         )
-    _account(chunks, batch.backend)
+    record_dispatch_stats(stats, chunks, backend=batch.backend, workers=workers)
     return batch
 
 

@@ -22,8 +22,13 @@ semantics: ``(program structure, bound field specs, coefficient bindings,
 batch)``.
 Repeated runs — DSE trials, batched meshes, tiled blocks, pipeline passes —
 compile once and replay the tape. A module-level :data:`DEFAULT_CACHE` is
-shared by every execution path (pipeline, tiler, batcher, accelerator) so a
-program compiled anywhere is warm everywhere.
+shared by every execution path (pipeline, tiler, scheduler, accelerator) so
+a program compiled anywhere is warm everywhere.
+
+:func:`run_program_compiled` (one mesh) and :func:`run_program_stacked` (a
+batch) are the two entry points that decide how meshes run, on every
+engine — the golden interpreter included, which they run mesh by mesh; the
+dataflow layers above them make one call and never branch on the engine.
 
 Results are bit-identical (``np.array_equal``) to the tree-walking golden
 interpreter in :mod:`repro.stencil.numpy_eval`; the equivalence is asserted
@@ -863,8 +868,9 @@ def run_program_compiled(
 
     ``engine="native"`` replays through a
     :class:`~repro.stencil.native.NativeProgram` (generated loop nests,
-    still bit-identical); every other value uses the plain tape
-    replay. ``copy=False`` returns buffer-aliasing results (see
+    still bit-identical); ``engine="interpreter"`` walks the golden
+    interpreter; every other value uses the plain tape replay.
+    ``copy=False`` returns buffer-aliasing results (see
     :meth:`CompiledProgram.result`).
 
     Plans compute every op in one dtype, while the interpreter applies
@@ -886,7 +892,7 @@ def run_program_compiled(
     dtypes = {
         fields[name].spec.dtype for name in program.required_inputs
     }
-    if len(dtypes) > 1:
+    if engine == "interpreter" or len(dtypes) > 1:
         from repro.stencil.numpy_eval import run_program
 
         return run_program(program, fields, niter, coefficients, engine="interpreter")
@@ -998,10 +1004,11 @@ def run_program_stacked(
     per core (:func:`team_chunk_sizes` over the OpenMP team), since its
     members schedule gives each core one mesh of a chunk at a time.
 
-    Other per-mesh fallbacks: a single-member batch routes through the
-    single-mesh path (sharing its cached plan), and bindings with
-    non-uniform input dtypes run each mesh on the interpreter exactly as
-    :func:`run_program_compiled` would.
+    Other per-mesh paths: a single-member batch routes through the
+    single-mesh path (sharing its cached plan), and ``engine="interpreter"``
+    or bindings with non-uniform input dtypes run each mesh on the golden
+    interpreter exactly as :func:`run_program_compiled` would — one
+    dispatch per mesh, with ``cancel`` polled between meshes.
 
     ``stats``, when given, receives the dispatch accounting of the call:
     ``chunks`` (the chunk-size list), ``dispatches`` (tape dispatches
@@ -1042,7 +1049,7 @@ def run_program_stacked(
         _account([])
         return [dict(env) for env in batch_fields]
     dtypes = {first[name].spec.dtype for name in required}
-    if len(dtypes) > 1:
+    if engine == "interpreter" or len(dtypes) > 1:
         from repro.stencil.numpy_eval import run_program
 
         _account([1] * len(batch_fields))

@@ -182,18 +182,20 @@ def run_program(
     fields: Mapping[str, Field],
     niter: int,
     coefficients: Mapping[str, float] | None = None,
-    engine: str = "compiled",
+    engine: str = "interpreter",
 ) -> dict[str, Field]:
     """Run the full iterative solve for ``niter`` time iterations.
 
     ``fields`` must bind every state and constant field; the returned
     environment contains the final state (plus last-iteration intermediates).
 
-    ``engine`` selects the execution path: ``"compiled"`` (default) replays
-    a plan-compiled in-place op tape through the shared
-    :data:`repro.stencil.compiled.DEFAULT_CACHE`; ``"interpreter"`` walks the
-    expression trees node by node. The two are bit-identical
-    (``np.array_equal``); the interpreter remains the golden reference.
+    ``engine`` selects the execution path: ``"interpreter"`` (default) walks
+    the expression trees node by node — the golden reference every other
+    path is checked against; any other engine name is handed to
+    :func:`repro.stencil.compiled.run_program_compiled`, which replays a
+    plan-compiled op tape through the shared
+    :data:`repro.stencil.compiled.DEFAULT_CACHE`. Results are bit-identical
+    (``np.array_equal``) on every engine.
     """
     if niter < 0:
         raise ValidationError(f"niter must be non-negative, got {niter}")

@@ -67,6 +67,75 @@ class TestRunBatch:
         with pytest.raises(ValidationError, match="batched"):
             acc.run_batch([{"U": Field.random("U", spec2d, seed=0)}], 2)
 
+    def test_each_mesh_solved_independently(self, poisson_program, spec2d):
+        acc = FPGAAccelerator(poisson_program, DesignPoint(2, 3, 250.0))
+        batch = [{"U": Field.random("U", spec2d, seed=i)} for i in range(5)]
+        results, _ = acc.run_batch(batch, 6)
+        for env, res in zip(batch, results):
+            gold = run_program(poisson_program, env, 6, engine="interpreter")
+            assert np.array_equal(res["U"].data, gold["U"].data)
+
+    def test_no_cross_mesh_contamination(self, poisson_program, spec2d):
+        acc = FPGAAccelerator(poisson_program, DesignPoint(2, 3, 250.0))
+        a = {"U": Field.full("U", spec2d, 1.0)}
+        b = {"U": Field.full("U", spec2d, 100.0)}
+        pair, _ = acc.run_batch([a, b], 3)
+        solo, _ = acc.run_batch([a], 3)
+        assert np.array_equal(pair[0]["U"].data, solo[0]["U"].data)
+
+    def test_rejects_empty_batch(self, poisson_program):
+        acc = FPGAAccelerator(poisson_program, DesignPoint(2, 3, 250.0))
+        with pytest.raises(ValidationError, match="at least one mesh"):
+            acc.run_batch([], 3)
+
+    def test_rejects_mixed_specs(self, poisson_program, spec2d):
+        acc = FPGAAccelerator(poisson_program, DesignPoint(2, 3, 250.0))
+        batch = [
+            {"U": Field.random("U", spec2d, seed=1)},
+            {"U": Field.random("U", MeshSpec((6, 6)), seed=2)},
+        ]
+        with pytest.raises(ValidationError, match="same spec"):
+            acc.run_batch(batch, 3)
+
+    def test_rejects_missing_field(self, poisson_program):
+        acc = FPGAAccelerator(poisson_program, DesignPoint(2, 3, 250.0))
+        with pytest.raises(ValidationError, match="needs field 'U'"):
+            acc.run_batch([{}], 3)
+
+    def test_batch_rides_one_stacked_plan(self, poisson_program, spec2d):
+        """The default engine advances the whole batch on one plan.
+
+        One cache entry (the batch-major plan), not one per mesh — the
+        footprint heuristic reads the memoized unbound plan, which binds no
+        buffers and counts no miss — and the per-mesh results still match
+        the golden interpreter bitwise.
+        """
+        from repro.stencil.compiled import CompiledPlanCache
+
+        cache = CompiledPlanCache()
+        acc = FPGAAccelerator(
+            poisson_program, DesignPoint(2, 3, 250.0), plan_cache=cache
+        )
+        batch = [{"U": Field.random("U", spec2d, seed=i)} for i in range(6)]
+        results, report = acc.run_batch(batch, 6)
+        assert cache.misses == 1
+        assert report.passes == 2
+        for env, res in zip(batch, results):
+            gold = run_program(poisson_program, env, 6, engine="interpreter")
+            assert np.array_equal(res["U"].data, gold["U"].data)
+
+    def test_engines_agree_bitwise(self, jacobi_program, spec3d):
+        design = DesignPoint(2, 2, 250.0)
+        batch = [{"U": Field.random("U", spec3d, seed=i)} for i in range(4)]
+        runs = {
+            engine: FPGAAccelerator(jacobi_program, design, engine=engine)
+            .run_batch(batch, 4)[0]
+            for engine in ("interpreter", "compiled", "parallel")
+        }
+        for engine, results in runs.items():
+            for got, gold in zip(results, runs["interpreter"]):
+                assert np.array_equal(got["U"].data, gold["U"].data), engine
+
 
 class TestEstimate:
     def test_estimate_matches_run_report(self, poisson_program, field2d, poisson_app):

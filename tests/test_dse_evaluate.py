@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.arch.device import ALVEO_U280
+from repro.dataflow.accelerator import FPGAAccelerator
 from repro.dse.evaluate import Evaluator
 from repro.dse.objectives import ENERGY, RUNTIME, compute_bound_only, max_power
 from repro.dse.space import model_space
@@ -62,15 +63,6 @@ class TestEvaluate:
         assert results[0] is results[2] is results[3]
         assert evaluator.evaluations == 2  # one per distinct config
 
-    def test_parallel_matches_serial(self, setup):
-        program, workload, _, space = setup
-        configs = list(space.grid())[:40]
-        serial = Evaluator(program, ALVEO_U280, workload, max_workers=0)
-        parallel = Evaluator(program, ALVEO_U280, workload, max_workers=4)
-        for a, b in zip(serial.evaluate_many(configs), parallel.evaluate_many(configs)):
-            assert a.feasible == b.feasible
-            assert a.values == b.values
-
     def test_infeasible_trials_are_counted_by_check(self, setup):
         from repro import observability as obs
 
@@ -119,11 +111,6 @@ class TestEvaluate:
         program, workload, _, _ = setup
         with pytest.raises(ValidationError):
             Evaluator(program, ALVEO_U280, workload, objectives=())
-
-    def test_rejects_negative_workers(self, setup):
-        program, workload, _, _ = setup
-        with pytest.raises(ValidationError):
-            Evaluator(program, ALVEO_U280, workload, max_workers=-1)
 
     def test_seed_installs_and_respects_incumbent(self, setup):
         _, _, evaluator, _ = setup
@@ -201,8 +188,8 @@ class TestBatchAxis:
         """tiled x batch>1 has no executable surface, so it must not score.
 
         ``FPGAAccelerator.run_batch`` raises on tiled designs; a config the
-        runtime cannot execute must not win a Pareto front, and
-        ``batch_runner`` must refuse to construct a runner for it.
+        runtime cannot execute must not win a Pareto front, and the
+        accelerator its design denotes refuses to run a batch on it.
         """
         program = jacobi_app.program_on((400, 400, 400))
         workload = Workload(program.mesh, 100)
@@ -213,19 +200,21 @@ class TestBatchAxis:
         assert not batched.feasible
         assert "tiled" in batched.reason
         assert evaluator.evaluate(dict(tiled, batch=1)).feasible
+        acc = FPGAAccelerator(program, evaluator.design_for(tiled))
         with pytest.raises(ValidationError, match="tiled"):
-            evaluator.batch_runner(tiled)
+            acc.run_batch([{}], 2)  # refused before the batch is read
         # only the *axis* is gated: a study-level batched workload keeps its
         # pre-existing analytic scoring on tiled designs
         study_batched = Evaluator(program, ALVEO_U280, Workload(program.mesh, 100, 4))
         assert study_batched.evaluate(tiled).feasible
 
-    def test_batch_runner_realizes_the_trial_functionally(self, jacobi_app):
-        """The stacked BatchRunner backs the batch axis, bit-identically.
+    def test_accelerator_realizes_the_batched_trial(self, jacobi_app):
+        """The trial's accelerator backs the batch axis, bit-identically.
 
         A study exploring batch sizes can validate its best design on the
-        very batched workload it was scored for: the runner executes the
-        batch through one stacked tape and matches the golden interpreter.
+        very batched workload it was scored for: ``run_batch`` executes
+        the batch through one stacked tape and matches the golden
+        interpreter.
         """
         import numpy as np
 
@@ -239,15 +228,15 @@ class TestBatchAxis:
         config = dict(GOOD, batch=4)
         assert evaluator.evaluate(config).feasible
         cache = CompiledPlanCache()
-        runner = evaluator.batch_runner(config, plan_cache=cache)
-        assert runner.design.V == GOOD["V"] and runner.design.p == GOOD["p"]
+        design = evaluator.design_for(config)
+        assert design.V == GOOD["V"] and design.p == GOOD["p"]
+        acc = FPGAAccelerator(program, design, plan_cache=cache)
         batch = [jacobi_app.fields(shape, seed=s) for s in range(4)]
-        results = runner.run(batch, runner.design.p * 2)
+        results, report = acc.run_batch(batch, design.p * 2)
+        assert report.passes == 2
         assert cache.misses == 1  # one stacked plan for the whole batch
         for env, res in zip(batch, results):
-            gold = run_program(
-                program, env, runner.design.p * 2, engine="interpreter"
-            )
+            gold = run_program(program, env, design.p * 2, engine="interpreter")
             assert np.array_equal(res["U"].data, gold["U"].data)
 
 

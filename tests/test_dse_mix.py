@@ -301,15 +301,6 @@ class TestReviewRegressions:
         run = evaluator.validate_mix(GOOD)
         assert run.validated and run.meshes == 5
 
-    def test_batch_runner_refuses_mix_evaluators(self):
-        mix = WorkloadMix.parse("jacobi3d:16x14x10:12x3,rtm:12x12x10:6x2")
-        evaluator = Evaluator(
-            _program_for(mix.heaviest()), ALVEO_U280, workloads=mix,
-            objectives=(RUNTIME,),
-        )
-        with pytest.raises(ValidationError, match="validate_mix"):
-            evaluator.batch_runner(GOOD)
-
     def test_workload_for_refuses_mix_evaluators(self):
         mix = WorkloadMix.parse("jacobi3d:16x14x10:12x3,rtm:12x12x10:6x2")
         evaluator = Evaluator(

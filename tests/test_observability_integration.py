@@ -17,7 +17,7 @@ import pytest
 
 from repro import observability as obs
 from repro.apps.registry import all_apps
-from repro.dataflow.scheduler import MixScheduler, per_mesh_stats
+from repro.dataflow.scheduler import MixScheduler
 from repro.observability.events import read_events
 from repro.parallel.executor import (
     ParallelExecutionError,
@@ -193,21 +193,10 @@ class TestMixLatency:
         assert len(group.chunk_seconds) == 3
         assert all(s > 0 for s in group.chunk_seconds)
 
-    def test_per_mesh_stats_helper(self):
-        stats = per_mesh_stats(3)
-        assert stats == {
-            "chunks": [1, 1, 1],
-            "dispatches": 3,
-            "stacked_meshes": 0,
-            "chunk_seconds": [],
-        }
-
     def test_group_run_tolerates_partial_stats(self):
         """A stats dict without ``chunks`` must not fabricate per-mesh
         chunks (satellite: the old fallback invented ``[1]*B``)."""
-        run = MixScheduler._group_run(
-            object(), [1, 2, 3], [{}, {}, {}], {"dispatches": 2}
-        )
+        run = MixScheduler._group_run(object(), [{}, {}, {}], {"dispatches": 2})
         assert run.chunks == ()
         assert run.dispatches == 2
         assert run.chunk_seconds == ()

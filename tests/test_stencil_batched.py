@@ -347,6 +347,63 @@ class TestStackedEdgeCases:
 # --------------------------------------------------------------------------- #
 # allocation behaviour of the stacked steady loop
 # --------------------------------------------------------------------------- #
+class TestStackedInterpreterEngine:
+    """``engine="interpreter"``: the golden path, mesh by mesh, through the
+    same entry point (accounting, timing and cancellation included)."""
+
+    def _batch(self, name="poisson2d", size=3):
+        app = all_apps()[name]
+        shape = APP_MESHES[name]
+        return app.program_on(shape), [
+            app.fields(shape, seed=s) for s in range(size)
+        ]
+
+    @pytest.mark.parametrize("name", sorted(APP_MESHES))
+    def test_bit_identical_to_the_interpreter(self, name):
+        program, batch = self._batch(name)
+        cache = CompiledPlanCache()
+        got = run_program_stacked(
+            program, batch, 3, cache=cache, engine="interpreter"
+        )
+        assert len(cache) == 0 and cache.misses == 0  # no plan bound
+        for env, res in zip(batch, got):
+            _assert_env_equal(run_program(program, env, 3), res)
+
+    def test_one_timed_dispatch_per_mesh(self):
+        program, batch = self._batch(size=4)
+        stats: dict = {}
+        run_program_stacked(
+            program, batch, 2, stats=stats, engine="interpreter",
+            max_stack_bytes=float("inf"),  # no stacking to be had anyway
+        )
+        assert stats["chunks"] == [1] * 4
+        assert stats["dispatches"] == 4
+        assert stats["stacked_meshes"] == 0
+        assert len(stats["chunk_seconds"]) == 4
+        assert all(t > 0 for t in stats["chunk_seconds"])
+
+    def test_a_set_token_stops_it_between_meshes(self, monkeypatch):
+        from repro.resilience import CancelToken, ExecutionCancelled
+        from repro.stencil import numpy_eval
+
+        program, batch = self._batch(size=3)
+        token = CancelToken()
+        calls = []
+        golden = numpy_eval.run_program
+
+        def first_mesh_cancels(*args, **kwargs):
+            calls.append(1)
+            token.set("caller gave up")
+            return golden(*args, **kwargs)
+
+        monkeypatch.setattr(numpy_eval, "run_program", first_mesh_cancels)
+        with pytest.raises(ExecutionCancelled):
+            run_program_stacked(
+                program, batch, 2, cancel=token, engine="interpreter"
+            )
+        assert len(calls) == 1  # the running mesh finished; no other began
+
+
 class TestStackedAllocation:
     def test_stacked_steady_loop_is_allocation_free(self):
         app = all_apps()["jacobi3d"]
@@ -739,18 +796,18 @@ class TestStackingBudget:
         pipe.run_batch(envs, 2)
         assert cache.misses == 2  # whole-batch instance bound now
 
-    def test_batch_runner_reads_the_module_budget(self, monkeypatch):
-        from repro.dataflow.batcher import BatchRunner
+    def test_accelerator_run_batch_reads_the_module_budget(self, monkeypatch):
+        from repro.dataflow.accelerator import FPGAAccelerator
         from repro.stencil import compiled
 
         app, program, envs = self._setup()
         cache = CompiledPlanCache()
-        runner = BatchRunner(program, app.design(p=2, V=1), plan_cache=cache)
+        acc = FPGAAccelerator(program, app.design(p=2, V=1), plan_cache=cache)
         monkeypatch.setattr(compiled, "STACKED_BYTES_LIMIT", 0)
-        runner.run(envs, 2)
+        acc.run_batch(envs, 2)
         assert cache.misses == 1  # per-mesh
         monkeypatch.setattr(compiled, "STACKED_BYTES_LIMIT", float("inf"))
-        runner.run(envs, 2)
+        acc.run_batch(envs, 2)
         assert cache.misses == 2  # one whole-batch stack
 
     def test_accelerator_run_batch_on_the_default_budget(self):
@@ -766,13 +823,8 @@ class TestStackingBudget:
             _assert_env_equal(gold, res)
 
     @pytest.mark.parametrize("layer", [
-        "repro.dataflow.batcher:BatchRunner",
-        "repro.dataflow.batcher:BatchRunner.run",
-        "repro.dataflow.batcher:BatchRunner.run_mix",
         "repro.dataflow.pipeline:IterativePipeline.run_batch",
-        "repro.dataflow.pipeline:IterativePipeline.run_mix",
         "repro.dataflow.accelerator:FPGAAccelerator.run_batch",
-        "repro.dataflow.accelerator:FPGAAccelerator.run_mix",
         "repro.dataflow.scheduler:MixScheduler",
         "repro.serve.server:ServerConfig",
         "repro.dse.evaluate:Evaluator.mix_scheduler",
@@ -790,71 +842,3 @@ class TestStackingBudget:
     def test_the_chunk_cutters_keep_a_per_call_override(self, cutter):
         params = inspect.signature(_resolve(cutter)).parameters
         assert params["max_stack_bytes"].default is None
-
-
-class TestRunMix:
-    """Mixes ride the same entry points batches do."""
-
-    def test_pipeline_and_accelerator_run_mix(self):
-        from repro.dataflow.accelerator import FPGAAccelerator
-        from repro.dataflow.pipeline import IterativePipeline
-
-        app = all_apps()["poisson2d"]
-        program = app.program_on((20, 16))
-        groups = [
-            ([app.fields((20, 16), seed=s) for s in range(3)], 4),
-            ([app.fields((12, 10), seed=s) for s in range(2)], 2),
-        ]
-        pipe = IterativePipeline(program, V=1, p=2)
-        got = pipe.run_mix(groups)
-        assert [len(g) for g in got] == [3, 2]
-        for (batch, niter), results in zip(groups, got):
-            for env, res in zip(batch, results):
-                gold = run_program(program, env, niter, engine="interpreter")
-                _assert_env_equal(gold, res)
-
-        acc = FPGAAccelerator(program, app.design(p=2, V=1))
-        results, mix_report = acc.run_mix(groups)
-        assert len(mix_report.reports) == 2
-        assert mix_report.seconds == pytest.approx(
-            sum(r.seconds for r in mix_report.reports)
-        )
-        assert mix_report.power_w == max(
-            r.power_w for r in mix_report.reports
-        )
-        for (batch, niter), group_results in zip(groups, results):
-            for env, res in zip(batch, group_results):
-                gold = run_program(program, env, niter, engine="interpreter")
-                _assert_env_equal(gold, res)
-
-    def test_empty_mix_rejected(self):
-        from repro.dataflow.pipeline import IterativePipeline
-
-        app = all_apps()["poisson2d"]
-        program = app.program_on((20, 16))
-        pipe = IterativePipeline(program, V=1, p=2)
-        with pytest.raises(ValidationError):
-            pipe.run_mix([])
-
-    def test_batch_runner_run_mix(self):
-        from repro.dataflow.batcher import BatchRunner
-
-        app = all_apps()["poisson2d"]
-        program = app.program_on((20, 16))
-        runner = BatchRunner(program, app.design(p=2, V=1))
-        groups = [
-            ([app.fields((20, 16), seed=s) for s in range(3)], 4),
-            ([app.fields((12, 10), seed=s) for s in range(2)], 2),
-        ]
-        got = runner.run_mix(groups)
-        assert [len(g) for g in got] == [3, 2]
-        for (batch, niter), results in zip(groups, got):
-            for env, res in zip(batch, results):
-                gold = run_program(program, env, niter, engine="interpreter")
-                _assert_env_equal(gold, res)
-        # per-group spec validation still applies inside a mix
-        mismatched = [(groups[0][0] + groups[1][0], 2)]
-        with pytest.raises(ValidationError):
-            runner.run_mix(mismatched)
-        with pytest.raises(ValidationError):
-            runner.run_mix([])

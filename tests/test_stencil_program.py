@@ -180,7 +180,10 @@ class TestCachedAnalysis:
         assert walks == []
 
     def test_concurrent_readers_agree(self):
+        from concurrent.futures import ThreadPoolExecutor
+
         space, make = self._study_parts()
         configs = list(space.grid())[:200]
-        threaded = make(max_workers=4).evaluate_many(configs)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(make().evaluate, configs))
         assert threaded == [make().evaluate(c) for c in configs]
