@@ -639,7 +639,11 @@ class Server:
             "state": self._state,
             "queue": {"total": len(self._queue), "tenants": self._queue.depths()},
             "inflight_groups": len(self._inflight),
-            "outstanding_jobs": len(self._outstanding),
+            # a resolved job leaves the set in its done callback, which the
+            # loop runs a tick later: count by the future, not the set
+            "outstanding_jobs": sum(
+                not job.future.done() for job in self._outstanding
+            ),
             "breaker": {"state": self.breaker.state, "trips": self.breaker.trips},
             "jobs": {
                 name: self._count_total(f"serve.{name}")

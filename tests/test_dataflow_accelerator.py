@@ -5,7 +5,7 @@ import pytest
 
 from repro.dataflow.accelerator import FPGAAccelerator, HostModel
 from repro.mesh.mesh import Field, MeshSpec
-from repro.model.design import DesignPoint
+from repro.model.design import DesignPoint, Workload
 from repro.model.tiling import TileDesign
 from repro.stencil.numpy_eval import run_program
 from repro.util.errors import ValidationError
@@ -51,6 +51,22 @@ class TestRun:
         gold = run_program(prog, {"U": f}, 4, engine="interpreter")
         assert np.array_equal(result["U"].data, gold["U"].data)
         assert report.cycles > 0
+
+    @pytest.mark.parametrize("engine", ["interpreter", "parallel"])
+    def test_tiled_run_on_other_engines(self, engine):
+        """The tiler hands its engine straight to the stencil entry points;
+        ``"parallel"`` runs each tile on the tape."""
+        from repro.stencil.builders import jacobi2d_5pt
+        from repro.stencil.program import single_kernel_program
+
+        spec = MeshSpec((48, 10))
+        prog = single_kernel_program("p", spec, jacobi2d_5pt())
+        f = Field.random("U", spec, seed=41)
+        design = DesignPoint(2, 2, 250.0, "DDR4", TileDesign((16,)))
+        acc = FPGAAccelerator(prog, design, engine=engine)
+        result, _ = acc.run({"U": f}, 4)
+        gold = run_program(prog, {"U": f}, 4, engine="interpreter")
+        assert np.array_equal(result["U"].data, gold["U"].data)
 
 
 class TestRunBatch:
@@ -135,6 +151,35 @@ class TestRunBatch:
         for engine, results in runs.items():
             for got, gold in zip(results, runs["interpreter"]):
                 assert np.array_equal(got["U"].data, gold["U"].data), engine
+
+    def test_interpreter_engine_replays_per_mesh(self, poisson_program, spec2d):
+        """``engine="interpreter"`` walks the golden path mesh by mesh and
+        binds no plan."""
+        from repro.stencil.compiled import CompiledPlanCache
+
+        cache = CompiledPlanCache()
+        acc = FPGAAccelerator(
+            poisson_program, DesignPoint(2, 3, 250.0),
+            engine="interpreter", plan_cache=cache,
+        )
+        batch = [{"U": Field.random("U", spec2d, seed=i)} for i in range(3)]
+        results, _ = acc.run_batch(batch, 3)
+        assert len(cache) == 0 and cache.misses == 0
+        for env, res in zip(batch, results):
+            gold = run_program(poisson_program, env, 3, engine="interpreter")
+            assert np.array_equal(res["U"].data, gold["U"].data)
+
+    def test_report_matches_the_batched_estimate(self, poisson_program, spec2d):
+        """The batch report is the batched workload's estimate (eq. 15),
+        whose streamed pipeline cycles undercut four separate runs."""
+        acc = FPGAAccelerator(poisson_program, DesignPoint(2, 3, 250.0))
+        batch = [{"U": Field.random("U", spec2d, seed=i)} for i in range(4)]
+        _, report = acc.run_batch(batch, 6)
+        assert report == acc.estimate(Workload(spec2d, 6, 4))
+        pipe = acc.pipeline
+        assert pipe.total_cycles(spec2d.shape, 6, 4) < 4 * pipe.total_cycles(
+            spec2d.shape, 6, 1
+        )
 
 
 class TestEstimate:

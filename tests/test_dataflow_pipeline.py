@@ -68,6 +68,18 @@ class TestIterativePipeline:
             250, 250, 250, 29000, 8, 29, 2
         )
 
+    @pytest.mark.parametrize("engine", ["interpreter", "compiled", "parallel"])
+    def test_run_batch_matches_golden_on_every_engine(
+        self, poisson_program, spec2d, engine
+    ):
+        from repro.mesh.mesh import Field
+
+        pipe = IterativePipeline(poisson_program, V=2, p=3, engine=engine)
+        batch = [{"U": Field.random("U", spec2d, seed=i)} for i in range(3)]
+        for env, res in zip(batch, pipe.run_batch(batch, 6)):
+            gold = run_program(poisson_program, env, 6, engine="interpreter")
+            assert np.array_equal(res["U"].data, gold["U"].data)
+
     def test_batched_cycles_match_eq15(self, poisson_program):
         from repro.model.cycles import batched_cycles_2d
 

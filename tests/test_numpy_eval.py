@@ -102,6 +102,42 @@ class TestRunProgram:
         with pytest.raises(ValidationError, match="needs field"):
             run_program(poisson_program, {}, 1)
 
+    def test_default_engine_is_the_interpreter(
+        self, poisson_program, field2d, monkeypatch
+    ):
+        """Called without ``engine``, the golden entry point walks the
+        expression trees and never reaches the compiled tape."""
+        from repro.stencil import compiled
+
+        def no_tape(*args, **kwargs):
+            raise AssertionError("the default engine replayed a tape")
+
+        monkeypatch.setattr(compiled, "run_program_compiled", no_tape)
+        env = run_program(poisson_program, {"U": field2d}, 2)
+        assert env["U"].data.shape == field2d.data.shape
+
+    def test_other_engines_forward_to_the_tape(
+        self, poisson_program, field2d, monkeypatch
+    ):
+        from repro.stencil import compiled
+
+        seen = []
+        tape = compiled.run_program_compiled
+
+        def spy(*args, engine="compiled", **kwargs):
+            seen.append(engine)
+            return tape(*args, engine=engine, **kwargs)
+
+        monkeypatch.setattr(compiled, "run_program_compiled", spy)
+        got = run_program(poisson_program, {"U": field2d}, 2, engine="compiled")
+        gold = run_program(poisson_program, {"U": field2d}, 2)
+        assert seen == ["compiled"]
+        assert np.array_equal(got["U"].data, gold["U"].data)
+
+    def test_unknown_engine_rejected(self, poisson_program, field2d):
+        with pytest.raises(ValidationError):
+            run_program(poisson_program, {"U": field2d}, 1, engine="verilog")
+
     def test_poisson_converges_toward_smoothness(self, spec2d):
         # the 5-pt kernel is an averaging operator: variance must not grow
         f = Field.random("U", spec2d, seed=5)

@@ -823,9 +823,12 @@ class TestStackingBudget:
             _assert_env_equal(gold, res)
 
     @pytest.mark.parametrize("layer", [
+        "repro.dataflow.pipeline:IterativePipeline",
         "repro.dataflow.pipeline:IterativePipeline.run_batch",
+        "repro.dataflow.accelerator:FPGAAccelerator",
         "repro.dataflow.accelerator:FPGAAccelerator.run_batch",
         "repro.dataflow.scheduler:MixScheduler",
+        "repro.dataflow.scheduler:MixScheduler.run",
         "repro.serve.server:ServerConfig",
         "repro.dse.evaluate:Evaluator.mix_scheduler",
         "repro.dse.evaluate:Evaluator.validate_mix",

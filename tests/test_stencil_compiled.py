@@ -629,6 +629,23 @@ def _mixed_dtype_setup():
     return program, fields
 
 
+class TestInterpreterEngine:
+    @pytest.mark.parametrize("name", sorted(APP_MESHES))
+    def test_runs_the_golden_path_and_binds_no_plan(self, name):
+        """``run_program_compiled(engine="interpreter")`` is the golden
+        interpreter through the tape's entry point: no plan is built."""
+        app = all_apps()[name]
+        shape = APP_MESHES[name]
+        program = app.program_on(shape)
+        fields = app.fields(shape, seed=5)
+        cache = CompiledPlanCache()
+        got = run_program_compiled(
+            program, fields, 3, cache=cache, engine="interpreter"
+        )
+        assert len(cache) == 0 and cache.misses == 0
+        _assert_env_equal(run_program(program, fields, 3), got)
+
+
 class TestMixedDtypeBindings:
     def test_mixed_dtype_falls_back_to_interpreter(self):
         """Non-uniform input dtypes run on the interpreter, bit-identically.
