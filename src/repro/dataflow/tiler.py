@@ -159,9 +159,10 @@ class SpatialTiler:
             f = env[name]
             sub_spec = MeshSpec(shape, f.spec.components, f.spec.dtype)
             # a view, not a copy: no engine writes through its inputs (the
-            # compiled ones copy a strided view into the plan's buffers at
-            # load, the native one never stores into an input it reads in
-            # place, the interpreter computes into fresh arrays)
+            # compiled one copies it into the plan's buffers at load, the
+            # native one reads it where it lives, on a descriptor re-derived
+            # for the mesh's outer strides, and never stores into it; the
+            # interpreter computes into fresh arrays)
             block_env[name] = Field(name, sub_spec, f.data[storage])
         return block_env
 

@@ -68,13 +68,16 @@ program structure (on the nests schedule, every batch size past one), it
 survives on disk across processes, and a small mesh of the same program
 runs the very binary a large one will: :mod:`repro.stencil.native` checks
 each build there. :func:`footprints` reads back, from the descriptor
-alone, the element range every access of every call reaches.
+alone, the element range every access of every call reaches, and
+:func:`restride` moves every access of one base to an array of the same
+shape at other strides, so a view of a wider mesh can get a descriptor
+of its own for the same artifact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -538,6 +541,66 @@ def _member_statement(stmt: Statement) -> Statement:
         _member_access(stmt.dest),
         _map_loads(stmt.expr, lambda a: Load(_member_access(a))),
     )
+
+
+def dense_strides(shape: Sequence[int]) -> tuple[int, ...]:
+    """Element strides of a C-contiguous array of ``shape``."""
+    strides = [1]
+    for extent in reversed(shape[1:]):
+        strides.insert(0, strides[0] * extent)
+    return tuple(strides)
+
+
+def _moved(
+    a: Access, shape: tuple[int, ...], strides: tuple[int, ...]
+) -> Access | None:
+    """:func:`restride` of one access, or None when it leaves the array
+    on some axis."""
+    start = np.unravel_index(a.offset, shape)
+    dense = dense_strides(shape)
+    steps = [_row_shift(s, dense)[0] for s in a.strides]
+    for axis, extent in enumerate(shape):
+        lo = hi = int(start[axis])
+        for n, step in zip(a.shape, steps):
+            reach = (n - 1) * step[axis]
+            lo, hi = lo + min(reach, 0), hi + max(reach, 0)
+        if lo < 0 or hi >= extent:
+            return None
+    at = lambda index: sum(int(i) * s for i, s in zip(index, strides))
+    return Access(a.base, at(start), a.shape, tuple(at(step) for step in steps))
+
+
+def restride(
+    ir: NativeIR, base: int, shape: tuple[int, ...], strides: tuple[int, ...]
+) -> NativeIR | None:
+    """``ir`` with every access of ``base``, a C-contiguous array of
+    ``shape``, re-addressed to the same elements of an array of that shape
+    laid out at element ``strides``; None when an access leaves the array
+    on some storage axis (a flat window wrapping a row).
+
+    Each access's offset and loop strides split into whole steps per
+    storage axis. When the steps keep every axis index within its extent
+    over the whole loop, each iteration names one in-range element, which
+    ``strides`` place; an access that wraps has no such split."""
+    accesses = {
+        a
+        for tape in ir.tapes
+        for stmt in tape
+        for a in (stmt.dest, *_expr_loads(stmt.expr))
+        if a.base == base
+    }
+    moved = {a: _moved(a, shape, strides) for a in accesses}
+    if None in moved.values():
+        return None
+
+    def statement(stmt: Statement) -> Statement:
+        return Statement(
+            moved.get(stmt.dest, stmt.dest),
+            _map_loads(stmt.expr, lambda a: Load(moved.get(a, a))),
+        )
+
+    tapes = [[statement(stmt) for stmt in tape] for tape in ir.tapes]
+    return replace(ir, warm=tuple(tapes[:-2]), steady=(tapes[-2], tapes[-1]))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ back to the interpreter inside :func:`run_program_compiled`.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import OrderedDict
@@ -90,6 +91,40 @@ BoundOp = tuple[Callable, tuple]
 _FLAT_ERRSTATE = {"over": "ignore", "invalid": "ignore", "under": "ignore"}
 
 
+#: the page an array's start is placed within, and the stagger between the
+#: starts of one instance's arrays: five cache lines, so slot ``k`` starts
+#: ``(5k mod 64)`` lines into a page and an instance's first 64 arrays all
+#: start on distinct lines of it
+_PAGE = 4096
+_STAGGER = 5 * 64
+
+
+def _placed_array(
+    shape: tuple[int, ...], dtype, slot: int, zeroed: bool = False
+) -> np.ndarray:
+    """A new array of ``shape`` that starts ``slot * _STAGGER`` bytes (mod
+    one page) past a page boundary.
+
+    Where an allocator puts two large arrays is an accident. On glibc's
+    heap (``MALLOC_MMAP_MAX_=0``; or, for arrays up to 32 MiB, once its
+    dynamic mmap threshold has grown past them) a ping-pong pair can land
+    16 B apart mod 4096: the stores to ``dst`` then share their low 12
+    address bits with the loads of ``src`` that follow them a few
+    elements on, and the core stalls those loads as possible conflicts
+    (4K aliasing). Giving each of an instance's arrays its own slot keeps
+    every pair a fixed, different number of lines apart whatever the
+    allocator does. The array is a view into one over-allocation;
+    ``zeroed`` takes that from ``np.zeros``, so pages the code never
+    touches stay lazily zeroed, never written here.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    offset = slot * _STAGGER % _PAGE
+    raw = (np.zeros if zeroed else np.empty)(nbytes + _PAGE + offset, dtype=np.uint8)
+    start = -raw.ctypes.data % _PAGE + offset
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
+
+
 def check_engine(engine: str) -> str:
     """Validate an engine name; returns it unchanged."""
     if engine not in ENGINES:
@@ -132,9 +167,10 @@ class CompiledProgram:
         #: unchanged
         self._lead: tuple[int, ...] = (batch,) if batch > 1 else ()
         self._batch_index = (slice(None),) * len(self._lead)
-        dtype = plan.mesh.dtype
+        #: placement slots of the arrays this instance allocates
+        self._slots = itertools.count()
         self._buffers: dict[str, np.ndarray] = {
-            slot: np.zeros(self._lead + shape, dtype=dtype)
+            slot: self._new_array(self._lead + shape, zeroed=True)
             for slot, shape in plan.buffers.items()
         }
         #: per-slot flattened per-mesh element count, for stack-extending
@@ -158,6 +194,12 @@ class CompiledProgram:
     def _bind_executor(self) -> None:
         """Make the instance runnable; here, by binding the tape replay."""
         self._bind_tapes()
+
+    def _new_array(self, shape: tuple[int, ...], zeroed: bool = False) -> np.ndarray:
+        """An array of the plan's dtype in this instance's next placement
+        slot (:func:`_placed_array`): every array the instance streams is
+        allocated here."""
+        return _placed_array(shape, self.plan.mesh.dtype, next(self._slots), zeroed)
 
     @property
     def nbytes(self) -> int:
@@ -183,9 +225,7 @@ class CompiledProgram:
                 alloc_shape = self._lead + shape
             for idx in range(count):
                 if (shape, span, idx) not in self._registers:
-                    self._registers[(shape, span, idx)] = np.empty(
-                        alloc_shape, dtype=self.plan.mesh.dtype
-                    )
+                    self._registers[(shape, span, idx)] = self._new_array(alloc_shape)
 
     def _bind_tapes(self) -> None:
         """Bind every tape, allocating the registers and splatted constants
@@ -245,8 +285,8 @@ class CompiledProgram:
         key = (value.tobytes(), shape)
         arr = self._constants.get(key)
         if arr is None:
-            arr = np.full(shape, value, dtype=value.dtype)
-            self._constants[key] = arr
+            arr = self._constants[key] = self._new_array(shape)
+            arr.fill(value)
         return arr
 
     def _bind(self, tape) -> tuple[BoundOp, ...]:
@@ -295,8 +335,8 @@ class CompiledProgram:
         slot = f"in:{name}"
         buf = self._buffers.get(slot)
         if buf is None:
-            buf = self._buffers[slot] = np.empty(
-                self._lead + self.plan.buffers[slot], dtype=self.plan.mesh.dtype
+            buf = self._buffers[slot] = self._new_array(
+                self._lead + self.plan.buffers[slot]
             )
         return buf
 

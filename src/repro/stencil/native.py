@@ -46,12 +46,22 @@ At batch 1 a bound candidate reads its inputs **where they live**. Each
 input no statement stores into (checked on the IR at bind time) loses
 its ``in:`` buffer, and for the length of one :meth:`NativeProgram.run`
 its pointer-table entry addresses the caller's array instead. That holds
-when the array has the buffer's shape, dtype and C-contiguous layout and
-shares no memory with an array the instance writes. Any other array is
+when the array has the buffer's shape and dtype, is aligned, has the
+buffer's inner and component strides and positive outer ones, and shares
+no memory with an array the instance writes. A C-contiguous array runs on
+the binding's own descriptor. One laid out at other outer strides — a
+tiler block, a view of a wider mesh — runs on a descriptor re-derived
+from the bound IR's statements (:func:`~repro.stencil.codegen.restride`,
+then :func:`~repro.stencil.codegen.lower_c`), memoized per layout, and
+only when every access stays inside the array on every axis, the
+re-lowered source has the bound artifact's sha (so the proxy check
+covers it) and every footprint lies inside the array. Any other array is
 copied into an ``in:`` buffer, allocated the first time a copy needs it,
-as :meth:`~repro.stencil.compiled.CompiledProgram.load` always does. The
+as :meth:`~repro.stencil.compiled.CompiledProgram.load` always does, and
+a ``native.copy_in`` event names the input and why (``layout``, ``wrap``,
+``sha`` or ``shares_memory``), once per instance, reason and layout. The
 ``inx:`` expansions are filled from wherever the input lives, and the
-pointers are cleared before ``run`` returns.
+pointers and descriptor are reset before ``run`` returns.
 """
 
 from __future__ import annotations
@@ -67,8 +77,9 @@ import threading
 import time
 import zlib
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,9 +90,11 @@ from repro.stencil.codegen import (
     NativeCode,
     NativeIR,
     build_ir,
+    dense_strides,
     emit_c,
     footprints,
     lower_c,
+    restride,
     unique_statements,
 )
 from repro.stencil.compiled import _FLAT_ERRSTATE, CompiledProgram
@@ -319,7 +332,7 @@ class _Runner:
             dtype=np.uint64,
         )
         self._descriptor = code.descriptor
-        self._args = (self._ptrs.ctypes.data, self._descriptor.ctypes.data)
+        self.describe()
         self._run = lib.repro_run
         self._batch = ir.batch
         self.kernels = len(code.kernels)
@@ -331,6 +344,12 @@ class _Runner:
     def __call__(self, k0: int, n: int, grain: int = _OMP_MIN_CELLS) -> None:
         self._run(*self._args, k0, n, self._batch, grain)
 
+    def describe(self, descriptor: np.ndarray | None = None) -> None:
+        """Run on ``descriptor`` (held here while in use), or on the
+        binding's own."""
+        self._active = self._descriptor if descriptor is None else descriptor
+        self._args = (self._ptrs.ctypes.data, self._active.ctypes.data)
+
     def point(self, base: int, arr: np.ndarray | None = None) -> None:
         """Address ``base`` at ``arr``'s data, or at nothing."""
         self._ptrs[base] = 0 if arr is None else arr.__array_interface__["data"][0]
@@ -338,6 +357,21 @@ class _Runner:
     def pointed(self, bases) -> bool:
         """True when every base of ``bases`` addresses an array."""
         return all(self._ptrs[base] for base in bases)
+
+
+def _outside(
+    code: NativeCode, batch: int, sizes: Sequence[int]
+) -> tuple[int, int, int] | None:
+    """The first ``(base, lowest, highest element)`` footprint of ``code``
+    that reaches outside its base (``sizes``: elements per base), or None."""
+    return next(
+        (
+            (base, lo, hi)
+            for base, lo, hi in footprints(code, batch)
+            if lo < 0 or hi >= sizes[base]
+        ),
+        None,
+    )
 
 
 def _bind_cc(ir: NativeIR, code: NativeCode | None = None) -> _Runner | None:
@@ -349,13 +383,12 @@ def _bind_cc(ir: NativeIR, code: NativeCode | None = None) -> _Runner | None:
     lib, build_s = _compiled_lib(code.source)
     if lib is None:
         return None
-    for base, lo, hi in footprints(code, ir.batch):
-        if lo < 0 or hi >= ir.bases[base].size:
-            obs.emit(
-                "native.out_of_bounds", base=base, lo=lo, hi=hi,
-                size=ir.bases[base].size,
-            )
-            return None
+    sizes = [b.size for b in ir.bases]
+    outside = _outside(code, ir.batch, sizes)
+    if outside is not None:
+        base, lo, hi = outside
+        obs.emit("native.out_of_bounds", base=base, lo=lo, hi=hi, size=sizes[base])
+        return None
     return _Runner(lib, _sha(code.source), build_s, ir, code)
 
 
@@ -448,16 +481,24 @@ def _in_place_inputs(inst: CompiledProgram, ir: NativeIR) -> dict[str, int]:
     return {name: base for name, base in bases.items() if base not in stored}
 
 
-def _readable_in_place(data: np.ndarray, owned) -> bool:
-    """True when generated code may read ``data`` where it lives: laid out
-    as the input buffer it stands in for (C-contiguous and aligned, so the
-    descriptor's strides and checked footprints hold for it) and sharing
-    no memory with an array of ``owned``, which the instance writes."""
-    return (
-        data.flags.c_contiguous
-        and data.flags.aligned
-        and not any(np.shares_memory(data, arr) for arr in owned)
+def _in_place_layout(data: np.ndarray, owned) -> tuple[int, ...] | str:
+    """The element strides at which generated code may read ``data`` where
+    it lives, or why it is copied instead: ``"layout"`` unless it is
+    aligned, its inner and component strides are the input buffer's (unit
+    per element) and its outer strides are positive; ``"shares_memory"``
+    when it overlaps an array of ``owned``, which the instance writes. The
+    stride of an axis of extent 1 never moves an index: it reads as the
+    buffer's."""
+    dense = dense_strides(data.shape)
+    strides = tuple(
+        d if n == 1 else s // data.itemsize
+        for n, s, d in zip(data.shape, data.strides, dense)
     )
+    if not data.flags.aligned or strides[-2:] != dense[-2:] or min(strides) <= 0:
+        return "layout"
+    if any(np.shares_memory(data, arr) for arr in owned):
+        return "shares_memory"
+    return strides
 
 
 def _read_registers(inst: CompiledProgram, ir: NativeIR) -> frozenset:
@@ -498,7 +539,8 @@ class NativeProgram(CompiledProgram):
     instance owns only what its generated code reads: the buffers and the
     registers a statement references. It never binds the tape. At batch 1
     it owns no input buffer either: :meth:`run` points the code at the
-    caller's arrays for the length of the call, and an input buffer is
+    caller's arrays for the length of the call — a tiler block's too, on
+    a descriptor re-derived for its strides — and an input buffer is
     allocated only when a copy first needs it (:meth:`load`, an array
     that cannot be read in place).
     """
@@ -510,6 +552,14 @@ class NativeProgram(CompiledProgram):
         self._stats: dict = {}
         #: input name -> base of each input a run reads where it lives
         self._in_place: dict[str, int] = {}
+        #: the bound IR's statements (no arrays) and its bases' sizes, from
+        #: which a descriptor for inputs laid out otherwise is re-derived
+        self._ir: NativeIR | None = None
+        self._sizes: list[int] = []
+        #: input layouts (name -> element strides) -> :meth:`_restrided`
+        self._layouts: dict[tuple, tuple[np.ndarray | None, dict[str, str]]] = {}
+        #: (input, reason, strides) of each copy a ``native.copy_in`` reported
+        self._copies: set[tuple] = set()
         super().__init__(plan, batch)
 
     @property
@@ -551,6 +601,9 @@ class NativeProgram(CompiledProgram):
         if runner is not None:
             keep = _read_registers(self, ir)
             in_place = _in_place_inputs(self, ir)
+            # the emission reads only how many bases there are: keep no array
+            sizes = [b.size for b in ir.bases]
+            statements = replace(ir, bases=[None] * len(sizes))
             cc_stats = {
                 "statements": [len(t) for t in ir.tapes],
                 "forwarded": ir.forwarded,
@@ -576,6 +629,8 @@ class NativeProgram(CompiledProgram):
                     key: reg for key, reg in self._registers.items() if key in keep
                 }
                 self._in_place = in_place
+                if in_place:
+                    self._ir, self._sizes = statements, sizes
                 for name, base in in_place.items():
                     del self._buffers[f"in:{name}"]
                     runner.point(base)
@@ -629,23 +684,42 @@ class NativeProgram(CompiledProgram):
     @contextmanager
     def _bound_inputs(self, fields: Mapping[str, Field]) -> Iterator[None]:
         """Point the code at each in-place input the caller's array can
-        stand in for (:func:`_readable_in_place`) and copy the rest, for
+        stand in for (:func:`_in_place_layout`, then :meth:`_restrided`
+        for one laid out at other outer strides) and copy the rest, for
         the length of one :meth:`run`; the caller holds the instance lock.
         When no array qualifies, every input is copied in by :meth:`load`.
-        On the way out every pointer set here is cleared, so the instance
-        keeps nothing of the caller's."""
+        On the way out every pointer and the descriptor set here are
+        reset, so the instance keeps nothing of the caller's."""
         arrays = self._input_arrays(fields) if self._in_place else {}
         owned = [*self._buffers.values(), *self._registers.values()]
-        pointed = {
-            name: data for name, data in arrays.items()
-            if name in self._in_place and _readable_in_place(data, owned)
-        }
+        layouts = {name: _in_place_layout(arrays[name], owned) for name in self._in_place}
+        descriptor, refused = self._restrided(
+            {
+                name: strides for name, strides in layouts.items()
+                if isinstance(strides, tuple)
+                and strides != dense_strides(arrays[name].shape)
+            }
+        )
+        reasons = {
+            name: reason for name, reason in layouts.items() if isinstance(reason, str)
+        } | refused
+        for name, reason in reasons.items():
+            # once per input, reason and layout
+            copy = (name, reason, arrays[name].strides)
+            if obs.is_enabled() and copy not in self._copies:
+                self._copies.add(copy)
+                obs.emit(
+                    "native.copy_in", input=name, reason=reason,
+                    strides=list(copy[2]), mesh=list(self.plan.mesh.shape),
+                )
+        pointed = {name: arrays[name] for name in layouts if name not in reasons}
         if not pointed:
             with super()._bound_inputs(fields):
                 yield
             return
         inputs: dict[str, np.ndarray] = {}
         try:
+            self._runner.describe(descriptor)
             for name, data in arrays.items():
                 if name in pointed:
                     self._runner.point(self._in_place[name], data)
@@ -657,8 +731,45 @@ class NativeProgram(CompiledProgram):
             self._iterations_done = 0
             yield
         finally:
+            self._runner.describe()
             for name in pointed:
                 self._runner.point(self._in_place[name])
+
+    def _restrided(
+        self, strided: Mapping[str, tuple[int, ...]]
+    ) -> tuple[np.ndarray | None, dict[str, str]]:
+        """The descriptor on which the bound code reads each input of
+        ``strided`` (name -> element strides other than its buffer's)
+        where it lives — None for the binding's own — and the inputs it
+        cannot serve, each with why: ``"wrap"`` when an access
+        (:func:`~repro.stencil.codegen.restride`) or a footprint leaves
+        the array, ``"sha"`` when the re-lowered source is not the bound
+        artifact's, so the proxy check would not cover it. Memoized per
+        layout; only the descriptor differs from the checked binding's."""
+        key = tuple(sorted(strided.items()))
+        if key in self._layouts:
+            return self._layouts[key]
+        ir, sizes, refused = self._ir, list(self._sizes), {}
+        for name, strides in strided.items():
+            base, shape = self._in_place[name], self.plan.buffers[f"in:{name}"]
+            moved = restride(ir, base, shape, strides)
+            if moved is None:
+                refused[name] = "wrap"
+                continue
+            ir = moved
+            sizes[base] = 1 + sum((n - 1) * s for n, s in zip(shape, strides))
+        kept = [name for name in strided if name not in refused]
+        descriptor = None
+        if kept:
+            code = lower_c(ir)
+            if _sha(code.source) != self._runner.sha:
+                refused.update(dict.fromkeys(kept, "sha"))
+            elif _outside(code, 1, sizes) is not None:
+                refused.update(dict.fromkeys(kept, "wrap"))
+            else:
+                descriptor = code.descriptor
+        self._layouts[key] = descriptor, refused
+        return descriptor, refused
 
     # -- execution -------------------------------------------------------------
     def _iterate(self, n: int) -> None:

@@ -8,6 +8,10 @@ and batched execution paths, and its steady-state loop allocates nothing.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -927,6 +931,101 @@ class TestSteadyStateAllocation:
         snapshot = first["U"].data.copy()
         run_program_compiled(program, fields, 4, cache=cache)  # reuses buffers
         assert np.array_equal(first["U"].data, snapshot)
+
+
+# --------------------------------------------------------------------------- #
+# placement: where the arrays of a bound instance start
+# --------------------------------------------------------------------------- #
+#: the instances a placement is checked on; run in this process and in a
+#: child under ``MALLOC_MMAP_MAX_=0`` (glibc's heap, where a ping-pong pair
+#: used to land 16 B apart mod 4096). A batch-1 cc instance also loads its
+#: inputs, allocating the input buffers it dropped at bind time. The child
+#: then binds a 128^3 cc instance, its artifact built on a small mesh
+#: first, and reports the minor faults the bind took and its buffer pages.
+PLACEMENT_SCRIPT = r"""
+import json, resource
+from repro.apps.registry import app_by_name
+from repro.stencil.compiled import CompiledPlanCache
+
+def starts(inst):
+    arrays = [*inst._buffers.values(), *inst._registers.values(),
+              *inst._constants.values()]
+    return [a.ctypes.data % 4096 for a in arrays if a.nbytes >= 4096]
+
+def placements():
+    cache, out = CompiledPlanCache(), {}
+    for name, mesh in (("jacobi3d", (16, 14, 8)), ("rtm", (12, 12, 10))):
+        app = app_by_name(name)
+        program, env = app.program_on(mesh), app.fields(mesh, seed=0)
+        for batch in (1, 3):
+            for native in (False, True):
+                inst = cache.get(program, env, batch=batch, native=native)
+                if native and batch == 1:
+                    inst.load(env)
+                out[f"{name}-{batch}-{native}"] = starts(inst)
+    return out
+
+def bind_faults():
+    app, cache = app_by_name("jacobi3d"), CompiledPlanCache()
+    small, mesh = (20, 18, 16), (128, 128, 128)
+    cache.get(app.program_on(small), app.fields(small), native=True)
+    program, env = app.program_on(mesh), app.fields(mesh)
+    cache.plan_for(program, env)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    inst = cache.get(program, env, native=True)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    pages = sum(b.nbytes for b in inst._buffers.values()) // 4096
+    return {"backend": inst.native_backend, "faults": faults, "pages": pages}
+"""
+#: the script's functions, run in this process
+_placement: dict = {}
+exec(PLACEMENT_SCRIPT, _placement)
+
+
+@pytest.fixture(scope="module")
+def heap_child():
+    """The script's report, run in a child on glibc's heap allocator."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(sys.path),
+        "MALLOC_MMAP_MAX_": "0",
+    }
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", PLACEMENT_SCRIPT
+            + 'print(json.dumps({"starts": placements(), "bind": bind_faults()}))',
+        ],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _assert_placed(starts):
+    """Distinct starts mod one page, every pair at least a cache line apart."""
+    for i, a in enumerate(starts):
+        for b in starts[:i]:
+            assert min(abs(a - b), 4096 - abs(a - b)) >= 64, starts
+
+
+class TestPlacement:
+    def test_every_array_starts_on_its_own_line_of_a_page(self):
+        starts = _placement["placements"]()
+        assert len(starts) == 8 and all(len(s) >= 3 for s in starts.values())
+        for offsets in starts.values():
+            _assert_placed(offsets)
+
+    def test_placement_holds_on_the_heap_allocator(self, heap_child):
+        assert set(heap_child["starts"]) == set(_placement["placements"]())
+        for offsets in heap_child["starts"].values():
+            _assert_placed(offsets)
+
+    def test_zeroed_buffers_stay_lazily_zeroed(self, heap_child):
+        """The bind touches almost none of its zeroed buffers' pages: writing
+        them (``fill(0)`` on the view) would fault in ~1,600 of 4,096."""
+        bind = heap_child["bind"]
+        if bind["backend"] != "cc":
+            pytest.skip("no working C compiler: the tape binds and fills constants")
+        assert bind["faults"] < bind["pages"] // 8, bind
 
 
 # --------------------------------------------------------------------------- #

@@ -32,7 +32,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import observability as obs
 from repro.apps.registry import all_apps, app_by_name
+from repro.dataflow.tiler import SpatialTiler
 from repro.mesh.mesh import Field, MeshSpec
+from repro.model.design import DesignPoint
+from repro.model.tiling import TileDesign
 from repro.stencil import codegen, native
 from repro.stencil.builders import box_offsets, star_offsets
 from repro.stencil.compiled import (
@@ -721,27 +724,108 @@ def test_a_result_alias_fed_back_is_copied():
         program, run_program(program, env, 3, engine="interpreter"), 4,
         engine="interpreter",
     )
-    _assert_env_equal(gold, inst.run(aliased, 4))
+    obs.enable()
+    try:
+        sink = obs.ring_sink()
+        _assert_env_equal(gold, inst.run(aliased, 4))
+    finally:
+        obs.disable()
     assert "in:U" in inst._buffers
+    (copy,) = sink.of_kind("native.copy_in")
+    assert (copy["input"], copy["reason"]) == ("U", "shares_memory")
+
+
+def _tiler_block(data, layout):
+    """``data``'s values in another layout: a block of a mesh twice as
+    wide (``"block"``; a 3-D one is also twice as tall, an (M, N) block),
+    every other cell of one (``"strided"``), or with its outer rows
+    reversed (``"reversed"``)."""
+    outer, m, c = data.shape[:-2], *data.shape[-2:]
+    tall = outer[:1] + tuple(2 * e for e in outer[1:])
+    backing = np.zeros((*tall, 2 * m, c), dtype=data.dtype)
+    view = {
+        "block": backing[tuple(slice(e) for e in data.shape[:-1])],
+        "strided": backing[..., ::2, :],
+        "reversed": backing[::-1, ..., :m, :],
+    }[layout]
+    view[...] = data
+    assert not view.flags.c_contiguous
+    return view
+
+
+def test_restride_moves_accesses_that_stay_inside_every_axis():
+    """On a (4, 5, 1) input buffer an interior window — rows 1-2, cells
+    1-3 — moves to the same cells at a row stride of 10; a flat window
+    over cells 3-6 of row 0 runs into row 1, so no per-axis split exists
+    and the IR cannot be re-addressed."""
+    shape = (4, 5, 1)
+
+    def ir_reading(access):
+        dest = codegen.Access(1, 0, access.shape, codegen.dense_strides(access.shape))
+        tape = [codegen.Statement(dest, codegen.Load(access))]
+        return codegen.NativeIR(
+            bases=[None, None], warm=(tape,), steady=(tape, tape),
+            dtype=np.dtype(np.float32), registers=frozenset(), forwarded=0,
+        )
+
+    interior = codegen.Access(0, 6, (2, 3, 1), (5, 1, 1))
+    moved = codegen.restride(ir_reading(interior), 0, shape, (10, 1, 1))
+    for tape in moved.tapes:
+        (stmt,) = tape
+        assert stmt.expr == codegen.Load(codegen.Access(0, 11, (2, 3, 1), (10, 1, 1)))
+        assert stmt.dest.base == 1  # other bases are left as they were
+    flat = codegen.Access(0, 3, (4,), (1,))
+    assert codegen.restride(ir_reading(flat), 0, shape, (10, 1, 1)) is None
 
 
 @needs_cc
-@pytest.mark.parametrize("strided", [False, True])
-def test_a_non_contiguous_input_is_copied(strided):
-    """A view that is not C-contiguous — a tiler block, or a strided one —
-    is copied into an input buffer, allocated on first use."""
+def test_a_tiler_block_is_read_where_it_lives(events):
+    """A 2-D tiler block — a view of a wider mesh: unit inner and
+    component strides, the mesh's row stride — is read in place on a
+    descriptor re-derived for its strides: no input buffer, ``nbytes``
+    unchanged, no ``native.copy_in``; the next run on a contiguous array
+    runs on the binding's own descriptor again."""
     program, env = _app_binding("poisson2d")
     inst = CompiledPlanCache().get(program, env, native=True)
-    data = env["U"].data
-    n, m, c = data.shape
-    backing = np.zeros((n, 2 * m, c), dtype=data.dtype)
-    view = backing[:, ::2] if strided else backing[:, :m]
-    view[...] = data
-    assert not view.flags.c_contiguous
+    nbytes = inst.nbytes
+    view = _tiler_block(env["U"].data, "block")
     gold = run_program(program, env, 5, engine="interpreter")
     _assert_env_equal(gold, inst.run({"U": Field("U", env["U"].spec, view)}, 5))
+    assert "in:U" not in inst._buffers and inst.nbytes == nbytes
+    assert events.of_kind("native.copy_in") == []
+    assert inst._runner._active is inst._runner._descriptor
+    _assert_env_equal(gold, inst.run(env, 5))
+    assert "in:U" not in inst._buffers
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "name, layout, reason",
+    [
+        ("poisson2d", "strided", "layout"),
+        ("poisson2d", "reversed", "layout"),
+        # Jacobi's boundary ring copies whole planes: one loop over the
+        # contiguous buffer, two over a block's rows, so the re-lowered
+        # source is not the artifact the proxy checked
+        ("jacobi3d", "block", "sha"),
+    ],
+)
+def test_an_input_not_read_in_place_is_copied(name, layout, reason, events):
+    """Every other cell (no unit inner stride), reversed rows (a negative
+    outer stride) and a 3-D (M, N) block whose re-derived source differs
+    are copied into an input buffer, allocated on first use, and each is
+    reported once as a ``native.copy_in`` with its reason."""
+    program, env = _app_binding(name)
+    inst = CompiledPlanCache().get(program, env, native=True)
+    data = env["U"].data
+    view = _tiler_block(data, layout)
+    gold = run_program(program, env, 5, engine="interpreter")
+    for _ in range(2):
+        _assert_env_equal(gold, inst.run({"U": Field("U", env["U"].spec, view)}, 5))
     assert np.array_equal(inst._buffers["in:U"], data)
     assert inst.nbytes == inst.native_stats["bytes"] + data.nbytes
+    (copy,) = events.of_kind("native.copy_in")
+    assert (copy["input"], copy["reason"]) == ("U", reason)
 
 
 @needs_cc
@@ -1541,7 +1625,9 @@ def generated_case(draw):
     """A chain of one to three kernels over a 1-3 component state ``U``:
     star or box stencils of radius 1-3, each stage's output seeded from
     its source (a boundary ring) or not, one coefficient per stage maybe
-    NaN, an infinity, -0.0 or a denormal."""
+    NaN, an infinity, -0.0 or a denormal — and, when the mesh admits one,
+    a tile of one or two iterations a pass for the tiled leg (None when
+    no block narrower than a split axis leaves a quarter of it valid)."""
     ndim = draw(st.sampled_from([2, 3]))
     stages = tuple(
         (
@@ -1563,6 +1649,17 @@ def generated_case(draw):
         )
         batches = [1, 2, 3, 5]
     niter = draw(st.integers(2, 8))
+    p = draw(st.integers(1, 2))
+    halo = p * sum(radius for _, radius, _, _ in stages)
+    # blocks at least a quarter of the axis valid: a handful per pass
+    widths = [
+        range(2 * halo + max(1, extent // 4), extent)
+        for extent in shape[:2][: ndim - 1]
+    ]
+    tile = (
+        (p, tuple(draw(st.sampled_from(w)) for w in widths))
+        if all(widths) else None
+    )
     return (
         ndim,
         draw(st.integers(1, 3)),                    # components
@@ -1573,6 +1670,7 @@ def generated_case(draw):
         niter,
         draw(st.sampled_from(range(1, niter, 2))),  # odd split point k0
         draw(st.integers(0, 999)),                  # seed
+        tile,                                       # (p, tile) or None
     )
 
 
@@ -1631,7 +1729,7 @@ def _check_generated(case):
     bit (:func:`_bit_pattern`): under the
     members schedule each member resumes mid-warm or on the other steady
     parity by absolute index, exactly as the whole stack does."""
-    ndim, comps, stages, shape, dtype, batch, niter, k0, seed = case
+    ndim, comps, stages, shape, dtype, batch, niter, k0, seed, tile = case
     program = _generated_program(ndim, comps, stages, shape, dtype, seed)
     envs = [
         {"U": Field.random("U", program.mesh, seed=seed + b, lo=-1.0, hi=1.0)}
@@ -1658,16 +1756,31 @@ def _check_generated(case):
         box, radius, _, _ = stages[0]
         points = len((box_offsets if box else star_offsets)(ndim, radius))
         assert schedule == ("members" if points <= codegen._MAX_FUSED_LOADS else "nests")
+    if tile is not None:
+        # the tiled leg: overlapped blocks, read where they live when they
+        # can be, each pass written back valid-only
+        p, extents = tile
+        design = DesignPoint(V=2, p=p, clock_mhz=250.0, tile=TileDesign(extents))
+        tiler = SpatialTiler(program, design, engine="native", plan_cache=CACHE)
+        niter -= niter % p
+        gold = run_program(program, envs[0], niter, engine="interpreter")
+        got = tiler.run(envs[0], niter)
+        assert np.array_equal(_bit_pattern(gold["U"].data), _bit_pattern(got["U"].data))
 
 
 @given(generated_case())
 @settings(max_examples=20, deadline=None)
 # NaN lanes whose sign differs between the interpreter and the tape replay
 @example((2, 1, ((False, 2, False, "nan"), (False, 1, False, "inf")),
-          (199, 181), np.float32, 1, 2, 1, 0))
+          (199, 181), np.float32, 1, 2, 1, 0, None))
 # a stack that splits by member, and one whose lane sum passes the load cap
-@example((3, 1, ((False, 2, False, None),), (11, 9, 13), np.float64, 3, 5, 3, 7))
-@example((2, 1, ((True, 3, False, None),), (9, 13), np.float32, 2, 4, 1, 5))
+@example((3, 1, ((False, 2, False, None),), (11, 9, 13), np.float64, 3, 5, 3, 7, None))
+@example((2, 1, ((True, 3, False, None),), (9, 13), np.float32, 2, 4, 1, 5, None))
+# 2-D blocks read in place with a ring; 3-D (M, N) blocks over a chain
+@example((2, 2, ((False, 1, True, None),), (199, 181), np.float32, 1, 4, 1, 3,
+          (2, (40,))))
+@example((3, 1, ((False, 1, True, None), (True, 1, False, None)), (41, 37, 31),
+          np.float64, 2, 4, 3, 11, (1, (9, 12))))
 def test_generated_programs_native_bit_identical(case):
     _check_generated(case)
 
