@@ -13,7 +13,7 @@ from repro.apps.base import StencilApp
 from repro.apps.poisson2d import poisson2d_app
 from repro.apps.jacobi3d import jacobi3d_app
 from repro.apps.rtm import rtm_app, build_rtm_program
-from repro.apps.registry import all_apps, app_by_name
+from repro.apps.registry import all_apps, app_by_name, registry_program
 
 __all__ = [
     "StencilApp",
@@ -23,4 +23,5 @@ __all__ = [
     "build_rtm_program",
     "all_apps",
     "app_by_name",
+    "registry_program",
 ]

@@ -52,7 +52,7 @@ import sys
 from contextlib import contextmanager
 from typing import Sequence
 
-from repro.apps.registry import all_apps, app_by_name
+from repro.apps.registry import all_apps, app_by_name, registry_program
 from repro.util.errors import ReproError
 
 
@@ -186,7 +186,7 @@ def _explore_study(args: argparse.Namespace, objectives, tiled, constraints=()):
         mix = WorkloadMix.parse(mix_text)
         rep = mix.heaviest()
         app = app_by_name(rep.app)
-        program = app.program_on(rep.mesh.shape)
+        program = rep.program()
         workload, workloads = rep, mix  # rep reported, mix scored
         space = mix_space(mix, device, tiled=tiled, batches=batches)
     else:
@@ -194,7 +194,7 @@ def _explore_study(args: argparse.Namespace, objectives, tiled, constraints=()):
             raise ReproError("name an APP or pass --workloads MIX")
         app = app_by_name(args.app)
         mesh = _parse_mesh(args.mesh) if args.mesh else app.program.mesh.shape
-        program = app.program_on(mesh)
+        program = registry_program(args.app, mesh)
         # the dse parser defaults niter/batch to None so --workloads can
         # detect explicit use; the single-workload path fills them here
         niter = args.niter if getattr(args, "niter", None) is not None else 1000
@@ -523,7 +523,7 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
 
     app = app_by_name(args.app)
     mesh = _parse_mesh(args.mesh) if args.mesh else app.program.mesh.shape
-    project = HLSProject(app.program_on(mesh), app.design())
+    project = HLSProject(registry_program(args.app, mesh), app.design())
     written = project.write_to(args.out)
     for path in written:
         print(f"wrote {path}")

@@ -163,12 +163,10 @@ class Evaluator:
         fold into one binding with summed weight, so scoring a mix costs
         one model walk per *distinct* spec.
         """
-        from repro.apps.registry import app_by_name  # lazy: apps import dse consumers
-
         bindings = []
         for spec, weight in mix.group_by_spec().items():
             if spec.app is not None:
-                prog = app_by_name(spec.app).program_on(spec.mesh.shape)
+                prog = spec.program()
             else:
                 prog = self.program.with_mesh(spec.mesh)
             # one traffic convention for every entry point: the explicit

@@ -697,6 +697,8 @@ class CompiledPlanCache:
                 mesh=list(mesh.shape),
                 seconds=seconds,
                 plan_bytes=plan.nbytes,
+                settle=plan.settle,
+                refused=plan.settle_refused,
             )
         with self._lock:
             incumbent = self._plans.get(key)  # racing lowering: keep it

@@ -39,17 +39,21 @@ state reads the rotation buffers, a plan carries a short sequence of
 *warm-up* tapes (which also write every output's boundary ring) followed by
 two *steady* tapes for the remaining odd/even iterations. Buffer rotation
 is periodic with period two, so the steady pair repeats indefinitely; the
-lowering asserts this invariant. The steady tapes carry no boundary ops at
-all: every boundary value is produced by a pure copy chain that terminates
-at zeros, a constant field or an initial input boundary, so it stops
-changing once the longest ``init_from`` chain has drained — a settle depth
-the lowering computes exactly via a symbolic fixpoint over boundary value
-ids (see :func:`_boundary_settle_iteration`). The warm-up tapes cover every
-iteration up to that settle point, so each rotation buffer's boundary is
-final before the steady pair takes over. When a boundary is *not* a pure
-copy chain — an ``init_from`` ring wider than its source kernel's radius
-overlaps the source's recomputed interior — the steady tapes keep their
-boundary ops instead.
+lowering asserts this invariant. The steady tapes normally carry no
+boundary ops at all. Every ring is a pure copy chain that ends at zeros, a
+constant field or an initial input boundary, and every write of a field
+lands in one of its two rotation buffers — with RK-style programs (RTM's
+``T``, written three times an iteration) alternating producers over the
+pair. A symbolic fixpoint over the ring value id each rotation buffer
+holds (:func:`_boundary_settle`) finds the last iteration that changes any
+ring; the warm-up tapes cover every iteration up to it, so every ring op a
+steady tape would replay rewrites the value its buffer already holds, and
+the steady pair drops them all. It keeps them instead (``ProgramPlan.settle``
+is then ``None``, with the reason in ``settle_refused``) when producers of
+one rotation pair differ in radius (a narrower producer's interior write
+clobbers a wider ring), when an ``init_from`` ring is wider than its
+source's (it overlaps the source's recomputed interior), or when some
+ring never stops changing.
 
 Bit-identity contract: executing a plan produces results that are
 ``np.array_equal`` to the golden interpreter for every program, mesh and
@@ -61,6 +65,7 @@ differs, and none of those transformations change IEEE-754 results.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import weakref
 from dataclasses import dataclass, field as dc_field
@@ -207,6 +212,11 @@ class ProgramPlan:
     #: consuming run's component axis, filled at load time so flat-mode
     #: merged runs see every operand at the same element stride.
     expansions: Mapping[str, tuple[str, int]] = dc_field(default_factory=dict)
+    #: last iteration that changes a boundary ring; None when the steady
+    #: tapes keep their ring ops, for the reason in ``settle_refused``
+    #: (``"radius"``, ``"wide_ring"`` or ``"unsettled"``)
+    settle: int | None = None
+    settle_refused: str | None = None
 
     @property
     def nbytes(self) -> int:
@@ -280,78 +290,86 @@ def _index_shape(index: tuple, storage_shape: tuple[int, ...]) -> tuple[int, ...
     return tuple(shape)
 
 
-def _boundary_settle_iteration(program: StencilProgram) -> int | None:
-    """First iteration whose boundary values repeat the previous iteration's.
+def _boundary_settle(program: StencilProgram) -> tuple[int | None, str | None]:
+    """The last iteration that changes a boundary ring, or why none is last.
+
+    Returns ``(settle, None)`` when every ring write after iteration
+    ``settle`` rewrites the value its buffer already holds, else
+    ``(None, reason)``; callers must then keep boundary ops in every tape.
 
     Output boundaries are pure copy chains: zeros (``init_from=None``), a
     never-produced caller field, or another output's boundary from an
     earlier kernel this iteration / the previous iteration (``init_from``
     resolves at *kernel entry*, exactly as :meth:`_Lowerer._lower_kernel`
     and the interpreter do — an earlier output of the same kernel does not
-    count). Tracking a symbolic *value id* per output position and
-    iterating to a fixpoint gives the exact iteration from which every
-    boundary is constant — e.g. 1 for a self ping-pong, but ``d+1`` for a
-    depth-``d`` chain of ``init_from`` sources produced by *later* kernels,
-    whose initial input boundaries drain one iteration at a time. Returns
-    ``None`` if any boundary is not a pure settling copy chain (callers
-    must then keep boundary ops in every tape):
+    count). Each write of a field lands in one of its two rotation buffers
+    — the ``j``-th of ``count`` writes in iteration ``k`` in buffer
+    ``(k * count + j) % 2`` — so the fixpoint tracks a symbolic ring
+    *value id* per buffer and runs until the whole state (buffer values,
+    field values, rotation parity) repeats. E.g. 1 for a self ping-pong
+    or for RTM's ``T`` (three writes an iteration, each from ``Y``'s ring),
+    but ``d+1`` for a depth-``d`` chain of ``init_from`` sources produced by
+    *later* kernels, whose initial input boundaries drain one iteration at
+    a time. The reasons for ``None``:
 
-    * a field produced **more than once per iteration** — the per-field
-      model maps each field to one ping-pong pair advancing one write per
-      iteration; multiple writes make producers alternate rotation slots,
-      so a slot's ring can keep changing forever even when every
-      producer's ring value is constant;
-    * an ``init_from`` ring **wider than its source kernel's radius** per
-      axis — the ring overlaps the source's recomputed interior, which
-      never settles;
-    * no fixpoint within the state-space bound.
+    * ``"radius"`` — producers of one rotation pair differ in radius on
+      some axis: a narrower producer's interior write clobbers part of a
+      wider producer's ring, so a buffer's ring is not a pure copy;
+    * ``"wide_ring"`` — an ``init_from`` ring wider than its source
+      kernel's radius on some axis overlaps the source's recomputed
+      interior, which never settles;
+    * ``"unsettled"`` — the state repeats while some write still changes
+      a ring: e.g. producers with different rings alternating over one
+      rotation pair.
     """
-    kernels: list[list[tuple[str, str | None]]] = []
-    radii: dict[str, tuple[int, ...]] = {}
-    counts: dict[str, int] = {}
-    ring_edges: list[tuple[tuple[int, ...], str]] = []
+    radii: dict[tuple[str, int], tuple[int, ...]] = {}
+    kernels: list[list[tuple[tuple[str, int], str | None, tuple[int, ...]]]] = []
     for group in program.groups:
         for kernel in group.kernels:
             radius = tuple(kernel.radius)
-            outs: list[tuple[str, str | None]] = []
+            outs = []
             for out in kernel.outputs:
-                outs.append((out.field, out.init_from))
-                if out.init_from is not None:
-                    ring_edges.append((radius, out.init_from))
-                counts[out.field] = counts.get(out.field, 0) + 1
-                radii[out.field] = radius
+                pair = (out.field, out.components)
+                if radii.setdefault(pair, radius) != radius:
+                    return None, "radius"
+                outs.append((pair, out.init_from, radius))
             kernels.append(outs)
-    if any(c > 1 for c in counts.values()):
-        return None
-    for out_radius, src in ring_edges:
-        src_radius = radii.get(src)
-        if src_radius is not None and any(
-            ro > rs for ro, rs in zip(out_radius, src_radius)
-        ):
-            return None
-    produced = set(counts)
-    total = sum(len(outs) for outs in kernels)
-    #: field -> boundary value id at the start of the iteration (the
-    #: caller's binding before iteration 0)
-    prev_final: dict[str, tuple] = {f: ("input", f) for f in produced}
-    prev_vids: list | None = None
-    for k in range(total + 3):
-        env: dict[str, tuple] = dict(prev_final)
-        vids: list[tuple] = []
+    for outs in kernels:
+        for (_, components), src, radius in outs:
+            src_radius = radii.get((src, components))
+            if src_radius is not None and any(
+                ro > rs for ro, rs in zip(radius, src_radius)
+            ):
+                return None, "wide_ring"
+    writes = dict.fromkeys(radii, 0)
+    #: (rotation pair, parity) -> value id of the ring that buffer holds
+    held: dict[tuple, tuple] = {}
+    #: field -> value id of its latest ring (absent: the caller's binding)
+    env: dict[str, tuple] = {}
+    seen: dict[tuple, int] = {}
+    last_change = 0
+    for k in itertools.count():
+        state = (tuple(sorted(held.items())), tuple(sorted(env.items())), k % 2)
+        if state in seen:
+            if last_change >= seen[state]:
+                return None, "unsettled"
+            return last_change, None
+        seen[state] = k
         for outs in kernels:
             entry = dict(env)  # init_from resolves at kernel entry
-            for field, src in outs:
-                if src is None:
-                    vid: tuple = ("zero",)
-                else:
-                    vid = entry.get(src, ("input", src))
-                vids.append(vid)
-                env[field] = vid
-        if prev_vids is not None and vids == prev_vids:
-            return k
-        prev_vids = vids
-        prev_final = env
-    return None  # pragma: no cover - copy chains always drain
+            for pair, src, _ in outs:
+                vid = ("zero",) if src is None else entry.get(src, ("input", src))
+                buffer = (pair, writes[pair] % 2)
+                writes[pair] += 1
+                if held.get(buffer) != vid:
+                    held[buffer] = vid
+                    last_change = k
+                env[pair[0]] = vid
+
+
+def _boundary_settle_iteration(program: StencilProgram) -> int | None:
+    """The settle iteration of :func:`_boundary_settle` (None: refused)."""
+    return _boundary_settle(program)[0]
 
 
 def _args_equal(a: tuple, b: tuple) -> bool:
@@ -586,12 +604,12 @@ class _Lowerer:
 
     # -- plan entry ---------------------------------------------------------
     def lower(self) -> ProgramPlan:
-        # boundary values settle once the longest init_from chain has
+        # boundary rings settle once the longest init_from chain has
         # drained; warm-up tapes (boundary ops included) must cover every
-        # iteration through that point so both rotation parities hold final
-        # boundaries before the steady pair takes over. settle=None keeps
-        # boundary ops in the steady tapes too (pure safety fallback).
-        settle = _boundary_settle_iteration(self.program)
+        # iteration through that point so both rotation buffers hold final
+        # rings before the steady pair takes over. settle=None keeps
+        # boundary ops in the steady tapes too.
+        settle, refused = _boundary_settle(self.program)
         warm_count = max(2, (settle if settle is not None else 1) + 1)
         steady_boundary = settle is None
         envs: list[dict[str, str]] = []
@@ -626,6 +644,8 @@ class _Lowerer:
             produced_specs=dict(self.produced_specs),
             inputs=self.inputs,
             expansions=dict(self.expansions),
+            settle=settle,
+            settle_refused=refused,
         )
 
     def _lower_iteration(self, emit_boundary: bool = True) -> list[TapeOp]:

@@ -156,14 +156,17 @@ class WorkloadSpec:
 
     # -- resolution / serialization ------------------------------------------------
     def program(self):
-        """The concrete :class:`StencilProgram` this spec runs (via the registry)."""
-        from repro.apps.registry import app_by_name  # lazy: apps import us
+        """The concrete :class:`StencilProgram` this spec runs (via the registry).
+
+        Equal specs return the same (memoized) program object.
+        """
+        from repro.apps.registry import registry_program  # lazy: apps import us
 
         if self.app is None:
             raise ValidationError(
                 f"workload {self} names no application; bind a program explicitly"
             )
-        return app_by_name(self.app).program_on(self.mesh.shape)
+        return registry_program(self.app, self.mesh.shape)
 
     def fields(self, seed: int = 0):
         """Reproducible initial conditions for one mesh of this spec."""

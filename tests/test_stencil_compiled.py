@@ -34,7 +34,9 @@ from repro.stencil.expr import Coef, Const, FieldAccess
 from repro.stencil.kernel import KernelOutput, StencilKernel
 from repro.stencil.numpy_eval import run_program
 from repro.stencil.plan import (
+    View,
     _boundary_settle_iteration,
+    _boundary_slabs,
     lower_program,
     program_token,
 )
@@ -594,6 +596,133 @@ class TestLoweringCorners:
         gold = run_program(program, fields, 4, engine="interpreter")
         got = run_program(program, fields, 4, engine="compiled")
         assert gold["U"].data.tobytes() == got["U"].data.tobytes()
+
+
+# --------------------------------------------------------------------------- #
+# settled rings: which steady tapes drop their boundary ops
+# --------------------------------------------------------------------------- #
+def _ring_ops(plan, program, tape):
+    """The boundary ops of ``tape``: fills and copies onto a ring slab."""
+    slabs = []  # slices are unhashable before Python 3.12
+    for kernel in program.kernels():
+        interior = plan.mesh.interior_slices(kernel.radius)
+        for shape in plan.buffers.values():
+            if len(shape) == len(interior) + 1:
+                slabs.extend(_boundary_slabs(shape, interior))
+    return [
+        op for op in tape
+        if op.op in ("fill", "copy")
+        and isinstance(op.dest, View)
+        and op.dest.index in slabs
+    ]
+
+
+def _rk_program(rings, radii, shape=(13, 11)):
+    """An RK-style chain: ``T`` written once per entry of ``rings`` (its
+    ring source, None for zeros) at the matching radius, then ``U``
+    updated from it — a field produced several times an iteration."""
+    mesh = MeshSpec(shape, components=2)
+
+    def star(field, r, c):
+        return sum(
+            (
+                FieldAccess(field, off, c)
+                for d in range(1, r + 1)
+                for off in ((d, 0), (-d, 0), (0, d), (0, -d))
+            ),
+            FieldAccess(field, (0, 0), c),
+        )
+
+    loops = []
+    src = "U"
+    for s, (ring, r) in enumerate(zip(rings, radii)):
+        exprs = tuple(
+            FieldAccess("U", (0, 0), c) + Const(0.05 * (s + 1)) * star(src, r, c)
+            for c in range(2)
+        )
+        loops.append(
+            StencilLoop(StencilKernel(f"stage{s}", (KernelOutput("T", exprs, ring),)))
+        )
+        src = "T"
+    # U's radius covers every T ring copied from it
+    update = tuple(
+        Const(0.05) * star("U", max(radii), c) + Const(0.5) * FieldAccess("T", (0, 0), c)
+        for c in range(2)
+    )
+    loops.append(
+        StencilLoop(
+            StencilKernel("update", (KernelOutput("U", update, init_from="U"),))
+        )
+    )
+    return StencilProgram(
+        "rk", mesh, (FusedGroup(tuple(loops)),), state_fields=("U",)
+    )
+
+
+def _plan_of(program, fields):
+    return lower_program(
+        program, program.mesh, {name: f.spec for name, f in fields.items()}
+    )
+
+
+class TestSettledRings:
+    def test_rtm_steady_tapes_carry_no_ring_op(self):
+        app = rtm_app()
+        shape = APP_MESHES["rtm"]
+        program = app.program_on(shape)
+        fields = app.fields(shape, seed=0)
+        plan = _plan_of(program, fields)
+        assert (plan.settle, plan.settle_refused) == (1, None)
+        assert len(plan.warm) == 2
+        assert all(_ring_ops(plan, program, tape) for tape in plan.warm)
+        assert not any(_ring_ops(plan, program, tape) for tape in plan.steady)
+
+    @pytest.mark.parametrize(
+        "rings, radii, settle, refused",
+        [
+            # T twice (an even count) and three times (each write alternates
+            # buffers), every time from U's ring at one radius
+            (("U", "U"), (1, 1), 1, None),
+            (("U", "U", "U"), (1, 1, 1), 1, None),
+            # zeros and U's ring alternating over one pair: never settles
+            ((None, "U", None), (1, 1, 1), None, "unsettled"),
+            # a narrower producer's interior write clobbers the wider ring
+            (("U", "U", "U"), (1, 2, 1), None, "radius"),
+            ((None, None), (2, 1), None, "radius"),
+        ],
+        ids=["twice", "thrice", "alternating", "radius-thrice", "radius-zeros"],
+    )
+    @pytest.mark.parametrize("engine", ["compiled", "native"])
+    def test_multi_producer_rings(self, rings, radii, settle, refused, engine):
+        program = _rk_program(rings, radii)
+        fields = {"U": Field.random("U", program.mesh, seed=5, lo=-1.0, hi=1.0)}
+        plan = _plan_of(program, fields)
+        assert (plan.settle, plan.settle_refused) == (settle, refused)
+        steady_rings = [_ring_ops(plan, program, tape) for tape in plan.steady]
+        assert all(steady_rings) if settle is None else not any(steady_rings)
+        for niter in range(0, 13):
+            gold = run_program(program, fields, niter, engine="interpreter")
+            got = run_program(program, fields, niter, engine=engine)
+            _assert_env_equal(gold, got)
+
+    def test_wide_ring_is_refused(self):
+        """An init_from ring wider than its source's overlaps the source's
+        recomputed interior (the mixed-radius regression, reduced)."""
+        mesh = MeshSpec((12, 10))
+        G = lambda dx, dy: FieldAccess("G", (dx, dy))
+        k1 = StencilKernel(
+            "mk_g", (KernelOutput("G", (Const(0.5) * FieldAccess("U", (1, 0)),)),)
+        )
+        k2 = StencilKernel(
+            "mk_u",
+            (KernelOutput("U", (Const(0.25) * (G(-2, 0) + G(2, 0)),), init_from="G"),),
+        )
+        program = StencilProgram(
+            "wide", mesh, (FusedGroup((StencilLoop(k1), StencilLoop(k2))),),
+            state_fields=("U",),
+        )
+        plan = _plan_of(program, {"U": Field.random("U", mesh, seed=1)})
+        assert (plan.settle, plan.settle_refused) == (None, "wide_ring")
 
 
 # --------------------------------------------------------------------------- #
