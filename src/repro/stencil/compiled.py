@@ -699,6 +699,7 @@ class CompiledPlanCache:
                 plan_bytes=plan.nbytes,
                 settle=plan.settle,
                 refused=plan.settle_refused,
+                runs={out: [list(run) for run in runs] for out, runs in plan.runs.items()},
             )
         with self._lock:
             incumbent = self._plans.get(key)  # racing lowering: keep it

@@ -15,10 +15,14 @@ ufunc ops over precomputed interior views, with
   consumer has executed (the tape is sequential, so last-use is the emitting
   op itself);
 * **component merging** — consecutive output components whose expressions
-  are structurally identical modulo the component index (the RTM pattern:
-  five of the six RK4 components share one datapath) collapse into a single
-  sliced op over the component axis, cutting tape length and restoring
-  contiguous inner loops;
+  are structurally identical modulo the component index collapse into a
+  single sliced op over the component axis, cutting tape length and
+  restoring contiguous inner loops. One member of a run may carry one
+  extra additive term over the run's template (RTM's fpml: component 0
+  adds ``rho * Y0`` under the ``* dt`` all six share): the run computes
+  the template's subtree under the addend over every component, adds the
+  term on the carrier's strided view, then the template above it over the
+  whole run (:meth:`_Lowerer._lower_components`);
 * **ping-pong buffer rotation** — every produced field owns two storage
   buffers; each write alternates between them, so a kernel never reads the
   array it is writing and the steady-state loop allocates **no arrays at
@@ -217,6 +221,9 @@ class ProgramPlan:
     #: (``"radius"``, ``"wide_ring"`` or ``"unsettled"``)
     settle: int | None = None
     settle_refused: str | None = None
+    #: "kernel:field" -> ``(width, addend component or None)`` per component
+    #: run, in component order (see :meth:`_Lowerer._lower_components`)
+    runs: Mapping[str, tuple] = dc_field(default_factory=dict)
 
     @property
     def nbytes(self) -> int:
@@ -490,6 +497,28 @@ def _flat_layout(
 # --------------------------------------------------------------------------- #
 # component-merge templates
 # --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class _Addend:
+    """One run member's extra additive term over the run's template.
+
+    The carrier's expression is the template with the node at ``path`` (a
+    chain of ``lhs``/``rhs``/``operand`` steps from the root) replaced by
+    ``node + term`` (``term + node`` when ``left``).
+    """
+
+    comp: int
+    path: tuple[str, ...]
+    term: Expr
+    left: bool
+
+
+@dataclass(frozen=True)
+class _Hole(Expr):
+    """The already-computed part of a run's template, as an operand."""
+
+    view: View
+
+
 def _merge_template(e1: Expr, c1: int, e2: Expr, c2: int, dtype, classes: list) -> bool:
     """Whether components ``c1`` and ``c2`` perform identical arithmetic.
 
@@ -527,6 +556,75 @@ def _merge_template(e1: Expr, c1: int, e2: Expr, c2: int, dtype, classes: list) 
             and _merge_template(e1.rhs, c1, e2.rhs, c2, dtype, classes)
         )
     raise SimulationError(f"unknown expression node {type(e1).__name__}")
+
+
+def _addend_match(
+    e1: Expr, c1: int, e2: Expr, c2: int, dtype, classes: list, path: tuple = ()
+) -> _Addend | None:
+    """Where ``e2`` is ``e1``'s template plus one extra additive term.
+
+    Component ``c2`` carries the addend: one node of its tree is
+    ``S' + X`` (or ``X + S'``) where ``e1`` has ``S`` and ``S'`` merges
+    with ``S`` (:func:`_merge_template`); everything else matches too.
+    ``classes`` receives the classification of the template's accesses
+    only (``X`` is lowered on its own). The walk never enters a division,
+    so an addend under one finds no match. Returns ``None`` when no single
+    addend explains the difference — e.g. two extra terms.
+    """
+    mark = len(classes)
+    if isinstance(e2, BinOp) and e2.op == "+":
+        for base, term, left in ((e2.lhs, e2.rhs, False), (e2.rhs, e2.lhs, True)):
+            if _merge_template(e1, c1, base, c2, dtype, classes):
+                return _Addend(c2, path, term, left)
+            del classes[mark:]
+    if isinstance(e1, Neg) and isinstance(e2, Neg):
+        return _addend_match(
+            e1.operand, c1, e2.operand, c2, dtype, classes, path + ("operand",)
+        )
+    if isinstance(e1, BinOp) and isinstance(e2, BinOp) and e1.op == e2.op != "/":
+        # exactly one operand carries the addend; classes stay in visit order
+        if _merge_template(e1.lhs, c1, e2.lhs, c2, dtype, classes):
+            found = _addend_match(
+                e1.rhs, c1, e2.rhs, c2, dtype, classes, path + ("rhs",)
+            )
+            if found is not None:
+                return found
+        del classes[mark:]
+        found = _addend_match(e1.lhs, c1, e2.lhs, c2, dtype, classes, path + ("lhs",))
+        if found is not None and _merge_template(e1.rhs, c1, e2.rhs, c2, dtype, classes):
+            return found
+        del classes[mark:]
+    return None
+
+
+def _subtree(expr: Expr, path: tuple[str, ...]) -> Expr:
+    for step in path:
+        expr = getattr(expr, step)
+    return expr
+
+
+def _replaced(expr: Expr, path: tuple[str, ...], node: Expr) -> Expr:
+    """``expr`` with the subtree at ``path`` replaced by ``node``."""
+    if not path:
+        return node
+    child = _replaced(getattr(expr, path[0]), path[1:], node)
+    if isinstance(expr, Neg):
+        return Neg(child)
+    if path[0] == "lhs":
+        return BinOp(expr.op, child, expr.rhs)
+    return BinOp(expr.op, expr.lhs, child)
+
+
+def _split_classes(rest: Expr, base: Expr, classes: list) -> tuple[list, list]:
+    """A template's access classes, split into those of ``base`` (the
+    subtree the ``_Hole`` in ``rest`` stands for) and those of ``rest``."""
+    before = 0
+    for node in walk(rest):
+        if isinstance(node, _Hole):
+            break
+        before += isinstance(node, FieldAccess)
+    after = before + sum(isinstance(node, FieldAccess) for node in walk(base))
+    return classes[before:after], classes[:before] + classes[after:]
 
 
 # --------------------------------------------------------------------------- #
@@ -594,6 +692,8 @@ class _Lowerer:
         self.env: dict[str, str] = {}
         #: field -> spec of the value currently bound (inputs and outputs)
         self.specs: dict[str, MeshSpec] = {}
+        #: "kernel:field" -> (width, addend component or None) per run
+        self.runs: dict[str, tuple] = {}
         self.inputs = program.required_inputs
         for name in self.inputs:
             spec = input_specs[name]
@@ -646,6 +746,7 @@ class _Lowerer:
             expansions=dict(self.expansions),
             settle=settle,
             settle_refused=refused,
+            runs=dict(self.runs),
         )
 
     def _lower_iteration(self, emit_boundary: bool = True) -> list[TapeOp]:
@@ -679,7 +780,8 @@ class _Lowerer:
             dest = self._alloc_output_slot(out.field, out_spec)
             if emit_boundary:
                 self._lower_boundary(out, out_spec, dest, interior, start_env, tape)
-            self._lower_components(out, dest, interior, radius, coeffs, tape)
+            runs = self._lower_components(out, dest, interior, radius, coeffs, tape)
+            self.runs.setdefault(f"{kernel.name}:{out.field}", runs)
             self.env[out.field] = dest
             self.specs[out.field] = out_spec
             self.produced_specs[out.field] = out_spec
@@ -825,38 +927,112 @@ class _Lowerer:
         coeffs: Mapping[str, float],
         tape: list[TapeOp],
     ) -> None:
+        """Lower each run of merged components; returns ``(width, addend
+        component or None)`` per run.
+
+        A run with an addend lowers the template's subtree ``S`` under it
+        over the whole run, then ``dest[..., c] = dest[..., c] + X`` on the
+        carrier's strided view, then the template above ``S`` over the
+        whole run, reading ``dest``: each component computes the
+        interpreter's ops, so results stay bit-identical.
+        """
         exprs = out.exprs
+        runs = []
         comp = 0
         while comp < len(exprs):
-            end = comp + 1
-            template: list | None = None
-            while end < len(exprs):
-                candidate: list = []
-                if not _merge_template(
-                    exprs[comp], comp, exprs[end], end, self.dtype, candidate
-                ):
-                    break
-                if template is not None and candidate != template:
-                    break
-                template = candidate
-                end += 1
-            if end == comp + 1:
-                comp_sel: object = comp
-            else:
-                comp_sel = slice(comp, end)
+            end, ref, template, addend = self._component_run(exprs, comp)
+            comp_sel: object = comp if end == comp + 1 else slice(comp, end)
             dest_view = View(dest, interior + (comp_sel,))
-            layout = self._flat_run(out, exprs[comp], comp, comp_sel, template, radius)
-            if layout is not None:
-                self._lower_flat_root(
-                    exprs[comp], layout, dest_view, comp, comp_sel, radius,
-                    coeffs, tape, template,
+            if addend is None:
+                self._lower_run(
+                    out, exprs[ref], ref, comp_sel, dest_view, template,
+                    radius, coeffs, tape,
                 )
             else:
-                self._lower_expr_root(
-                    exprs[comp], comp, comp_sel, dest_view, radius, coeffs,
-                    tape, iter(template) if template is not None else None,
+                base = _subtree(exprs[ref], addend.path)
+                rest = _replaced(exprs[ref], addend.path, _Hole(dest_view))
+                base_classes, rest_classes = _split_classes(rest, base, template)
+                self._lower_run(
+                    out, base, ref, comp_sel, dest_view, base_classes,
+                    radius, coeffs, tape,
                 )
+                carrier = View(dest, interior + (addend.comp,))
+                term = self._lower_expr(
+                    addend.term, addend.comp, addend.comp, radius, coeffs, tape
+                )
+                args = (term, carrier) if addend.left else (carrier, term)
+                tape.append(TapeOp("add", args, carrier))
+                self.registers.release(term)
+                if addend.path:
+                    self._lower_expr_root(
+                        rest, ref, comp_sel, dest_view, radius, coeffs, tape,
+                        iter(rest_classes),
+                    )
+            runs.append((end - comp, None if addend is None else addend.comp))
             comp = end
+        return tuple(runs)
+
+    def _component_run(self, exprs: tuple[Expr, ...], comp: int):
+        """The run starting at ``comp``: ``(end, ref, classes, addend)``.
+
+        Members merge with the plain member ``ref`` (:func:`_merge_template`)
+        under one access classification; at most one member carries an
+        extra additive term (:func:`_addend_match`) — ``comp`` itself, when
+        ``comp + 1`` is the plain one. ``classes`` is ``None`` for a run of
+        one.
+        """
+        ref, end = comp, comp + 1
+        template: list | None = None
+        addend: _Addend | None = None
+        while end < len(exprs):
+            candidate: list = []
+            found = None
+            if not _merge_template(
+                exprs[ref], ref, exprs[end], end, self.dtype, candidate
+            ):
+                candidate = []
+                if addend is None:
+                    found = _addend_match(
+                        exprs[ref], ref, exprs[end], end, self.dtype, candidate
+                    )
+                if found is None and end == comp + 1:
+                    candidate = []
+                    found = _addend_match(
+                        exprs[end], end, exprs[comp], comp, self.dtype, candidate
+                    )
+                    ref = end if found else ref
+                if found is None:
+                    break
+            if template is not None and candidate != template:
+                break
+            template = candidate
+            addend = addend or found
+            end += 1
+        return end, ref, template, addend
+
+    def _lower_run(
+        self,
+        out,
+        expr: Expr,
+        comp: int,
+        comp_sel,
+        dest: View,
+        classes: list | None,
+        radius: tuple[int, ...],
+        coeffs: Mapping[str, float],
+        tape: list[TapeOp],
+    ) -> None:
+        """``dest = expr`` over a run: flat mode when it qualifies."""
+        layout = self._flat_run(out, expr, comp, comp_sel, classes, radius)
+        if layout is not None:
+            self._lower_flat_root(
+                expr, layout, dest, comp, comp_sel, radius, coeffs, tape, classes
+            )
+        else:
+            self._lower_expr_root(
+                expr, comp, comp_sel, dest, radius, coeffs, tape,
+                iter(classes) if classes is not None else None,
+            )
 
     # -- flat-mode lowering --------------------------------------------------
     def _lower_flat_root(
@@ -1047,6 +1223,8 @@ class _Lowerer:
                 ) from None
         if isinstance(expr, FieldAccess):
             return self._lower_access(expr, comp_sel, radius, classes)
+        if isinstance(expr, _Hole):
+            return expr.view
         if isinstance(expr, Neg):
             operand = self._lower_expr(
                 expr.operand, comp, comp_sel, radius, coeffs, tape, None, classes

@@ -131,6 +131,20 @@ class TestDisabledDefault:
 
 
 class TestEventLogCoverage:
+    def test_plan_compile_reports_component_runs(self, tmp_path):
+        """A trace shows whether components merged: RTM's K outputs are one
+        six-component run each, component 0 carrying the rho addend."""
+        path = tmp_path / "trace.jsonl"
+        obs.enable(trace_path=str(path))
+        program, envs = _batch("rtm", 1)
+        CompiledPlanCache().plan_for(program, envs[0])
+        obs.disable()
+        (plan,) = [e for e in read_events(path) if e["kind"] == "plan.compile"]
+        runs = plan["runs"]
+        assert runs["rtm_stage1:K1"] == [[6, 0]]
+        assert runs["rtm_stage4:Y"] == [[6, None]]
+        assert len(runs) == 8
+
     def test_trace_covers_compile_dispatch_and_worker(self, tmp_path):
         """The hard constraint: an enabled parallel run's event log spans
         compile → chunk dispatch → worker execution (thread workers)."""

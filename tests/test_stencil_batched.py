@@ -31,7 +31,7 @@ from repro.stencil.compiled import (
 from repro.stencil.expr import Coef, Const, FieldAccess
 from repro.stencil.kernel import KernelOutput, StencilKernel, single_output_kernel
 from repro.stencil.numpy_eval import run_program
-from repro.stencil.plan import lower_program
+from repro.stencil.plan import View, lower_program
 from repro.stencil.program import (
     FusedGroup,
     StencilLoop,
@@ -432,23 +432,38 @@ class TestMultiComponentFlatMode:
     def test_rtm_merged_ops_run_flat_with_expanded_constants(self):
         """RTM's merged multi-component ops leave their strided views.
 
-        Each RK4 stage's K output merges components 1..5 and every T/Y
-        update merges all six — with ``mu`` pre-expanded into a broadcast
-        buffer those runs lower to contiguous flat-mode lane ops, which is
-        exactly the ROADMAP follow-on this plan-introspection test pins.
+        Each RK4 stage's K output is one six-component run — component 0's
+        ``rho`` damping term is a one-component addend — and every T/Y
+        update merges all six; with ``mu`` pre-expanded into a broadcast
+        buffer those runs lower to contiguous flat-mode lane ops.
         """
         app = rtm_app((12, 12, 10))
         program = app.program_on((12, 12, 10))
         fields = app.fields((12, 12, 10))
         specs = {name: f.spec for name, f in fields.items()}
         plan = lower_program(program, program.mesh, specs)
+        assert {k: v for k, v in plan.runs.items() if ":K" in k} == {
+            f"rtm_stage{s}:K{s}": ((6, 0),) for s in range(1, 5)
+        }
         flat_ops = [op for op in plan.steady_odd if op.flat]
         assert flat_ops, "RTM steady tape has no flat-mode ops"
-        # the majority of the arithmetic rides the flat lane windows; the
-        # only strided interior arithmetic left is the four narrow
-        # component-0 expressions (rho damping term)
         arith = [op for op in plan.steady_odd if op.op not in ("copy", "fill")]
-        assert len(flat_ops) / len(arith) > 0.5
+        assert len(flat_ops) / len(arith) > 0.9
+        # the only strided arithmetic left: per K output its one-component
+        # addend (rho * Y0, then the add into component 0) and the ``* dt``
+        # above it, in place over the whole six-component run
+        strided = [op for op in arith if not op.flat]
+        addends = [
+            op for op in strided
+            if not (isinstance(op.dest, View) and op.dest.index[-1] == slice(0, 6))
+        ]
+        scaled = [op for op in strided if op not in addends]
+        assert len(addends) == 8 and len(scaled) == 4
+        for op in scaled:
+            assert op.op == "mul" and op.args[0] == op.dest
+        for mul, add in zip(addends[::2], addends[1::2]):
+            assert (mul.op, add.op) == ("mul", "add")
+            assert add.dest.index[-1] == 0 and add.args == (add.dest, mul.dest)
         # mu is read at a fixed component inside the merged runs -> one
         # load-time broadcast expansion to the 6-lane element stride
         assert plan.expansions == {"inx:mu:0x6": ("mu", 0)}
@@ -478,6 +493,55 @@ class TestMultiComponentFlatMode:
         program = single_kernel_program("narrow", mesh, kernel)
         plan = lower_program(program, mesh, {"U": mesh})
         assert not any(op.flat for op in plan.steady_odd)
+
+    @pytest.mark.parametrize(
+        "carrier, terms, runs",
+        [
+            # one extra term joins the run, wherever the carrier sits
+            ("first", ("rho",), ((4, 0),)),
+            ("last", ("rho",), ((4, 3),)),
+            # two terms on one component keep it apart
+            ("first", ("rho", "rho"), ((1, None), (3, None))),
+            # as does an addend under a division
+            ("div", ("rho",), ((1, None), (3, None))),
+            # and a second carrier: one addend per run
+            ("both", ("rho",), ((2, 0), (2, 2))),
+        ],
+    )
+    def test_one_addend_joins_the_run(self, carrier, terms, runs):
+        mesh = MeshSpec((10, 8), components=4)
+
+        def comp_expr(c):
+            u = lambda dx, dy: FieldAccess("U", (dx, dy), c)
+            lap = u(-1, 0) + u(1, 0) + u(0, -1) + u(0, 1)
+            carries = {"first": c == 0, "div": c == 0, "last": c == 3, "both": c in (0, 2)}
+            if carries[carrier]:
+                for _ in terms:
+                    lap = lap + FieldAccess("rho", (0, 0)) * u(0, 0)
+            if carrier == "div":
+                return lap / Coef("dt")
+            return lap * Coef("dt")
+
+        kernel = StencilKernel(
+            "damped",
+            (KernelOutput("U", tuple(comp_expr(c) for c in range(4)), "U"),),
+            {"dt": 0.25},
+        )
+        program = StencilProgram(
+            "damped", mesh, (FusedGroup((StencilLoop(kernel),)),),
+            state_fields=("U",), constant_fields=("rho",),
+        )
+        scalar = MeshSpec((10, 8))
+        plan = lower_program(program, mesh, {"U": mesh, "rho": scalar})
+        assert plan.runs == {"damped:U": runs}
+        batch = [
+            {
+                "U": Field.random("U", mesh, seed=s),
+                "rho": Field.random("rho", scalar, seed=s + 9),
+            }
+            for s in range(3)
+        ]
+        _assert_stacked_matches_replay_and_interpreter(program, batch, 4)
 
     def test_multi_component_flat_is_bit_identical_under_batching(self):
         app = rtm_app((12, 12, 10))
