@@ -20,6 +20,7 @@ from repro.dataflow.module import StencilModule
 from repro.mesh.mesh import Field
 from repro.stencil.compiled import (
     CompiledPlanCache,
+    Into,
     check_engine,
     run_program_compiled,
     run_program_stacked,
@@ -80,27 +81,27 @@ class IterativePipeline:
         fields: Mapping[str, Field],
         niter: int,
         coefficients: Mapping[str, float] | None,
-        copy: bool = True,
-    ) -> dict[str, Field]:
+        into: Into | None = None,
+    ) -> dict[str, Field] | None:
         return run_program_compiled(
             self.program, fields, niter, coefficients,
-            cache=self.plan_cache, engine=self.engine, copy=copy,
+            cache=self.plan_cache, engine=self.engine, into=into,
         )
 
     def run_pass(
         self,
         fields: Mapping[str, Field],
         coefficients: Mapping[str, float] | None = None,
-        copy: bool = True,
-    ) -> dict[str, Field]:
+        into: Into | None = None,
+    ) -> dict[str, Field] | None:
         """One pass = ``p`` chained iterations.
 
-        ``copy=False`` lets compiled-engine callers that immediately copy
-        the produced arrays themselves (the tiler's write-back) skip the
-        per-field result copies; the returned arrays then alias the cached
-        instance's buffers until its next run.
+        ``into`` names, per state field, the pass's output array (its view
+        over ``fields``' mesh) and the window of it this pass writes; the
+        pass then stores that window there and returns None
+        (:func:`~repro.stencil.compiled.run_program_compiled`).
         """
-        return self._run_iterations(fields, self.p, coefficients, copy=copy)
+        return self._run_iterations(fields, self.p, coefficients, into=into)
 
     def run(
         self,

@@ -2,10 +2,12 @@
 
 Splits the mesh into blocks that overlap by ``2 * p * r`` cells per split
 axis (``r`` = the program's per-iteration contamination radius), runs the
-``p``-iteration pipeline on each block independently, and writes back only
-the *valid* interior of each block. Boundary blocks extend their valid
-region to the true mesh boundary, where the Dirichlet (carry-through)
-semantics of the golden model apply identically.
+``p``-iteration pipeline on each block independently, and stores only the
+*valid* interior of each block into the pass output: the pass is given
+the output and the window (``run_pass(..., into=...)``) and stores it
+there itself. Boundary blocks extend their valid region to the true mesh
+boundary, where the Dirichlet (carry-through) semantics of the golden
+model apply identically.
 
 Correctness argument: a block cell at depth ``d`` from a block edge is exact
 after ``t`` iterations iff ``d >= t * r`` (staleness advances one stencil
@@ -16,6 +18,7 @@ property is asserted against the un-tiled golden run in the test suite.
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping
 
 import numpy as np
@@ -25,6 +28,7 @@ from repro.dataflow.pipeline import IterativePipeline
 from repro.mesh.mesh import Field, MeshSpec
 from repro.model.design import DesignPoint
 from repro.model.tiling import BlockPlan, plan_blocks
+from repro.stencil.compiled import placed_array
 from repro.stencil.program import StencilProgram
 from repro.util.errors import ValidationError
 from repro.util.rounding import ceil_div
@@ -77,10 +81,11 @@ class SpatialTiler:
 
         Mirrors the interpreter: the caller's bindings, with every state
         field replaced; the caller's arrays are only read. A pass writes
-        its state fields into arrays of the run's own, which the valid
-        regions of its blocks cover exactly, and the arrays a pass read
-        take the output of the pass after it: two arrays per state field
-        at most, however many passes run.
+        its state fields into arrays of the run's own (placed as an
+        instance's buffers are, :func:`~repro.stencil.compiled.placed_array`),
+        which the valid windows of its blocks cover exactly, and the arrays
+        a pass read take the output of the pass after it: two arrays per
+        state field at most, however many passes run.
         """
         if niter % self.design.p:
             raise ValidationError(
@@ -88,11 +93,12 @@ class SpatialTiler:
             )
         env = dict(fields)
         spare: dict[str, np.ndarray] = {}
+        slots = itertools.count()
         for k in range(niter // self.design.p):
             read = env
             out = {
-                name: spare[name] if name in spare else np.empty(
-                    read[name].spec.storage_shape, dtype=read[name].spec.dtype
+                name: spare[name] if name in spare else placed_array(
+                    read[name].spec.storage_shape, read[name].spec.dtype, next(slots)
                 )
                 for name in self.program.state_fields
             }
@@ -117,79 +123,55 @@ class SpatialTiler:
         out: dict[str, np.ndarray],
         coefficients: Mapping[str, float] | None,
     ) -> dict[str, Field]:
-        """One pass over every block of ``env``, each state field written
-        into its array of ``out`` (neither read nor aliased by ``env``)."""
+        """One pass over every block of ``env``, each state field stored
+        into its array of ``out`` (neither read nor aliased by ``env``):
+        each block's pass stores its valid window there itself."""
         mesh = next(iter(env.values())).spec
         axis_plans = self._axis_plans(mesh)
-        state_out = {
-            name: Field(name, env[name].spec, out[name])
-            for name in self.program.state_fields
-        }
         if mesh.ndim == 2:
             combos = [(bm,) for bm in axis_plans[0]]
         else:
             combos = [(bm, bn) for bm in axis_plans[0] for bn in axis_plans[1]]
         for combo in combos:
-            block_env = self._extract_block(env, mesh, combo)
-            # copy=False: _write_back copies the valid region out before
-            # the next block reuses the cached compiled instance
-            result = self.pipeline.run_pass(block_env, coefficients, copy=False)
-            self._write_back(state_out, result, combo)
-        out = dict(env)
-        out.update(state_out)
-        return out
-
-    def _extract_block(
-        self,
-        env: dict[str, Field],
-        mesh: MeshSpec,
-        combo: tuple[BlockPlan, ...],
-    ) -> dict[str, Field]:
-        # storage order is reversed paper order: (n, m, c) / (l, n, m, c)
-        if mesh.ndim == 2:
-            (bm,) = combo
-            storage = (slice(None), slice(bm.start, bm.end))
-            shape = (bm.extent, mesh.shape[1])
-        else:
-            bm, bn = combo
-            storage = (slice(None), slice(bn.start, bn.end), slice(bm.start, bm.end))
-            shape = (bm.extent, bn.extent, mesh.shape[2])
-        block_env: dict[str, Field] = {}
-        for name in self.program.external_reads():
-            f = env[name]
-            sub_spec = MeshSpec(shape, f.spec.components, f.spec.dtype)
-            # a view, not a copy: no engine writes through its inputs (the
-            # compiled one copies it into the plan's buffers at load, the
-            # native one reads it where it lives, on a descriptor re-derived
-            # for the mesh's outer strides, and never stores into it; the
-            # interpreter computes into fresh arrays)
-            block_env[name] = Field(name, sub_spec, f.data[storage])
-        return block_env
-
-    def _write_back(
-        self,
-        state_out: dict[str, Field],
-        result: Mapping[str, Field],
-        combo: tuple[BlockPlan, ...],
-    ) -> None:
-        if len(combo) == 1:
-            (bm,) = combo
-            dst = (slice(None), slice(bm.valid_start, bm.valid_end))
-            src = (slice(None), slice(bm.valid_start - bm.start, bm.valid_end - bm.start))
-        else:
-            bm, bn = combo
-            dst = (
-                slice(None),
-                slice(bn.valid_start, bn.valid_end),
-                slice(bm.valid_start, bm.valid_end),
-            )
-            src = (
-                slice(None),
-                slice(bn.valid_start - bn.start, bn.valid_end - bn.start),
-                slice(bm.valid_start - bm.start, bm.valid_end - bm.start),
-            )
+            block, shape, window = self._block(mesh, combo)
+            block_env: dict[str, Field] = {}
+            for name in self.program.external_reads():
+                f = env[name]
+                sub_spec = MeshSpec(shape, f.spec.components, f.spec.dtype)
+                # a view, not a copy: no engine writes through its inputs
+                # (the compiled one copies it into the plan's buffers at
+                # load, the native one reads it where it lives, on a
+                # descriptor re-derived for the mesh's outer strides, and
+                # never stores into it; the interpreter computes into
+                # fresh arrays)
+                block_env[name] = Field(name, sub_spec, f.data[block])
+            into = {
+                name: (out[name][block], window) for name in self.program.state_fields
+            }
+            self.pipeline.run_pass(block_env, coefficients, into=into)
+        result = dict(env)
         for name in self.program.state_fields:
-            state_out[name].data[dst] = result[name].data[src]
+            result[name] = Field(name, env[name].spec, out[name])
+        return result
+
+    @staticmethod
+    def _block(
+        mesh: MeshSpec, combo: tuple[BlockPlan, ...]
+    ) -> tuple[tuple[slice, ...], tuple[int, ...], tuple[slice, ...]]:
+        """The block's storage slices of the mesh, its mesh shape, and the
+        storage slices of its valid window within it."""
+        # storage order is reversed paper order: (n, m, c) / (l, n, m, c)
+        spans = [
+            (
+                slice(b.start, b.end),
+                slice(b.valid_start - b.start, b.valid_end - b.start),
+            )
+            for b in reversed(combo)
+        ]
+        block = (slice(None), *(span for span, _ in spans))
+        window = (slice(None), *(valid for _, valid in spans))
+        shape = (*(b.extent for b in combo), *mesh.shape[len(combo):])
+        return block, shape, window
 
     # -- structural cycle accounting ------------------------------------------
     def pass_cycles(self, mesh: MeshSpec, clock_hz: float) -> float:

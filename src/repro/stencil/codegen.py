@@ -71,7 +71,9 @@ each build there. :func:`footprints` reads back, from the descriptor
 alone, the element range every access of every call reaches, and
 :func:`restride` moves every access of one base to an array of the same
 shape at other strides, so a view of a wider mesh can get a descriptor
-of its own for the same artifact.
+of its own for the same artifact; :func:`clip_stores` runs a tape's
+stores into one base over a window of it only, so a tiler block's last
+iteration can store its valid window into the pass output.
 """
 
 from __future__ import annotations
@@ -571,21 +573,27 @@ def _moved(
 
 
 def restride(
-    ir: NativeIR, base: int, shape: tuple[int, ...], strides: tuple[int, ...]
+    ir: NativeIR,
+    base: int,
+    shape: tuple[int, ...],
+    strides: tuple[int, ...],
+    tape: int | None = None,
 ) -> NativeIR | None:
     """``ir`` with every access of ``base``, a C-contiguous array of
     ``shape``, re-addressed to the same elements of an array of that shape
-    laid out at element ``strides``; None when an access leaves the array
-    on some storage axis (a flat window wrapping a row).
+    laid out at element ``strides`` — in every tape, or in tape ``tape``
+    alone; None when an access leaves the array on some storage axis (a
+    flat window wrapping a row).
 
     Each access's offset and loop strides split into whole steps per
     storage axis. When the steps keep every axis index within its extent
     over the whole loop, each iteration names one in-range element, which
     ``strides`` place; an access that wraps has no such split."""
+    chosen = range(len(ir.tapes)) if tape is None else (tape,)
     accesses = {
         a
-        for tape in ir.tapes
-        for stmt in tape
+        for t in chosen
+        for stmt in ir.tapes[t]
         for a in (stmt.dest, *_expr_loads(stmt.expr))
         if a.base == base
     }
@@ -599,8 +607,85 @@ def restride(
             _map_loads(stmt.expr, lambda a: Load(moved.get(a, a))),
         )
 
-    tapes = [[statement(stmt) for stmt in tape] for tape in ir.tapes]
-    return replace(ir, warm=tuple(tapes[:-2]), steady=(tapes[-2], tapes[-1]))
+    return _with_tapes(
+        ir, {t: [statement(stmt) for stmt in ir.tapes[t]] for t in chosen}
+    )
+
+
+def _with_tapes(ir: NativeIR, tapes: dict[int, list[Statement]]) -> NativeIR:
+    """``ir`` with the tapes of ``tapes`` (index -> statements) replaced."""
+    merged = [tapes.get(t, tape) for t, tape in enumerate(ir.tapes)]
+    return replace(ir, warm=tuple(merged[:-2]), steady=(merged[-2], merged[-1]))
+
+
+def _clipped(a: Access, lows: Sequence[int], shape: tuple[int, ...]) -> Access:
+    """``a`` over the loop box that starts at ``lows`` and has ``shape``."""
+    offset = sum(lo * s for lo, s in zip(lows, a.strides))
+    return Access(a.base, a.offset + offset, shape, a.strides)
+
+
+def clip_stores(
+    ir: NativeIR,
+    tape: int,
+    base: int,
+    shape: tuple[int, ...],
+    window: tuple[slice, ...],
+) -> tuple[NativeIR, list[Access], list[int]] | str:
+    """``ir`` with each statement of tape ``tape`` that stores into
+    ``base``, a C-contiguous array of ``shape``, run over the part of its
+    loop space whose stores land in ``window`` (one ``slice`` per storage
+    axis); the clipped stores; and the positions in the tape of the
+    statements left with no store in the window — those keep their loop
+    space here, for the caller to run over none of it. Or why not:
+    ``"reads"`` when the tape also loads from ``base``, which the stores
+    would then not feed; ``"window"`` when a window axis is stepped by two
+    loops of one statement, so no box of its loop space is the clipped one.
+
+    A loop whose steps (:func:`_moved`'s split) move a storage axis keeps
+    the indices that land inside the window on that axis; an axis no loop
+    moves keeps all or none. Every access of the statement shifts with the
+    loop box, so each iteration kept computes what it did."""
+    statements = list(ir.tapes[tape])
+    if any(a.base == base for stmt in statements for a in _expr_loads(stmt.expr)):
+        return "reads"
+    dense = dense_strides(shape)
+    bounds = [sl.indices(n)[:2] for sl, n in zip(window, shape)]
+    stores: list[Access] = []
+    emptied: list[int] = []
+    for j, stmt in enumerate(statements):
+        dest = stmt.dest
+        if dest.base != base:
+            continue
+        start = np.unravel_index(dest.offset, shape)
+        steps = [_row_shift(s, dense)[0] for s in dest.strides]
+        box = [[0, n] for n in dest.shape]
+        inside = True
+        for axis, (lo, hi) in enumerate(bounds):
+            loops = [k for k, n in enumerate(dest.shape) if n > 1 and steps[k][axis]]
+            if len(loops) > 1:
+                return "window"
+            at = int(start[axis])
+            if not loops:
+                inside = inside and lo <= at < hi
+                continue
+            (k,) = loops
+            # the loop indices i with lo <= at + i * step < hi: the i with
+            # first <= i * |step| <= last
+            step = steps[k][axis]
+            first, last = (lo - at, hi - 1 - at) if step > 0 else (at - hi + 1, at - lo)
+            size = abs(step)
+            box[k] = [max(box[k][0], -(-first // size)), min(box[k][1], last // size + 1)]
+        extents = tuple(hi - lo for lo, hi in box)
+        if not inside or min(extents, default=1) <= 0:
+            emptied.append(j)
+            continue
+        lows = [lo for lo, _ in box]
+        statements[j] = Statement(
+            _clipped(dest, lows, extents),
+            _map_loads(stmt.expr, lambda a: Load(_clipped(a, lows, extents))),
+        )
+        stores.append(statements[j].dest)
+    return _with_tapes(ir, {tape: statements}), stores, emptied
 
 
 @dataclass(frozen=True)

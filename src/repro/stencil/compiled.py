@@ -85,6 +85,11 @@ _UFUNCS = {
 #: a bound tape op: ``fn(*args)`` with the out array included in ``args``
 BoundOp = tuple[Callable, tuple]
 
+#: where a run leaves each state field: the output array's view over the
+#: mesh the run computes (its storage shape, the output's strides) and the
+#: window of it the run writes, one ``slice`` per storage axis
+Into = Mapping[str, tuple[np.ndarray, tuple[slice, ...]]]
+
 #: FP-warning suppression for plans with flat-mode ops: their ghost lanes
 #: (wrapped neighbours) can hit overflow/invalid values the interpreter
 #: never computes
@@ -99,7 +104,7 @@ _PAGE = 4096
 _STAGGER = 5 * 64
 
 
-def _placed_array(
+def placed_array(
     shape: tuple[int, ...], dtype, slot: int, zeroed: bool = False
 ) -> np.ndarray:
     """A new array of ``shape`` that starts ``slot * _STAGGER`` bytes (mod
@@ -187,7 +192,8 @@ class CompiledProgram:
         self._suppress_fp = any(
             op.flat for tape in plan.warm + plan.steady for op in tape
         )
-        self._iterations_done = 0
+        #: None after a run that stored its result into destinations
+        self._iterations_done: int | None = 0
         self._lock = threading.Lock()
         self._bind_executor()
 
@@ -197,9 +203,9 @@ class CompiledProgram:
 
     def _new_array(self, shape: tuple[int, ...], zeroed: bool = False) -> np.ndarray:
         """An array of the plan's dtype in this instance's next placement
-        slot (:func:`_placed_array`): every array the instance streams is
+        slot (:func:`placed_array`): every array the instance streams is
         allocated here."""
-        return _placed_array(shape, self.plan.mesh.dtype, next(self._slots), zeroed)
+        return placed_array(shape, self.plan.mesh.dtype, next(self._slots), zeroed)
 
     @property
     def nbytes(self) -> int:
@@ -439,6 +445,10 @@ class CompiledProgram:
         call, not per op — the hot loop stays free of per-iteration
         bookkeeping.)
         """
+        if self._iterations_done is None:
+            raise ValidationError(
+                "no inputs loaded: load() them before run_iterations()"
+            )
         if self._suppress_fp:
             with np.errstate(**_FLAT_ERRSTATE):
                 self._iterate(n)
@@ -472,53 +482,44 @@ class CompiledProgram:
                     fn(*args)
         self._iterations_done = end
 
-    def result(
-        self, fields: Mapping[str, Field], copy: bool = True
-    ) -> dict[str, Field]:
+    def result(self, fields: Mapping[str, Field]) -> dict[str, Field]:
         """The field environment after the iterations run so far.
 
         Mirrors the interpreter: the caller's bindings, with every produced
         field replaced by a fresh copy of its final buffer. Batched
         instances materialize per-mesh environments via
         :meth:`result_stacked` instead.
-
-        ``copy=False`` skips the per-buffer copies: produced fields alias
-        the live ping-pong buffers. For callers that immediately re-copy
-        the data themselves (the tiler's write-back) — the aliases are
-        invalidated by the instance's next :meth:`load` or iteration.
         """
         if self.batch > 1:
             raise ValidationError(
                 "this compiled program is batch-major; use result_stacked()"
             )
         env: dict[str, Field] = dict(fields)
-        for fname, slot in self.plan.final_env(self._iterations_done).items():
+        for fname, slot in self._final_env().items():
             spec = self.plan.produced_specs[fname]
             buf = self._buffers[slot]
-            env[fname] = Field(fname, spec, buf.copy() if copy else buf)
+            env[fname] = Field(fname, spec, buf.copy())
         return env
 
     def result_stacked(
-        self, batch_fields: Sequence[Mapping[str, Field]], copy: bool = True
+        self, batch_fields: Sequence[Mapping[str, Field]]
     ) -> list[dict[str, Field]]:
         """Per-mesh field environments after the iterations run so far.
 
         Element ``b`` mirrors what an independent single-mesh run on
-        ``batch_fields[b]`` would have returned. ``copy=False`` returns
-        per-mesh *views* of the stacked buffers (same aliasing caveats as
-        :meth:`result`).
+        ``batch_fields[b]`` would have returned.
         """
         if len(batch_fields) != self.batch:
             raise ValidationError(
                 f"expected {self.batch} batch members, got {len(batch_fields)}"
             )
         envs: list[dict[str, Field]] = [dict(env) for env in batch_fields]
-        for fname, slot in self.plan.final_env(self._iterations_done).items():
+        for fname, slot in self._final_env().items():
             spec = self.plan.produced_specs[fname]
             stack = self._stacked_view(self._buffers[slot])
             for b in range(self.batch):
                 mesh = stack[b]
-                envs[b][fname] = Field(fname, spec, mesh.copy() if copy else mesh)
+                envs[b][fname] = Field(fname, spec, mesh.copy())
         return envs
 
     def final_arrays(self) -> dict[str, np.ndarray]:
@@ -532,13 +533,24 @@ class CompiledProgram:
         """
         return {
             fname: self._stacked_view(self._buffers[slot])
-            for fname, slot in self.plan.final_env(self._iterations_done).items()
+            for fname, slot in self._final_env().items()
         }
+
+    def _final_env(self) -> Mapping[str, str]:
+        """The slot holding each produced field after the iterations run so
+        far; none to read after a run given destinations, whose last
+        iteration may have stored there only."""
+        if self._iterations_done is None:
+            raise ValidationError(
+                "the last run stored its result into its destinations: "
+                "load() inputs before reading a result"
+            )
+        return self.plan.final_env(self._iterations_done)
 
     # -- one-call API ---------------------------------------------------------
     def run(
-        self, fields: Mapping[str, Field], niter: int, copy: bool = True
-    ) -> dict[str, Field]:
+        self, fields: Mapping[str, Field], niter: int, into: Into | None = None
+    ) -> dict[str, Field] | None:
         """Run the full solve: load, iterate ``niter`` times, materialize.
 
         Inputs are bound for the length of the call by
@@ -547,27 +559,48 @@ class CompiledProgram:
         eligible ones where they live instead. Either way the caller's
         arrays are never written, and the instance keeps no reference to
         them once the call returns.
+
+        ``into`` (:data:`Into`) names a destination for state fields:
+        the run then returns None and leaves each named field's window in
+        its destination, and no other cell of it. Here the window is
+        copied out of the final buffer; a ``cc``-bound native instance
+        stores it there from its last iteration instead, where it can, so
+        the instance holds no result after such a run (:meth:`result`
+        and :meth:`final_arrays` raise until the next :meth:`load`).
         """
         if niter < 0:
             raise ValidationError(f"niter must be non-negative, got {niter}")
         if niter == 0:
-            return dict(fields)
-        with self._lock, self._bound_inputs(fields):
+            return _returned(into, fields)
+        final = self.plan.final_env(niter)
+        for name, (dest, _) in (into or {}).items():
+            buf = self._buffers.get(final.get(name))
+            if buf is None or (dest.shape, dest.dtype) != (buf.shape, buf.dtype):
+                raise ValidationError(
+                    f"no produced field {name!r} of shape {dest.shape} and "
+                    f"dtype {dest.dtype} to store"
+                )
+        with self._lock, self._bound_inputs(fields, niter, into) as copied:
             self.run_iterations(niter)
-            return self.result(fields, copy=copy)
+            if into is None:
+                return self.result(fields)
+            _store_windows(copied, {name: self._buffers[final[name]] for name in final})
+            self._iterations_done = None
+            return None
 
     @contextmanager
-    def _bound_inputs(self, fields: Mapping[str, Field]) -> Iterator[None]:
+    def _bound_inputs(
+        self, fields: Mapping[str, Field], niter: int, into: Into | None
+    ) -> Iterator[Into]:
         """The caller's inputs, readable by the iterations of one
-        :meth:`run` call: copied into the instance's input buffers."""
+        :meth:`run` call of ``niter`` iterations, copied into the
+        instance's input buffers; yields the destinations of ``into``
+        :meth:`run` copies the window into (here, all of them)."""
         self.load(fields)
-        yield
+        yield into or {}
 
     def run_stacked(
-        self,
-        batch_fields: Sequence[Mapping[str, Field]],
-        niter: int,
-        copy: bool = True,
+        self, batch_fields: Sequence[Mapping[str, Field]], niter: int
     ) -> list[dict[str, Field]]:
         """Solve ``B`` same-spec meshes in one tape replay over the stack."""
         if niter < 0:
@@ -581,7 +614,7 @@ class CompiledProgram:
         with self._lock:
             self.load_stacked(batch_fields)
             self.run_iterations(niter)
-            return self.result_stacked(batch_fields, copy=copy)
+            return self.result_stacked(batch_fields)
 
 
 class CompiledPlanCache:
@@ -901,8 +934,8 @@ def run_program_compiled(
     coefficients: Mapping[str, float] | None = None,
     cache: CompiledPlanCache | None = None,
     engine: str = "compiled",
-    copy: bool = True,
-) -> dict[str, Field]:
+    into: Into | None = None,
+) -> dict[str, Field] | None:
     """Drop-in replacement for the interpreter's ``run_program``.
 
     Compiles (or reuses) the plan for this binding and replays it. Returns
@@ -913,8 +946,9 @@ def run_program_compiled(
     :class:`~repro.stencil.native.NativeProgram` (generated loop nests,
     still bit-identical); ``engine="interpreter"`` walks the golden
     interpreter; every other value uses the plain tape replay.
-    ``copy=False`` returns buffer-aliasing results (see
-    :meth:`CompiledProgram.result`).
+    ``into`` stores state fields' windows into destinations and returns
+    None (:meth:`CompiledProgram.run`); the interpreter's result is copied
+    there.
 
     Plans compute every op in one dtype, while the interpreter applies
     NumPy's promotion rules to the fields' native dtypes — so a binding
@@ -931,17 +965,33 @@ def run_program_compiled(
             )
     if niter == 0:
         # nothing to run: do not compile (and cache) a plan for it
-        return dict(fields)
+        return _returned(into, fields)
     dtypes = {
         fields[name].spec.dtype for name in program.required_inputs
     }
     if engine == "interpreter" or len(dtypes) > 1:
         from repro.stencil.numpy_eval import run_program
 
-        return run_program(program, fields, niter, coefficients, engine="interpreter")
+        env = run_program(program, fields, niter, coefficients, engine="interpreter")
+        return _returned(into, env)
     cache = cache if cache is not None else DEFAULT_CACHE
     compiled = cache.get(program, fields, coefficients, native=engine == "native")
-    return compiled.run(fields, niter, copy=copy)
+    return compiled.run(fields, niter, into=into)
+
+
+def _store_windows(into: Into, arrays: Mapping[str, np.ndarray]) -> None:
+    """Copy each field's window of ``arrays`` into its destination."""
+    for name, (dest, window) in into.items():
+        np.copyto(dest[window], arrays[name][window])
+
+
+def _returned(into: Into | None, env: Mapping[str, Field]) -> dict[str, Field] | None:
+    """``env`` as a run returns it: a copy without ``into``; with it, None,
+    each named field's window stored into its destination."""
+    if into is None:
+        return dict(env)
+    _store_windows(into, {name: env[name].data for name in into})
+    return None
 
 
 def check_stacked_batch(

@@ -62,6 +62,24 @@ a ``native.copy_in`` event names the input and why (``layout``, ``wrap``,
 ``sha`` or ``shares_memory``), once per instance, reason and layout. The
 ``inx:`` expansions are filled from wherever the input lives, and the
 pointers and descriptor are reset before ``run`` returns.
+
+A run given destinations (``into=``: per state field, the output array's
+view over the mesh and the valid window of it, as a tiler pass passes
+them) stores the window there **from its last iteration**, on the same
+artifact. That iteration runs on a second descriptor, re-derived from
+the IR the run reads on: the last tape's stores into the field's buffer
+are clipped to the window (:func:`~repro.stencil.codegen.clip_stores`; a
+store with none in it runs over no cell) and moved to the destination's
+strides (:func:`~repro.stencil.codegen.restride`), and the buffer's
+pointer-table entry addresses the destination for that one call. The
+window's cells the last tape never stores (a settled boundary ring) are
+copied from the buffer after it. Memoized per input layout, last tape
+and destination layout, and used only when the re-lowered source keeps
+the bound artifact's sha and every footprint lies inside its array. A
+destination that cannot be served has its window copied out of the
+final buffer after the run, and a ``native.copy_out`` event names the
+field and why (``tape``, ``layout``, ``shares_memory``, ``reads``,
+``window``, ``wrap`` or ``sha``), once per instance, reason and layout.
 """
 
 from __future__ import annotations
@@ -87,9 +105,11 @@ from repro import observability as obs
 from repro.mesh.mesh import Field
 from repro.stencil.codegen import (
     _OMP_MIN_CELLS,
+    Access,
     NativeCode,
     NativeIR,
     build_ir,
+    clip_stores,
     dense_strides,
     emit_c,
     footprints,
@@ -97,7 +117,7 @@ from repro.stencil.codegen import (
     restride,
     unique_statements,
 )
-from repro.stencil.compiled import _FLAT_ERRSTATE, CompiledProgram
+from repro.stencil.compiled import _FLAT_ERRSTATE, CompiledProgram, Into
 from repro.stencil.plan import ProgramPlan
 from repro.util.errors import ValidationError
 
@@ -354,6 +374,24 @@ class _Runner:
         """Address ``base`` at ``arr``'s data, or at nothing."""
         self._ptrs[base] = 0 if arr is None else arr.__array_interface__["data"][0]
 
+    def run_on(
+        self, descriptor: np.ndarray, arrays: Mapping[int, np.ndarray],
+        restore: Mapping[int, np.ndarray], k0: int, n: int,
+    ) -> None:
+        """Iterations ``k0 .. k0+n`` on ``descriptor`` with each base of
+        ``arrays`` addressed at its array; then the descriptor in use
+        before and each base of ``restore`` at its array again."""
+        active = self._active
+        self.describe(descriptor)
+        for base, arr in arrays.items():
+            self.point(base, arr)
+        try:
+            self(k0, n)
+        finally:
+            self.describe(active)
+            for base, arr in restore.items():
+                self.point(base, arr)
+
     def pointed(self, bases) -> bool:
         """True when every base of ``bases`` addresses an array."""
         return all(self._ptrs[base] for base in bases)
@@ -525,6 +563,65 @@ def _check_on_proxy(runner: _Runner, proxy: Proxy) -> bool | str:
     return _check(inst, candidate, keep)
 
 
+def _reach(shape: Sequence[int], strides: Sequence[int]) -> int:
+    """Elements an array of ``shape`` at element ``strides`` spans."""
+    return 1 + sum((n - 1) * s for n, s in zip(shape, strides))
+
+
+def _unstored(
+    shape: tuple[int, ...], window: tuple[slice, ...], stores: Sequence[Access]
+) -> list[tuple[slice, ...]] | None:
+    """Boxes covering the cells of ``window``, in a C-contiguous array of
+    ``shape``, that no access of ``stores`` reaches; None when one reaches
+    a cell outside the window (a neighbouring block's)."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[window] = True
+    flat = mask.reshape(-1)
+    views = []
+    for a in stores:
+        spans = [(n - 1) * s for n, s in zip(a.shape, a.strides)]
+        low = a.offset + sum(min(d, 0) for d in spans)
+        if low < 0 or a.offset + sum(max(d, 0) for d in spans) >= flat.size:
+            return None
+        view = np.lib.stride_tricks.as_strided(flat[a.offset :], a.shape, a.strides)
+        views.append(view)
+    if not all(view.all() for view in views):
+        return None
+    for view in views:
+        view[...] = False
+    return _boxes(mask)
+
+
+def _boxes(mask: np.ndarray) -> list[tuple[slice, ...]]:
+    """Boxes covering the true cells of ``mask``: the runs of equal slices
+    along its first axis, each split the same way along the rest."""
+    if not mask.any():
+        return []
+    if mask.ndim == 0:
+        return [()]
+    rows = mask.reshape(len(mask), -1)
+    cuts = [0, *(np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1), len(mask)]
+    return [
+        (slice(lo, hi), *box)
+        for lo, hi in zip(cuts, cuts[1:])
+        for box in _boxes(mask[lo])
+    ]
+
+
+class _Layout(NamedTuple):
+    """How a run reads its inputs (:meth:`NativeProgram._restrided`)."""
+
+    #: the memo key: name -> element strides of each input read restrided
+    key: tuple
+    #: the descriptor the run reads on; None for the binding's own
+    descriptor: np.ndarray | None
+    #: inputs copied in instead, each with why
+    refused: dict[str, str]
+    #: the IR the descriptor is lowered from, and its bases' sizes
+    ir: NativeIR
+    sizes: list[int]
+
+
 class NativeProgram(CompiledProgram):
     """A compiled program whose iterations run generated native code.
 
@@ -542,7 +639,8 @@ class NativeProgram(CompiledProgram):
     caller's arrays for the length of the call — a tiler block's too, on
     a descriptor re-derived for its strides — and an input buffer is
     allocated only when a copy first needs it (:meth:`load`, an array
-    that cannot be read in place).
+    that cannot be read in place). Its last iteration stores into the
+    destinations a run is given, where it can (:meth:`_redirected`).
     """
 
     def __init__(self, plan, batch: int = 1, proxy: Proxy | None = None):
@@ -552,13 +650,22 @@ class NativeProgram(CompiledProgram):
         self._stats: dict = {}
         #: input name -> base of each input a run reads where it lives
         self._in_place: dict[str, int] = {}
+        #: buffer slot -> its base in the pointer table
+        self._bases: dict[str, int] = {}
         #: the bound IR's statements (no arrays) and its bases' sizes, from
-        #: which a descriptor for inputs laid out otherwise is re-derived
+        #: which a descriptor for arrays laid out otherwise is re-derived;
+        #: kept by a ``cc`` binding at batch 1
         self._ir: NativeIR | None = None
         self._sizes: list[int] = []
         #: input layouts (name -> element strides) -> :meth:`_restrided`
-        self._layouts: dict[tuple, tuple[np.ndarray | None, dict[str, str]]] = {}
-        #: (input, reason, strides) of each copy a ``native.copy_in`` reported
+        self._layouts: dict[tuple, _Layout] = {}
+        #: (input layout, tape, destinations) -> :meth:`_redirected`
+        self._stores: dict[tuple, tuple[np.ndarray | None, dict, dict]] = {}
+        #: the last iteration of the run in flight: its descriptor and,
+        #: per redirected base, (destination, buffer, boxes to copy)
+        self._final: tuple[np.ndarray, dict[int, tuple]] | None = None
+        #: (kind, field, reason, strides) of each copy a ``native.copy_in``
+        #: or ``native.copy_out`` reported
         self._copies: set[tuple] = set()
         super().__init__(plan, batch)
 
@@ -601,6 +708,8 @@ class NativeProgram(CompiledProgram):
         if runner is not None:
             keep = _read_registers(self, ir)
             in_place = _in_place_inputs(self, ir)
+            index = {id(base): i for i, base in enumerate(ir.bases)}
+            bases = {slot: index[id(buf)] for slot, buf in self._buffers.items()}
             # the emission reads only how many bases there are: keep no array
             sizes = [b.size for b in ir.bases]
             statements = replace(ir, bases=[None] * len(sizes))
@@ -628,8 +737,8 @@ class NativeProgram(CompiledProgram):
                 self._registers = {
                     key: reg for key, reg in self._registers.items() if key in keep
                 }
-                self._in_place = in_place
-                if in_place:
+                self._in_place, self._bases = in_place, bases
+                if self.batch == 1:
                     self._ir, self._sizes = statements, sizes
                 for name, base in in_place.items():
                     del self._buffers[f"in:{name}"]
@@ -682,18 +791,24 @@ class NativeProgram(CompiledProgram):
         return buf
 
     @contextmanager
-    def _bound_inputs(self, fields: Mapping[str, Field]) -> Iterator[None]:
+    def _bound_inputs(
+        self, fields: Mapping[str, Field], niter: int, into: Into | None
+    ) -> Iterator[Into]:
         """Point the code at each in-place input the caller's array can
         stand in for (:func:`_in_place_layout`, then :meth:`_restrided`
         for one laid out at other outer strides) and copy the rest, for
         the length of one :meth:`run`; the caller holds the instance lock.
         When no array qualifies, every input is copied in by :meth:`load`.
-        On the way out every pointer and the descriptor set here are
-        reset, so the instance keeps nothing of the caller's."""
-        arrays = self._input_arrays(fields) if self._in_place else {}
+
+        Each destination of ``into`` the last iteration can store into
+        (:meth:`_redirected`) is stored there; the destinations it cannot
+        are yielded, for :meth:`run` to copy the window into. On the way
+        out every pointer and descriptor set here is reset, so the
+        instance keeps nothing of the caller's."""
+        arrays = self._input_arrays(fields) if self._in_place or into else {}
         owned = [*self._buffers.values(), *self._registers.values()]
         layouts = {name: _in_place_layout(arrays[name], owned) for name in self._in_place}
-        descriptor, refused = self._restrided(
+        layout = self._restrided(
             {
                 name: strides for name, strides in layouts.items()
                 if isinstance(strides, tuple)
@@ -702,42 +817,55 @@ class NativeProgram(CompiledProgram):
         )
         reasons = {
             name: reason for name, reason in layouts.items() if isinstance(reason, str)
-        } | refused
+        } | layout.refused
         for name, reason in reasons.items():
-            # once per input, reason and layout
-            copy = (name, reason, arrays[name].strides)
-            if obs.is_enabled() and copy not in self._copies:
-                self._copies.add(copy)
-                obs.emit(
-                    "native.copy_in", input=name, reason=reason,
-                    strides=list(copy[2]), mesh=list(self.plan.mesh.shape),
-                )
+            self._report("native.copy_in", "input", name, reason, arrays[name])
         pointed = {name: arrays[name] for name in layouts if name not in reasons}
-        if not pointed:
-            with super()._bound_inputs(fields):
-                yield
-            return
-        inputs: dict[str, np.ndarray] = {}
+        final, copied = None, {}
+        if into:
+            final, refused = self._redirected(
+                layout, niter, into, [*owned, *arrays.values()]
+            )
+            for name, reason in refused.items():
+                self._report("native.copy_out", "output", name, reason, into[name][0])
+            copied = {name: into[name] for name in refused}
         try:
-            self._runner.describe(descriptor)
-            for name, data in arrays.items():
-                if name in pointed:
-                    self._runner.point(self._in_place[name], data)
-                    inputs[name] = data
-                else:
-                    inputs[name] = self._input_buffer(name)
-                    np.copyto(inputs[name], data)
-            self._load_expansions(inputs)
-            self._iterations_done = 0
-            yield
+            if pointed:
+                self._runner.describe(layout.descriptor)
+                inputs: dict[str, np.ndarray] = {}
+                for name, data in arrays.items():
+                    if name in pointed:
+                        self._runner.point(self._in_place[name], data)
+                        inputs[name] = data
+                    else:
+                        inputs[name] = self._input_buffer(name)
+                        np.copyto(inputs[name], data)
+                self._load_expansions(inputs)
+                self._iterations_done = 0
+            else:
+                self.load(fields)
+            self._final = final
+            yield copied
         finally:
-            self._runner.describe()
-            for name in pointed:
-                self._runner.point(self._in_place[name])
+            self._final = None
+            if pointed:
+                self._runner.describe()
+                for name in pointed:
+                    self._runner.point(self._in_place[name])
 
-    def _restrided(
-        self, strided: Mapping[str, tuple[int, ...]]
-    ) -> tuple[np.ndarray | None, dict[str, str]]:
+    def _report(
+        self, kind: str, role: str, name: str, reason: str, data: np.ndarray
+    ) -> None:
+        """One ``kind`` event per field, reason and layout."""
+        copy = (kind, name, reason, data.strides)
+        if obs.is_enabled() and copy not in self._copies:
+            self._copies.add(copy)
+            obs.emit(
+                kind, **{role: name}, reason=reason, strides=list(data.strides),
+                mesh=list(self.plan.mesh.shape),
+            )
+
+    def _restrided(self, strided: Mapping[str, tuple[int, ...]]) -> _Layout:
         """The descriptor on which the bound code reads each input of
         ``strided`` (name -> element strides other than its buffer's)
         where it lives — None for the binding's own — and the inputs it
@@ -757,9 +885,9 @@ class NativeProgram(CompiledProgram):
                 refused[name] = "wrap"
                 continue
             ir = moved
-            sizes[base] = 1 + sum((n - 1) * s for n, s in zip(shape, strides))
+            sizes[base] = _reach(shape, strides)
         kept = [name for name in strided if name not in refused]
-        descriptor = None
+        layout = _Layout(key, None, refused, self._ir, self._sizes)
         if kept:
             code = lower_c(ir)
             if _sha(code.source) != self._runner.sha:
@@ -767,9 +895,100 @@ class NativeProgram(CompiledProgram):
             elif _outside(code, 1, sizes) is not None:
                 refused.update(dict.fromkeys(kept, "wrap"))
             else:
-                descriptor = code.descriptor
-        self._layouts[key] = descriptor, refused
-        return descriptor, refused
+                layout = _Layout(key, code.descriptor, refused, ir, sizes)
+        self._layouts[key] = layout
+        return layout
+
+    def _redirected(
+        self, layout: _Layout, niter: int, into: Into, others: Sequence[np.ndarray]
+    ) -> tuple[tuple[np.ndarray, dict[int, tuple]] | None, dict[str, str]]:
+        """How the last of ``niter`` iterations, read on ``layout``, stores
+        each state field of ``into`` into its destination: the descriptor
+        it runs on and, per base it stores elsewhere, the destination, the
+        buffer and the boxes of the window to copy from that buffer (the
+        cells the last tape never stores, a settled boundary ring) — None
+        when no field qualifies; and the fields it does not, each with
+        why. ``"tape"`` on the tape replay; ``"layout"`` and
+        ``"shares_memory"`` as for an input (:func:`_in_place_layout`,
+        ``others`` the arrays the run reads or writes); ``"reads"`` when
+        the last tape also reads the field's buffer, ``"window"`` when a
+        store cannot be clipped to the window
+        (:func:`~repro.stencil.codegen.clip_stores`) or a clipped one
+        reaches a cell outside it (:func:`_unstored`), and ``"wrap"`` and
+        ``"sha"`` as in :meth:`_restrided`. The descriptor is memoized per
+        input layout, last tape and destination layout."""
+        if self._ir is None:
+            return None, dict.fromkeys(into, "tape")
+        tape = self.plan.tape_index(niter - 1)
+        slots = self.plan.final_env(niter)
+        wanted, refused = {}, {}
+        for name, (dest, window) in into.items():
+            strides = _in_place_layout(dest, others)
+            if isinstance(strides, str):
+                refused[name] = strides
+            else:
+                bounds = tuple(sl.indices(n) for sl, n in zip(window, dest.shape))
+                wanted[name] = (slots[name], strides, bounds)
+        key = (layout.key, tape, tuple(sorted(wanted.items())))
+        if key not in self._stores:
+            self._stores[key] = self._derive_final(layout, tape, wanted)
+        descriptor, boxes, reasons = self._stores[key]
+        refused.update(reasons)
+        if descriptor is None:
+            return None, refused
+        stored = {
+            self._bases[slots[name]]: (
+                into[name][0], self._buffers[slots[name]], boxes[name]
+            )
+            for name in boxes
+        }
+        return (descriptor, stored), refused
+
+    def _derive_final(
+        self, layout: _Layout, tape: int, wanted: Mapping[str, tuple]
+    ) -> tuple[np.ndarray | None, dict[str, list], dict[str, str]]:
+        """:meth:`_redirected`'s derivation for ``wanted`` (name -> buffer
+        slot, element strides, window bounds): the descriptor, the boxes to
+        copy per field stored, and the fields refused with why."""
+        ir, sizes = layout.ir, list(layout.sizes)
+        boxes: dict[str, list] = {}
+        refused: dict[str, str] = {}
+        emptied: list[int] = []
+        for name, (slot, strides, bounds) in wanted.items():
+            base, shape = self._bases[slot], self.plan.buffers[slot]
+            window = tuple(slice(*b) for b in bounds)
+            clipped = clip_stores(ir, tape, base, shape, window)
+            if isinstance(clipped, str):
+                refused[name] = clipped
+                continue
+            clip, stores, empty = clipped
+            unstored = _unstored(shape, window, stores)
+            moved = restride(clip, base, shape, strides, tape)
+            if unstored is None or moved is None:
+                refused[name] = "window" if unstored is None else "wrap"
+                continue
+            ir = moved
+            sizes[base] = _reach(shape, strides)
+            boxes[name] = unstored
+            emptied += empty
+        if not boxes:
+            return None, boxes, refused
+        code = lower_c(ir)
+        first = sum(len(t) for t in ir.tapes[:tape])
+        reason = None
+        if _sha(code.source) != self._runner.sha:
+            reason = "sha"
+        elif any(code.calls[first + j][0].rank == 0 for j in emptied):
+            reason = "window"
+        else:
+            for j in emptied:  # a nest with no store in the window runs none
+                code.descriptor[code.calls[first + j][2]] = 0
+            last = code.calls[first : first + len(ir.tapes[tape])]
+            if _outside(replace(code, calls=last), 1, sizes) is not None:
+                reason = "wrap"
+        if reason is not None:
+            return None, {}, refused | dict.fromkeys(boxes, reason)
+        return code.descriptor, boxes, refused
 
     # -- execution -------------------------------------------------------------
     def _iterate(self, n: int) -> None:
@@ -781,5 +1000,22 @@ class NativeProgram(CompiledProgram):
             raise ValidationError(
                 "no inputs loaded: load() them before run_iterations()"
             )
-        self._runner(self._iterations_done, n)
+        k0 = self._iterations_done
+        if self._final is None:
+            self._runner(k0, n)
+        else:
+            # the stretch ends on the run's last iteration, which stores
+            # into the destinations; then the cells it never stores there
+            descriptor, stored = self._final
+            if n > 1:
+                self._runner(k0, n - 1)
+            self._runner.run_on(
+                descriptor,
+                {base: dest for base, (dest, _, _) in stored.items()},
+                {base: buf for base, (_, buf, _) in stored.items()},
+                k0 + n - 1, 1,
+            )
+            for dest, buf, boxes in stored.values():
+                for box in boxes:
+                    np.copyto(dest[box], buf[box])
         self._iterations_done += n

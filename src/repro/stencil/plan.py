@@ -251,11 +251,15 @@ class ProgramPlan:
         """The steady tape executing odd iterations."""
         return self.steady[(1 - len(self.warm)) % 2]
 
+    def tape_index(self, iteration: int) -> int:
+        """Index, in ``warm + steady``, of the tape executing the given
+        0-based iteration."""
+        warm = len(self.warm)
+        return iteration if iteration < warm else warm + (iteration - warm) % 2
+
     def tape_for(self, iteration: int) -> tuple[TapeOp, ...]:
         """The tape executing the given 0-based iteration."""
-        if iteration < len(self.warm):
-            return self.warm[iteration]
-        return self.steady[(iteration - len(self.warm)) % 2]
+        return (*self.warm, *self.steady)[self.tape_index(iteration)]
 
     def final_env(self, niter: int) -> Mapping[str, str]:
         """Slots holding each produced field after ``niter`` iterations."""
