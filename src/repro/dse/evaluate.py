@@ -9,9 +9,22 @@ result against the study's objectives.
 
 Results are memoized by canonical configuration key, so a configuration is
 never evaluated twice within a study (or across a resumed one: the study
-seeds the cache from its journal).  Evaluation is serial: the model is pure
-CPU-bound Python and no objective does I/O, so worker threads only add
-overhead.
+seeds the cache from its journal).  Evaluation is serial: no objective does
+I/O, so worker threads only add overhead.
+
+A batch (:meth:`Evaluator.evaluate_many`) takes the model's arithmetic to
+NumPy. Its new untiled, single-board configurations are staged, and the
+first :meth:`Evaluator.evaluate` of a staged configuration runs them all
+through :class:`~repro.model.columns.DesignColumns` in one array pass: the
+same checks in the same order, the same reasons, every float bit-identical
+to the scalar model. Each row then becomes the same ``DesignPoint``,
+``PredictedMetrics`` and ``EvalContext`` and is scored by the study's
+objectives and constraints as before. Every configuration still goes
+through :meth:`Evaluator.evaluate` exactly once, and the call that runs the
+pass holds its time. Tiled and multi-board rows, mix evaluators, values
+outside the model's domain and single configurations (``Study.ask``, the
+annealing and greedy walks) take the scalar path, which stays the
+reference the array pass is tested against.
 
 With ``workloads=`` (a :class:`~repro.workload.WorkloadMix` or a list of
 specs) a single configuration is scored against a whole workload
@@ -51,6 +64,7 @@ from repro.dse.objectives import (
 )
 from repro.dse.space import Config, ConfigKey, config_key
 from repro.model.bandwidth import feasible_vectorization
+from repro.model.columns import DesignColumns
 from repro.model.design import DesignPoint, DesignSpace, Workload, tile_for_unroll
 from repro.model.multifpga import MultiFPGAConfig, spatial_scaling_seconds
 from repro.model.resources import module_mem_bytes
@@ -143,6 +157,13 @@ class Evaluator:
             self._space = DesignSpace(program, device, clock_model)
         self._cache: dict[ConfigKey, TrialResult] = {}
         self._lock = threading.Lock()
+        #: the array model of the untiled single-board rows (built on first use)
+        self._columns: DesignColumns | None = None
+        #: new configurations :meth:`evaluate_many` left for one array pass,
+        #: each with its ``(memory, V, p, batch)`` row
+        self._staged: dict[ConfigKey, tuple[Config, tuple]] = {}
+        #: that pass's outcomes, each taken by its configuration's evaluate
+        self._passed: dict[ConfigKey, tuple[TrialResult, str]] = {}
         #: configurations actually run through the model
         self.evaluations = 0
         #: requests answered from the memo table
@@ -310,10 +331,10 @@ class Evaluator:
             obs.inc("dse.eval_cache_hits")
             return cached
         if not obs.is_enabled():
-            result, check = self._evaluate_uncached(dict(config))
+            result, check = self._evaluate_new(config, key)
         else:
             with obs.span("dse.trial", config=str(dict(config))):
-                result, check = self._evaluate_uncached(dict(config))
+                result, check = self._evaluate_new(config, key)
             obs.inc("dse.trials", feasible=result.feasible, check=check)
             obs.emit(
                 "dse.trial",
@@ -342,14 +363,27 @@ class Evaluator:
         Duplicate configurations within the batch are evaluated once; the
         returned list is positionally aligned with ``configs``.
         ``keys`` are the configurations' :func:`config_key` s, if known.
+
+        New untiled single-board configurations are staged for one array
+        pass (:mod:`repro.model.columns`), which the first :meth:`evaluate`
+        of a staged configuration runs for all of them; every new
+        configuration still goes through :meth:`evaluate` exactly once.
         """
         if keys is None:
             keys = [config_key(c) for c in configs]
         unique: dict[ConfigKey, Mapping[str, Any]] = {}
         for key, config in zip(keys, configs):
             unique.setdefault(key, config)
-        for key, config in unique.items():
-            self.evaluate(config, key)
+        staged = self._stage(unique)
+        try:
+            for key, config in unique.items():
+                self.evaluate(config, key)
+        finally:
+            if staged:
+                with self._lock:
+                    for key in staged:
+                        self._staged.pop(key, None)
+                        self._passed.pop(key, None)
         with self._lock:
             return [self._cache[key] for key in keys]
 
@@ -522,6 +556,91 @@ class Evaluator:
             seconds = max(scaled, floor)
         return metrics, seconds
 
+    def _stage(self, batch: Mapping[ConfigKey, Mapping[str, Any]]) -> list[ConfigKey]:
+        """Stage a batch's new array-path configurations; returns their keys.
+
+        The array path covers single-workload, untiled, single-board rows
+        whose values lie in the model's domain (:meth:`DesignColumns.admits`);
+        everything else stays on :meth:`_evaluate_uncached`.
+        """
+        if self.mix is None and self._columns is None:
+            self._columns = DesignColumns(
+                self._space, self.workload, self.logical_bytes_per_cell_iter
+            )
+        columns = self._columns
+        if columns is None or not columns.in_domain:
+            return []
+        default_memory = self.device.memory_targets[0]
+        default_batch = self.workload.batch
+        staged = {}
+        for key, config in batch.items():
+            get = config.get
+            boards = get("boards", 1)
+            if (
+                key in self._cache
+                or get("tiled", False) is not False
+                or type(boards) is not int
+                or boards != 1
+            ):
+                continue
+            row = (
+                get("memory", default_memory), get("V"), get("p"),
+                get("batch", default_batch),
+            )
+            if columns.admits(*row):
+                staged[key] = (dict(config), row)
+        if len(staged) < 2:  # one row is cheaper on the scalar path
+            return []
+        with self._lock:
+            self._staged.update(staged)
+        return list(staged)
+
+    def _evaluate_new(
+        self, config: Mapping[str, Any], key: ConfigKey
+    ) -> tuple[TrialResult, str]:
+        """A configuration not in the memo table: ``(result, check)``.
+
+        A staged configuration takes its outcome from the array pass, which
+        the first of its batch to arrive here runs for the whole batch;
+        any other goes through the scalar model.
+        """
+        with self._lock:
+            outcome = self._passed.pop(key, None)
+            batch = None
+            if outcome is None and key in self._staged:
+                batch, self._staged = self._staged, {}
+        if outcome is not None:
+            return outcome
+        if batch is None:
+            return self._evaluate_uncached(dict(config))
+        outcomes = self._evaluate_columns(batch)
+        outcome = outcomes.pop(key)
+        with self._lock:
+            self._passed.update(outcomes)
+        return outcome
+
+    def _evaluate_columns(
+        self, batch: Mapping[ConfigKey, tuple[Config, tuple]]
+    ) -> dict[ConfigKey, tuple[TrialResult, str]]:
+        """One array pass over staged rows; results equal :meth:`_evaluate_uncached`'s."""
+        staged = batch.values()
+        out = {}
+        for key, (config, _), outcome in zip(
+            batch, staged, self._columns.predict(*zip(*(row for _, row in staged)))
+        ):
+            if isinstance(outcome, InfeasibleDesignError):
+                out[key] = _rejected(config, outcome)
+                continue
+            design, metrics = outcome
+            out[key] = self._scored(
+                config,
+                EvalContext(
+                    self.program, self.device, self.workload_for(config),
+                    design, metrics, metrics.seconds,
+                ),
+            )
+        return out
+
     def _evaluate_uncached(self, config: Config) -> tuple[TrialResult, str]:
         """Run one configuration through the model: ``(result, check)``.
 
@@ -557,26 +676,32 @@ class Evaluator:
             )
         except (InfeasibleDesignError, ValidationError) as exc:
             return _rejected(config, exc)
-        ctx = EvalContext(
-            self.program, self.device, workload, design, metrics, seconds, boards
+        return self._scored(
+            config,
+            EvalContext(
+                self.program, self.device, workload, design, metrics, seconds,
+                boards,
+            ),
         )
+
+    def _scored(self, config: Config, ctx: EvalContext) -> tuple[TrialResult, str]:
+        """A single-workload trial the model accepted, through the study's
+        constraints and objectives: ``(result, check)``."""
+        memory_bound = ctx.metrics.memory_bound
         for constraint in self.constraints:
             if not constraint.ok(ctx):
                 return TrialResult(
                     config,
                     False,
-                    design,
+                    ctx.design,
                     reason=f"violates constraint {constraint.name}",
-                    memory_bound=metrics.memory_bound,
+                    memory_bound=memory_bound,
                 ), "constraint"
         values = {o.name: o.value(ctx) for o in self.objectives}
+        primary = self.objectives[0]
+        score = primary.signed(values[primary.name])
         return TrialResult(
-            config,
-            True,
-            design,
-            values,
-            score=self.primary.signed(values[self.primary.name]),
-            memory_bound=metrics.memory_bound,
+            config, True, ctx.design, values, score, "", memory_bound
         ), ""
 
     def _evaluate_mix(self, config: Config) -> tuple[TrialResult, str]:

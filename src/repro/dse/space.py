@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.arch.device import FPGADevice
@@ -55,11 +56,16 @@ class Parameter:
         if len(set(self.values)) != len(self.values):
             raise ValidationError(f"parameter {self.name!r} has duplicate values")
 
+    @cached_property
+    def _positions(self) -> dict[Any, int]:
+        """Value -> position on this axis (built on first lookup)."""
+        return {value: i for i, value in enumerate(self.values)}
+
     def index_of(self, value: Any) -> int:
         """Position of ``value`` on this axis."""
         try:
-            return self.values.index(value)
-        except ValueError:
+            return self._positions[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ValidationError(
                 f"{value!r} is not a value of parameter {self.name!r}"
             ) from None
@@ -76,13 +82,10 @@ class ParameterSpace:
             raise ValidationError(f"duplicate parameter names: {names}")
         self.parameters: tuple[Parameter, ...] = tuple(parameters)
         self._by_name = {p.name: p for p in self.parameters}
+        #: axis names, in declaration order
+        self.names: tuple[str, ...] = tuple(names)
 
     # -- introspection ------------------------------------------------------------
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Axis names, in declaration order."""
-        return tuple(p.name for p in self.parameters)
-
     def __getitem__(self, name: str) -> Parameter:
         try:
             return self._by_name[name]
@@ -104,13 +107,16 @@ class ParameterSpace:
 
     def validate(self, config: Mapping[str, Any]) -> None:
         """Raise :class:`ValidationError` unless ``config`` lies on the grid."""
-        if set(config) != set(self.names):
+        self._digits(config)
+
+    def _digits(self, config: Mapping[str, Any]) -> list[int]:
+        """Each axis's position of ``config``'s value; validates ``config``."""
+        if config.keys() != self._by_name.keys():
             raise ValidationError(
                 f"config axes {sorted(config)} do not match space axes "
                 f"{sorted(self.names)}"
             )
-        for p in self.parameters:
-            p.index_of(config[p.name])
+        return [p.index_of(config[p.name]) for p in self.parameters]
 
     # -- enumeration / sampling ---------------------------------------------------
     def grid(self) -> Iterator[Config]:
@@ -131,10 +137,9 @@ class ParameterSpace:
 
     def index_of(self, config: Mapping[str, Any]) -> int:
         """The mixed-radix index of a configuration."""
-        self.validate(config)
         index = 0
-        for p in self.parameters:
-            index = index * len(p.values) + p.index_of(config[p.name])
+        for p, digit in zip(self.parameters, self._digits(config)):
+            index = index * len(p.values) + digit
         return index
 
     def sample(self, rng: random.Random) -> Config:
@@ -147,12 +152,14 @@ class ParameterSpace:
         Axes with a single value never move; if every axis is singular the
         configuration is returned unchanged.
         """
-        self.validate(config)
-        movable = [p for p in self.parameters if len(p.values) > 1]
+        movable = [
+            (p, i)
+            for p, i in zip(self.parameters, self._digits(config))
+            if len(p.values) > 1
+        ]
         if not movable:
             return dict(config)
-        p = rng.choice(movable)
-        i = p.index_of(config[p.name])
+        p, i = rng.choice(movable)
         step = rng.choice((-1, 1))
         j = min(len(p.values) - 1, max(0, i + step))
         if j == i:  # clamped at an end: step the other way

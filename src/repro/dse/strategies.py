@@ -46,7 +46,7 @@ class SearchStrategy:
 
 
 class ExhaustiveSearch(SearchStrategy):
-    """Every configuration on the grid, evaluated in parallel batches."""
+    """Every configuration on the grid, in batches of ``batch`` (one array pass each)."""
 
     name = "exhaustive"
 
@@ -112,7 +112,8 @@ def _cap_corners(study: "Study") -> list[dict]:
         v_cap = evaluator.vector_cap(memory)
         vs = [v for v in space["V"].values if v <= v_cap]
         for V in sorted(vs, reverse=True)[:2]:
-            ps = [p for p in space["p"].values if p <= evaluator.unroll_cap(V, tiled)]
+            p_cap = evaluator.unroll_cap(V, tiled)
+            ps = [p for p in space["p"].values if p <= p_cap]
             if ps:
                 corners.append(dict(template, memory=memory, V=V, p=max(ps)))
     return corners

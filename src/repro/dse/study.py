@@ -75,6 +75,9 @@ class Study:
         self.path = Path(path) if path is not None else None
         self.trials: list[Trial] = []
         self._seen: dict[ConfigKey, Trial] = {}
+        #: the feasible trials and the best of them, kept as trials arrive
+        self._feasible: list[Trial] = []
+        self._best: Trial | None = None
         #: trials replayed from the journal on resume
         self.replayed = 0
         self._budget: int | None = None
@@ -123,7 +126,11 @@ class Study:
         return result
 
     def ask_many(self, configs: Sequence[Mapping[str, Any]]) -> list[TrialResult]:
-        """Evaluate a batch in parallel, spending budget only on new configs.
+        """Evaluate a batch, spending budget only on new configs.
+
+        The batch's new configurations go to the evaluator together (one
+        :meth:`~repro.dse.evaluate.Evaluator.evaluate_many`, whose array
+        pass covers its untiled single-board rows).
 
         Returns results for the configurations that were admitted (seen ones
         included); proposals beyond the remaining budget are dropped. The
@@ -168,14 +175,12 @@ class Study:
 
     def feasible_trials(self) -> list[Trial]:
         """All feasible trials, in evaluation order."""
-        return [t for t in self.trials if t.feasible]
+        return list(self._feasible)
 
     def best(self) -> Trial | None:
-        """The feasible trial with the best primary-objective score."""
-        feasible = self.feasible_trials()
-        if not feasible:
-            return None
-        return min(feasible, key=lambda t: t.score)
+        """The feasible trial with the best primary-objective score (the
+        first such trial on a tie)."""
+        return self._best
 
     def top(self, n: int) -> list[Trial]:
         """The ``n`` best feasible trials by primary objective."""
@@ -239,12 +244,21 @@ class Study:
         self, result: TrialResult, key: ConfigKey, journal: TextIO | None
     ) -> Trial:
         trial = Trial(len(self.trials), result)
-        self.trials.append(trial)
-        self._seen[key] = trial
+        self._append(trial, key)
         self._spent += 1
         if journal is not None:
             journal.write(json.dumps(_trial_to_json(trial)) + "\n")
         return trial
+
+    def _append(self, trial: Trial, key: ConfigKey) -> None:
+        self.trials.append(trial)
+        self._seen[key] = trial
+        result = trial.result
+        if result.feasible:
+            self._feasible.append(trial)
+            # strict, as min() is: the first of tied trials stays best
+            if self._best is None or result.score < self._best.result.score:
+                self._best = trial
 
     def _load(self) -> None:
         text = self.path.read_text(encoding="utf-8")
@@ -284,9 +298,7 @@ class Study:
             key = config_key(result.config)
             if key in self._seen:
                 continue
-            trial = Trial(len(self.trials), result, replayed=True)
-            self.trials.append(trial)
-            self._seen[key] = trial
+            self._append(Trial(len(self.trials), result, replayed=True), key)
             self.replayed += 1
             self.evaluator.seed(result)
 

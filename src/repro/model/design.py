@@ -125,32 +125,17 @@ class DesignSpace:
         # all external fields resident, +1 for the ping-pong copy
         resident = workload.footprint_bytes * (self._external_fields + 1)
         if resident > bank.capacity_bytes:
-            raise InfeasibleDesignError(
-                f"workload needs {resident} bytes resident, {design.memory} has "
-                f"{bank.capacity_bytes}",
-                check="capacity",
-            )
+            raise capacity_error(resident, design.memory, bank.capacity_bytes)
         shape = self._buffer_shape(design, workload)
         module_bytes = module_mem_bytes(self.program, shape)
         budget = self.device.usable_on_chip_bytes()
         if design.p * module_bytes > budget:
-            raise InfeasibleDesignError(
-                f"p={design.p} needs {design.p * module_bytes} on-chip bytes, "
-                f"budget is {budget} (eq. 7 bound: p_mem="
-                f"{budget // module_bytes})",
-                check="buffer",
-            )
+            raise buffer_error(design.p, module_bytes, budget)
         # feasibility uses the hard device limit; eq. (6)'s 90% budget is a
         # planning guide the synthesized designs may slightly exceed (the
         # paper's Jacobi landed at p=29 against a model bound of 28)
-        dsp_needed = design.V * design.p * self.gdsp
-        if dsp_needed > self.device.dsp_blocks:
-            raise InfeasibleDesignError(
-                f"V*p*Gdsp = {dsp_needed} DSPs exceeds the device's "
-                f"{self.device.dsp_blocks} (eq. 6 planning bound: "
-                f"p_dsp={self.device.usable_dsp() // (design.V * self.gdsp)})",
-                check="dsp",
-            )
+        if design.V * design.p * self.gdsp > self.device.dsp_blocks:
+            raise dsp_error(design.V, design.p, self.gdsp, self.device)
 
     def check_bandwidth(self, design: DesignPoint) -> None:
         """Eq. (4) at the design's clock: can the memory system feed ``V``?"""
@@ -158,11 +143,7 @@ class DesignSpace:
             self.program, self.device, design.memory, design.clock_hz
         )
         if design.V > v_max:
-            raise InfeasibleDesignError(
-                f"V={design.V} needs more bandwidth than {design.memory} supplies "
-                f"(eq. 4 bound: V<={v_max})",
-                check="bandwidth",
-            )
+            raise bandwidth_error(design.V, design.memory, v_max)
 
     def is_feasible(self, design: DesignPoint, workload: Workload) -> bool:
         """True when :meth:`check` passes."""
@@ -256,6 +237,42 @@ class DesignSpace:
             min(1.0, report.binding_utilization), plan.slr_crossings
         )
         return design.with_clock(mhz), report
+
+
+def capacity_error(resident: int, memory: str, capacity: int) -> InfeasibleDesignError:
+    """The external-capacity rejection: ``resident`` bytes exceed the bank."""
+    return InfeasibleDesignError(
+        f"workload needs {resident} bytes resident, {memory} has {capacity}",
+        check="capacity",
+    )
+
+
+def buffer_error(p: int, module_bytes: int, budget: int) -> InfeasibleDesignError:
+    """The eq. (7) rejection: ``p`` modules' line buffers exceed the budget."""
+    return InfeasibleDesignError(
+        f"p={p} needs {p * module_bytes} on-chip bytes, budget is {budget} "
+        f"(eq. 7 bound: p_mem={budget // module_bytes})",
+        check="buffer",
+    )
+
+
+def dsp_error(V: int, p: int, gdsp: int, device: FPGADevice) -> InfeasibleDesignError:
+    """The eq. (6) rejection: ``V * p * G_dsp`` exceeds the DSP inventory."""
+    return InfeasibleDesignError(
+        f"V*p*Gdsp = {V * p * gdsp} DSPs exceeds the device's "
+        f"{device.dsp_blocks} (eq. 6 planning bound: "
+        f"p_dsp={device.usable_dsp() // (V * gdsp)})",
+        check="dsp",
+    )
+
+
+def bandwidth_error(V: int, memory: str, v_max: int) -> InfeasibleDesignError:
+    """The eq. (4) rejection: ``memory`` cannot feed ``V`` at the design's clock."""
+    return InfeasibleDesignError(
+        f"V={V} needs more bandwidth than {memory} supplies "
+        f"(eq. 4 bound: V<={v_max})",
+        check="bandwidth",
+    )
 
 
 def tile_for_unroll(
