@@ -37,6 +37,8 @@ the mesh plane to 64^2 (URAM budget, eq. (7)) and sustains II ~ 1.6
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.apps.base import StencilApp
 from repro.gpubaseline.traffic import RTM_TRAFFIC
 from repro.mesh.mesh import Field, MeshSpec
@@ -119,7 +121,17 @@ def _combine(
 
 
 def build_rtm_program(mesh_shape: tuple[int, int, int] = (64, 64, 32)) -> StencilProgram:
-    """Algorithm 1 as four fused-loop kernels in one dataflow pipeline."""
+    """Algorithm 1 as four fused-loop kernels in one dataflow pipeline.
+
+    Memoized per mesh shape: the program is frozen, and building it
+    validates every kernel's expression trees, which costs milliseconds
+    a call.
+    """
+    return _rtm_program(tuple(int(s) for s in mesh_shape))
+
+
+@lru_cache(maxsize=64)
+def _rtm_program(mesh_shape: tuple[int, ...]) -> StencilProgram:
     if mesh_shape[0] > RTM_MAX_PLANE_EDGE or mesh_shape[1] > RTM_MAX_PLANE_EDGE:
         raise ValidationError(
             f"RTM mesh plane {mesh_shape[0]}x{mesh_shape[1]} exceeds the "

@@ -17,23 +17,19 @@ Commands
     against a whole workload mix instead of a single workload
     (``--validate-mix`` then replays the winner bit-identically against
     the golden interpreter).
-``mix MIX [--engine E] [--validate] [--strict] [--fault-plan P] [--trace FILE]``
+``mix MIX [--engine E] [--validate] [--strict] [--trace FILE]``
     Run a workload mix through the chunked stacked engine (serial,
     parallel worker-pool, or golden interpreter) and report the dispatch
     accounting and latency percentiles per job group. Failing groups are
     isolated and reported as error rows unless ``--strict`` (which exits
-    non-zero on the first failure); ``--fault-plan`` arms deterministic
-    faults into parallel dispatches (see ``docs/resilience.md``).
-    ``--trace FILE`` records the run's structured events and span tree
-    as JSONL.
+    non-zero on the first failure). ``--trace FILE`` records the run's
+    structured events and span tree as JSONL.
 ``serve MIX [--bench] [--clients N] [--requests N] [--engine E] ...``
     Stand up the async serving layer (``repro.serve``) and drive it with
     a closed-loop load generator: bounded per-tenant admission queues,
     job coalescing into stacked dispatches, per-job deadlines, circuit
     breaking with serial degradation, graceful drain. Prints the
-    latency-percentile report and the server health snapshot.
-    ``--fail-fast`` disables the chunk retry ladder so injected faults
-    (``--fault-plan`` / ``REPRO_FAULT_PLAN``) reach the breaker (see
+    latency-percentile report and the server health snapshot (see
     ``docs/serving.md``).
 ``metrics MIX [--engine E] [--serve] [--trace FILE]``
     Run a mix fully instrumented and dump the Prometheus-style metrics
@@ -341,23 +337,15 @@ def _dse_body(args: argparse.Namespace) -> int:
 
 def _cmd_mix(args: argparse.Namespace) -> int:
     from repro.dataflow.scheduler import MixScheduler
-    from repro.resilience import FaultPlan
     from repro.util.tables import TextTable
     from repro.workload import WorkloadMix
 
     mix = WorkloadMix.parse(args.workloads)
-    if getattr(args, "fault_plan", None):
-        fault_plan = FaultPlan.parse(args.fault_plan)
-    else:
-        # a malformed REPRO_FAULT_PLAN is a usage error, not a group
-        # failure to be isolated: surface it before running anything
-        fault_plan = FaultPlan.from_env()
     scheduler = MixScheduler(
         engine=args.engine,
         seed=args.seed,
         max_workers=args.max_workers,
         strict=args.strict,
-        fault_plan=fault_plan,
     )
     with _traced_run(getattr(args, "trace", None)):
         run = scheduler.run(mix, validate=args.validate)
@@ -381,9 +369,6 @@ def _cmd_mix(args: argparse.Namespace) -> int:
         )
     table.add_row(["total", run.meshes, "", run.dispatches, "", "", "", ""])
     print(table.render())
-    retries = sum(g.retries for g in run.groups)
-    if retries:
-        print(f"recovered: {retries} chunk retries across the mix")
     for error in run.errors:
         print(f"group failed (isolated): {error.describe()}")
     if run.validated and run.ok:
@@ -399,16 +384,11 @@ def _cmd_mix(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.resilience import FaultPlan, RetryPolicy
     from repro.serve import Server, ServerConfig, run_closed_loop
     from repro.util.tables import TextTable
     from repro.workload import WorkloadMix
 
     mix = WorkloadMix.parse(args.workloads)
-    if getattr(args, "fault_plan", None):
-        fault_plan = FaultPlan.parse(args.fault_plan)
-    else:
-        fault_plan = FaultPlan.from_env()
     config = ServerConfig(
         engine=args.engine,
         max_workers=args.max_workers,
@@ -419,8 +399,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         reset_timeout=args.reset_timeout,
         validate=args.validate,
         seed=args.seed,
-        retry_policy=RetryPolicy.disabled() if args.fail_fast else None,
-        fault_plan=fault_plan,
     )
 
     async def _bench():
@@ -657,12 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort (non-zero exit) on the first failing group; the default "
         "isolates failing groups, reports them as error rows and exits 0",
     )
-    p_mix.add_argument(
-        "--fault-plan", default=None,
-        help="deterministic fault plan armed into parallel dispatches, e.g. "
-        "'crash@0,slow@1:0.2' (see docs/resilience.md; REPRO_FAULT_PLAN "
-        "works too)",
-    )
     p_mix.add_argument("--seed", type=int, default=0)
     p_mix.add_argument(
         "--trace",
@@ -736,19 +708,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds an open breaker waits before half-opening (default 1)",
     )
     p_srv.add_argument(
-        "--fail-fast", action="store_true",
-        help="disable the chunk retry ladder so parallel failures surface "
-        "to the breaker instead of being recovered per chunk",
-    )
-    p_srv.add_argument(
         "--validate", action="store_true",
         help="re-derive every served mesh on the golden interpreter and "
         "compare bitwise",
-    )
-    p_srv.add_argument(
-        "--fault-plan", default=None,
-        help="deterministic fault plan armed into parallel dispatches "
-        "(REPRO_FAULT_PLAN works too; see docs/resilience.md)",
     )
     p_srv.add_argument("--seed", type=int, default=0)
     p_srv.add_argument(

@@ -34,12 +34,7 @@ import numpy as np
 from repro import observability as obs
 from repro.mesh.mesh import Field, MeshSpec
 from repro.observability.metrics import percentiles
-from repro.resilience import (
-    CancelToken,
-    ExecutionCancelled,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.resilience import CancelToken, ExecutionCancelled
 from repro.stencil.compiled import (
     CompiledPlanCache,
     check_engine,
@@ -70,8 +65,6 @@ class GroupRun:
     #: per-dispatch wall-clock seconds, in chunk order (empty when the
     #: executing engine reported no timing)
     chunk_seconds: tuple[float, ...] = ()
-    #: chunk recoveries the parallel engine performed for this group
-    retries: int = 0
 
     @property
     def meshes(self) -> int:
@@ -92,27 +85,17 @@ class GroupError:
     """Failure record of one job group under best-effort scheduling.
 
     Produced by ``strict=False`` runs in place of the group's
-    :class:`GroupRun`: the group's merged spec, the final error, and —
-    when the parallel engine's retry ladder was involved — how many
-    attempts the failing chunk made and which ladder rung it died on.
+    :class:`GroupRun`: the group's merged spec and the error that ended
+    it.
     """
 
     spec: WorkloadSpec
     #: repr of the exception that ended the group
     error: str
-    #: total attempts of the failing chunk across every ladder rung
-    attempts: int | None = None
-    #: ladder rung the failing chunk ended on ("thread"/"serial")
-    backend: str | None = None
 
     def describe(self) -> str:
-        """One line for tables and logs: spec, attempts, final backend."""
-        parts = [self.spec.describe()]
-        if self.attempts is not None:
-            parts.append(f"{self.attempts} attempts")
-        if self.backend:
-            parts.append(f"ended on {self.backend}")
-        return f"{' · '.join(parts)}: {self.error}"
+        """One line for tables and logs: spec and error."""
+        return f"{self.spec.describe()}: {self.error}"
 
 
 @dataclass(frozen=True)
@@ -177,13 +160,14 @@ class MixScheduler:
     position, whatever order workers finish in.
 
     ``strict`` picks the failure semantics: strict runs (the default)
-    raise on the first failing group, exactly as before; ``strict=False``
-    **isolates** a failing group — its :class:`GroupError` (spec,
-    attempts, final ladder rung) lands on ``MixRunResult.errors`` while
-    every other group still completes, the right contract for a live job
-    population where one bad workload must not abort its neighbours.
-    ``retry_policy``/``fault_plan`` pass through to the parallel engine's
-    resilience layer (:mod:`repro.resilience`).
+    raise on the first failing group; ``strict=False`` **isolates** a
+    failing group — its :class:`GroupError` (spec and error) lands on
+    ``MixRunResult.errors`` while every other group still completes, the
+    right contract for a live job population where one bad workload must
+    not abort its neighbours. The scheduler never retries: a failing
+    parallel chunk raises :class:`~repro.parallel.ParallelExecutionError`
+    on its first attempt, and recovery (a serial rerun) is the serving
+    layer's circuit breaker's job.
     """
 
     engine: str = "compiled"
@@ -197,10 +181,6 @@ class MixScheduler:
     max_workers: int | None = None
     #: raise on the first failing group (True) or isolate it (False)
     strict: bool = True
-    #: recovery policy for ``engine="parallel"`` (None: the default policy)
-    retry_policy: RetryPolicy | None = None
-    #: deterministic faults armed into parallel dispatches (None: env plan)
-    fault_plan: FaultPlan | None = None
 
     def __post_init__(self):
         check_engine(self.engine)
@@ -349,8 +329,6 @@ class MixScheduler:
                         cache=self.plan_cache,
                         stats=stats,
                         max_workers=self.max_workers,
-                        policy=self.retry_policy,
-                        fault_plan=self.fault_plan,
                         cancel=cancel,
                     )
                 except ExecutionCancelled:
@@ -377,8 +355,6 @@ class MixScheduler:
                                 f"workload {spec.describe()}: {exc}",
                                 backend=exc.backend,
                                 elapsed=exc.elapsed,
-                                attempts=exc.attempts,
-                                final_backend=exc.final_backend,
                             ) from exc
                     if validate:
                         self._validate_group(spec, program, envs, results)
@@ -399,20 +375,9 @@ class MixScheduler:
 
     def _group_error(self, spec: WorkloadSpec, exc: Exception) -> GroupError:
         """Record — and make observable — one isolated group failure."""
-        record = GroupError(
-            spec,
-            error=repr(exc),
-            attempts=getattr(exc, "attempts", None),
-            backend=getattr(exc, "final_backend", None),
-        )
+        record = GroupError(spec, error=repr(exc))
         obs.inc("mix.group_failures", engine=self.engine)
-        obs.emit(
-            "mix.group_failure",
-            spec=spec.describe(),
-            error=record.error,
-            attempts=record.attempts,
-            backend=record.backend,
-        )
+        obs.emit("mix.group_failure", spec=spec.describe(), error=record.error)
         return record
 
     def _validate_group(self, spec, program, envs, results) -> None:
@@ -436,7 +401,6 @@ class MixScheduler:
             dispatches=int(stats.get("dispatches", len(chunks))),
             chunks=chunks,
             chunk_seconds=tuple(stats.get("chunk_seconds", ())),
-            retries=int(stats.get("retries", 0)),
         )
 
     def _golden(self, program: StencilProgram, env, niter: int):

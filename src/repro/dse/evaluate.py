@@ -413,8 +413,6 @@ class Evaluator:
         engine: str = "compiled",
         max_workers: int | None = None,
         strict: bool = True,
-        retry_policy=None,
-        fault_plan=None,
     ):
         """A :class:`~repro.dataflow.scheduler.MixScheduler` for this mix.
 
@@ -425,9 +423,7 @@ class Evaluator:
         from the program contract unless ``fields_for`` supplies them).
         ``engine="parallel"`` fans the groups' chunks out over a worker
         pool of up to ``max_workers`` lanes; results stay bit-identical.
-        ``strict=False`` isolates failing groups instead of raising, and
-        ``retry_policy``/``fault_plan`` reach the parallel engine's
-        resilience layer.
+        ``strict=False`` isolates failing groups instead of raising.
         """
         from repro.dataflow.scheduler import MixScheduler
 
@@ -449,8 +445,6 @@ class Evaluator:
             seed=seed,
             max_workers=max_workers,
             strict=strict,
-            retry_policy=retry_policy,
-            fault_plan=fault_plan,
         )
 
     def validate_mix(
@@ -462,8 +456,6 @@ class Evaluator:
         engine: str = "compiled",
         max_workers: int | None = None,
         strict: bool = True,
-        retry_policy=None,
-        fault_plan=None,
     ):
         """Functionally validate a configuration against the whole mix.
 
@@ -491,7 +483,7 @@ class Evaluator:
         scheduler = self.mix_scheduler(
             plan_cache, seed, fields_for,
             engine=engine, max_workers=max_workers,
-            strict=strict, retry_policy=retry_policy, fault_plan=fault_plan,
+            strict=strict,
         )
         with obs.span(
             "dse.validate_mix", batch_factor=batch_factor, engine=engine

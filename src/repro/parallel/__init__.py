@@ -6,6 +6,8 @@ loop. Workers share the parent's address space, take the field
 environments by reference, and each keeps its own warm compiled-plan
 instances (:mod:`repro.parallel.worker`). Results are bit-identical to
 the serial compiled engine — and therefore to the golden interpreter.
+A failing chunk raises :class:`ParallelExecutionError` on its first
+attempt; the serving layer's circuit breaker reruns the group serially.
 """
 
 from repro.parallel.executor import (

@@ -13,17 +13,11 @@ Workers are threads: they share the parent's address space and take the
 field environments by reference, bind buffers at most once per plan
 token (:mod:`repro.parallel.worker`) and replay the warm tape.
 
-Execution is **resilient** (:mod:`repro.resilience`): every chunk is
-collected under a :class:`~repro.resilience.RetryPolicy` — a failed,
-hung or corrupt chunk is retried with deterministic backoff on the
-thread rung, then degraded to the serial rung, which replays the chunk
-on the collecting thread on the same lowered plan, so recovered results
-are bit-identical to the serial engine. A
-:class:`~repro.resilience.FaultPlan` (``REPRO_FAULT_PLAN`` or the
-``fault_plan=`` argument) arms deterministic faults into worker tasks so
-each recovery path is testable. Recovery emits ``resilience.retries``,
-``resilience.degraded``, ``resilience.timeouts`` and
-``exec.fault_injected`` through :mod:`repro.observability`.
+A failing chunk is not retried here: every attempt would replay the same
+tape on the same inputs in the same process, so it would fail again. The
+first failure raises :class:`ParallelExecutionError` naming the chunk,
+its mesh range and the plan; the serving layer's circuit breaker
+(:mod:`repro.serve.breaker`) reruns the group on the serial engine.
 
 :func:`submit_stacked` returns a :class:`PendingBatch` rather than
 results, so a caller with several independent batches (a workload mix's
@@ -47,16 +41,7 @@ from repro import observability as obs
 from repro.mesh.mesh import Field
 from repro.parallel.pool import WorkerPool, default_workers, shared_pool
 from repro.parallel.worker import run_chunk_fields
-from repro.resilience import (
-    DEFAULT_POLICY,
-    CancelToken,
-    CorruptResultError,
-    ExecutionCancelled,
-    FaultPlan,
-    RetryPolicy,
-    checksum_arrays,
-    classify_failure,
-)
+from repro.resilience import CancelToken, ExecutionCancelled
 from repro.stencil.compiled import (
     CompiledPlanCache,
     DEFAULT_CACHE,
@@ -70,16 +55,13 @@ from repro.stencil.program import StencilProgram
 from repro.util.errors import ReproError, ValidationError
 
 class ParallelExecutionError(ReproError):
-    """A chunk failed beyond recovery under the parallel engine.
+    """A chunk failed under the parallel engine.
 
-    Raised only once the dispatch's :class:`RetryPolicy` is exhausted —
-    every rung of the degradation ladder tried its attempts. Carries the
-    failing dispatch's context as attributes so callers can act on it
-    without parsing the message: ``backend`` (the backend the batch was
-    dispatched on, if known), ``elapsed`` (seconds between the chunk's
-    last submit and the failure surfacing, if known), ``attempts`` (total
-    tries across every rung) and ``final_backend`` (the ladder rung the
-    chunk died on).
+    The message names the chunk, its mesh range and the plan token; the
+    attributes carry the context callers act on without parsing it:
+    ``backend`` (the backend the batch was dispatched on, if known) and
+    ``elapsed`` (seconds between the chunk's submit and the failure
+    surfacing, if known).
     """
 
     def __init__(
@@ -87,14 +69,10 @@ class ParallelExecutionError(ReproError):
         message: str,
         backend: str | None = None,
         elapsed: float | None = None,
-        attempts: int | None = None,
-        final_backend: str | None = None,
     ) -> None:
         super().__init__(message)
         self.backend = backend
         self.elapsed = elapsed
-        self.attempts = attempts
-        self.final_backend = final_backend
 
 
 #: interned plan tokens: structural binding key -> short stable string.
@@ -140,33 +118,16 @@ def plan_token_for(
 
 
 @dataclass
-class _DispatchContext:
-    """Everything a chunk needs to be (re-)dispatched after submit time."""
-
-    pool: WorkerPool
-    policy: RetryPolicy
-    faults: FaultPlan | None
-    trace: object = None
-
-
-@dataclass
 class _PendingChunk:
-    """One chunk of the batch: its slice, transport and attempt state."""
+    """One chunk of the batch: its slice and its worker future."""
 
     index: int
     start: int
     size: int
-    #: the chunk's own field environments, retained for re-dispatch
-    members: Sequence[Mapping[str, Field]]
-    future: object = None
-    #: ladder rung of the current attempt ("thread"/"serial")
-    backend: str = ""
-    #: perf_counter timestamp of the current submit (deadline anchor)
-    submitted_at: float = 0.0
-    #: total dispatches of this chunk, across every rung
-    attempts: int = 0
-    #: recoveries, i.e. ``attempts - 1`` once the chunk lands
-    retries: int = 0
+    #: the worker task; None once the chunk is abandoned
+    future: object
+    #: perf_counter timestamp of the submit
+    submitted_at: float
 
 
 @dataclass
@@ -176,7 +137,7 @@ class PendingBatch:
     Results are reassembled by chunk *index*, so per-mesh order matches the
     submitted batch no matter in which order workers finish. Chunk-size
     accounting (``stats=``) is fixed at submit time — the schedule is
-    deterministic; only completion order (and recovery) is not.
+    deterministic; only completion order is not.
     """
 
     batch_fields: Sequence[Mapping[str, Field]]
@@ -191,8 +152,6 @@ class PendingBatch:
     #: the caller's ``stats=`` dict, so collection can append the
     #: worker-measured ``chunk_seconds`` once results land
     stats: dict | None = None
-    #: retry/fault machinery shared by every chunk of this batch
-    ctx: _DispatchContext | None = None
     #: cooperative cancellation flag; :meth:`cancel` sets it, the collect
     #: loop polls it at every chunk boundary (and in 50 ms wait slices)
     cancel_token: CancelToken = dc_field(default_factory=CancelToken)
@@ -229,14 +188,10 @@ class PendingBatch:
     def result(self) -> list[dict[str, Field]]:
         """Block until every chunk finished; per-mesh results in order.
 
-        Each chunk is collected under the batch's :class:`RetryPolicy`:
-        a failure or deadline miss retries the chunk on its rung (with
-        deterministic backoff), then degrades it down the ladder. Only a
-        chunk that exhausts every rung raises
-        :class:`ParallelExecutionError` naming the chunk and its mesh
-        range (callers scheduling several batches add their own context,
-        e.g. the originating workload spec); remaining chunks are then
-        abandoned.
+        The first failing chunk raises :class:`ParallelExecutionError`
+        naming the chunk and its mesh range (callers scheduling several
+        batches add their own context, e.g. the originating workload
+        spec); remaining chunks are then abandoned.
         """
         if self._results is not None:
             return self._results
@@ -247,7 +202,6 @@ class PendingBatch:
         cancelled: ExecutionCancelled | None = None
         results: list[dict[str, Field] | None] = [None] * len(self.batch_fields)
         chunk_seconds: list[float] = [0.0] * len(self.pending)
-        retries = 0
         for chunk in self.pending:
             if failure is not None or cancelled is not None:
                 self._abandon(chunk)
@@ -258,28 +212,29 @@ class PendingBatch:
                 self._abandon(chunk)
                 continue
             try:
-                out = self._collect_chunk(chunk)
+                out = self._await(chunk)
             except ExecutionCancelled as exc:
                 cancelled = exc
                 continue
             except BaseException as exc:  # noqa: BLE001 - rewrapped below
-                failure = (chunk, exc)
+                if self.cancel_token.is_set():
+                    # a cancel() racing the wait cancelled the future out
+                    # from under it; surface the cancellation, not the
+                    # secondary error it provoked
+                    cancelled = self._cancelled_error()
+                else:
+                    failure = (chunk, exc)
                 continue
-            retries += chunk.retries
             seconds = float(out.get("seconds", 0.0))
             chunk_seconds[chunk.index] = seconds
             obs.observe(
-                "exec.chunk_seconds", seconds,
-                backend=chunk.backend or self.backend or "parallel",
+                "exec.chunk_seconds", seconds, backend=self.backend or "parallel",
             )
             obs.adopt_spans(out.get("spans"))
             self._assemble(chunk, out, results)
         if failure is not None:
             chunk, exc = failure
-            elapsed = (
-                time.perf_counter() - chunk.submitted_at
-                if chunk.submitted_at else None
-            )
+            elapsed = time.perf_counter() - chunk.submitted_at
             backend = self.backend or None
             obs.inc("parallel.worker_failures", backend=backend or "unknown")
             obs.emit(
@@ -289,30 +244,21 @@ class PendingBatch:
                 plan=self.token,
                 backend=backend,
                 elapsed=elapsed,
-                attempts=chunk.attempts,
-                final_backend=chunk.backend or None,
                 error=repr(exc),
             )
             context = f", backend {backend}" if backend else ""
-            if chunk.attempts > 1:
-                context += f", {chunk.attempts} attempts ending on {chunk.backend}"
-            if elapsed is not None:
-                context += f", {elapsed:.3f}s after submit"
+            context += f", {elapsed:.3f}s after submit"
             raise ParallelExecutionError(
                 f"parallel chunk {chunk.index + 1}/{len(self.pending)} "
                 f"(meshes {chunk.start}..{chunk.start + chunk.size - 1}, "
                 f"plan {self.token[:12]}{context}) failed: {exc!r}",
                 backend=backend,
                 elapsed=elapsed,
-                attempts=chunk.attempts,
-                final_backend=chunk.backend or None,
             ) from exc
         if cancelled is not None:
             raise cancelled
         if self.stats is not None:
             self.stats["chunk_seconds"] = chunk_seconds
-            if retries:
-                self.stats["retries"] = retries
         self._results = results  # type: ignore[assignment]
         return self._results
 
@@ -323,147 +269,20 @@ class PendingBatch:
             f"parallel batch (plan {self.token[:12]}) cancelled{suffix}"
         )
 
-    # -- per-chunk collection with retry and degradation -----------------------
-    def _collect_chunk(self, chunk: _PendingChunk) -> dict:
-        """One chunk's result, retried and degraded per the policy."""
-        policy = self.ctx.policy
-        rungs = policy.rungs_from(chunk.backend)
-        rung_i = 0
-        attempt_on_rung = 1  # the submit-time dispatch is attempt one
-        while True:
-            self.cancel_token.raise_if_set(
-                f"parallel chunk {chunk.index} (plan {self.token[:12]})"
-            )
-            rung = rungs[rung_i]
-            try:
-                if rung == "serial":
-                    out = self._run_serial(chunk)
-                else:
-                    out = self._await(chunk, policy)
-                self._verify(chunk, out)
-                return out
-            except (KeyboardInterrupt, SystemExit, ExecutionCancelled):
-                # cancellation is a caller decision, never a chunk failure:
-                # it must not be retried or degraded
-                raise
-            except BaseException as exc:  # noqa: BLE001 - classified below
-                if self.cancel_token.is_set():
-                    # a cancel() racing this attempt cancelled the future
-                    # out from under us; surface the cancellation, not the
-                    # secondary error it provoked
-                    raise self._cancelled_error() from exc
-                kind = classify_failure(exc)
-                if kind == "timeout":
-                    self._abandon_hung(chunk, rung)
-                if attempt_on_rung >= policy.max_attempts:
-                    if rung_i + 1 >= len(rungs):
-                        raise
-                    rung_i += 1
-                    attempt_on_rung = 0
-                    obs.inc(
-                        "resilience.degraded",
-                        from_backend=rung, to_backend=rungs[rung_i], kind=kind,
-                    )
-                    obs.emit(
-                        "resilience.degraded",
-                        chunk=chunk.index, plan=self.token,
-                        from_backend=rung, to_backend=rungs[rung_i],
-                        failure=kind, error=repr(exc),
-                    )
-                attempt_on_rung += 1
-                chunk.retries += 1
-                rung = rungs[rung_i]
-                obs.inc("resilience.retries", backend=rung, kind=kind)
-                obs.emit(
-                    "resilience.retry",
-                    chunk=chunk.index, plan=self.token, backend=rung,
-                    attempt=chunk.attempts + 1, failure=kind, error=repr(exc),
-                )
-                delay = policy.backoff_delay(
-                    chunk.retries, self.token, chunk.index
-                )
-                if delay:
-                    time.sleep(delay)
-                if rung != "serial":
-                    _dispatch(self, chunk)
-
     #: wait-slice width while blocking on a worker future: the collect
     #: thread re-checks the cancel token this often, so an in-flight batch
-    #: with no chunk deadline still observes cancellation promptly
+    #: observes cancellation promptly
     _WAIT_SLICE = 0.05
 
-    def _await(self, chunk: _PendingChunk, policy: RetryPolicy) -> dict:
-        """The current attempt's worker result, bounded by the deadline.
-
-        The wait is sliced so cooperative cancellation cannot be starved
-        by a deadline-less policy: each slice that expires without a
-        result re-checks the batch's cancel token; the policy's own
-        deadline semantics are unchanged (a miss still raises the
-        ``FuturesTimeout`` the retry ladder classifies as ``timeout``).
-        """
+    def _await(self, chunk: _PendingChunk) -> dict:
+        """The chunk's worker result, waited for in cancel-polling slices."""
+        where = f"parallel chunk {chunk.index} (plan {self.token[:12]})"
         while True:
-            remaining = policy.deadline_remaining(
-                chunk.submitted_at, time.perf_counter()
-            )
-            wait = (
-                self._WAIT_SLICE
-                if remaining is None
-                else min(remaining, self._WAIT_SLICE)
-            )
+            self.cancel_token.raise_if_set(where)
             try:
-                return chunk.future.result(timeout=wait)
+                return chunk.future.result(timeout=self._WAIT_SLICE)
             except FuturesTimeout:
-                if remaining is not None and remaining <= self._WAIT_SLICE:
-                    raise  # the policy deadline itself expired
-                self.cancel_token.raise_if_set(
-                    f"parallel chunk {chunk.index} (plan {self.token[:12]})"
-                )
-
-    def _run_serial(self, chunk: _PendingChunk) -> dict:
-        """The terminal rung: replay the chunk in-process, fault-free.
-
-        Runs the very same lowered plan through the same worker entry
-        point the thread workers use, on the collecting thread's own
-        instance cache, so a chunk rescued here is bit-identical to one
-        that never failed.
-        """
-        chunk.backend = "serial"
-        chunk.attempts += 1
-        chunk.submitted_at = time.perf_counter()
-        return run_chunk_fields(
-            self.token, self.plan, chunk.size, self.niter, chunk.members,
-            trace=self.ctx.trace,
-        )
-
-    def _verify(self, chunk: _PendingChunk, out: dict) -> None:
-        """Re-check the worker's per-field CRCs on the received data."""
-        shipped = out.get("checksums")
-        if shipped is None:
-            return
-        actual = checksum_arrays(out["fields"])
-        if actual != shipped:
-            bad = sorted(n for n in shipped if actual.get(n) != shipped[n])
-            raise CorruptResultError(
-                f"chunk {chunk.index} returned corrupt data for fields "
-                f"{bad} (plan {self.token[:12]})"
-            )
-
-    def _abandon_hung(self, chunk: _PendingChunk, rung: str) -> None:
-        """Deadline miss: count it and abandon the future.
-
-        A thread cannot be killed: a hung attempt that already started
-        runs to completion on its lane and its result is dropped. It
-        writes only into its own worker-local instance and a fresh copy
-        of the produced fields, so it cannot touch the rescued results.
-        """
-        obs.inc("resilience.timeouts", backend=rung)
-        obs.emit(
-            "resilience.timeout",
-            chunk=chunk.index, plan=self.token, backend=rung,
-            attempt=chunk.attempts,
-        )
-        if chunk.future is not None:
-            chunk.future.cancel()
+                pass
 
     # -- assembly and cleanup --------------------------------------------------
     def _assemble(self, chunk, out, results) -> None:
@@ -481,7 +300,7 @@ class PendingBatch:
         if chunk.future is not None:
             chunk.future.cancel()
             try:
-                chunk.future.result(timeout=self.ctx.policy.chunk_timeout)
+                chunk.future.result()
             except BaseException:  # noqa: BLE001 - abandoning anyway
                 pass
         chunk.future = None
@@ -499,35 +318,6 @@ class PendingBatch:
         self._results = []
 
 
-def _dispatch(batch: PendingBatch, chunk: _PendingChunk) -> None:
-    """Submit (or resubmit) one chunk on the pool, arming any due fault."""
-    ctx = batch.ctx
-    chunk.backend = "thread"
-    chunk.attempts += 1
-    fault = _draw_fault(batch, chunk)
-    chunk.submitted_at = time.perf_counter()
-    chunk.future = ctx.pool.submit(
-        run_chunk_fields, batch.token, batch.plan, chunk.size, batch.niter,
-        chunk.members, ctx.trace, fault, ctx.policy.verify_checksums,
-    )
-
-
-def _draw_fault(batch: PendingBatch, chunk: _PendingChunk):
-    """The armed fault for this submit, if the plan has one due."""
-    ctx = batch.ctx
-    if ctx.faults is None:
-        return None
-    fault = ctx.faults.draw(chunk.index, batch.token)
-    if fault is not None:
-        obs.inc("exec.fault_injected", kind=fault.kind, backend=chunk.backend)
-        obs.emit(
-            "exec.fault_injected",
-            fault=fault.kind, chunk=chunk.index, plan=batch.token,
-            backend=chunk.backend,
-        )
-    return fault
-
-
 def submit_stacked(
     program: StencilProgram,
     batch_fields: Sequence[Mapping[str, Field]],
@@ -538,8 +328,6 @@ def submit_stacked(
     stats: dict | None = None,
     max_workers: int | None = None,
     pool: WorkerPool | None = None,
-    policy: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
     cancel: CancelToken | None = None,
 ) -> PendingBatch:
     """Fan a stacked batch's chunks out over a thread pool; non-blocking.
@@ -554,12 +342,7 @@ def submit_stacked(
     fan-out could only add dispatch overhead. Chunks run on ``pool`` when
     given, else on the shared pool of width ``max_workers``.
 
-    ``policy`` governs recovery at collect time (default
-    :data:`~repro.resilience.DEFAULT_POLICY`: two attempts per rung, the
-    thread → serial ladder; :meth:`RetryPolicy.disabled` restores
-    fail-fast). ``fault_plan`` arms deterministic faults into this
-    dispatch's worker tasks; when omitted, a plan named by
-    ``REPRO_FAULT_PLAN`` applies process-wide. ``cancel`` shares a
+    ``cancel`` shares a
     :class:`~repro.resilience.CancelToken` with the returned batch
     (:meth:`PendingBatch.cancel` sets the batch's own token either way):
     once set, collection abandons remaining chunks at the next safe point
@@ -592,14 +375,10 @@ def submit_stacked(
         len(batch_fields), plan.nbytes, max_stack_bytes
     )
     token = plan_token_for(program, first, coefficients)
-    ctx = _DispatchContext(
-        pool=pool if pool is not None else shared_pool(workers),
-        policy=policy if policy is not None else DEFAULT_POLICY,
-        faults=fault_plan if fault_plan is not None else FaultPlan.from_env(),
-    )
+    if pool is None:
+        pool = shared_pool(workers)
     batch = PendingBatch(
-        batch_fields, plan, niter, token=token, stats=stats, ctx=ctx,
-        backend="thread",
+        batch_fields, plan, niter, token=token, stats=stats, backend="thread",
     )
     if cancel is not None:
         batch.cancel_token = cancel
@@ -611,14 +390,17 @@ def submit_stacked(
         backend=batch.backend,
         chunks=len(chunks),
     ):
-        ctx.trace = obs.trace_context()
+        trace = obs.trace_context()
         start = 0
         for index, size in enumerate(chunks):
-            chunk = _PendingChunk(
-                index, start, size, members=batch_fields[start : start + size]
+            submitted_at = time.perf_counter()
+            future = pool.submit(
+                run_chunk_fields, token, plan, size, niter,
+                batch_fields[start : start + size], trace,
             )
-            batch.pending.append(chunk)
-            _dispatch(batch, chunk)
+            batch.pending.append(
+                _PendingChunk(index, start, size, future, submitted_at)
+            )
             start += size
         obs.emit(
             "exec.dispatch",
@@ -642,8 +424,6 @@ def run_program_parallel(
     stats: dict | None = None,
     max_workers: int | None = None,
     pool: WorkerPool | None = None,
-    policy: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
     cancel: CancelToken | None = None,
 ) -> list[dict[str, Field]]:
     """Solve ``B`` same-spec meshes with chunks fanned across the pool.
@@ -653,11 +433,10 @@ def run_program_parallel(
     signature semantics plus pool controls, identical chunk schedule and
     ``stats`` accounting, bit-identical per-mesh results (asserted across
     every registry app in the test suite). See :func:`submit_stacked` for
-    the degenerate-path and recovery rules.
+    the degenerate-path and failure rules.
     """
     return submit_stacked(
         program, batch_fields, niter, coefficients,
         cache=cache, max_stack_bytes=max_stack_bytes, stats=stats,
-        max_workers=max_workers, pool=pool,
-        policy=policy, fault_plan=fault_plan, cancel=cancel,
+        max_workers=max_workers, pool=pool, cancel=cancel,
     ).result()

@@ -25,7 +25,6 @@ from typing import Any, Mapping, Sequence
 
 from repro.mesh.mesh import Field
 from repro.observability.tracing import TraceContext, Tracer
-from repro.resilience.faults import Fault, checksum_arrays, corrupt_first_value
 from repro.stencil.compiled import CompiledProgram
 from repro.stencil.plan import ProgramPlan
 
@@ -66,20 +65,6 @@ def bind_instance(token: str, plan: ProgramPlan, batch: int) -> CompiledProgram:
     return instance
 
 
-def _apply_entry_fault(fault: Fault | None) -> None:
-    """Fire a task-entry fault (``crash``/``slow``) before any work runs.
-
-    A crash is a raised exception — what the parent of a thread pool
-    observes when a worker task dies; a slow fault sleeps first.
-    """
-    if fault is None:
-        return
-    if fault.kind == "crash":
-        raise RuntimeError("injected worker crash")
-    if fault.kind == "slow":
-        time.sleep(fault.seconds)
-
-
 def _worker_tracer(trace: TraceContext | None) -> Tracer | None:
     """A throwaway tracer seeded with the parent's trace position.
 
@@ -111,8 +96,6 @@ def run_chunk_fields(
     niter: int,
     envs: Sequence[Mapping[str, Field]],
     trace: TraceContext | None = None,
-    fault: Fault | None = None,
-    checksum: bool = False,
 ) -> dict[str, Any]:
     """Execute one chunk on the parent's field environments.
 
@@ -121,13 +104,9 @@ def run_chunk_fields(
     the same single copy the serial engine performs. Returns stacked
     ``(B, *storage)`` copies of the produced fields under ``"fields"`` —
     copies, because the warm instance's buffers are overwritten by this
-    worker's next task — plus worker-measured ``seconds``, the worker-side
-    ``spans`` when the parent shipped a :class:`TraceContext`, and with
-    ``checksum=True`` a CRC per produced field. An armed :class:`Fault`
-    fires at its injection point: crash/slow on entry, corrupt after
-    checksumming.
+    worker's next task — plus worker-measured ``seconds`` and the
+    worker-side ``spans`` when the parent shipped a :class:`TraceContext`.
     """
-    _apply_entry_fault(fault)
     tracer = _worker_tracer(trace)
     t0 = time.perf_counter()
     ctx = (
@@ -148,14 +127,10 @@ def run_chunk_fields(
         instance.run_iterations(niter)
         out = instance.final_arrays()
         fields = {fname: arr.copy() for fname, arr in out.items()}
-        checksums = checksum_arrays(fields) if checksum else None
-        if fault is not None and fault.kind == "corrupt":
-            corrupt_first_value(fields)
     return {
         "fields": fields,
         "seconds": time.perf_counter() - t0,
         "spans": _span_dicts(tracer),
-        "checksums": checksums,
     }
 
 

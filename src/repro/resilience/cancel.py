@@ -25,9 +25,9 @@ from repro.util.errors import ReproError
 class ExecutionCancelled(ReproError):
     """Work was abandoned at a safe point after its token was set.
 
-    Deliberately *not* a subclass of the failure classes the retry ladder
-    recovers from: cancellation is a caller decision, so it propagates
-    through retry policies and best-effort mix scheduling untouched.
+    Deliberately *not* a :class:`~repro.parallel.ParallelExecutionError`:
+    cancellation is a caller decision, so it propagates through
+    best-effort mix scheduling and the serving layer's breaker untouched.
     """
 
 

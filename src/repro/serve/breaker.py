@@ -15,8 +15,8 @@ The classic three-state machine, tuned for the serving loop:
 
 State changes are counted and emitted through :mod:`repro.observability`
 (``serve.breaker_trips``; ``serve.breaker_open`` / ``_half_open`` /
-``_closed`` events) — the CI smoke job asserts a full
-trip → half-open → recover cycle from the event log. The breaker is
+``_closed`` events); ``tests/test_serve_server.py`` asserts a full
+trip → half-open → recover cycle from the event order. The breaker is
 event-loop-confined like the rest of the server; ``clock`` is injectable
 so tests drive the timeout without sleeping.
 """

@@ -24,10 +24,14 @@ The robustness envelope, end to end:
   :class:`~repro.serve.errors.DeadlineExceeded` while its batch is
   cancelled cooperatively through the
   :class:`~repro.resilience.CancelToken` threaded down the engine stack.
-* **Circuit breaking** — consecutive parallel-backend failures trip a
-  :class:`~repro.serve.breaker.CircuitBreaker`; while open, dispatches
-  degrade to the serial compiled engine (results stay bit-identical),
-  and timed half-open probes restore the parallel backend when it heals.
+* **Circuit breaking** — the one recovery path of the execution stack.
+  A parallel dispatch that fails (the engine raises
+  :class:`~repro.parallel.ParallelExecutionError` on the first failing
+  chunk, without retrying) is rerun on the serial compiled engine, and
+  consecutive failures trip a :class:`~repro.serve.breaker.CircuitBreaker`;
+  while open, dispatches degrade to the serial compiled engine up front
+  (results stay bit-identical), and timed half-open probes restore the
+  parallel backend when it heals.
 * **Graceful drain** — :meth:`Server.close` stops admissions and either
   drains (every queued/in-flight job resolves or deadline-fails) or sheds
   everything; either way no job is left unresolved.
@@ -51,7 +55,7 @@ from typing import Mapping
 from repro import observability as obs
 from repro.observability.metrics import MetricsRegistry
 from repro.parallel.executor import ParallelExecutionError
-from repro.resilience import CancelToken, ExecutionCancelled, FaultPlan, RetryPolicy
+from repro.resilience import CancelToken, ExecutionCancelled
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.errors import DeadlineExceeded, QueueFullError, ServerClosedError
 from repro.serve.queue import FairQueue
@@ -93,10 +97,6 @@ class ServerConfig:
     validate: bool = False
     #: base seed for synthesized initial conditions (see MixScheduler)
     seed: int = 0
-    #: retry/degradation policy for parallel dispatches (None: default)
-    retry_policy: RetryPolicy | None = None
-    #: deterministic faults armed into parallel dispatches (None: env plan)
-    fault_plan: FaultPlan | None = None
 
     def __post_init__(self):
         check_engine(self.engine)
@@ -491,7 +491,7 @@ class Server:
     async def _rerun_serial(
         self, jobs: list[Job], specs: list[WorkloadSpec], token: CancelToken
     ) -> None:
-        """Ladder semantics at the serving layer: rerun a failed group serially."""
+        """The serving layer's fallback: rerun a failed group serially."""
         self._count("serve.degraded")
         obs.emit("serve.group_degraded", breaker=self.breaker.state, rerun=True)
         try:
@@ -717,8 +717,6 @@ class Server:
                 seed=self.config.seed,
                 max_workers=self.config.max_workers,
                 strict=True,
-                retry_policy=self.config.retry_policy,
-                fault_plan=self.config.fault_plan,
             )
         return scheduler
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.apps.jacobi3d import jacobi3d_app
@@ -105,15 +107,48 @@ def spy_on_tree_walks(monkeypatch):
 
 @pytest.fixture
 def poisoned_chunks(monkeypatch):
-    """Make every parallel chunk attempt raise, on every ladder rung.
+    """Make every parallel chunk raise; returns the calls it received.
 
-    The thread workers and the terminal serial rung both run chunks
-    through ``repro.parallel.executor.run_chunk_fields``; replacing it
-    fails each attempt deterministically, so a dispatch exhausts its
-    whole retry ladder.
+    The thread workers run chunks through
+    ``repro.parallel.executor.run_chunk_fields``; replacing it fails each
+    chunk deterministically. Each call's positional arguments
+    ``(token, plan, size, niter, envs, trace)`` are appended to the
+    returned list, so a test can count how often each chunk ran.
     """
+    calls: list = []
 
     def crash(*args, **kwargs):
+        calls.append(args)
         raise RuntimeError("poisoned chunk")
 
     monkeypatch.setattr("repro.parallel.executor.run_chunk_fields", crash)
+    return calls
+
+
+@pytest.fixture
+def flaky_chunks(monkeypatch):
+    """Call it with ``n``: the first ``n`` parallel chunk calls raise.
+
+    Later calls run the real ``run_chunk_fields``. Returns the list of
+    plan tokens the failed calls carried, one entry per failure.
+    """
+    from repro.parallel import executor
+
+    def arm(n: int) -> list:
+        real = executor.run_chunk_fields
+        failed: list = []
+        lock = threading.Lock()
+
+        def flaky(*args, **kwargs):
+            with lock:
+                fail = len(failed) < n
+                if fail:
+                    failed.append(args[0])
+            if fail:
+                raise RuntimeError("flaky chunk")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "run_chunk_fields", flaky)
+        return failed
+
+    return arm

@@ -51,6 +51,45 @@ class TestProgramStructure:
         with pytest.raises(ValidationError):
             build_rtm_program((RTM_MAX_PLANE_EDGE + 1, 8, 8))
 
+    def test_program_built_once_per_mesh_shape(self):
+        # equal shapes, however spelled, share one frozen program
+        first = rtm_app((12, 12, 10)).program
+        assert rtm_app([12, 12, 10]).program is first
+        assert build_rtm_program((np.int64(12), 12, 10)) is first
+        assert build_rtm_program((12, 12, 11)) is not first
+
+    @pytest.mark.parametrize("spelling", [
+        [12, 12, 10],
+        (np.int64(12), np.int64(12), np.int64(10)),
+        (np.int32(12), np.int32(12), np.int32(10)),
+        np.array([12, 12, 10]),
+    ], ids=["list", "int64", "int32", "ndarray"])
+    def test_shape_spellings_normalize_to_one_program(self, spelling):
+        assert build_rtm_program(spelling) is build_rtm_program((12, 12, 10))
+
+    @pytest.mark.parametrize("shape", [(12, 12, 11), (12, 11, 10), (11, 12, 10)])
+    def test_distinct_shapes_get_distinct_programs(self, shape):
+        prog = build_rtm_program(shape)
+        assert prog is not build_rtm_program((12, 12, 10))
+        assert prog.mesh.shape == shape
+        assert build_rtm_program(shape) is prog
+
+    def test_memoized_program_matches_a_fresh_build(self):
+        from repro.apps.rtm import _rtm_program
+        from repro.stencil.plan import program_token
+
+        fresh = _rtm_program.__wrapped__((12, 12, 10))
+        memo = build_rtm_program((12, 12, 10))
+        assert fresh is not memo
+        assert program_token(fresh) == program_token(memo)
+        assert fresh.mesh == memo.mesh
+
+    def test_oversized_plane_raises_on_every_call(self):
+        # a failed build is not cached: each call validates again
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                rtm_app((RTM_MAX_PLANE_EDGE + 1, 8, 8))
+
 
 class TestNumerics:
     def test_rk4_stability_small_dt(self):

@@ -201,6 +201,18 @@ class TestWorkloadMixCLI:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["mix", "poisson2d:24x16:4", "--fault-plan", "crash@0"],
+        ["mix", "poisson2d:24x16:4", "--fail-fast"],
+        ["serve", "poisson2d:24x16:4", "--fault-plan", "crash@0"],
+        ["serve", "poisson2d:24x16:4", "--fail-fast"],
+    ], ids=["mix-fault-plan", "mix-fail-fast", "serve-fault-plan", "serve-fail-fast"])
+    def test_removed_recovery_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_validate_mix_requires_workloads(self, capsys):
         assert main([
             "dse", "jacobi3d", "--trials", "5", "--validate-mix",
@@ -235,13 +247,13 @@ class TestServeCommand:
         assert "serve.job_completed" in text
         assert "serve.closed" in text
 
-    def test_serve_breaker_cycle_under_fault_plan(self, capsys):
+    def test_serve_breaker_cycle_under_flaky_chunks(self, flaky_chunks, capsys):
+        flaky_chunks(1)
         assert main([
             "serve", "poisson2d:16x12:10x2", "--bench",
             "--engine", "parallel", "--max-workers", "2",
             "--clients", "1", "--requests", "3",
-            "--fail-fast", "--failure-threshold", "1",
-            "--reset-timeout", "0.1", "--fault-plan", "crash@0",
+            "--failure-threshold", "1", "--reset-timeout", "0.1",
         ]) == 0
         out = capsys.readouterr().out
         assert "1 trips" in out

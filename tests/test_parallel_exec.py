@@ -11,6 +11,8 @@ later dispatches.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from repro.parallel.executor import (
 )
 from repro.parallel.pool import WorkerPool, shutdown_shared_pools
 from repro.parallel.worker import bind_instance, instance_cache_size
-from repro.resilience import ExecutionCancelled, FaultPlan
+from repro.resilience import ExecutionCancelled
 from repro.stencil.builders import jacobi2d_5pt
 from repro.stencil.compiled import CompiledPlanCache, run_program_stacked
 from repro.stencil.numpy_eval import run_program
@@ -383,6 +385,23 @@ class TestCooperativeCancellation:
         yield pool
         pool.shutdown()
 
+    @pytest.fixture
+    def gate(self, pool, monkeypatch):
+        """Chunks block on entry until the gate opens (torn down before
+        ``pool``, so its close never waits on a closed gate)."""
+        from repro.parallel import executor
+
+        gate = threading.Event()
+        real = executor.run_chunk_fields
+
+        def gated(*args, **kwargs):
+            gate.wait(timeout=10.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "run_chunk_fields", gated)
+        yield gate
+        gate.set()
+
     def _submit_many_chunks(self, pool, batch=6, niter=20):
         app = all_apps()["jacobi3d"]
         shape = APP_MESHES["jacobi3d"]
@@ -391,29 +410,30 @@ class TestCooperativeCancellation:
         return submit_stacked(
             program, envs, niter, pool=pool,
             max_stack_bytes=0,  # per-mesh chunks: one task each
-            # both lanes sleep on entry, so every later chunk is queued
-            fault_plan=FaultPlan.parse("slow@0:0.3,slow@1:0.3"),
         )
 
-    def test_cancel_cancels_pending_chunk_futures(self, pool):
+    def test_cancel_cancels_pending_chunk_futures(self, pool, gate):
         """Cancelling a batch cancels its never-started chunk tasks at once
         and no worker thread outlives the pool's close."""
         pending = self._submit_many_chunks(pool, batch=12)
         threads = list(pool._executor._threads)  # noqa: SLF001
         pending.cancel("test teardown")
         futures = [chunk.future for chunk in pending.pending]
-        # the two sleeping lanes hold chunks 0 and 1; the other ten were
-        # still queued and are cancelled right here, not at collect time
+        # the two lanes block at the gate, so no chunk past 1 has started:
+        # the other ten were still queued and are cancelled right here,
+        # not at collect time
         assert all(f.cancelled() for f in futures[2:])
+        gate.set()
         with pytest.raises(ExecutionCancelled):
             pending.result()
         assert all(f.done() for f in futures)
         pool.shutdown()
         assert not any(t.is_alive() for t in threads)
 
-    def test_result_after_cancel_is_sticky(self, pool):
+    def test_result_after_cancel_is_sticky(self, pool, gate):
         pending = self._submit_many_chunks(pool, batch=3)
         pending.cancel()
+        gate.set()
         for _ in range(2):  # the cancelled outcome is stable across calls
             with pytest.raises(ExecutionCancelled):
                 pending.result()
@@ -421,6 +441,33 @@ class TestCooperativeCancellation:
             chunk.future is not None and not chunk.future.done()
             for chunk in pending.pending
         )
+
+    def test_cancel_reason_reaches_the_error(self, pool, gate):
+        pending = self._submit_many_chunks(pool, batch=3)
+        pending.cancel("client went away")
+        gate.set()
+        with pytest.raises(ExecutionCancelled, match="client went away"):
+            pending.result()
+
+    def test_close_after_cancel_is_idempotent_and_drains(self, pool, gate):
+        pending = self._submit_many_chunks(pool, batch=4)
+        pending.cancel()
+        gate.set()
+        pending.close()
+        pending.close()
+        assert all(chunk.future is None for chunk in pending.pending)
+        assert pool.inflight == 0
+
+    def test_cancel_on_a_pre_resolved_batch_is_a_noop(self):
+        app = all_apps()["poisson2d"]
+        shape = APP_MESHES["poisson2d"]
+        program = app.program_on(shape)
+        envs = [app.fields(shape, seed=0)]
+        pending = submit_stacked(program, envs, 0, max_workers=2)
+        pending.cancel("nothing to stop")
+        assert not pending.cancel_token.is_set()
+        (res,) = pending.result()
+        _assert_env_equal(envs[0], res)
 
     def test_cancel_after_results_is_a_noop(self):
         app = all_apps()["poisson2d"]

@@ -1,31 +1,36 @@
-"""Fault-injection recovery: every fault class heals, bit-identically.
+"""Failure propagation under the parallel engine: fail once, say where.
 
-The tentpole contract: a dispatch that suffers an injected worker crash,
-slow (hung) chunk or corrupt result recovers automatically — retry on the
-thread pool, then degradation to the serial rung — and the final per-mesh
-results are bit-identical to the golden interpreter. Recovery is visible
-through ``resilience.*`` / ``exec.fault_injected`` metrics and events,
-and no chunk task is left in flight once a dispatch resolves, healthy or
-not.
+A chunk is never retried: every attempt would replay the same compiled
+tape on the same inputs. The first failing chunk raises
+:class:`ParallelExecutionError` naming the chunk and its mesh range, and
+no chunk task is left in flight once the dispatch resolves. Failures are
+injected by replacing the worker entry point (``poisoned_chunks`` in
+``conftest.py``). The options that configured the deleted retry ladder
+and fault injection stay rejected.
 """
 
 from __future__ import annotations
 
+import importlib
+import threading
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import observability as obs
 from repro.apps.registry import all_apps
+from repro.dataflow.scheduler import GroupError, GroupRun, MixScheduler
+from repro.dse import Evaluator
+from repro.parallel import executor
 from repro.parallel.executor import (
     ParallelExecutionError,
     run_program_parallel,
+    submit_stacked,
 )
 from repro.parallel.pool import WorkerPool, shutdown_shared_pools
-from repro.resilience import FaultPlan, RetryPolicy
-from repro.stencil.compiled import CompiledPlanCache
+from repro.serve import ServerConfig
+from repro.stencil.compiled import DEFAULT_CACHE
 from repro.stencil.numpy_eval import run_program
 
 APP_MESHES = {
@@ -33,9 +38,6 @@ APP_MESHES = {
     "jacobi3d": (14, 12, 8),
     "rtm": (12, 12, 10),
 }
-
-#: fast recovery for tests: no backoff sleeps, checksums verified
-FAST = RetryPolicy(backoff_base=0.0, verify_checksums=True)
 
 
 @pytest.fixture(autouse=True)
@@ -60,12 +62,38 @@ def _batch(app_key, batch, seed=40):
     return program, envs
 
 
-def _assert_golden(program, envs, got, niter):
-    for env, res in zip(envs, got):
-        gold = run_program(program, env, niter, engine="interpreter")
-        assert set(gold) == set(res)
-        for name in gold:
-            assert np.array_equal(gold[name].data, res[name].data), name
+def _member(envs, args) -> int:
+    """Batch index of the first mesh a ``run_chunk_fields`` call carried."""
+    return next(i for i, env in enumerate(envs) if env is args[4][0])
+
+
+def _fail_members(monkeypatch, envs, doomed, exc=None) -> list:
+    """Chunks whose first mesh is in ``doomed`` raise; others run for real.
+
+    Returns the batch index of every call's first mesh, in call order.
+    """
+    real = executor.run_chunk_fields
+    calls: list = []
+    lock = threading.Lock()
+
+    def run(*args, **kwargs):
+        member = _member(envs, args)
+        with lock:
+            calls.append(member)
+        if member in doomed:
+            raise exc if exc is not None else RuntimeError(
+                f"chunk at mesh {member} failed"
+            )
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "run_chunk_fields", run)
+    return calls
+
+
+def _assert_env_equal(gold, got):
+    assert set(gold) == set(got)
+    for name in gold:
+        assert np.array_equal(gold[name].data, got[name].data), name
 
 
 def _close_and_assert_quiet(pool: WorkerPool) -> None:
@@ -77,274 +105,225 @@ def _close_and_assert_quiet(pool: WorkerPool) -> None:
     assert not any(t.is_alive() for t in threads)
 
 
-class TestFaultClassRecovery:
-    def test_worker_crash_recovers(self):
-        obs.enable()
-        program, envs = _batch("poisson2d", 4)
-        stats: dict = {}
-        got = run_program_parallel(
-            program, envs, 3, max_workers=2, stats=stats,
-            policy=FAST, fault_plan=FaultPlan.parse("crash@0"),
-        )
-        _assert_golden(program, envs, got, 3)
-        assert stats["retries"] >= 1
-        reg = obs.metrics_registry()
-        assert reg.value("exec.fault_injected", kind="crash", backend="thread") == 1
-        # a thread crash surfaces as the raised exception itself ("error")
-        assert reg.value("resilience.retries", backend="thread", kind="error") >= 1
-        assert obs.ring_sink().of_kind("resilience.retry")
-        assert obs.ring_sink().of_kind("exec.fault_injected")
-
-    def test_corrupt_result_detected_and_recovered(self):
-        obs.enable()
-        program, envs = _batch("poisson2d", 4)
-        got = run_program_parallel(
-            program, envs, 3, max_workers=2,
-            policy=FAST, fault_plan=FaultPlan.parse("corrupt@0"),
-        )
-        _assert_golden(program, envs, got, 3)
-        assert obs.metrics_registry().value(
-            "resilience.retries", backend="thread", kind="corrupt"
-        ) >= 1
-
-    def test_corrupt_without_checksums_goes_undetected(self):
-        # the negative control: checksum verification is what catches it
-        program, envs = _batch("poisson2d", 2)
-        no_verify = RetryPolicy(backoff_base=0.0, verify_checksums=False)
-        got = run_program_parallel(
-            program, envs, 2, max_workers=2,
-            policy=no_verify, fault_plan=FaultPlan.parse("corrupt@0"),
-        )
-        gold = run_program(program, envs[0], 2, engine="interpreter")
-        diverged = any(
-            not np.array_equal(gold[name].data, got[0][name].data)
-            for name in gold
-        )
-        assert diverged
-
-    def test_slow_chunk_times_out_and_degrades(self):
-        obs.enable()
-        program, envs = _batch("jacobi3d", 2)
-        policy = RetryPolicy(
-            backoff_base=0.0, chunk_timeout=0.05, max_attempts=1,
-        )
-        pool = WorkerPool(max_workers=2)
-        t0 = time.perf_counter()
-        got = run_program_parallel(
-            program, envs, 2, pool=pool, max_stack_bytes=0,
-            policy=policy, fault_plan=FaultPlan.parse("slow@*:1.0"),
-        )
-        elapsed = time.perf_counter() - t0
-        _assert_golden(program, envs, got, 2)
-        assert elapsed < 0.9  # nobody waited out the sleep
-        reg = obs.metrics_registry()
-        assert reg.value("resilience.timeouts", backend="thread") >= 1
-        assert obs.ring_sink().of_kind("resilience.timeout")
-        degraded = obs.ring_sink().of_kind("resilience.degraded")
-        assert degraded and degraded[0]["from_backend"] == "thread"
-        _close_and_assert_quiet(pool)
-
-    def test_abandoned_slow_thread_never_touches_rescued_fields(self):
-        """A hung attempt is abandoned, not killed: the chunk is rescued on
-        the serial rung bit-identically, and the abandoned thread finishes
-        later without mutating any returned Field."""
-        obs.enable()
-        program, envs = _batch("jacobi3d", 2)
-        policy = RetryPolicy(
-            backoff_base=0.0, chunk_timeout=0.05, max_attempts=1,
-        )
-        pool = WorkerPool(max_workers=2)
-        got = run_program_parallel(
-            program, envs, 3, pool=pool, max_stack_bytes=0,
-            policy=policy, fault_plan=FaultPlan.parse("slow@0:0.5"),
-        )
-        degraded = obs.ring_sink().of_kind("resilience.degraded")
-        assert [(e["chunk"], e["to_backend"]) for e in degraded] == [
-            (0, "serial")
-        ]
-        # the sleeping attempt is still running on its lane
-        assert pool.inflight >= 1
-        snapshot = [
-            {name: field.data.copy() for name, field in env.items()}
-            for env in got
-        ]
-        _close_and_assert_quiet(pool)  # waits the abandoned thread out
-        for env, before in zip(got, snapshot):
-            for name, field in env.items():
-                assert np.array_equal(field.data, before[name]), name
-        _assert_golden(program, envs, got, 3)
-
-    @pytest.mark.parametrize("index", [1, 2, 3])
-    def test_crash_on_any_chunk_recovers_in_place(self, index):
-        obs.enable()
+class TestFailurePropagation:
+    def test_failed_dispatch_runs_each_chunk_once(self, poisoned_chunks):
         program, envs = _batch("jacobi3d", 4)
-        stats: dict = {}
-        got = run_program_parallel(
-            program, envs, 2, max_workers=2, max_stack_bytes=0, stats=stats,
-            policy=FAST, fault_plan=FaultPlan.parse(f"crash@{index}"),
-        )
-        # the rescued chunk lands in its own slot: order is preserved
-        _assert_golden(program, envs, got, 2)
-        assert stats["retries"] == 1
-        retries = obs.ring_sink().of_kind("resilience.retry")
-        assert [e["chunk"] for e in retries] == [index]
-        assert retries[0]["backend"] == "thread"
-
-    def test_slow_chunk_without_deadline_is_waited_out(self):
-        obs.enable()
-        program, envs = _batch("poisson2d", 2)
-        stats: dict = {}
-        got = run_program_parallel(
-            program, envs, 2, max_workers=2, max_stack_bytes=0, stats=stats,
-            policy=FAST, fault_plan=FaultPlan.parse("slow@0:0.1"),
-        )
-        _assert_golden(program, envs, got, 2)
-        # no chunk_timeout: the sleep is only latency, never a failure
-        assert "retries" not in stats
-        assert not obs.ring_sink().of_kind("resilience.timeout")
-        assert obs.metrics_registry().value(
-            "exec.fault_injected", kind="slow", backend="thread"
-        ) == 1
-
-    def test_serial_rung_never_draws_a_fault(self):
-        obs.enable()
-        program, envs = _batch("poisson2d", 2)
-        policy = RetryPolicy(
-            backoff_base=0.0, max_attempts=1, verify_checksums=True,
-        )
-        got = run_program_parallel(
-            program, envs, 2, max_workers=2, max_stack_bytes=0,
-            policy=policy, fault_plan=FaultPlan.parse("corrupt@*x99"),
-        )
-        _assert_golden(program, envs, got, 2)
-        reg = obs.metrics_registry()
-        # one corrupted thread attempt per chunk; each serial rescue is clean
-        assert reg.value("exec.fault_injected", kind="corrupt", backend="thread") == 2
-        degraded = obs.ring_sink().of_kind("resilience.degraded")
-        assert sorted(e["chunk"] for e in degraded) == [0, 1]
-        assert {e["to_backend"] for e in degraded} == {"serial"}
-
-    def test_crash_and_slow_together_recover(self):
-        """The chaos-smoke plan: a crash and a deadline miss in one run."""
-        obs.enable()
-        program, envs = _batch("jacobi3d", 3)
-        policy = RetryPolicy(backoff_base=0.0, chunk_timeout=0.05)
         pool = WorkerPool(max_workers=2)
-        got = run_program_parallel(
-            program, envs, 2, pool=pool, max_stack_bytes=0,
-            policy=policy, fault_plan=FaultPlan.parse("crash@0,slow@1:0.5"),
+        pending = submit_stacked(
+            program, envs, 2, pool=pool,
+            max_stack_bytes=0,  # per-mesh chunks: four tasks
         )
-        _assert_golden(program, envs, got, 2)
-        reg = obs.metrics_registry()
-        assert reg.value("exec.fault_injected", kind="crash", backend="thread") == 1
-        assert reg.value("exec.fault_injected", kind="slow", backend="thread") == 1
-        assert reg.value("resilience.timeouts", backend="thread") >= 1
-        retried = {e["chunk"] for e in obs.ring_sink().of_kind("resilience.retry")}
-        assert {0, 1} <= retried
+        # let every task fail before collecting, so none is cancelled
+        deadline = time.monotonic() + 10.0
+        while pool.inflight and time.monotonic() < deadline:
+            time.sleep(0.005)
+        with pytest.raises(
+            ParallelExecutionError, match=r"chunk 1/4 \(meshes 0\.\.0,"
+        ) as err:
+            pending.result()
+        assert isinstance(err.value.__cause__, RuntimeError)
+        # one call per chunk: collection retried nothing
+        members = sorted(
+            next(i for i, env in enumerate(envs) if env is args[4][0])
+            for args in poisoned_chunks
+        )
+        assert members == [0, 1, 2, 3]
+        assert pool.inflight == 0
         _close_and_assert_quiet(pool)
-
-    def test_ladder_reaches_serial_when_workers_keep_dying(self):
-        obs.enable()
-        program, envs = _batch("poisson2d", 3)
-        # four crashes outlast two thread attempts; the serial rung runs
-        # in-parent and never draws a fault
-        got = run_program_parallel(
-            program, envs, 2, max_workers=2,
-            policy=FAST, fault_plan=FaultPlan.parse("crash@*x4"),
-        )
-        _assert_golden(program, envs, got, 2)
-        degraded = obs.ring_sink().of_kind("resilience.degraded")
-        assert any(e["to_backend"] == "serial" for e in degraded)
-
-
-class TestExhaustionAndLeaks:
-    def test_exhausted_ladder_raises_with_attempt_context(self):
-        program, envs = _batch("poisson2d", 2)
-        policy = RetryPolicy(
-            backoff_base=0.0, max_attempts=2, ladder=("thread",)
-        )
-        with pytest.raises(ParallelExecutionError) as err:
-            run_program_parallel(
-                program, envs, 2, max_workers=2,
-                policy=policy, fault_plan=FaultPlan.parse("crash@*x99"),
-            )
-        assert err.value.backend == "thread"
-        assert err.value.attempts == 2
-        assert err.value.final_backend == "thread"
-        assert "2 attempts" in str(err.value)
 
     def test_failed_dispatch_leaves_nothing_in_flight(self, poisoned_chunks):
         program, envs = _batch("jacobi3d", 4)
-        policy = RetryPolicy(backoff_base=0.0, max_attempts=1, ladder=())
         pool = WorkerPool(max_workers=2)
         with pytest.raises(ParallelExecutionError):
             run_program_parallel(
                 program, envs, 2, pool=pool,
                 max_stack_bytes=0,  # per-mesh chunks: several tasks
-                policy=policy,
             )
         _close_and_assert_quiet(pool)
 
-    def test_recovered_dispatch_leaves_nothing_in_flight(self):
-        program, envs = _batch("jacobi3d", 4)
+    def test_poisoned_chunks_fail_on_the_shared_pool(self, poisoned_chunks):
+        program, envs = _batch("poisson2d", 2)
+        with pytest.raises(ParallelExecutionError) as err:
+            run_program_parallel(program, envs, 2, max_workers=2)
+        assert err.value.backend == "thread"
+        assert "poisoned chunk" in str(err.value)
+
+    @pytest.mark.parametrize("doomed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("app_key", ["poisson2d", "jacobi3d", "rtm"])
+    def test_failure_on_any_chunk_names_that_chunk(
+        self, monkeypatch, app_key, doomed
+    ):
+        program, envs = _batch(app_key, 4)
+        calls = _fail_members(monkeypatch, envs, {doomed})
         pool = WorkerPool(max_workers=2)
-        got = run_program_parallel(
-            program, envs, 2, pool=pool, max_stack_bytes=0,
-            policy=FAST, fault_plan=FaultPlan.parse("crash@0,corrupt@2"),
-        )
-        _assert_golden(program, envs, got, 2)
+        with pytest.raises(
+            ParallelExecutionError,
+            match=rf"chunk {doomed + 1}/4 \(meshes {doomed}\.\.{doomed},",
+        ):
+            run_program_parallel(
+                program, envs, 1, pool=pool,
+                max_stack_bytes=0,  # per-mesh chunks: four tasks
+            )
+        # no chunk ran twice, and every chunk up to the failing one ran
+        assert len(calls) == len(set(calls))
+        assert set(range(doomed + 1)) <= set(calls)
         _close_and_assert_quiet(pool)
 
-    def test_disabled_policy_fails_fast(self):
+    @pytest.mark.parametrize("exc_type", [
+        RuntimeError, ValueError, MemoryError, FloatingPointError,
+        KeyError, OSError, ZeroDivisionError,
+    ])
+    def test_worker_exception_is_the_cause(self, monkeypatch, exc_type):
+        program, envs = _batch("poisson2d", 2)
+        raised = exc_type("worker blew up")
+        _fail_members(monkeypatch, envs, {0, 1}, exc=raised)
+        with pytest.raises(ParallelExecutionError) as err:
+            run_program_parallel(program, envs, 2, max_workers=2)
+        assert err.value.__cause__ is raised
+        assert repr(raised) in str(err.value)
+
+    @pytest.mark.parametrize("batch,cap", [(4, 2), (5, 2), (6, 3)])
+    def test_stacked_chunk_failure_names_its_mesh_range(
+        self, monkeypatch, batch, cap
+    ):
+        program, envs = _batch("jacobi3d", batch)
+        nbytes = DEFAULT_CACHE.plan_for(program, envs[0]).nbytes
+        nchunks = -(-batch // cap)
+        last_start = (nchunks - 1) * cap
+        _fail_members(monkeypatch, envs, {last_start})
+        with pytest.raises(
+            ParallelExecutionError,
+            match=(
+                rf"chunk {nchunks}/{nchunks} "
+                rf"\(meshes {last_start}\.\.{batch - 1},"
+            ),
+        ):
+            run_program_parallel(
+                program, envs, 1, max_workers=2, max_stack_bytes=cap * nbytes,
+            )
+
+    def test_error_carries_backend_and_elapsed(self, poisoned_chunks):
         program, envs = _batch("poisson2d", 2)
         with pytest.raises(ParallelExecutionError) as err:
-            run_program_parallel(
-                program, envs, 2, max_workers=2,
-                policy=RetryPolicy.disabled(),
-                fault_plan=FaultPlan.parse("crash@0"),
-            )
-        assert err.value.attempts == 1
+            run_program_parallel(program, envs, 2, max_workers=2)
+        assert err.value.backend == "thread"
+        assert err.value.elapsed is not None and err.value.elapsed >= 0.0
+        assert "backend thread" in str(err.value)
+        assert "s after submit" in str(err.value)
 
-
-class TestPoisonedChunksStillFail:
-    """A failure on every rung (serial included) still surfaces."""
-
-    def test_poisoned_chunks_exhaust_the_full_ladder(self, poisoned_chunks):
+    def test_failure_emits_one_worker_failure_and_no_recovery_telemetry(
+        self, poisoned_chunks
+    ):
+        obs.enable(fresh=True)
         program, envs = _batch("poisson2d", 2)
-        with pytest.raises(ParallelExecutionError) as err:
+        with pytest.raises(ParallelExecutionError):
             run_program_parallel(
-                program, envs, 2, max_workers=2,
-                policy=RetryPolicy(backoff_base=0.0),
+                program, envs, 2, max_workers=2, max_stack_bytes=0,
             )
-        assert err.value.final_backend == "serial"
+        (event,) = obs.ring_sink().of_kind("parallel.worker_failure")
+        assert event["backend"] == "thread"
+        assert event["meshes"] == [event["chunk"], event["chunk"]]
+        assert obs.metrics_registry().value(
+            "parallel.worker_failures", backend="thread"
+        ) == 1
+        kinds = obs.ring_sink().kinds()
+        assert not [k for k in kinds if k.startswith("resilience.")]
+        assert "exec.fault_injected" not in kinds
+        names = {name for name, _, _ in obs.metrics_registry().items()}
+        assert not [n for n in names if n.startswith("resilience.")]
 
-
-class TestPropertyFaultBitIdentity:
-    """Satellite: faulted parallel runs match the interpreter, all apps."""
+    @pytest.mark.parametrize("failures", [1, 2, 3])
+    def test_each_failing_dispatch_fails_once(self, flaky_chunks, failures):
+        """Every crash surfaces on the dispatch that met it; the pool then
+        serves the next dispatch bit-identically."""
+        failed = flaky_chunks(failures)
+        program, envs = _batch("poisson2d", 1)
+        with WorkerPool(max_workers=2) as pool:
+            for _ in range(failures):
+                with pytest.raises(ParallelExecutionError, match="flaky chunk"):
+                    run_program_parallel(program, envs, 2, pool=pool)
+            (got,) = run_program_parallel(program, envs, 2, pool=pool)
+            assert pool.inflight == 0
+        assert len(failed) == failures
+        _assert_env_equal(
+            run_program(program, envs[0], 2, engine="interpreter"), got
+        )
 
     @pytest.mark.parametrize("app_key", ["poisson2d", "jacobi3d", "rtm"])
-    @settings(max_examples=6, deadline=None)
-    @given(
-        fault=st.sampled_from(
-            ["crash@0", "crash@*x2", "corrupt@*", "corrupt@0", "slow@1:0.01",
-             "crash@0,corrupt@1"]
-        ),
-        batch=st.integers(min_value=2, max_value=4),
-        niter=st.integers(min_value=1, max_value=3),
-        seed=st.integers(min_value=0, max_value=2),
-    )
-    def test_faulted_runs_bit_identical_to_interpreter(
-        self, app_key, fault, batch, niter, seed
+    def test_dispatch_after_a_failure_matches_interpreter(
+        self, flaky_chunks, app_key
     ):
-        app = all_apps()[app_key]
-        shape = APP_MESHES[app_key]
-        program = app.program_on(shape)
-        envs = [app.fields(shape, seed=70 + seed + b) for b in range(batch)]
-        cache = CompiledPlanCache()
-        limit = cache.plan_for(program, envs[0]).nbytes  # per-mesh-ish chunks
-        got = run_program_parallel(
-            program, envs, niter, cache=cache, max_stack_bytes=limit,
-            max_workers=2,
-            policy=FAST, fault_plan=FaultPlan.parse(fault),
-        )
-        _assert_golden(program, envs, got, niter)
+        flaky_chunks(1)
+        program, envs = _batch(app_key, 2)
+        with pytest.raises(ParallelExecutionError):
+            run_program_parallel(program, envs, 1, max_workers=2)
+        got = run_program_parallel(program, envs, 1, max_workers=2)
+        for env, res in zip(envs, got):
+            _assert_env_equal(
+                run_program(program, env, 1, engine="interpreter"), res
+            )
+
+
+class TestRecoveryKnobsAreGone:
+    """The retry ladder, fault injection and their options stay deleted.
+
+    Each call binds its arguments before running anything, so a removed
+    keyword fails with ``TypeError`` naming it.
+    """
+
+    @pytest.mark.parametrize("call,kwarg", [
+        (lambda **kw: submit_stacked(None, [], 1, **kw), "policy"),
+        (lambda **kw: submit_stacked(None, [], 1, **kw), "fault_plan"),
+        (lambda **kw: run_program_parallel(None, [], 1, **kw), "policy"),
+        (lambda **kw: run_program_parallel(None, [], 1, **kw), "fault_plan"),
+        (lambda **kw: ServerConfig(**kw), "retry_policy"),
+        (lambda **kw: ServerConfig(**kw), "fault_plan"),
+        (lambda **kw: MixScheduler(**kw), "retry_policy"),
+        (lambda **kw: MixScheduler(**kw), "fault_plan"),
+        (lambda **kw: Evaluator.mix_scheduler(None, **kw), "retry_policy"),
+        (lambda **kw: Evaluator.mix_scheduler(None, **kw), "fault_plan"),
+        (lambda **kw: Evaluator.validate_mix(None, {}, **kw), "retry_policy"),
+        (lambda **kw: Evaluator.validate_mix(None, {}, **kw), "fault_plan"),
+    ], ids=[
+        "submit_stacked-policy", "submit_stacked-fault_plan",
+        "run_program_parallel-policy", "run_program_parallel-fault_plan",
+        "ServerConfig-retry_policy", "ServerConfig-fault_plan",
+        "MixScheduler-retry_policy", "MixScheduler-fault_plan",
+        "mix_scheduler-retry_policy", "mix_scheduler-fault_plan",
+        "validate_mix-retry_policy", "validate_mix-fault_plan",
+    ])
+    def test_removed_keyword_is_rejected(self, call, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            call(**{kwarg: None})
+
+    @pytest.mark.parametrize("module", ["policy", "faults"])
+    def test_recovery_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.resilience.{module}")
+
+    def test_resilience_exports_only_cancellation(self):
+        import repro.resilience as resilience
+
+        assert resilience.__all__ == ["CancelToken", "ExecutionCancelled"]
+
+    @pytest.mark.parametrize("cls,attr", [
+        (GroupRun, "retries"),
+        (GroupError, "attempts"),
+        (GroupError, "backend"),
+    ])
+    def test_ladder_record_fields_are_gone(self, cls, attr):
+        assert attr not in cls.__dataclass_fields__
+
+    @pytest.mark.parametrize("attr", ["attempts", "final_backend"])
+    def test_parallel_error_carries_no_attempt_context(self, attr):
+        err = ParallelExecutionError("chunk failed", backend="thread")
+        assert not hasattr(err, attr)
+
+    def test_fault_plan_env_variable_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "crash@*x99")
+        program, envs = _batch("poisson2d", 2)
+        got = run_program_parallel(program, envs, 2, max_workers=2)
+        for env, res in zip(envs, got):
+            _assert_env_equal(
+                run_program(program, env, 2, engine="interpreter"), res
+            )

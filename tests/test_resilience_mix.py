@@ -3,12 +3,13 @@
 A live job population must survive one bad workload. ``strict=False``
 turns a group failure into a :class:`GroupError` record on
 ``MixRunResult.errors`` while the neighbouring groups complete
-bit-identically; ``strict=True`` keeps the fail-fast contract. The same
+bit-identically; ``strict=True`` raises on the first failure. The same
 semantics surface through ``Evaluator.validate_mix`` and ``repro mix``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import observability as obs
@@ -21,15 +22,11 @@ from repro.parallel.executor import (
     plan_token_for,
 )
 from repro.parallel.pool import shutdown_shared_pools
-from repro.resilience import FaultPlan, RetryPolicy
 from repro.util.errors import ValidationError
 from repro.workload import WorkloadMix
 
 #: two job groups with distinct plan tokens (different apps and meshes)
 MIX = WorkloadMix.parse("poisson2d:20x16:2x2,jacobi3d:12x10x8:2x2")
-
-#: no retries, no ladder: the first failure is final (fast tests)
-FRAGILE = RetryPolicy(backoff_base=0.0, max_attempts=1, ladder=())
 
 
 @pytest.fixture(autouse=True)
@@ -51,27 +48,43 @@ def _token_of(spec):
     return plan_token_for(spec.program(), spec.fields(seed=0))
 
 
-def _doomed_spec():
-    return next(s for s in MIX.specs if s.app == "poisson2d")
+def _doomed_spec(app="poisson2d"):
+    return next(s for s in MIX.specs if s.app == app)
+
+
+def _doom(monkeypatch, spec) -> None:
+    """Every parallel chunk of ``spec``'s group raises; others run."""
+    from repro.parallel import executor
+
+    real = executor.run_chunk_fields
+    token = _token_of(spec)
+
+    def run(*args, **kwargs):
+        if args[0] == token:
+            raise RuntimeError("doomed group")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "run_chunk_fields", run)
+
+
+@pytest.fixture
+def doomed_group(monkeypatch):
+    """Every parallel chunk of the poisson2d group raises; others run."""
+    _doom(monkeypatch, _doomed_spec())
 
 
 class TestBestEffortIsolation:
-    def test_failing_group_is_isolated_with_error_record(self):
+    def test_failing_group_is_isolated_with_error_record(self, doomed_group):
         obs.enable()
         doomed = _doomed_spec()
-        plan = FaultPlan.parse(f"crash@{_token_of(doomed)}/*x99")
-        scheduler = MixScheduler(
-            engine="parallel", max_workers=2, strict=False,
-            retry_policy=FRAGILE, fault_plan=plan,
-        )
+        scheduler = MixScheduler(engine="parallel", max_workers=2, strict=False)
         run = scheduler.run(MIX)
         assert not run.ok
         assert len(run.errors) == 1
         (error,) = run.errors
         assert isinstance(error, GroupError)
         assert error.spec.job_key == doomed.job_key
-        assert error.attempts == 1
-        assert error.backend == "thread"
+        assert "doomed group" in error.error
         assert error.describe().startswith(error.spec.describe())
         # the healthy group still completed, with full accounting
         (survivor,) = run.groups
@@ -82,28 +95,41 @@ class TestBestEffortIsolation:
         ) == 1
         assert obs.ring_sink().of_kind("mix.group_failure")
 
-    def test_strict_run_raises_on_the_same_fault(self):
-        doomed = _doomed_spec()
-        plan = FaultPlan.parse(f"crash@{_token_of(doomed)}/*x99")
-        scheduler = MixScheduler(
-            engine="parallel", max_workers=2, strict=True,
-            retry_policy=FRAGILE, fault_plan=plan,
-        )
-        with pytest.raises(ParallelExecutionError):
+    def test_strict_run_raises_on_the_same_fault(self, doomed_group):
+        scheduler = MixScheduler(engine="parallel", max_workers=2, strict=True)
+        with pytest.raises(ParallelExecutionError, match="doomed group"):
             scheduler.run(MIX)
 
-    def test_retries_surface_on_group_runs(self):
-        doomed = _doomed_spec()
-        plan = FaultPlan.parse(f"crash@{_token_of(doomed)}/0")
-        scheduler = MixScheduler(
-            engine="parallel", max_workers=2,
-            retry_policy=RetryPolicy(backoff_base=0.0), fault_plan=plan,
-        )
-        run = scheduler.run(MIX, validate=True)  # recovery is bit-identical
-        assert run.ok
-        by_app = {g.spec.app: g for g in run.groups}
-        assert by_app["poisson2d"].retries >= 1
-        assert by_app["jacobi3d"].retries == 0
+    @pytest.mark.parametrize("doomed_app,survivor_app", [
+        ("poisson2d", "jacobi3d"),
+        ("jacobi3d", "poisson2d"),
+    ])
+    def test_survivor_is_bit_identical_to_a_healthy_run(
+        self, monkeypatch, doomed_app, survivor_app
+    ):
+        healthy = MixScheduler(engine="compiled").run(MIX)
+        want = next(g for g in healthy.groups if g.spec.app == survivor_app)
+        _doom(monkeypatch, _doomed_spec(doomed_app))
+        run = MixScheduler(
+            engine="parallel", max_workers=2, strict=False
+        ).run(MIX)
+        (error,) = run.errors
+        assert error.spec.app == doomed_app
+        (got,) = run.groups
+        assert got.spec.app == survivor_app
+        for got_env, want_env in zip(got.results, want.results):
+            assert set(got_env) == set(want_env)
+            for name in want_env:
+                assert np.array_equal(got_env[name].data, want_env[name].data)
+
+    def test_isolated_run_validates_its_survivors(self, doomed_group):
+        run = MixScheduler(
+            engine="parallel", max_workers=2, strict=False
+        ).run(MIX, validate=True)
+        assert run.validated
+        (survivor,) = run.groups
+        assert survivor.spec.app == "jacobi3d"
+        assert len(run.errors) == 1
 
     def test_compiled_engine_isolates_too(self):
         doomed = _doomed_spec()
@@ -119,7 +145,6 @@ class TestBestEffortIsolation:
         assert not run.ok
         (error,) = run.errors
         assert "injected resolver failure" in error.error
-        assert error.attempts is None  # never reached the parallel engine
         (survivor,) = run.groups
         assert survivor.spec.app == "jacobi3d"
 
@@ -140,7 +165,6 @@ class TestValidateMixSemantics:
     ):
         run = evaluator.validate_mix(
             self.GOOD, engine="parallel", max_workers=2, strict=False,
-            retry_policy=FRAGILE,
         )
         assert not run.ok
         assert len(run.errors) == len(MIX.job_groups())
@@ -148,10 +172,7 @@ class TestValidateMixSemantics:
 
     def test_strict_validate_mix_raises(self, evaluator, poisoned_chunks):
         with pytest.raises(ParallelExecutionError):
-            evaluator.validate_mix(
-                self.GOOD, engine="parallel", max_workers=2,
-                retry_policy=FRAGILE,
-            )
+            evaluator.validate_mix(self.GOOD, engine="parallel", max_workers=2)
 
 
 class TestMixCli:
@@ -173,15 +194,14 @@ class TestMixCli:
         assert "FAILED" in out
         assert "group failed (isolated)" in out
 
-    def test_fault_plan_flag_recovers_and_reports_retries(self, capsys):
+    def test_healthy_parallel_mix_prints_no_recovery_line(self, capsys):
         code = main(
-            ["mix", self.MIX_ARG, "--engine", "parallel", "--max-workers", "2", "--validate",
-             "--fault-plan", "crash@0"]
+            ["mix", self.MIX_ARG, "--engine", "parallel", "--max-workers", "2",
+             "--validate"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "FAILED" not in out
-        assert "recovered:" in out
+        assert "recovered:" not in out
         assert "validated: every mesh bit-identical" in out
 
     def test_validated_footer_is_honest_about_failed_groups(
@@ -194,23 +214,3 @@ class TestMixCli:
         )
         assert code == 0
         assert "bit-identical" not in capsys.readouterr().out
-
-    def test_malformed_env_plan_is_a_usage_error(self, monkeypatch, capsys):
-        # a bad REPRO_FAULT_PLAN is an operator mistake, not a group
-        # failure to be isolated silently in best-effort mode
-        from repro.resilience import ENV_PLAN
-
-        monkeypatch.setenv(ENV_PLAN, "bogus-plan")
-        code = main(
-            ["mix", self.MIX_ARG, "--engine", "parallel", "--max-workers", "2"]
-        )
-        assert code == 2
-        assert "cannot parse fault" in capsys.readouterr().err
-
-    def test_bad_fault_plan_is_a_usage_error(self, capsys):
-        code = main(
-            ["mix", self.MIX_ARG, "--engine", "parallel", "--max-workers", "2",
-             "--fault-plan", "fly@0"]
-        )
-        assert code == 2
-        assert "fault" in capsys.readouterr().err

@@ -11,6 +11,7 @@ deadline/cancel race in which every job resolves exactly once.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import numpy as np
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import observability as obs
+from repro.dataflow import scheduler
 from repro.dataflow.scheduler import MixScheduler
 from repro.parallel import pool as parallel_pool
-from repro.resilience import ExecutionCancelled, FaultPlan, RetryPolicy
+from repro.resilience import ExecutionCancelled
 from repro.serve import (
     DeadlineExceeded,
     QueueFullError,
@@ -237,6 +239,18 @@ class TestCancellation:
         # tiny stacking budget -> many chunk boundaries -> the worker
         # thread sees the batch token quickly
         monkeypatch.setattr(compiled, "STACKED_BYTES_LIMIT", 8_192)
+        # the dispatch waits at its start until the job is cancelled, so
+        # the job is in flight when cancelled however fast the engine runs
+        started = threading.Event()
+        release = threading.Event()
+        real = scheduler.run_program_stacked
+
+        def gated(*args, **kwargs):
+            started.set()
+            release.wait(timeout=10.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "run_program_stacked", gated)
 
         async def _run():
             config = ServerConfig(
@@ -246,10 +260,13 @@ class TestCancellation:
             )
             async with Server(config) as server:
                 handle = await server.submit("jacobi3d:12x12x8:200x2")
-                while not server._inflight:
+                deadline = time.monotonic() + 10.0
+                while not started.is_set():
+                    assert time.monotonic() < deadline, "never dispatched"
                     await asyncio.sleep(0.001)
                 group = next(iter(server._inflight))
                 assert handle.cancel("mid-flight")
+                release.set()
                 with pytest.raises(asyncio.CancelledError):
                     await handle
                 # the reaped group token is what stops the worker thread
@@ -489,12 +506,13 @@ class TestLifecycle:
 
 
 class TestCircuitBreaker:
-    def test_trip_half_open_recover_cycle_under_crash_plan(self):
-        """The ISSUE's breaker acceptance: two planned chunk crashes trip
-        the breaker twice (the second on the half-open probe); degraded
-        dispatches still serve bit-identical results (validate=True reruns
-        every mesh on the golden interpreter); the third parallel dispatch
-        probes clean and closes the breaker."""
+    def test_trip_half_open_recover_cycle_under_crash_plan(self, flaky_chunks):
+        """Two chunk crashes trip the breaker twice (the second on the
+        half-open probe); degraded dispatches still serve bit-identical
+        results (validate=True reruns every mesh on the golden
+        interpreter); the third parallel dispatch probes clean and closes
+        the breaker."""
+        crashed = flaky_chunks(2)
 
         async def _run():
             obs.enable(fresh=True)
@@ -505,8 +523,6 @@ class TestCircuitBreaker:
                 reset_timeout=0.2,
                 batch_window=0.002,
                 validate=True,
-                retry_policy=RetryPolicy.disabled(),
-                fault_plan=FaultPlan.parse("crash@0x2"),
             )
             async with Server(config) as server:
                 states = []
@@ -521,7 +537,7 @@ class TestCircuitBreaker:
                 results.append(await (await server.submit("poisson2d:16x12:10x2")))
                 states.append(server.breaker.state)
                 await asyncio.sleep(config.reset_timeout + 0.05)
-                # probe again: the plan is spent, the probe succeeds
+                # probe again: the crashes are spent, the probe succeeds
                 results.append(await (await server.submit("poisson2d:16x12:10x2")))
                 states.append(server.breaker.state)
                 health = server.health()
@@ -531,6 +547,7 @@ class TestCircuitBreaker:
         try:
             assert states == ["open", "open", "closed"]
             assert server.breaker.trips == 2
+            assert len(crashed) == 2
             assert all(len(r) == 2 for r in results)
             # every job served, none failed, and the open-breaker window
             # plus the post-failure reruns went through the serial engine
@@ -553,9 +570,10 @@ class TestCircuitBreaker:
         finally:
             obs.disable()
 
-    def test_breaker_results_match_healthy_run(self):
+    def test_breaker_results_match_healthy_run(self, flaky_chunks):
         """Results served through trip/degrade/recover are bit-identical
         to the same submission order on a healthy serial server."""
+        flaky_chunks(1)
 
         async def _drive(config):
             async with Server(config) as server:
@@ -572,8 +590,6 @@ class TestCircuitBreaker:
                     max_workers=2,
                     failure_threshold=1,
                     batch_window=0.02,
-                    retry_policy=RetryPolicy.disabled(),
-                    fault_plan=FaultPlan.parse("crash@0"),
                 )
             )
         )
@@ -583,6 +599,55 @@ class TestCircuitBreaker:
         for got_chunk, want_chunk in zip(faulted, healthy):
             for got, want in zip(got_chunk, want_chunk):
                 _assert_envs_equal(got, want)
+
+    @pytest.mark.parametrize("threshold", [2, 3])
+    def test_failures_below_threshold_keep_the_breaker_closed(
+        self, flaky_chunks, threshold
+    ):
+        """Each failing dispatch is rerun serially and counted once; one
+        short of the threshold, the breaker stays closed."""
+        crashed = flaky_chunks(threshold - 1)
+        states, health, trips = self._dispatch_one_by_one(threshold, threshold)
+        assert len(crashed) == threshold - 1
+        assert states == ["closed"] * threshold
+        assert trips == 0
+        assert health["jobs"]["completed"] == threshold
+        assert health["jobs"]["failed"] == 0
+        assert health["jobs"]["degraded"] == threshold - 1
+        _assert_pools_idle()
+
+    @pytest.mark.parametrize("threshold", [1, 2])
+    def test_failures_at_threshold_trip_once(self, flaky_chunks, threshold):
+        crashed = flaky_chunks(threshold)
+        states, health, trips = self._dispatch_one_by_one(threshold, threshold)
+        assert len(crashed) == threshold
+        assert states == ["closed"] * (threshold - 1) + ["open"]
+        assert trips == 1
+        assert health["jobs"]["completed"] == threshold
+        assert health["jobs"]["failed"] == 0
+        _assert_pools_idle()
+
+    @staticmethod
+    def _dispatch_one_by_one(threshold, jobs):
+        """Serve ``jobs`` one-mesh jobs one dispatch at a time; the
+        breaker state after each, the final health and the trip count."""
+
+        async def _run():
+            config = ServerConfig(
+                engine="parallel",
+                max_workers=2,
+                failure_threshold=threshold,
+                reset_timeout=60.0,
+                batch_window=0.002,
+            )
+            async with Server(config) as server:
+                states = []
+                for _ in range(jobs):
+                    (_,) = await (await server.submit("poisson2d:16x12:4"))
+                    states.append(server.breaker.state)
+                return states, server.health(), server.breaker.trips
+
+        return _serve(_run())
 
 
 class TestExactlyOnce:
