@@ -643,6 +643,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mix.set_defaults(fn=_cmd_mix)
 
+    # every server option defaults to its ServerConfig field
+    from repro.serve.server import ServerConfig
+
+    served = ServerConfig()
     p_srv = sub.add_parser(
         "serve",
         help="run the async serving layer under a closed-loop bench load",
@@ -672,22 +676,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--engine",
-        default="parallel",
+        default=served.engine,
         choices=("compiled", "parallel", "native", "interpreter"),
-        help="engine while the breaker is closed (open degrades to compiled)",
+        help="engine every dispatch runs on (default %(default)s); only "
+        "parallel has a breaker, whose open state degrades to compiled",
     )
     p_srv.add_argument(
-        "--max-workers", type=int, default=None,
+        "--max-workers", type=int, default=served.max_workers,
         help="worker-pool width for --engine parallel (default: one per core)",
     )
     p_srv.add_argument(
-        "--queue-depth", type=int, default=64,
-        help="bounded admission queue capacity per tenant (default 64)",
+        "--queue-depth", type=int, default=served.queue_depth,
+        help="bounded admission queue capacity per tenant (default %(default)s)",
     )
     p_srv.add_argument(
-        "--admission", default="reject", choices=("reject", "block"),
+        "--admission", default=served.admission, choices=("reject", "block"),
         help="full-queue behaviour: reject raises QueueFullError, block "
-        "waits for space (default reject)",
+        "waits for space (default %(default)s)",
     )
     p_srv.add_argument(
         "--deadline", type=float, default=None,
@@ -695,24 +700,27 @@ def build_parser() -> argparse.ArgumentParser:
         "in-flight work is cancelled cooperatively)",
     )
     p_srv.add_argument(
-        "--batch-window", type=float, default=0.005,
-        help="seconds the batching loop waits to coalesce compatible jobs "
-        "into one stacked dispatch (default 0.005)",
+        "--batch-window", type=float, default=served.batch_window,
+        help="seconds the batching loop waits after waking before it "
+        "dequeues (default %(default)s); 0 dispatches on wake, and jobs "
+        "that queue during a dispatch still coalesce on the next one",
     )
     p_srv.add_argument(
-        "--failure-threshold", type=int, default=3,
-        help="consecutive parallel failures that trip the breaker (default 3)",
+        "--failure-threshold", type=int, default=served.failure_threshold,
+        help="consecutive parallel failures that trip the breaker "
+        "(default %(default)s)",
     )
     p_srv.add_argument(
-        "--reset-timeout", type=float, default=1.0,
-        help="seconds an open breaker waits before half-opening (default 1)",
+        "--reset-timeout", type=float, default=served.reset_timeout,
+        help="seconds an open breaker waits before half-opening "
+        "(default %(default)s)",
     )
     p_srv.add_argument(
         "--validate", action="store_true",
         help="re-derive every served mesh on the golden interpreter and "
         "compare bitwise",
     )
-    p_srv.add_argument("--seed", type=int, default=0)
+    p_srv.add_argument("--seed", type=int, default=served.seed)
     p_srv.add_argument(
         "--trace",
         help="record the run's structured events (admissions, sheds, "

@@ -2,14 +2,15 @@
 
 A :class:`Server` turns the batch-oriented execution stack —
 :class:`~repro.dataflow.scheduler.MixScheduler` over the chunked stacked
-compiled engine and the parallel worker-pool backend — into an always-on
-service: clients :meth:`~Server.submit` individual
-:class:`~repro.workload.WorkloadSpec` jobs and await their results, while
-a batching loop coalesces compatible queued jobs (same
-:attr:`~repro.workload.WorkloadSpec.job_key`: app, mesh, dtype, niter)
-into merged stacked dispatches — the serving-time realization of the
-paper's batched streaming mode, where many small client jobs ride one
-plan instead of paying one dispatch each.
+compiled engine — into an always-on service: clients
+:meth:`~Server.submit` individual :class:`~repro.workload.WorkloadSpec`
+jobs and await their results, while a batching loop coalesces compatible
+queued jobs (same :attr:`~repro.workload.WorkloadSpec.job_key`: app,
+mesh, dtype, niter) into merged stacked dispatches — the serving-time
+realization of the paper's batched streaming mode, where many small
+client jobs ride one plan instead of paying one dispatch each. The loop
+dispatches as soon as it wakes; batches form from load, because every
+job that queues while a tick's dispatches run joins the next tick.
 
 The robustness envelope, end to end:
 
@@ -24,14 +25,15 @@ The robustness envelope, end to end:
   :class:`~repro.serve.errors.DeadlineExceeded` while its batch is
   cancelled cooperatively through the
   :class:`~repro.resilience.CancelToken` threaded down the engine stack.
-* **Circuit breaking** — the one recovery path of the execution stack.
-  A parallel dispatch that fails (the engine raises
-  :class:`~repro.parallel.ParallelExecutionError` on the first failing
-  chunk, without retrying) is rerun on the serial compiled engine, and
-  consecutive failures trip a :class:`~repro.serve.breaker.CircuitBreaker`;
-  while open, dispatches degrade to the serial compiled engine up front
-  (results stay bit-identical), and timed half-open probes restore the
-  parallel backend when it heals.
+* **Circuit breaking** — the one recovery path of the execution stack,
+  active on ``engine="parallel"``. A parallel dispatch that fails (the
+  engine raises :class:`~repro.parallel.ParallelExecutionError` on the
+  first failing chunk, without retrying) is rerun on the serial compiled
+  engine, and consecutive failures trip a
+  :class:`~repro.serve.breaker.CircuitBreaker`; while open, dispatches
+  degrade to the serial compiled engine up front (results stay
+  bit-identical), and timed half-open probes restore the parallel
+  backend when it heals.
 * **Graceful drain** — :meth:`Server.close` stops admissions and either
   drains (every queued/in-flight job resolves or deadline-fails) or sheds
   everything; either way no job is left unresolved.
@@ -71,9 +73,10 @@ ADMISSIONS = ("reject", "block")
 class ServerConfig:
     """Tuning of one :class:`Server` instance."""
 
-    #: engine while the breaker is closed
-    #: ("parallel" | "compiled" | "native" | "interpreter")
-    engine: str = "parallel"
+    #: engine every dispatch runs on
+    #: ("compiled" | "native" | "interpreter" | "parallel"); only
+    #: "parallel" has a breaker, whose open state degrades to "compiled"
+    engine: str = "compiled"
     #: worker-pool width for the parallel engine (None: one per core)
     max_workers: int | None = None
     #: bounded queue capacity, per tenant
@@ -82,9 +85,11 @@ class ServerConfig:
     admission: str = "reject"
     #: relative service weights per tenant (absent tenants weigh 1.0)
     tenant_weights: Mapping[str, float] | None = None
-    #: seconds the batching loop waits after waking, letting compatible
-    #: jobs accumulate into one stacked dispatch
-    batch_window: float = 0.005
+    #: seconds the batching loop waits after waking before it dequeues;
+    #: 0 dispatches on wake, and jobs that queue while a dispatch runs
+    #: still coalesce on the next tick. A window only delays a job that
+    #: finds the server idle: raise it to trade latency for larger batches
+    batch_window: float = 0.0
     #: mesh budget one loop tick dequeues (bounds a tick's working set)
     max_batch_meshes: int = 64
     #: consecutive parallel failures that trip the breaker
@@ -104,6 +109,21 @@ class ServerConfig:
             raise ValidationError(
                 f"unknown admission policy {self.admission!r}; "
                 f"expected one of {ADMISSIONS}"
+            )
+        # a tick that dequeues nothing from a non-empty queue never yields
+        # and never dispatches; a monitor that never waits busy-spins.
+        # Written as ``not x >= 0`` so that NaN fails too.
+        if not self.max_batch_meshes >= 1:
+            raise ValidationError(
+                f"max_batch_meshes must be at least 1, got {self.max_batch_meshes}"
+            )
+        if not self.batch_window >= 0:
+            raise ValidationError(
+                f"batch_window must be non-negative seconds, got {self.batch_window}"
+            )
+        if not self.monitor_interval > 0:
+            raise ValidationError(
+                f"monitor_interval must be positive seconds, got {self.monitor_interval}"
             )
 
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.cli import _parse_mesh, main
+from repro.cli import _parse_mesh, build_parser, main
 from repro.util.errors import ReproError
 
 
@@ -260,6 +260,36 @@ class TestServeCommand:
         assert "degraded dispatches" in out
         # every request still served through the serial fallback
         assert "failed 0" in out
+
+    def test_serve_defaults_are_the_server_config_defaults(self):
+        from dataclasses import fields
+
+        from repro.serve import ServerConfig
+
+        args = build_parser().parse_args(["serve", self.MIX])
+        defaults = ServerConfig()
+        exposed = [f.name for f in fields(ServerConfig) if hasattr(args, f.name)]
+        assert set(exposed) == {
+            "engine", "max_workers", "queue_depth", "admission",
+            "batch_window", "failure_threshold", "reset_timeout",
+            "validate", "seed",
+        }
+        for name in exposed:
+            assert getattr(args, name) == getattr(defaults, name), name
+
+    def test_serve_bench_on_defaults(self, capsys):
+        assert main([
+            "serve", self.MIX, "--bench", "--clients", "2", "--requests", "2",
+            "--validate",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "(compiled engine, admission=reject)" in out
+        assert "validated: every served mesh bit-identical" in out
+        assert "failed 0" in out
+
+    def test_serve_rejects_negative_batch_window(self, capsys):
+        assert main(["serve", self.MIX, "--batch-window", "-0.001"]) == 2
+        assert "batch_window" in capsys.readouterr().err
 
     def test_serve_rejects_bad_spec(self, capsys):
         assert main(["serve", "nonsense"]) == 2

@@ -453,6 +453,143 @@ class TestDispatchRaces:
         assert health["outstanding_jobs"] == 0
 
 
+class TestDispatchPolicy:
+    """The default loop dispatches on wake; batches form from load."""
+
+    def test_jobs_queued_during_a_dispatch_coalesce_on_the_next_tick(
+        self, monkeypatch
+    ):
+        """With no window, a job that finds the server idle runs alone,
+        and every compatible job submitted while it runs rides one merged
+        stacked dispatch on the next tick."""
+        started = threading.Event()
+        release = threading.Event()
+        real = scheduler.run_program_stacked
+        stacked = []
+
+        def gated(program, envs, *args, **kwargs):
+            stacked.append(len(envs))
+            started.set()
+            release.wait(timeout=10.0)
+            return real(program, envs, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "run_program_stacked", gated)
+        followers = 4
+
+        async def _run():
+            obs.enable(fresh=True)
+            async with Server(ServerConfig(validate=True)) as server:
+                first = await server.submit("poisson2d:16x12:8")
+                deadline = time.monotonic() + 10.0
+                while not started.is_set():
+                    assert time.monotonic() < deadline, "never dispatched"
+                    await asyncio.sleep(0.001)
+                handles = [
+                    await server.submit("poisson2d:16x12:8")
+                    for _ in range(followers)
+                ]
+                release.set()
+                results = [await first] + [await h for h in handles]
+                dispatched = [
+                    e["jobs"]
+                    for e in obs.ring_sink().of_kind("serve.group_dispatch")
+                ]
+                return results, dispatched, server.health()
+
+        try:
+            results, dispatched, health = _serve(_run())
+        finally:
+            release.set()
+            obs.disable()
+        assert dispatched == [1, followers]
+        assert stacked == [1, followers]
+        assert [len(r) for r in results] == [1] * (followers + 1)
+        assert health["jobs"]["completed"] == followers + 1
+
+    @pytest.mark.parametrize("window", [None, 0.004], ids=["default", "windowed"])
+    def test_a_lone_job_waits_only_for_a_configured_window(
+        self, monkeypatch, window
+    ):
+        """On the default config the loop awaits no sleep between waking
+        and dispatching a lone job; a configured window is the only sleep
+        the loop takes."""
+        config = ServerConfig() if window is None else ServerConfig(batch_window=window)
+        real_sleep = asyncio.sleep
+        loop_sleeps = []
+
+        async def _run():
+            obs.enable(fresh=True)
+            server = Server(config)
+
+            async def recording_sleep(delay, *args, **kwargs):
+                if asyncio.current_task() is server._loop_task:
+                    loop_sleeps.append(delay)
+                return await real_sleep(delay, *args, **kwargs)
+
+            monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+            async with server:
+                result = await (await server.submit("poisson2d:12x10:6"))
+            dispatched = [
+                e["jobs"] for e in obs.ring_sink().of_kind("serve.group_dispatch")
+            ]
+            return result, dispatched
+
+        try:
+            result, dispatched = _serve(_run())
+        finally:
+            obs.disable()
+        assert len(result) == 1
+        assert dispatched == [1]
+        if window is None:
+            assert loop_sleeps == []
+        else:
+            assert loop_sleeps and set(loop_sleeps) == {window}
+
+    def test_one_mesh_budget_serves_one_job_a_tick(self):
+        async def _run():
+            obs.enable(fresh=True)
+            async with Server(ServerConfig(max_batch_meshes=1)) as server:
+                handles = [
+                    await server.submit("poisson2d:12x10:6") for _ in range(3)
+                ]
+                results = [await h for h in handles]
+            dispatched = [
+                e["jobs"] for e in obs.ring_sink().of_kind("serve.group_dispatch")
+            ]
+            return results, dispatched
+
+        try:
+            results, dispatched = _serve(_run())
+        finally:
+            obs.disable()
+        assert [len(r) for r in results] == [1, 1, 1]
+        assert dispatched == [1, 1, 1]
+
+
+class TestConfigValidation:
+    """Loop fields that would spin or stall the batching loop are refused."""
+
+    def test_defaults_serve_on_compiled_without_a_window(self):
+        config = ServerConfig()
+        assert config.engine == "compiled"
+        assert config.batch_window == 0
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_max_batch_meshes_below_one_is_rejected(self, value):
+        with pytest.raises(ValidationError, match="max_batch_meshes"):
+            ServerConfig(max_batch_meshes=value)
+
+    @pytest.mark.parametrize("value", [-0.001, float("nan")])
+    def test_negative_batch_window_is_rejected(self, value):
+        with pytest.raises(ValidationError, match="batch_window"):
+            ServerConfig(batch_window=value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.02, float("nan")])
+    def test_non_positive_monitor_interval_is_rejected(self, value):
+        with pytest.raises(ValidationError, match="monitor_interval"):
+            ServerConfig(monitor_interval=value)
+
+
 class TestLifecycle:
     def test_closed_server_rejects_submits(self):
         async def _run():
