@@ -16,7 +16,10 @@ import numpy as np
 
 from repro.apps.poisson2d import poisson2d_app
 from repro.arch.device import ALVEO_U280
-from repro.model.design import Workload, explore_designs
+from repro.dse import (
+    BANDWIDTH, POWER, RUNTIME, Evaluator, ExhaustiveSearch, Study, model_space,
+)
+from repro.model.design import Workload
 from repro.stencil.numpy_eval import run_program
 from repro.util.units import GB
 
@@ -33,13 +36,19 @@ def main() -> None:
 
     # -- 2. design-space exploration -------------------------------------------
     workload = Workload(program.mesh, niter)
-    ranked = explore_designs(program, ALVEO_U280, workload, top_k=3)
+    evaluator = Evaluator(
+        program, ALVEO_U280, workload, objectives=(RUNTIME, BANDWIDTH, POWER)
+    )
+    study = Study(model_space(program, ALVEO_U280, workload), evaluator)
+    study.run(ExhaustiveSearch())
     print("\nTop design points (model-ranked):")
-    for design, metrics in ranked:
+    for trial in study.top(3):
+        design = trial.result.design
         print(
             f"  V={design.V:<3} p={design.p:<3} {design.clock_mhz:.0f} MHz "
-            f"{design.memory:<5} -> {metrics.seconds * 1e3:8.2f} ms, "
-            f"{metrics.logical_bandwidth / GB:6.1f} GB/s, {metrics.power_w:5.1f} W"
+            f"{design.memory:<5} -> {trial.value('runtime') * 1e3:8.2f} ms, "
+            f"{trial.value('bandwidth') / GB:6.1f} GB/s, "
+            f"{trial.value('power'):5.1f} W"
         )
 
     # -- 3. the paper's validated design ----------------------------------------

@@ -20,7 +20,7 @@ from repro.dataflow.pipeline import IterativePipeline
 from repro.dataflow.tiler import SpatialTiler
 from repro.mesh.mesh import Field
 from repro.model.design import DesignPoint, Workload
-from repro.model.energy import DEFAULT_FPGA_POWER, FPGAPowerModel
+from repro.model.energy import DEFAULT_FPGA_POWER
 from repro.model.resources import resource_report
 from repro.stencil.program import StencilProgram
 from repro.util.errors import ValidationError
@@ -82,8 +82,8 @@ class FPGAAccelerator:
         program: StencilProgram,
         design: DesignPoint,
         device: FPGADevice = ALVEO_U280,
+        *,
         host: HostModel = HostModel(),
-        power_model: FPGAPowerModel = DEFAULT_FPGA_POWER,
         logical_bytes_per_cell_iter: float | None = None,
         engine: str = "compiled",
         plan_cache=None,
@@ -92,7 +92,6 @@ class FPGAAccelerator:
         self.design = design
         self.device = device
         self.host = host
-        self.power_model = power_model
         self.logical_bytes_per_cell_iter = (
             logical_bytes_per_cell_iter
             if logical_bytes_per_cell_iter is not None
@@ -117,26 +116,20 @@ class FPGAAccelerator:
 
     # -- functional entry points ----------------------------------------------
     def run(
-        self,
-        fields: Mapping[str, Field],
-        niter: int,
-        coefficients: Mapping[str, float] | None = None,
+        self, fields: Mapping[str, Field], niter: int
     ) -> tuple[dict[str, Field], SimReport]:
         """Solve one mesh; returns (final fields, execution report)."""
         check_positive("niter", niter)
         if self.tiler is not None:
-            result = self.tiler.run(fields, niter, coefficients)
+            result = self.tiler.run(fields, niter)
         else:
-            result = self.pipeline.run(fields, niter, coefficients)
+            result = self.pipeline.run(fields, niter)
         mesh = fields[self.program.state_fields[0]].spec
         report = self._report(mesh.shape, niter, batch=1, mesh=mesh)
         return result, report
 
     def run_batch(
-        self,
-        batch_fields: Sequence[Mapping[str, Field]],
-        niter: int,
-        coefficients: Mapping[str, float] | None = None,
+        self, batch_fields: Sequence[Mapping[str, Field]], niter: int
     ) -> tuple[list[dict[str, Field]], SimReport]:
         """Solve a batch of independent same-shaped meshes.
 
@@ -149,7 +142,7 @@ class FPGAAccelerator:
         """
         if self.tiler is not None:
             raise ValidationError("batched execution is not supported on tiled designs")
-        results = self.pipeline.run_batch(batch_fields, niter, coefficients)
+        results = self.pipeline.run_batch(batch_fields, niter)
         mesh = batch_fields[0][self.program.state_fields[0]].spec
         report = self._report(mesh.shape, niter, batch=len(batch_fields), mesh=mesh)
         return results, report
@@ -220,7 +213,7 @@ class FPGAAccelerator:
         resources = resource_report(
             self.program, self.device, self.design.V, self.design.p, shape
         )
-        power = self.power_model.watts(
+        power = DEFAULT_FPGA_POWER.watts(
             self.device,
             dsp_used=resources.dsp_used,
             mem_used_bytes=resources.mem_used_bytes,

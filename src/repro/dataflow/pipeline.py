@@ -80,19 +80,15 @@ class IterativePipeline:
         self,
         fields: Mapping[str, Field],
         niter: int,
-        coefficients: Mapping[str, float] | None,
         into: Into | None = None,
     ) -> dict[str, Field] | None:
         return run_program_compiled(
-            self.program, fields, niter, coefficients,
+            self.program, fields, niter,
             cache=self.plan_cache, engine=self.engine, into=into,
         )
 
     def run_pass(
-        self,
-        fields: Mapping[str, Field],
-        coefficients: Mapping[str, float] | None = None,
-        into: Into | None = None,
+        self, fields: Mapping[str, Field], *, into: Into | None = None
     ) -> dict[str, Field] | None:
         """One pass = ``p`` chained iterations.
 
@@ -101,23 +97,15 @@ class IterativePipeline:
         pass then stores that window there and returns None
         (:func:`~repro.stencil.compiled.run_program_compiled`).
         """
-        return self._run_iterations(fields, self.p, coefficients, into=into)
+        return self._run_iterations(fields, self.p, into=into)
 
-    def run(
-        self,
-        fields: Mapping[str, Field],
-        niter: int,
-        coefficients: Mapping[str, float] | None = None,
-    ) -> dict[str, Field]:
+    def run(self, fields: Mapping[str, Field], niter: int) -> dict[str, Field]:
         """Run ``niter`` iterations (must be a multiple of ``p``)."""
         self._check_niter(niter)
-        return self._run_iterations(fields, niter, coefficients)
+        return self._run_iterations(fields, niter)
 
     def run_batch(
-        self,
-        batch_fields: Sequence[Mapping[str, Field]],
-        niter: int,
-        coefficients: Mapping[str, float] | None = None,
+        self, batch_fields: Sequence[Mapping[str, Field]], niter: int
     ) -> list[dict[str, Field]]:
         """Run a batch of independent same-spec meshes (paper Section IV-B).
 
@@ -137,11 +125,10 @@ class IterativePipeline:
             from repro.parallel.executor import run_program_parallel
 
             return run_program_parallel(
-                self.program, batch_fields, niter, coefficients,
-                cache=self.plan_cache,
+                self.program, batch_fields, niter, cache=self.plan_cache
             )
         return run_program_stacked(
-            self.program, batch_fields, niter, coefficients,
+            self.program, batch_fields, niter,
             cache=self.plan_cache, engine=self.engine,
         )
 

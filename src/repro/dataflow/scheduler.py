@@ -26,7 +26,7 @@ interpreter and raises on any mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -176,7 +176,7 @@ class MixScheduler:
     program_for: ProgramFor | None = None
     #: base seed mixed into default initial conditions per member
     seed: int = 0
-    coefficients: Mapping[str, float] | None = dc_field(default=None)
+    _: KW_ONLY
     #: worker-pool width for ``engine="parallel"`` (None: one per core)
     max_workers: int | None = None
     #: raise on the first failing group (True) or isolate it (False)
@@ -283,7 +283,6 @@ class MixScheduler:
                 program,
                 envs,
                 spec.niter,
-                self.coefficients,
                 cache=self.plan_cache,
                 stats=stats,
                 cancel=cancel,
@@ -325,7 +324,6 @@ class MixScheduler:
                         program,
                         envs,
                         spec.niter,
-                        self.coefficients,
                         cache=self.plan_cache,
                         stats=stats,
                         max_workers=self.max_workers,
@@ -406,6 +404,4 @@ class MixScheduler:
     def _golden(self, program: StencilProgram, env, niter: int):
         from repro.stencil.numpy_eval import run_program
 
-        return run_program(
-            program, env, niter, self.coefficients, engine="interpreter"
-        )
+        return run_program(program, env, niter, engine="interpreter")

@@ -71,12 +71,7 @@ class SpatialTiler:
         return self.design.p * self.iter_radius[axis]
 
     # -- functional ---------------------------------------------------------------
-    def run(
-        self,
-        fields: Mapping[str, Field],
-        niter: int,
-        coefficients: Mapping[str, float] | None = None,
-    ) -> dict[str, Field]:
+    def run(self, fields: Mapping[str, Field], niter: int) -> dict[str, Field]:
         """Run ``niter`` iterations (multiple of ``p``) with tiled passes.
 
         Mirrors the interpreter: the caller's bindings, with every state
@@ -102,7 +97,7 @@ class SpatialTiler:
                 )
                 for name in self.program.state_fields
             }
-            env = self._run_pass(read, out, coefficients)
+            env = self._run_pass(read, out)
             if k:  # the previous pass's output, read for the last time
                 spare = {name: read[name].data for name in self.program.state_fields}
         return env
@@ -118,10 +113,7 @@ class SpatialTiler:
         return plans
 
     def _run_pass(
-        self,
-        env: dict[str, Field],
-        out: dict[str, np.ndarray],
-        coefficients: Mapping[str, float] | None,
+        self, env: dict[str, Field], out: dict[str, np.ndarray]
     ) -> dict[str, Field]:
         """One pass over every block of ``env``, each state field stored
         into its array of ``out`` (neither read nor aliased by ``env``):
@@ -148,7 +140,7 @@ class SpatialTiler:
             into = {
                 name: (out[name][block], window) for name in self.program.state_fields
             }
-            self.pipeline.run_pass(block_env, coefficients, into=into)
+            self.pipeline.run_pass(block_env, into=into)
         result = dict(env)
         for name in self.program.state_fields:
             result[name] = Field(name, env[name].spec, out[name])

@@ -129,17 +129,8 @@ class _RowEvaluator:
         return plane[y + dy, rx + dx : m - rx + dx, access.component]
 
 
-def _kernel_coeffs(kernel: StencilKernel, extra: Mapping[str, float] | None) -> dict[str, float]:
-    coeffs = dict(kernel.coefficients)
-    if extra:
-        coeffs.update(extra)
-    return coeffs
-
-
 def stream_iterate_2d(
-    kernel: StencilKernel,
-    fields: Mapping[str, Field],
-    coefficients: Mapping[str, float] | None = None,
+    kernel: StencilKernel, fields: Mapping[str, Field]
 ) -> dict[str, Field]:
     """Run a 2D kernel through literal row-streaming window buffers.
 
@@ -160,8 +151,6 @@ def stream_iterate_2d(
             outputs[out.field] = np.zeros(
                 (n, m, out.components), dtype=spec.dtype
             )
-    coeffs = _kernel_coeffs(kernel, coefficients)
-
     for y in range(n + ry):
         # push the next input row into every window buffer (streaming in)
         if y < n:
@@ -175,7 +164,7 @@ def stream_iterate_2d(
             continue
         windows = {f: buffers[f].window() for f in read_fields}
         local_env = dict(windows)
-        evaluator = _RowEvaluator(local_env, coeffs, (rx, ry), spec.dtype)
+        evaluator = _RowEvaluator(local_env, kernel.coefficients, (rx, ry), spec.dtype)
         for out in kernel.outputs:
             row_vals = [evaluator.eval(expr) for expr in out.exprs]
             for comp, vals in enumerate(row_vals):
@@ -190,9 +179,7 @@ def stream_iterate_2d(
 
 
 def stream_iterate_3d(
-    kernel: StencilKernel,
-    fields: Mapping[str, Field],
-    coefficients: Mapping[str, float] | None = None,
+    kernel: StencilKernel, fields: Mapping[str, Field]
 ) -> dict[str, Field]:
     """Run a 3D kernel through literal plane-streaming window buffers."""
     spec = _common_spec(kernel, fields, 3)
@@ -206,8 +193,6 @@ def stream_iterate_3d(
             outputs[out.field] = fields[out.init_from].data.copy()
         else:
             outputs[out.field] = np.zeros((l, n, m, out.components), dtype=spec.dtype)
-    coeffs = _kernel_coeffs(kernel, coefficients)
-
     for z in range(l + rz):
         if z < l:
             for f in read_fields:
@@ -221,7 +206,9 @@ def stream_iterate_3d(
         windows = {f: buffers[f].window() for f in read_fields}
         for y in range(ry, n - ry):
             local_env = dict(windows)
-            evaluator = _RowEvaluator(local_env, coeffs, (rx, ry, rz), spec.dtype, y)
+            evaluator = _RowEvaluator(
+                local_env, kernel.coefficients, (rx, ry, rz), spec.dtype, y
+            )
             for out in kernel.outputs:
                 row_vals = [evaluator.eval(expr) for expr in out.exprs]
                 for comp, vals in enumerate(row_vals):

@@ -54,7 +54,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any, Mapping, Sequence
 
 from repro import observability as obs
-from repro.arch.clocking import DEFAULT_CLOCK_MODEL, ClockModel
 from repro.arch.device import FPGADevice
 from repro.dse.objectives import (
     Constraint,
@@ -115,9 +114,9 @@ class Evaluator:
         program: StencilProgram,
         device: FPGADevice,
         workload: Workload | None = None,
+        *,
         objectives: Sequence[Objective] = (RUNTIME,),
         constraints: Sequence[Constraint] = (),
-        clock_model: ClockModel = DEFAULT_CLOCK_MODEL,
         logical_bytes_per_cell_iter: float | None = None,
         workloads: MixLike | None = None,
     ):
@@ -141,7 +140,7 @@ class Evaluator:
         self.mix: WorkloadMix | None = None
         if workloads is not None:
             self.mix = as_mix(workloads)
-            self._entries = self._bind_mix(self.mix, clock_model)
+            self._entries = self._bind_mix(self.mix)
             # the heaviest member stands for the mix wherever one value
             # must (clock estimation, line-buffer sizing, unroll caps) —
             # the same selection the CLI uses to pick its program
@@ -154,7 +153,7 @@ class Evaluator:
             self.workload = workload
             self._entries = ()
             self._rep_program = program
-            self._space = DesignSpace(program, device, clock_model)
+            self._space = DesignSpace(program, device)
         self._cache: dict[ConfigKey, TrialResult] = {}
         self._lock = threading.Lock()
         #: the array model of the untiled single-board rows (built on first use)
@@ -173,9 +172,7 @@ class Evaluator:
         #: ``constraint``, or ``invalid`` for a configuration the model refuses)
         self.infeasible: Counter[str] = Counter()
 
-    def _bind_mix(
-        self, mix: WorkloadMix, clock_model: ClockModel
-    ) -> tuple[_MixBinding, ...]:
+    def _bind_mix(self, mix: WorkloadMix) -> tuple[_MixBinding, ...]:
         """Resolve every distinct mix spec against the model, once.
 
         Specs carrying an app name resolve their program (and logical
@@ -197,7 +194,7 @@ class Evaluator:
             # explicit opt-in, as in the harness)
             bindings.append(
                 _MixBinding(
-                    spec, weight, prog, DesignSpace(prog, self.device, clock_model),
+                    spec, weight, prog, DesignSpace(prog, self.device),
                     self.logical_bytes_per_cell_iter,
                 )
             )
@@ -407,9 +404,7 @@ class Evaluator:
 
     def mix_scheduler(
         self,
-        plan_cache=None,
-        seed: int = 0,
-        fields_for=None,
+        *,
         engine: str = "compiled",
         max_workers: int | None = None,
         strict: bool = True,
@@ -420,7 +415,7 @@ class Evaluator:
         so functional validation runs exactly what the model priced —
         including app-less specs, whose programs resolve through this
         evaluator's bindings (their initial conditions are synthesized
-        from the program contract unless ``fields_for`` supplies them).
+        from the program contract).
         ``engine="parallel"`` fans the groups' chunks out over a worker
         pool of up to ``max_workers`` lanes; results stay bit-identical.
         ``strict=False`` isolates failing groups instead of raising.
@@ -439,10 +434,7 @@ class Evaluator:
 
         return MixScheduler(
             engine=engine,
-            plan_cache=plan_cache,
-            fields_for=fields_for,
             program_for=program_for,
-            seed=seed,
             max_workers=max_workers,
             strict=strict,
         )
@@ -450,9 +442,7 @@ class Evaluator:
     def validate_mix(
         self,
         config: Mapping[str, Any],
-        plan_cache=None,
-        seed: int = 0,
-        fields_for=None,
+        *,
         engine: str = "compiled",
         max_workers: int | None = None,
         strict: bool = True,
@@ -481,9 +471,7 @@ class Evaluator:
             )
         batch_factor = int(config.get("batch", 1))
         scheduler = self.mix_scheduler(
-            plan_cache, seed, fields_for,
-            engine=engine, max_workers=max_workers,
-            strict=strict,
+            engine=engine, max_workers=max_workers, strict=strict
         )
         with obs.span(
             "dse.validate_mix", batch_factor=batch_factor, engine=engine

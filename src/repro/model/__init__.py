@@ -3,9 +3,10 @@
 Implements every numbered performance equation of the paper — baseline cycle
 counts (eqs. 2, 3, 5), the bandwidth-limited vectorization bound (eq. 4),
 resource-limited unroll factors (eqs. 6, 7), the spatial-blocking throughput
-theory (eqs. 8–14) and batching (eq. 15) — plus the derived design-space
-explorer, runtime, bandwidth and energy predictors used to reproduce the
-paper's tables and figures.
+theory (eqs. 8–14) and batching (eq. 15) — plus the design-space
+feasibility checks and the runtime, bandwidth and energy predictors used to
+reproduce the paper's tables and figures (the search over designs lives in
+:mod:`repro.dse`).
 """
 
 from repro.model.cycles import (
@@ -47,7 +48,7 @@ from repro.model.tiling import (
     valid_ratio,
     TileDesign,
 )
-from repro.model.design import DesignPoint, Workload, DesignSpace, explore_designs
+from repro.model.design import DesignPoint, Workload, DesignSpace
 from repro.model.runtime import PredictedMetrics, RuntimePredictor
 from repro.model.energy import FPGAPowerModel, DEFAULT_FPGA_POWER
 from repro.model.precision import (
@@ -104,7 +105,6 @@ __all__ = [
     "DesignPoint",
     "Workload",
     "DesignSpace",
-    "explore_designs",
     "PredictedMetrics",
     "RuntimePredictor",
     "FPGAPowerModel",

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.arch.clocking import DEFAULT_CLOCK_MODEL
 from repro.arch.device import URAM_BLOCK_BITS, URAM_WIDTH_BITS
 from repro.mesh.padding import aligned_row_bytes
 from repro.model.design import (
@@ -153,7 +154,7 @@ class DesignColumns:
         per_slr = np.minimum(by_dsp, by_mem)
         slrs = np.minimum(-(-p // np.maximum(per_slr, 1)), device.slr_count)
         crossings = np.where(per_slr >= 1, np.maximum(0, slrs - 1), p)
-        clock = space.clock_model
+        clock = DEFAULT_CLOCK_MODEL
         over = np.maximum(0.0, utilization - clock.utilization_knee)
         mhz = clock.target_mhz * (1.0 - clock.derate * over)
         mhz = mhz - clock.slr_penalty_mhz * crossings

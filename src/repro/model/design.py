@@ -3,30 +3,27 @@
 A :class:`DesignPoint` fixes everything the workflow must choose before
 synthesis: vectorization factor ``V``, iterative unroll depth ``p``, target
 clock, external memory system and (optionally) a spatial-blocking tile.
-:func:`explore_designs` enumerates feasible points for a program/workload on
-a device and ranks them by predicted runtime — the "model significantly
-narrows the design space" step of the paper (Section V-A).
+:class:`DesignSpace` checks a point's feasibility on a device (eqs. (4),
+(6), (7)) and estimates the clock it closes at; :mod:`repro.dse` searches
+and ranks the points — the "model significantly narrows the design space"
+step of the paper (Section V-A).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from repro.arch.clocking import DEFAULT_CLOCK_MODEL, ClockModel
+from repro.arch.clocking import DEFAULT_CLOCK_MODEL
 from repro.arch.device import FPGADevice
 from repro.mesh.mesh import MeshSpec
 from repro.model.bandwidth import feasible_vectorization
 from repro.model.resources import (
-    DEFAULT_DSP_COSTS,
-    DSPCostModel,
     ResourceReport,
     gdsp_program,
-    max_unroll,
     module_mem_bytes,
     resource_report,
 )
-from repro.model.tiling import TileDesign, optimal_tile_m, p_max_for_tile
+from repro.model.tiling import TileDesign, optimal_tile_m
 from repro.stencil.program import StencilProgram
 from repro.util.errors import InfeasibleDesignError, ValidationError
 from repro.util.units import MHZ
@@ -87,20 +84,12 @@ Workload = WorkloadSpec
 
 
 class DesignSpace:
-    """Feasibility-pruned enumeration of design points for one program."""
+    """Feasibility checks and clock estimates of design points for one program."""
 
-    def __init__(
-        self,
-        program: StencilProgram,
-        device: FPGADevice,
-        clock_model: ClockModel = DEFAULT_CLOCK_MODEL,
-        costs: DSPCostModel = DEFAULT_DSP_COSTS,
-    ):
+    def __init__(self, program: StencilProgram, device: FPGADevice):
         self.program = program
         self.device = device
-        self.clock_model = clock_model
-        self.costs = costs
-        self.gdsp = gdsp_program(program, costs)
+        self.gdsp = gdsp_program(program)
         self._external_fields = len(
             set(program.external_reads()) | set(program.external_writes())
         )
@@ -145,14 +134,6 @@ class DesignSpace:
         if design.V > v_max:
             raise bandwidth_error(design.V, design.memory, v_max)
 
-    def is_feasible(self, design: DesignPoint, workload: Workload) -> bool:
-        """True when :meth:`check` passes."""
-        try:
-            self.check(design, workload)
-            return True
-        except InfeasibleDesignError:
-            return False
-
     def _buffer_shape(self, design: DesignPoint, workload: Workload) -> tuple[int, ...]:
         """The shape whose rows/planes the window buffers must hold."""
         shape = workload.mesh.shape
@@ -163,54 +144,6 @@ class DesignSpace:
         if design.tile.N is None:
             raise ValidationError("3D tiled designs need an (M, N) tile")
         return (design.tile.M, design.tile.N, shape[2])
-
-    # -- enumeration --------------------------------------------------------------
-    def candidates(
-        self,
-        workload: Workload,
-        memories: Sequence[str] | None = None,
-        v_values: Sequence[int] | None = None,
-        tiled: bool = False,
-    ) -> Iterable[DesignPoint]:
-        """Yield feasible design points (clock from the clock model)."""
-        memories = memories or self.device.memory_targets
-        for memory in memories:
-            vs = v_values or self._default_v_sweep(memory)
-            for V in vs:
-                if tiled:
-                    yield from self._tiled_candidates(workload, memory, V)
-                else:
-                    yield from self._baseline_candidates(workload, memory, V)
-
-    def _default_v_sweep(self, memory: str) -> list[int]:
-        return v_sweep(
-            self.program, self.device, memory, self.device.default_clock_mhz * MHZ
-        )
-
-    def _baseline_candidates(
-        self, workload: Workload, memory: str, V: int
-    ) -> Iterable[DesignPoint]:
-        module_bytes = module_mem_bytes(self.program, workload.mesh.shape)
-        p_cap = max_unroll(self.device, V, self.gdsp, module_bytes)
-        for p in _p_sweep(p_cap):
-            design = DesignPoint(V, p, self.device.default_clock_mhz, memory)
-            design, _ = self.estimate_clock(design, workload)
-            if self.is_feasible(design, workload):
-                yield design
-
-    def _tiled_candidates(
-        self, workload: Workload, memory: str, V: int
-    ) -> Iterable[DesignPoint]:
-        D = self.program.order
-        p_cap = max(1, self.device.usable_dsp() // (V * self.gdsp))
-        for p in _p_sweep(p_cap):
-            tile = tile_for_unroll(self.program, self.device, workload.mesh, p)
-            if min(tile.tile) <= p * D:
-                continue
-            design = DesignPoint(V, p, self.device.default_clock_mhz, memory, tile)
-            design, _ = self.estimate_clock(design, workload)
-            if self.is_feasible(design, workload):
-                yield design
 
     def estimate_clock(
         self, design: DesignPoint, workload: Workload
@@ -224,16 +157,14 @@ class DesignSpace:
         from repro.arch.floorplan import SLRFloorplan
 
         shape = self._buffer_shape(design, workload)
-        report = resource_report(
-            self.program, self.device, design.V, design.p, shape, self.costs
-        )
+        report = resource_report(self.program, self.device, design.V, design.p, shape)
         plan = SLRFloorplan(
             self.device,
             design.p,
             design.V * self.gdsp,
             module_mem_bytes(self.program, shape),
         )
-        mhz = self.clock_model.estimate_mhz(
+        mhz = DEFAULT_CLOCK_MODEL.estimate_mhz(
             min(1.0, report.binding_utilization), plan.slr_crossings
         )
         return design.with_clock(mhz), report
@@ -321,27 +252,3 @@ def _p_sweep(p_cap: int) -> list[int]:
         if p_cap - delta >= 1:
             values.add(p_cap - delta)
     return sorted(values)
-
-
-def explore_designs(
-    program: StencilProgram,
-    device: FPGADevice,
-    workload: Workload,
-    tiled: bool = False,
-    top_k: int = 5,
-    clock_model: ClockModel = DEFAULT_CLOCK_MODEL,
-) -> list[tuple[DesignPoint, "object"]]:
-    """Enumerate feasible designs and rank by predicted runtime.
-
-    Returns ``[(design, PredictedMetrics), ...]`` sorted fastest first.
-    """
-    from repro.model.runtime import RuntimePredictor
-
-    space = DesignSpace(program, device, clock_model)
-    ranked = []
-    for design in space.candidates(workload, tiled=tiled):
-        predictor = RuntimePredictor(program, device, design)
-        metrics = predictor.predict(workload)
-        ranked.append((design, metrics))
-    ranked.sort(key=lambda pair: pair[1].seconds)
-    return ranked[:top_k]

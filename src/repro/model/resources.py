@@ -159,7 +159,6 @@ def resource_report(
     V: int,
     p: int,
     mesh_shape: tuple[int, ...] | None = None,
-    costs: DSPCostModel = DEFAULT_DSP_COSTS,
 ) -> ResourceReport:
     """Utilization of a (V, p) design on ``device``.
 
@@ -168,7 +167,7 @@ def resource_report(
     """
     check_positive("V", V)
     check_positive("p", p)
-    gdsp = gdsp_program(program, costs)
+    gdsp = gdsp_program(program)
     shape = tuple(mesh_shape) if mesh_shape is not None else program.mesh.shape
     line_points = _line_points(shape)
     # one line buffer per buffered row/plane, V elements wide

@@ -23,14 +23,9 @@ from repro.arch.memory import AXIPort, strided_transfer_efficiency
 from repro.mesh.padding import aligned_row_bytes
 from repro.model.cycles import pipeline_cycles
 from repro.model.design import DesignPoint, Workload
-from repro.model.energy import DEFAULT_FPGA_POWER, FPGAPowerModel
-from repro.model.resources import (
-    DEFAULT_DSP_COSTS,
-    DSPCostModel,
-    ResourceReport,
-    resource_report,
-)
-from repro.model.tiling import TileDesign, block_cycles, plan_blocks, valid_ratio
+from repro.model.energy import DEFAULT_FPGA_POWER
+from repro.model.resources import ResourceReport, resource_report
+from repro.model.tiling import TileDesign, plan_blocks, valid_ratio
 from repro.stencil.program import StencilProgram
 from repro.util.errors import ValidationError
 from repro.util.rounding import ceil_div
@@ -69,15 +64,12 @@ class RuntimePredictor:
         program: StencilProgram,
         device: FPGADevice,
         design: DesignPoint,
-        power_model: FPGAPowerModel = DEFAULT_FPGA_POWER,
-        costs: DSPCostModel = DEFAULT_DSP_COSTS,
+        *,
         logical_bytes_per_cell_iter: float | None = None,
     ):
         self.program = program
         self.device = device
         self.design = design
-        self.power_model = power_model
-        self.costs = costs
         #: logical (paper-convention) traffic per mesh point per iteration;
         #: defaults to the program's external contract (read+write of state
         #: plus constant reads), which matches the paper for all three apps
@@ -212,10 +204,9 @@ class RuntimePredictor:
                 else:
                     shape = (self.design.tile.M, self.design.tile.N, shape[2])
             resources = resource_report(
-                self.program, self.device, self.design.V, self.design.p, shape,
-                self.costs,
+                self.program, self.device, self.design.V, self.design.p, shape
             )
-        power = self.power_model.watts(
+        power = DEFAULT_FPGA_POWER.watts(
             self.device,
             dsp_used=resources.dsp_used,
             mem_used_bytes=resources.mem_used_bytes,

@@ -85,12 +85,8 @@ _MAX_TOKENS = 256
 _TOKEN_IDS = itertools.count()
 
 
-def plan_token_for(
-    program: StencilProgram,
-    fields: Mapping[str, Field],
-    coefficients: Mapping[str, float] | None = None,
-) -> str:
-    """A stable identity for ``(program structure, specs, coefficients)``.
+def plan_token_for(program: StencilProgram, fields: Mapping[str, Field]) -> str:
+    """A stable identity for ``(program structure, specs)``.
 
     The parent stamps every chunk task with this token; workers key their
     local instance caches by it, so two chunks of the same binding share
@@ -101,10 +97,7 @@ def plan_token_for(
     specs = tuple(
         (name, fields[name].spec) for name in program.required_inputs
     )
-    coeffs = tuple(sorted(
-        (name, float(value)) for name, value in (coefficients or {}).items()
-    ))
-    key = (program_token(program), specs, coeffs)
+    key = (program_token(program), specs)
     with _TOKENS_LOCK:
         token = _TOKENS.get(key)
         if token is None:
@@ -322,7 +315,7 @@ def submit_stacked(
     program: StencilProgram,
     batch_fields: Sequence[Mapping[str, Field]],
     niter: int,
-    coefficients: Mapping[str, float] | None = None,
+    *,
     cache: CompiledPlanCache | None = None,
     max_stack_bytes: float | None = None,
     stats: dict | None = None,
@@ -363,18 +356,18 @@ def submit_stacked(
         # serial path in-process, which records the dispatch once, under
         # the engine that ran it
         results = run_program_stacked(
-            program, batch_fields, niter, coefficients, cache=cache,
+            program, batch_fields, niter, cache=cache,
             max_stack_bytes=max_stack_bytes, stats=stats, cancel=cancel,
         )
         if stats is not None:
             stats.update(backend="serial", workers=1)
         return PendingBatch(batch_fields, None, niter, ready=results)
     cache = cache if cache is not None else DEFAULT_CACHE
-    plan = cache.plan_for(program, first, coefficients)
+    plan = cache.plan_for(program, first)
     chunks = stacked_chunk_sizes(
         len(batch_fields), plan.nbytes, max_stack_bytes
     )
-    token = plan_token_for(program, first, coefficients)
+    token = plan_token_for(program, first)
     if pool is None:
         pool = shared_pool(workers)
     batch = PendingBatch(
@@ -418,7 +411,7 @@ def run_program_parallel(
     program: StencilProgram,
     batch_fields: Sequence[Mapping[str, Field]],
     niter: int,
-    coefficients: Mapping[str, float] | None = None,
+    *,
     cache: CompiledPlanCache | None = None,
     max_stack_bytes: float | None = None,
     stats: dict | None = None,
@@ -436,7 +429,7 @@ def run_program_parallel(
     the degenerate-path and failure rules.
     """
     return submit_stacked(
-        program, batch_fields, niter, coefficients,
+        program, batch_fields, niter,
         cache=cache, max_stack_bytes=max_stack_bytes, stats=stats,
         max_workers=max_workers, pool=pool, cancel=cancel,
     ).result()

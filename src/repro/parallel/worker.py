@@ -2,7 +2,8 @@
 
 Each task carries the lowered :class:`~repro.stencil.plan.ProgramPlan`
 together with its **plan token** — the parent-computed identity of
-``(program structure, bound field specs, folded coefficients)``. Workers
+``(program structure, bound field specs)``, the structure including the
+kernels' coefficients. Workers
 bind the plan to concrete buffers at most once per ``(token, batch)``:
 repeat chunks of the same job shape fetch the warm
 :class:`CompiledProgram` from the worker-local cache and only pay the

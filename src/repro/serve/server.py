@@ -49,9 +49,10 @@ behind :meth:`Server.health` and mirrors every decision into the global
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro import observability as obs
@@ -270,7 +271,7 @@ class Server:
         )
         # consume unawaited exceptions (a shed job nobody awaits must not
         # warn at interpreter exit) and keep the outstanding set exact
-        job.future.add_done_callback(self._job_resolved)
+        job.future.add_done_callback(functools.partial(self._job_resolved, job))
         self._outstanding.add(job)
         if not self._queue.offer(job):
             if self.config.admission == "reject":
@@ -642,15 +643,12 @@ class Server:
                 break
         return True
 
-    def _job_resolved(self, future: asyncio.Future) -> None:
+    def _job_resolved(self, job: Job, future: asyncio.Future) -> None:
         # one done callback per job: retrieve the exception so shed jobs
         # nobody awaits never warn, and drop the job from the drain set
         if not future.cancelled():
             future.exception()
-        for job in list(self._outstanding):
-            if job.future is future:
-                self._outstanding.discard(job)
-                break
+        self._outstanding.discard(job)
 
     # -- health & lifecycle -------------------------------------------------------
     def health(self) -> dict:

@@ -18,8 +18,8 @@ executed in footprint-bounded chunks (:func:`stacked_chunk_sizes`) rather
 than falling all the way back to per-mesh replay.
 
 :class:`CompiledPlanCache` memoizes compiled programs by execution
-semantics: ``(program structure, bound field specs, coefficient bindings,
-batch)``.
+semantics: ``(program structure, bound field specs, batch)``; the
+structure includes the kernels' coefficient defaults.
 Repeated runs — DSE trials, batched meshes, tiled blocks, pipeline passes —
 compile once and replay the tape. A module-level :data:`DEFAULT_CACHE` is
 shared by every execution path (pipeline, tiler, scheduler, accelerator) so
@@ -620,12 +620,12 @@ class CompiledProgram:
 class CompiledPlanCache:
     """LRU cache of compiled programs, keyed by execution semantics.
 
-    The key is ``(program token, bound field specs, coefficient bindings)``:
-    equal-by-structure programs share entries, different mesh shapes / block
-    shapes / dtypes / coefficient overrides get their own. Bounded both by
-    entry count and by resident buffer bytes — a sweep over many large
-    distinct meshes evicts old plans instead of pinning gigabytes of
-    ping-pong buffers in a process-wide cache. Thread-safe.
+    The key is ``(program token, bound field specs)``: equal-by-structure
+    programs share entries, different mesh shapes / block shapes / dtypes /
+    coefficient defaults get their own. Bounded both by entry count and by
+    resident buffer bytes — a sweep over many large distinct meshes evicts
+    old plans instead of pinning gigabytes of ping-pong buffers in a
+    process-wide cache. Thread-safe.
     """
 
     def __init__(self, capacity: int = 64, max_bytes: int = 512 * 1024 * 1024):
@@ -672,29 +672,12 @@ class CompiledPlanCache:
         mesh = fields[state].spec if state in fields else specs[program.required_inputs[0]]
         return mesh, specs
 
-    def _key(
-        self,
-        program: StencilProgram,
-        specs: Mapping[str, MeshSpec],
-        coefficients: Mapping[str, float] | None,
-    ) -> tuple:
-        known = set()
-        for kernel in program.kernels():
-            known.update(kernel.coefficients)
-        overrides = tuple(
-            sorted(
-                (name, float(value))
-                for name, value in (coefficients or {}).items()
-                if name in known
-            )
-        )
-        return (program_token(program), tuple(specs.items()), overrides)
+    @staticmethod
+    def _key(program: StencilProgram, specs: Mapping[str, MeshSpec]) -> tuple:
+        return (program_token(program), tuple(specs.items()))
 
     def plan_for(
-        self,
-        program: StencilProgram,
-        fields: Mapping[str, Field],
-        coefficients: Mapping[str, float] | None = None,
+        self, program: StencilProgram, fields: Mapping[str, Field]
     ) -> ProgramPlan:
         """The lowered (but unbound) plan for this binding, memoized.
 
@@ -703,16 +686,15 @@ class CompiledPlanCache:
         stacked-dispatch heuristic also reads ``plan.nbytes`` from here
         without allocating any buffers.
         """
-        return self._plan(program, *self._specs(program, fields), coefficients)
+        return self._plan(program, *self._specs(program, fields))
 
     def _plan(
         self,
         program: StencilProgram,
         mesh: MeshSpec,
         specs: Mapping[str, MeshSpec],
-        coefficients: Mapping[str, float] | None,
     ) -> ProgramPlan:
-        key = self._key(program, specs, coefficients)
+        key = self._key(program, specs)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -720,7 +702,7 @@ class CompiledPlanCache:
                 return plan
         with obs.span("plan.compile", program=program.name):
             t0 = time.perf_counter()
-            plan = lower_program(program, mesh, specs, coefficients)
+            plan = lower_program(program, mesh, specs)
         if obs.is_enabled():
             seconds = time.perf_counter() - t0
             obs.observe("plan.compile_seconds", seconds)
@@ -744,11 +726,7 @@ class CompiledPlanCache:
         return plan
 
     def _proxy(
-        self,
-        program: StencilProgram,
-        fields: Mapping[str, Field],
-        coefficients: Mapping[str, float] | None,
-        batch: int,
+        self, program: StencilProgram, fields: Mapping[str, Field], batch: int
     ):
         """The small binding a native candidate is checked on
         (:class:`~repro.stencil.native.Proxy`): the program on
@@ -771,7 +749,7 @@ class CompiledPlanCache:
         proxy_mesh = replace(mesh, shape=shape)
         proxy_program = program.with_mesh(proxy_mesh)
         try:
-            plan = self._plan(proxy_program, proxy_mesh, proxy_specs, coefficients)
+            plan = self._plan(proxy_program, proxy_mesh, proxy_specs)
         except ValidationError:
             return None
         return Proxy(plan, proxy_batch)
@@ -780,7 +758,7 @@ class CompiledPlanCache:
         self,
         program: StencilProgram,
         fields: Mapping[str, Field],
-        coefficients: Mapping[str, float] | None = None,
+        *,
         batch: int = 1,
         native: bool = False,
     ) -> CompiledProgram:
@@ -797,9 +775,7 @@ class CompiledPlanCache:
         the plain instance, so the one-time lowering/JIT cost is paid per
         (binding, batch), not per run.
         """
-        key = self._key(program, self._specs(program, fields)[1], coefficients) + (
-            batch, native,
-        )
+        key = self._key(program, self._specs(program, fields)[1]) + (batch, native)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -808,13 +784,11 @@ class CompiledPlanCache:
                 self.hits += 1
                 obs.inc("plan.cache_hits")
                 return entry
-        plan = self.plan_for(program, fields, coefficients)
+        plan = self.plan_for(program, fields)
         if native:
             from repro.stencil.native import NativeProgram
 
-            compiled = NativeProgram(
-                plan, batch, self._proxy(program, fields, coefficients, batch)
-            )
+            compiled = NativeProgram(plan, batch, self._proxy(program, fields, batch))
         else:
             compiled = CompiledProgram(plan, batch=batch)
         with self._lock:
@@ -931,7 +905,7 @@ def run_program_compiled(
     program: StencilProgram,
     fields: Mapping[str, Field],
     niter: int,
-    coefficients: Mapping[str, float] | None = None,
+    *,
     cache: CompiledPlanCache | None = None,
     engine: str = "compiled",
     into: Into | None = None,
@@ -972,10 +946,10 @@ def run_program_compiled(
     if engine == "interpreter" or len(dtypes) > 1:
         from repro.stencil.numpy_eval import run_program
 
-        env = run_program(program, fields, niter, coefficients, engine="interpreter")
+        env = run_program(program, fields, niter, engine="interpreter")
         return _returned(into, env)
     cache = cache if cache is not None else DEFAULT_CACHE
-    compiled = cache.get(program, fields, coefficients, native=engine == "native")
+    compiled = cache.get(program, fields, native=engine == "native")
     return compiled.run(fields, niter, into=into)
 
 
@@ -1064,7 +1038,7 @@ def run_program_stacked(
     program: StencilProgram,
     batch_fields: Sequence[Mapping[str, Field]],
     niter: int,
-    coefficients: Mapping[str, float] | None = None,
+    *,
     cache: CompiledPlanCache | None = None,
     max_stack_bytes: float | None = None,
     stats: dict | None = None,
@@ -1092,10 +1066,10 @@ def run_program_stacked(
     large-working-set batch still pays one tape dispatch per chunk instead
     of one per mesh, while each chunk's stream stays cache-resident. A
     budget below one mesh footprint degrades to per-mesh replay; pass
-    ``float("inf")`` to force one whole-batch stack (the benchmarks do, to
-    measure the mechanism itself). ``engine="native"`` reads the budget
-    per core (:func:`team_chunk_sizes` over the OpenMP team), since its
-    members schedule gives each core one mesh of a chunk at a time.
+    ``float("inf")`` to force one whole-batch stack. ``engine="native"``
+    reads the budget per core (:func:`team_chunk_sizes` over the OpenMP
+    team), since its members schedule gives each core one mesh of a chunk
+    at a time.
 
     Other per-mesh paths: a single-member batch routes through the
     single-mesh path (sharing its cached plan), and ``engine="interpreter"``
@@ -1149,9 +1123,7 @@ def run_program_stacked(
         return [
             _timed(
                 chunk_seconds, b, 1,
-                lambda env=env: run_program(
-                    program, env, niter, coefficients, engine="interpreter"
-                ),
+                lambda env=env: run_program(program, env, niter, engine="interpreter"),
             )
             for b, env in enumerate(batch_fields)
         ]
@@ -1162,7 +1134,7 @@ def run_program_stacked(
             _timed(
                 chunk_seconds, 0, 1,
                 lambda: run_program_compiled(
-                    program, first, niter, coefficients, cache, engine=engine
+                    program, first, niter, cache=cache, engine=engine
                 ),
             )
         ]
@@ -1173,7 +1145,7 @@ def run_program_stacked(
         niter=niter,
         engine=engine,
     ):
-        plan = cache.plan_for(program, first, coefficients)
+        plan = cache.plan_for(program, first)
         if engine == "native":
             from repro.stencil.native import team_size
 
@@ -1202,14 +1174,13 @@ def run_program_stacked(
                     _timed(
                         chunk_seconds, index, 1,
                         lambda m=members[0]: run_program_compiled(
-                            program, m, niter, coefficients, cache, engine=engine
+                            program, m, niter, cache=cache, engine=engine
                         ),
                     )
                 )
             else:
                 compiled = cache.get(
-                    program, first, coefficients, batch=size,
-                    native=engine == "native",
+                    program, first, batch=size, native=engine == "native"
                 )
                 results.extend(
                     _timed(

@@ -104,14 +104,8 @@ class _ExprEvaluator:
 def apply_kernel(
     kernel: StencilKernel,
     fields: Mapping[str, Field],
-    coefficients: Mapping[str, float] | None = None,
-    radius: tuple[int, ...] | None = None,
 ) -> dict[str, Field]:
-    """Apply one kernel over the mesh interior; returns its output fields.
-
-    ``radius`` overrides the kernel's own radius (used when a fused group
-    aligns all stages to a common interior, as the hardware pipeline does).
-    """
+    """Apply one kernel over the mesh interior; returns its output fields."""
     spec = None
     for fname in kernel.read_fields():
         if fname not in fields:
@@ -121,22 +115,18 @@ def apply_kernel(
     if spec is None:  # pragma: no cover - kernels always read something
         raise ValidationError(f"kernel '{kernel.name}' reads no fields")
 
-    k_radius = radius if radius is not None else kernel.radius
-    if len(k_radius) != spec.ndim:
+    radius = kernel.radius
+    if len(radius) != spec.ndim:
         raise ValidationError(
-            f"radius {k_radius} does not match mesh rank {spec.ndim}"
+            f"radius {radius} does not match mesh rank {spec.ndim}"
         )
-
-    coeffs = dict(kernel.coefficients)
-    if coefficients:
-        coeffs.update(coefficients)
 
     arrays: MutableMapping[str, np.ndarray] = {
         name: f.data for name, f in fields.items()
     }
-    interior = spec.interior_slices(k_radius)
+    interior = spec.interior_slices(radius)
     outputs: dict[str, Field] = {}
-    evaluator = _ExprEvaluator(arrays, coeffs, tuple(k_radius), spec.dtype)
+    evaluator = _ExprEvaluator(arrays, kernel.coefficients, radius, spec.dtype)
 
     for out in kernel.outputs:
         out_spec = MeshSpec(spec.shape, out.components, spec.dtype)
@@ -167,12 +157,11 @@ def apply_kernel(
 def run_group(
     group: FusedGroup,
     fields: Mapping[str, Field],
-    coefficients: Mapping[str, float] | None = None,
 ) -> dict[str, Field]:
     """Run one fused group; returns the updated field environment."""
     env: dict[str, Field] = dict(fields)
     for loop in group.loops:
-        outputs = apply_kernel(loop.kernel, env, coefficients)
+        outputs = apply_kernel(loop.kernel, env)
         env.update(outputs)
     return env
 
@@ -181,7 +170,7 @@ def run_program(
     program: StencilProgram,
     fields: Mapping[str, Field],
     niter: int,
-    coefficients: Mapping[str, float] | None = None,
+    *,
     engine: str = "interpreter",
 ) -> dict[str, Field]:
     """Run the full iterative solve for ``niter`` time iterations.
@@ -208,11 +197,9 @@ def run_program(
         from repro.stencil.compiled import check_engine, run_program_compiled
 
         check_engine(engine)
-        return run_program_compiled(
-            program, fields, niter, coefficients, engine=engine
-        )
+        return run_program_compiled(program, fields, niter, engine=engine)
     env: dict[str, Field] = dict(fields)
     for _ in range(niter):
         for group in program.groups:
-            env = run_group(group, env, coefficients)
+            env = run_group(group, env)
     return env

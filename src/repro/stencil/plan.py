@@ -7,7 +7,7 @@ kernel. This module lowers a :class:`~repro.stencil.program.StencilProgram`
 *once* into a :class:`ProgramPlan`: a topologically-ordered tape of in-place
 ufunc ops over precomputed interior views, with
 
-* **folded constants** — any scalar subtree (constants and bound
+* **folded constants** — any scalar subtree (constants and the kernels'
   coefficients) is evaluated at compile time in the mesh dtype, reproducing
   the interpreter's scalar arithmetic bit for bit;
 * **liveness-based register reuse** — intermediate results live in a small
@@ -672,19 +672,17 @@ class _RegisterPool:
 
 
 class _Lowerer:
-    """Lowers one program against a concrete mesh and coefficient binding."""
+    """Lowers one program against a concrete mesh."""
 
     def __init__(
         self,
         program: StencilProgram,
         mesh: MeshSpec,
         input_specs: Mapping[str, MeshSpec],
-        coefficients: Mapping[str, float] | None,
     ):
         self.program = program
         self.mesh = mesh
         self.dtype = mesh.dtype
-        self.overrides = dict(coefficients or {})
         self.buffers: dict[str, tuple[int, ...]] = {}
         #: "inx:" slot -> (input field, fixed component) broadcast expansions
         self.expansions: dict[str, tuple[str, int]] = {}
@@ -774,8 +772,6 @@ class _Lowerer:
                 f"radius {radius} does not match mesh rank {self.mesh.ndim}"
             )
         interior = self.mesh.interior_slices(radius)
-        coeffs = dict(kernel.coefficients)
-        coeffs.update(self.overrides)
         # init_from resolves against the environment at kernel entry, while
         # expression reads see earlier outputs fresh — exactly apply_kernel
         start_env = dict(self.env)
@@ -784,7 +780,9 @@ class _Lowerer:
             dest = self._alloc_output_slot(out.field, out_spec)
             if emit_boundary:
                 self._lower_boundary(out, out_spec, dest, interior, start_env, tape)
-            runs = self._lower_components(out, dest, interior, radius, coeffs, tape)
+            runs = self._lower_components(
+                out, dest, interior, radius, kernel.coefficients, tape
+            )
             self.runs.setdefault(f"{kernel.name}:{out.field}", runs)
             self.env[out.field] = dest
             self.specs[out.field] = out_spec
@@ -1307,9 +1305,9 @@ def lower_program(
     program: StencilProgram,
     mesh: MeshSpec,
     input_specs: Mapping[str, MeshSpec],
-    coefficients: Mapping[str, float] | None = None,
 ) -> ProgramPlan:
-    """Lower ``program`` against a concrete mesh/coefficient binding.
+    """Lower ``program`` against a concrete mesh, folding its kernels'
+    coefficients.
 
     ``input_specs`` gives the spec of every externally bound field (state
     fields carry the mesh element type; constant fields may be scalar).
@@ -1319,7 +1317,7 @@ def lower_program(
             raise ValidationError(
                 f"program '{program.name}' needs field '{name}' bound"
             )
-    return _Lowerer(program, mesh, input_specs, coefficients).lower()
+    return _Lowerer(program, mesh, input_specs).lower()
 
 
 # --------------------------------------------------------------------------- #

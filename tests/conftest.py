@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
@@ -11,7 +12,7 @@ from repro.apps.poisson2d import poisson2d_app
 from repro.apps.rtm import rtm_app
 from repro.mesh.mesh import Field, MeshSpec
 from repro.stencil.builders import jacobi2d_5pt, jacobi3d_7pt
-from repro.stencil.program import single_kernel_program
+from repro.stencil.program import FusedGroup, StencilLoop, single_kernel_program
 
 
 def pytest_configure(config):
@@ -83,6 +84,29 @@ def jacobi_app():
 @pytest.fixture
 def rtm_small_app():
     return rtm_app((12, 12, 10))
+
+
+@pytest.fixture
+def with_coefficients():
+    """Call it as ``with_coefficients(program, k1=0.5)``: the program with
+    those coefficient defaults replaced in every kernel that names them
+    (:meth:`~repro.stencil.kernel.StencilKernel.with_coefficients`)."""
+
+    def rebuild(program, **values):
+        unknown = set(values) - set(program.coefficient_values())
+        assert not unknown, f"no kernel of {program.name} names {sorted(unknown)}"
+
+        def loop(kernel):
+            own = {n: v for n, v in values.items() if n in kernel.coefficient_names()}
+            return StencilLoop(kernel.with_coefficients(**own))
+
+        groups = tuple(
+            FusedGroup(tuple(loop(l.kernel) for l in group.loops))
+            for group in program.groups
+        )
+        return dataclasses.replace(program, groups=groups)
+
+    return rebuild
 
 
 @pytest.fixture

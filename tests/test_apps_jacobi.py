@@ -84,9 +84,11 @@ class TestPaperShape:
         # 600^3 cannot run un-tiled: plane buffers exceed on-chip memory
         from repro.arch.device import ALVEO_U280
         from repro.model.design import DesignSpace
+        from repro.util.errors import InfeasibleDesignError
 
         app = jacobi3d_app()
         program = app.program_on((600, 600, 600))
         space = DesignSpace(program, ALVEO_U280)
         w = app.workload((600, 600, 600), 120)
-        assert not space.is_feasible(app.design(), w)
+        with pytest.raises(InfeasibleDesignError):
+            space.check(app.design(), w)

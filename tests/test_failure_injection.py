@@ -56,13 +56,15 @@ class TestCoefficientSensitivity:
         # the same run with a perturbed coefficient must diverge
         from repro.stencil.builders import jacobi3d_7pt  # noqa: F401 (import parity)
 
-        perturbed = run_program(poisson_program, {"U": field2d}, 4, coefficients=None)
+        perturbed = run_program(poisson_program, {"U": field2d}, 4)
         assert np.array_equal(perturbed["U"].data, gold["U"].data)
 
-    def test_jacobi_coefficient_override_diverges(self, jacobi_program, field3d):
+    def test_jacobi_coefficient_override_diverges(
+        self, jacobi_program, field3d, with_coefficients
+    ):
         gold = run_program(jacobi_program, {"U": field3d}, 2, engine="interpreter")
         skewed = run_program(
-            jacobi_program, {"U": field3d}, 2, coefficients={"k1": 0.9}
+            with_coefficients(jacobi_program, k1=0.9), {"U": field3d}, 2
         )
         assert not np.array_equal(gold["U"].data, skewed["U"].data)
 

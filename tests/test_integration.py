@@ -15,7 +15,8 @@ from repro.arch.device import ALVEO_U280
 from repro.dataflow.accelerator import FPGAAccelerator
 from repro.hls.project import HLSProject
 from repro.mesh.mesh import Field, MeshSpec
-from repro.model.design import DesignPoint, DesignSpace, explore_designs
+from repro.dse import Evaluator, ExhaustiveSearch, Study, model_space
+from repro.model.design import DesignPoint, DesignSpace
 from repro.stencil.builders import star_offsets, weighted_star_kernel
 from repro.stencil.numpy_eval import run_program
 from repro.stencil.program import single_kernel_program
@@ -38,9 +39,11 @@ class TestEndToEndCustomKernel:
         from repro.model.design import Workload
 
         w = Workload(spec, niter=40)
-        ranked = explore_designs(program, ALVEO_U280, w, top_k=3)
+        space = model_space(program, ALVEO_U280, w)
+        study = Study(space, Evaluator(program, ALVEO_U280, w)).run(ExhaustiveSearch())
+        ranked = study.top(3)
         assert ranked
-        design, predicted = ranked[0]
+        design = ranked[0].result.design
 
         # 2. simulate with a small functional design (niter % p == 0)
         sim_design = DesignPoint(2, 4, design.clock_mhz)
@@ -139,7 +142,9 @@ class TestDesignSpaceSanity:
     def test_explored_designs_beat_naive(self):
         app = poisson2d_app((400, 400))
         w = app.workload((400, 400), 600)
-        ranked = explore_designs(app.program_on((400, 400)), ALVEO_U280, w, top_k=1)
-        best_design, best = ranked[0]
+        program = app.program_on((400, 400))
+        space = model_space(program, ALVEO_U280, w)
+        study = Study(space, Evaluator(program, ALVEO_U280, w)).run(ExhaustiveSearch())
+        best = study.best()
         naive = app.predictor((400, 400), DesignPoint(1, 1, 300.0)).predict(w)
-        assert best.seconds < naive.seconds / 50
+        assert best.value("runtime") < naive.seconds / 50

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.arch.device import ALVEO_U280
-from repro.model.design import DesignPoint, DesignSpace, Workload, explore_designs
+from repro.dse import Evaluator, ExhaustiveSearch, Study, model_space
+from repro.model.design import DesignPoint, DesignSpace, Workload
 from repro.model.tiling import TileDesign
 from repro.util.errors import InfeasibleDesignError, ValidationError
 
@@ -101,37 +102,38 @@ class TestFeasibility:
         with pytest.raises(InfeasibleDesignError, match="eq. 6"):
             space.check(both, w)
 
-    def test_is_feasible_wrapper(self, poisson_app):
-        space, app = self._space(poisson_app)
-        w = app.workload((200, 100), 60)
-        assert space.is_feasible(app.design(), w)
-        assert not space.is_feasible(DesignPoint(8, 500, 250.0), w)
+
+def _explore(program, workload, tiled=False) -> Study:
+    """The exhaustive study of the model's design space for one workload."""
+    space = model_space(program, ALVEO_U280, workload, tiled=tiled)
+    evaluator = Evaluator(program, ALVEO_U280, workload)
+    return Study(space, evaluator).run(ExhaustiveSearch())
 
 
 class TestExploration:
     def test_explore_returns_ranked(self, poisson_app):
         w = poisson_app.workload((200, 100), 60)
-        ranked = explore_designs(poisson_app.program_on((200, 100)), ALVEO_U280, w, top_k=5)
+        ranked = _explore(poisson_app.program_on((200, 100)), w).top(5)
         assert ranked
-        times = [m.seconds for _, m in ranked]
+        times = [t.value("runtime") for t in ranked]
         assert times == sorted(times)
 
     def test_explore_prefers_deep_unroll(self, poisson_app):
         w = poisson_app.workload((400, 400), 600)
-        ranked = explore_designs(poisson_app.program_on((400, 400)), ALVEO_U280, w, top_k=3)
-        best_design, _ = ranked[0]
-        assert best_design.p > 8  # deep unrolling wins for compute-bound stencils
+        best = _explore(poisson_app.program_on((400, 400)), w).best()
+        # deep unrolling wins for compute-bound stencils
+        assert best.result.design.p > 8
 
     def test_explore_tiled(self, poisson_app):
         w = poisson_app.workload((15000, 15000), 60)
-        ranked = explore_designs(
-            poisson_app.program_on((15000, 15000)), ALVEO_U280, w, tiled=True, top_k=3
-        )
+        ranked = _explore(poisson_app.program_on((15000, 15000)), w, tiled=True).top(3)
         assert ranked
-        assert all(d.is_tiled for d, _ in ranked)
+        assert all(t.result.design.is_tiled for t in ranked)
 
     def test_candidates_all_feasible(self, poisson_app):
         space = DesignSpace(poisson_app.program_on((200, 100)), ALVEO_U280)
         w = poisson_app.workload((200, 100), 60)
-        for design in space.candidates(w):
-            assert space.is_feasible(design, w)
+        feasible = _explore(space.program, w).feasible_trials()
+        assert feasible
+        for trial in feasible:
+            space.check(trial.result.design, w)  # must not raise

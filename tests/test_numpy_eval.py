@@ -35,7 +35,7 @@ class TestApplyKernel2D:
     def test_coefficient_override(self, field3d):
         k = jacobi3d_7pt()
         base = apply_kernel(k, {"U": field3d})["U"]
-        scaled = apply_kernel(k, {"U": field3d}, coefficients={"k4": 0.0})["U"]
+        scaled = apply_kernel(k.with_coefficients(k4=0.0), {"U": field3d})["U"]
         assert not np.array_equal(base.data, scaled.data)
 
     def test_missing_field_rejected(self):

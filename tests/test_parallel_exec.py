@@ -280,7 +280,7 @@ class TestPlanTokens:
         b = plan_token_for(app.program_on(shape), env)
         assert a == b
 
-    def test_distinct_bindings_get_distinct_tokens(self):
+    def test_distinct_bindings_get_distinct_tokens(self, with_coefficients):
         app = all_apps()["jacobi3d"]
         base = plan_token_for(
             app.program_on((14, 12, 8)), app.fields((14, 12, 8), seed=0)
@@ -289,9 +289,8 @@ class TestPlanTokens:
             app.program_on((12, 10, 8)), app.fields((12, 10, 8), seed=0)
         )
         other_coeffs = plan_token_for(
-            app.program_on((14, 12, 8)),
+            with_coefficients(app.program_on((14, 12, 8)), k1=0.5),
             app.fields((14, 12, 8), seed=0),
-            {"k1": 0.5},
         )
         assert len({base, other_shape, other_coeffs}) == 3
 

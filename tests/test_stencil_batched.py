@@ -84,21 +84,18 @@ class TestStackedEquivalence:
         batch = [app.fields(shape, seed=s) for s in range(4)]
         _assert_stacked_matches_replay_and_interpreter(program, batch, niter)
 
-    def test_coefficient_overrides_apply_to_the_whole_stack(self):
+    def test_coefficient_overrides_apply_to_the_whole_stack(self, with_coefficients):
         app = all_apps()["jacobi3d"]
         shape = APP_MESHES["jacobi3d"]
         program = app.program_on(shape)
         coefficients = program.coefficient_values()
         cname = next(iter(coefficients))
+        overridden = with_coefficients(program, **{cname: 0.07})
         batch = [app.fields(shape, seed=s) for s in range(3)]
         cache = CompiledPlanCache()
-        got = run_program_stacked(
-            program, batch, 3, {cname: 0.07}, cache=cache
-        )
+        got = run_program_stacked(overridden, batch, 3, cache=cache)
         for env, res in zip(batch, got):
-            gold = run_program(
-                program, env, 3, {cname: 0.07}, engine="interpreter"
-            )
+            gold = run_program(overridden, env, 3, engine="interpreter")
             _assert_env_equal(gold, res)
 
     def test_single_member_batch_shares_the_unbatched_plan(self):

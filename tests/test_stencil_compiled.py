@@ -78,7 +78,7 @@ class TestInterpreterEquivalence:
         _assert_env_equal(gold, got)
 
     @pytest.mark.parametrize("name", sorted(APP_MESHES))
-    def test_coefficient_overrides(self, name):
+    def test_coefficient_overrides(self, name, with_coefficients):
         app = all_apps()[name]
         shape = APP_MESHES[name]
         program = app.program_on(shape)
@@ -87,12 +87,14 @@ class TestInterpreterEquivalence:
         if not coefficients:
             pytest.skip(f"app '{name}' has no runtime coefficients")
         cname = next(iter(coefficients))
-        overrides = {cname: 0.07}
-        gold = run_program(program, fields, 3, overrides, engine="interpreter")
-        got = run_program(program, fields, 3, overrides, engine="compiled")
+        overridden = with_coefficients(program, **{cname: 0.07})
+        gold = run_program(overridden, fields, 3, engine="interpreter")
+        cache = CompiledPlanCache()
+        got = run_program_compiled(overridden, fields, 3, cache=cache)
         _assert_env_equal(gold, got)
-        # and the override genuinely changes the answer
-        base = run_program(program, fields, 3, engine="compiled")
+        # and the override genuinely changes the answer, on its own plan
+        base = run_program_compiled(program, fields, 3, cache=cache)
+        assert cache.misses == 2
         state = program.state_fields[0]
         assert not np.array_equal(base[state].data, got[state].data)
 
@@ -863,19 +865,25 @@ class TestCompiledPlanCache:
             app.program_on((20, 16))
         )
 
-    def test_distinct_bindings_get_distinct_plans(self):
+    def test_distinct_bindings_get_distinct_plans(self, with_coefficients):
         cache = CompiledPlanCache()
         app = poisson2d_app((20, 16))
         fields_a = app.fields((20, 16), seed=0)
         fields_b = app.fields((24, 18), seed=0)
         a = cache.get(app.program_on((20, 16)), fields_a)
         b = cache.get(app.program_on((24, 18)), fields_b)
-        c = cache.get(app.program_on((20, 16)), fields_a, {"__nope": 1.0})
-        d = cache.get(app.program_on((20, 16)), fields_a, None)
+        d = cache.get(app.program_on((20, 16)), fields_a)
         assert a is not b
-        assert c is a  # unknown coefficient names do not fragment the cache
         assert d is a
         assert len(cache) == 2
+        # other coefficient defaults are another binding
+        jacobi = jacobi3d_app((10, 8, 6))
+        fields_j = jacobi.fields((10, 8, 6), seed=0)
+        e = cache.get(jacobi.program_on((10, 8, 6)), fields_j)
+        skewed = with_coefficients(jacobi.program_on((10, 8, 6)), k1=0.5)
+        f = cache.get(skewed, fields_j)
+        assert f is not e
+        assert len(cache) == 4
 
     def test_niter_zero_does_not_compile(self):
         """niter=0 returns the bindings untouched without building a plan."""

@@ -534,7 +534,7 @@ def test_full_size_cc_bind_never_touches_the_tape(monkeypatch):
         lambda self, value, shape: splats.append(self.plan.mesh.shape)
         or expand(self, value, shape),
     )
-    plan, proxy = cache.plan_for(program, env), cache._proxy(program, env, None, 1)
+    plan, proxy = cache.plan_for(program, env), cache._proxy(program, env, 1)
     tracemalloc.start()
     try:
         inst = NativeProgram(plan, proxy=proxy)
@@ -564,7 +564,7 @@ def test_a_full_mesh_check_holds_one_copy_of_the_buffers(monkeypatch, events):
     program, env = app.program_on(mesh), app.fields(mesh, seed=0)
     cache = CompiledPlanCache()
     cache.get(program, env, native=True)  # builds both artifacts outside the trace
-    plan, proxy = cache.plan_for(program, env), cache._proxy(program, env, None, 1)
+    plan, proxy = cache.plan_for(program, env), cache._proxy(program, env, 1)
     replay = CompiledProgram(plan).nbytes  # buffers + registers + constants
     tracemalloc.start()
     try:
@@ -1476,7 +1476,7 @@ def test_concurrent_binders_of_one_plan_build_once(counted_builds, monkeypatch):
     mesh = (28, 26, 24)
     program, env = app.program_on(mesh), app.fields(mesh, seed=0)
     cache = CompiledPlanCache()
-    plan, proxy = cache.plan_for(program, env), cache._proxy(program, env, None, 1)
+    plan, proxy = cache.plan_for(program, env), cache._proxy(program, env, 1)
     assert proxy.plan.mesh.shape == native.proxy_shape(mesh)
     binders = 4
     start = threading.Barrier(binders)
