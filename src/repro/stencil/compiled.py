@@ -23,7 +23,10 @@ structure includes the kernels' coefficient defaults.
 Repeated runs — DSE trials, batched meshes, tiled blocks, pipeline passes —
 compile once and replay the tape. A module-level :data:`DEFAULT_CACHE` is
 shared by every execution path (pipeline, tiler, scheduler, accelerator) so
-a program compiled anywhere is warm everywhere.
+a program compiled anywhere is warm everywhere. A binding is made once per
+key: a caller that finds it being bound waits for it. Ahead of a run that
+will bind several native programs, :func:`native_builds_ahead` starts all
+their compiler runs at once.
 
 :func:`run_program_compiled` (one mesh) and :func:`run_program_stacked` (a
 batch) are the two entry points that decide how meshes run, on every
@@ -46,7 +49,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -625,7 +628,8 @@ class CompiledPlanCache:
     coefficient defaults get their own. Bounded both by entry count and by
     resident buffer bytes — a sweep over many large distinct meshes evicts
     old plans instead of pinning gigabytes of ping-pong buffers in a
-    process-wide cache. Thread-safe.
+    process-wide cache. Thread-safe, and single-flight per key: a caller
+    that misses while another binds the same key waits for that binding.
     """
 
     def __init__(self, capacity: int = 64, max_bytes: int = 512 * 1024 * 1024):
@@ -648,6 +652,10 @@ class CompiledPlanCache:
         self._charged: dict[tuple, int] = {}
         self._bytes = 0
         self._lock = threading.Lock()
+        #: key -> the lock its binder holds while later callers wait
+        self._gates: dict[tuple, threading.Lock] = {}
+        #: key -> the proxy :meth:`_prepare` emitted for its bind
+        self._ahead: dict[tuple, object] = {}
         #: lookups answered from the cache
         self.hits = 0
         #: lookups that compiled a fresh plan
@@ -777,44 +785,111 @@ class CompiledPlanCache:
         """
         key = self._key(program, self._specs(program, fields)[1]) + (batch, native)
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._hit(key)
             if entry is not None:
-                self._entries.move_to_end(key)
-                self._charge(key, entry)
-                self.hits += 1
-                obs.inc("plan.cache_hits")
                 return entry
-        plan = self.plan_for(program, fields)
-        if native:
-            from repro.stencil.native import NativeProgram
-
-            compiled = NativeProgram(plan, batch, self._proxy(program, fields, batch))
-        else:
-            compiled = CompiledProgram(plan, batch=batch)
-        with self._lock:
-            if key in self._entries:  # racing compile: keep the incumbent
-                self.hits += 1
-                obs.inc("plan.cache_hits")
-                self._entries.move_to_end(key)
-                return self._entries[key]
-            self._entries[key] = compiled
-            self._charge(key, compiled)
-            self.misses += 1
-            obs.inc("plan.cache_misses")
-            obs.emit(
-                "plan.cache_miss",
-                program=program.name,
-                batch=batch,
-                instance_bytes=compiled.nbytes,
-            )
-            # evict LRU-first past either bound, but always keep the entry
-            # just inserted (even one over-budget plan must be usable)
-            while len(self._entries) > 1 and (
-                len(self._entries) > self.capacity or self._bytes > self.max_bytes
-            ):
-                evicted, _ = self._entries.popitem(last=False)
-                self._bytes -= self._charged.pop(evicted)
+            gate = self._gates.setdefault(key, threading.Lock())
+        # single-flight per key: a later caller waits for the binding in
+        # flight instead of binding a duplicate
+        with gate:
+            with self._lock:
+                entry = self._hit(key)
+                if entry is not None:
+                    return entry
+                proxy = self._ahead.pop(key, None)
+            try:
+                compiled = self._bind(program, fields, batch, native, proxy)
+                with self._lock:
+                    self._insert(key, compiled, program.name, batch)
+            finally:
+                with self._lock:
+                    if self._gates.get(key) is gate:
+                        del self._gates[key]
         return compiled
+
+    def _insert(
+        self, key: tuple, compiled: CompiledProgram, name: str, batch: int
+    ) -> None:
+        """Cache a fresh binding, counted as a miss; the caller holds the
+        lock."""
+        self._entries[key] = compiled
+        self._charge(key, compiled)
+        self.misses += 1
+        obs.inc("plan.cache_misses")
+        obs.emit(
+            "plan.cache_miss",
+            program=name,
+            batch=batch,
+            instance_bytes=compiled.nbytes,
+        )
+        # evict LRU-first past either bound, but always keep the entry
+        # just inserted (even one over-budget plan must be usable)
+        while len(self._entries) > 1 and (
+            len(self._entries) > self.capacity or self._bytes > self.max_bytes
+        ):
+            evicted, _ = self._entries.popitem(last=False)
+            self._bytes -= self._charged.pop(evicted)
+
+    def _hit(self, key: tuple) -> CompiledProgram | None:
+        """The entry of ``key``, counted as a hit, or None; the caller holds
+        the lock."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self._charge(key, entry)
+            self.hits += 1
+            obs.inc("plan.cache_hits")
+        return entry
+
+    def _bind(
+        self, program, fields, batch: int, native: bool, proxy
+    ) -> CompiledProgram:
+        """A new instance of the binding (``proxy``: its check binding, when
+        :meth:`_prepare` emitted it ahead)."""
+        plan = self.plan_for(program, fields)
+        if not native:
+            return CompiledProgram(plan, batch=batch)
+        from repro.stencil.native import NativeProgram
+
+        return NativeProgram(
+            plan, batch, proxy or self._proxy(program, fields, batch)
+        )
+
+    def _prepare(
+        self, program: StencilProgram, fields: Mapping[str, Field], batch: int = 1
+    ) -> tuple[tuple | None, str | None]:
+        """Ahead of :meth:`get` of a native binding not cached yet: emit its
+        proxy's source and start the compiler run of it
+        (:func:`~repro.stencil.native.prepare`), so the bind waits only for
+        what is left of that run. The key of the binding prepared and the
+        sha of the run started, each None where nothing was (the binding is
+        cached or prepared already, or has no proxy); :meth:`_unprepare`
+        drops what no :meth:`get` took up."""
+        from repro.stencil import native
+
+        key = self._key(program, self._specs(program, fields)[1]) + (batch, True)
+        with self._lock:
+            if key in self._entries or key in self._ahead or key in self._gates:
+                return None, None
+        proxy = self._proxy(program, fields, batch)
+        if proxy is None:
+            return None, None
+        proxy, sha = native.prepare(proxy)
+        with self._lock:
+            self._ahead.setdefault(key, proxy)
+        return key, sha
+
+    def _unprepare(
+        self, keys: Iterable[tuple | None], shas: Iterable[str | None]
+    ) -> None:
+        """Drop the proxies of ``keys`` that no :meth:`get` took up, and stop
+        the compiler runs of ``shas`` that no bind did."""
+        from repro.stencil import native
+
+        with self._lock:
+            for key in keys:
+                self._ahead.pop(key, None)
+        native.cancel_builds(sha for sha in shas if sha is not None)
 
     def _charge(self, key: tuple, entry: CompiledProgram) -> None:
         """Charge ``entry``'s resident bytes now; the caller holds the lock."""
@@ -827,6 +902,7 @@ class CompiledPlanCache:
         with self._lock:
             self._entries.clear()
             self._plans.clear()
+            self._ahead.clear()
             self._charged.clear()
             self._bytes = 0
 
@@ -899,6 +975,71 @@ def _cut(batch: int, cap: int) -> list[int]:
     cap = max(1, min(batch, cap))
     full, rem = divmod(batch, cap)
     return [cap] * full + ([rem] if rem else [])
+
+
+def _chunk_cut(
+    plan: ProgramPlan, batch: int, engine: str, max_bytes: float | None
+) -> list[int]:
+    """The chunk sizes a stacked run of ``batch`` meshes of ``plan``
+    dispatches on ``engine``: per core on ``"native"``."""
+    if engine == "native":
+        from repro.stencil.native import team_size
+
+        return team_chunk_sizes(batch, plan.nbytes, team_size(), max_bytes)
+    return stacked_chunk_sizes(batch, plan.nbytes, max_bytes)
+
+
+@contextmanager
+def native_builds_ahead(
+    groups: Iterable[tuple[StencilProgram, Mapping[str, Field], int, int]],
+    cache: CompiledPlanCache | None = None,
+) -> Iterator[None]:
+    """For the length of the block, the compiler run of every native
+    binding that ``run_program_stacked(program, members, niter,
+    engine="native")`` of each group ``(program, fields of its first
+    member, members, niter)`` will bind starts now, side by side
+    (:meth:`CompiledPlanCache._prepare`), the longest tapes first: the
+    block's first bind waits for its own artifact while the later ones
+    build, so a cold start pays for its slowest build rather than the sum.
+    A binding that cannot be derived or prepared is left to its own bind,
+    which raises the same error in its group's turn. On the way out every
+    run no bind took up is stopped, so no compiler process or thread
+    outlives the block."""
+    from repro.stencil import native
+
+    cache = cache if cache is not None else DEFAULT_CACHE
+    groups = list(groups)
+    keys: list = []
+    # a stacked group's chunk cut waits on the team-size probe's build:
+    # start it first, and lower the plans while it runs
+    stacked = any(batch > 1 for _, _, batch, _ in groups)
+    shas = [native.build_ahead(native.probe_source())] if stacked else []
+    try:
+        plans = []
+        for program, first, batch, niter in groups:
+            try:
+                dtypes = {first[name].spec.dtype for name in program.required_inputs}
+                if niter == 0 or len(dtypes) > 1:
+                    continue  # no mesh runs compiled
+                plans.append((cache.plan_for(program, first), program, first, batch))
+            except Exception:  # noqa: BLE001 - raised again by the group's bind
+                continue
+        bindings = []
+        for plan, program, first, batch in plans:
+            sizes = [1] if batch == 1 else _chunk_cut(plan, batch, "native", None)
+            ops = sum(len(tape) for tape in plan.warm + plan.steady)
+            bindings += [(ops, program, first, size) for size in dict.fromkeys(sizes)]
+        bindings.sort(key=lambda binding: -binding[0])
+        for _, program, first, size in bindings:
+            try:
+                key, sha = cache._prepare(program, first, size)
+            except Exception:  # noqa: BLE001 - raised again by the bind
+                continue
+            keys.append(key)
+            shas.append(sha)
+        yield
+    finally:
+        cache._unprepare(keys, shas)
 
 
 def run_program_compiled(
@@ -1145,17 +1286,9 @@ def run_program_stacked(
         niter=niter,
         engine=engine,
     ):
-        plan = cache.plan_for(program, first)
-        if engine == "native":
-            from repro.stencil.native import team_size
-
-            chunks = team_chunk_sizes(
-                len(batch_fields), plan.nbytes, team_size(), max_stack_bytes
-            )
-        else:
-            chunks = stacked_chunk_sizes(
-                len(batch_fields), plan.nbytes, max_stack_bytes
-            )
+        chunks = _chunk_cut(
+            cache.plan_for(program, first), len(batch_fields), engine, max_stack_bytes
+        )
         _account(chunks)
         obs.emit(
             "exec.dispatch",

@@ -21,7 +21,11 @@ Artifacts are content-addressed on disk (``~/.cache/repro/native``), so
 bindings of one program structure — across meshes, instances, threads,
 processes and, on the members schedule, stacked batch sizes — reuse one
 build, which one binder at a time runs; an artifact that does not load is
-deleted and rebuilt once (``native.cache_corrupt``).
+deleted and rebuilt once (``native.cache_corrupt``). A run about to bind
+several structures starts their builds ahead, side by side
+(:func:`build_ahead`, from each binding's proxy, whose source has the
+binding's sha); each binder then waits only for its own. Every compiler
+run emits a ``native.build`` event.
 
 The candidate is **checked on a proxy** before it binds: the same program
 on a small mesh (:func:`proxy_shape`, lowered by
@@ -97,7 +101,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,6 +173,29 @@ class Proxy(NamedTuple):
 
     plan: ProgramPlan
     batch: int
+    #: its instance, IR and lowering (:func:`_emitted`), when emitted
+    #: ahead of the bind (:func:`prepare`); the check consumes them
+    emitted: tuple | None = None
+
+
+def _emitted(
+    proxy: Proxy,
+) -> tuple[CompiledProgram, NativeIR | None, NativeCode | None]:
+    """A fresh instance of ``proxy``, its IR and the IR's lowering (None
+    where no IR builds)."""
+    inst = CompiledProgram(proxy.plan, batch=proxy.batch)
+    ir = build_ir(inst)
+    return inst, ir, lower_c(ir) if ir is not None else None
+
+
+def prepare(proxy: Proxy) -> tuple[Proxy, str | None]:
+    """``proxy`` with its check binding emitted, and the sha whose compiler
+    run this started (:func:`build_ahead`), if one did: the full binding's
+    source has the proxy's sha, so its bind takes the run up."""
+    emitted = _emitted(proxy)
+    code = emitted[2]
+    sha = build_ahead(code.source) if code is not None else None
+    return proxy._replace(emitted=emitted), sha
 
 
 def _cache_dir() -> Path:
@@ -234,9 +261,12 @@ def _load(so_path: Path) -> ctypes.CDLL:
     return lib
 
 
-def _compiled_lib(source: str) -> tuple[ctypes.CDLL | None, float]:
-    """Build (or reuse) the shared object for one generated C source, and
-    the compiler seconds this call spent (0.0 on a memo or disk hit).
+def _compiled_lib(source: str) -> tuple[ctypes.CDLL | None, float, float]:
+    """Build (or reuse) the shared object for one generated C source: the
+    library, the compiler seconds of the run that built it for this call
+    (0.0 on a memo or disk hit) and the seconds this call waited on a run
+    already going — another binder's, or one started by
+    :func:`build_ahead`.
 
     Content-addressed: the key is the sha of source + flags, so equal
     sources across instances, threads and processes share one artifact.
@@ -247,76 +277,190 @@ def _compiled_lib(source: str) -> tuple[ctypes.CDLL | None, float]:
     deleted and rebuilt once, with a ``native.cache_corrupt`` event.
     """
     sha = _sha(source)
+    start = time.perf_counter()
     with _lock:
         gate = _gates.setdefault(sha, threading.Lock())
     with gate:
+        waited = time.perf_counter() - start
         with _lock:  # built, or found no compiler, by an earlier caller
             if sha in _libs:
-                return _libs[sha], 0.0
+                return _libs[sha], 0.0, waited
             if _cc_broken:
-                return None, 0.0
-        lib, build_s = _build(sha, source)
+                return None, 0.0, 0.0
+        lib, build_s, wait_s = _build(sha, source)
         with _lock:
             if not _cc_broken:
                 _libs[sha] = lib
-    return lib, build_s
+    return lib, build_s, waited + wait_s
 
 
-def _build(sha: str, source: str) -> tuple[ctypes.CDLL | None, float]:
-    """Load the artifact of ``sha`` from disk, or compile ``source`` into
-    it: the library (None when nothing builds) and the compiler seconds."""
+class _Build:
+    """One compiler run of a source into its artifact, in a temporary
+    directory beside the cache. The run is a child process; a thread
+    notes when it ends and does nothing else, so what the run cost is
+    known whenever its result is taken up."""
+
+    def __init__(self, cc: str, sha: str, source: str):
+        self.sha = sha
+        self._tmp = tempfile.TemporaryDirectory(dir=_cache_dir())
+        try:
+            tmp = Path(self._tmp.name)
+            c_path = tmp / f"{sha}.c"
+            c_path.write_text(source)
+            self._out = tmp / f"{sha}.so"
+            self._err = tmp / "stderr"
+            #: the start on the event clock, and the run's wall seconds
+            self.start = time.time()
+            self.seconds = 0.0
+            self._t0 = time.perf_counter()
+            with self._err.open("wb") as err:
+                self._proc = subprocess.Popen(
+                    [cc, *_CC_FLAGS, "-o", str(self._out), str(c_path)],
+                    stdout=subprocess.DEVNULL,
+                    stderr=err,
+                )
+        except BaseException:
+            self._tmp.cleanup()
+            raise
+        self._reaper = threading.Thread(
+            target=self._reap, name=f"repro-cc-{sha[:8]}", daemon=True
+        )
+        self._reaper.start()
+
+    def _reap(self) -> None:
+        # no timeout: a timed wait polls, and notes the end up to 50 ms late
+        self._proc.wait()
+        self.seconds = time.perf_counter() - self._t0
+
+    def _report(self, ok: bool) -> None:
+        """The run's ``native.build`` event; its thread has ended."""
+        obs.emit(
+            "native.build", sha=self.sha, start=self.start, seconds=self.seconds, ok=ok
+        )
+
+    def finish(self, so_path: Path) -> float:
+        """Wait for the run and move its artifact to ``so_path``; the run's
+        seconds. OSError when it built nothing."""
+        try:
+            self._reaper.join(timeout=self._t0 + 120 - time.perf_counter())
+            if self._reaper.is_alive():  # stuck for two minutes: stop it
+                self._proc.kill()
+                self._reaper.join()
+            ok = self._proc.returncode == 0
+            self._report(ok)
+            if not ok:
+                error = self._err.read_bytes().decode(errors="replace")
+                raise OSError(f"native build failed: {error[:500]}")
+            os.replace(self._out, so_path)
+            return self.seconds
+        finally:
+            self._tmp.cleanup()
+
+    def cancel(self) -> None:
+        """Stop the run and drop what it wrote."""
+        self._proc.kill()
+        self._reaper.join()
+        self._report(False)
+        self._tmp.cleanup()
+
+
+#: source sha -> its compiler run started by :func:`build_ahead`, until a
+#: binder takes it up (:func:`_build`) or :func:`cancel_builds` stops it
+_pending: dict[str, _Build] = {}
+
+
+def _build(sha: str, source: str) -> tuple[ctypes.CDLL | None, float, float]:
+    """Load the artifact of ``sha`` from disk, or finish the compiler run
+    :func:`build_ahead` started for it, or compile ``source`` into it: the
+    library (None when nothing builds), the compiler seconds and the
+    seconds spent waiting on a run started ahead."""
     global _cc_broken
     lib: ctypes.CDLL | None = None
-    build_s = 0.0
+    build_s = wait_s = 0.0
+    with _lock:
+        build = _pending.pop(sha, None)
     try:
         so_path = _cache_dir() / f"{sha}.so"
-        if so_path.exists():
+        if build is None and so_path.exists():
             try:
                 lib = _load(so_path)
             except (OSError, AttributeError) as exc:
                 obs.emit("native.cache_corrupt", path=str(so_path), error=repr(exc))
                 so_path.unlink(missing_ok=True)
         if lib is None:
-            cc = _find_cc()
-            if cc is None:
-                with _lock:
-                    _cc_broken = True
-                return None, 0.0
-            with tempfile.TemporaryDirectory(dir=so_path.parent) as tmp:
-                c_path = Path(tmp) / f"{sha}.c"
-                c_path.write_text(source)
-                out = Path(tmp) / f"{sha}.so"
+            if build is None:
+                cc = _find_cc()
+                if cc is None:
+                    with _lock:
+                        _cc_broken = True
+                    return None, 0.0, 0.0
+                build_s = _Build(cc, sha, source).finish(so_path)
+            else:
                 start = time.perf_counter()
-                proc = subprocess.run(
-                    [cc, *_CC_FLAGS, "-o", str(out), str(c_path)],
-                    capture_output=True,
-                    timeout=120,
-                )
-                build_s = time.perf_counter() - start
-                if proc.returncode != 0:
-                    raise OSError(
-                        f"native build failed: {proc.stderr.decode(errors='replace')[:500]}"
-                    )
-                os.replace(out, so_path)
+                build_s = build.finish(so_path)
+                wait_s = time.perf_counter() - start
             lib = _load(so_path)
     except Exception as exc:  # noqa: BLE001 - any build problem means fallback
         obs.emit("native.cc_build_failed", error=repr(exc))
         lib = None
-    return lib, build_s
+    return lib, build_s, wait_s
+
+
+def build_ahead(source: str) -> str | None:
+    """Start the compiler run of ``source`` now, for a later binder of its
+    sha to take up (:func:`_build`) — the sha, or None when no run started:
+    the artifact is memoized, on disk or being built, no compiler exists,
+    or a binder of the sha holds its gate. Only the child process and the
+    thread that notes its end run beside the caller."""
+    sha = _sha(source)
+    with _lock:
+        gate = _gates.setdefault(sha, threading.Lock())
+    if not gate.acquire(blocking=False):
+        return None
+    try:
+        with _lock:
+            if sha in _libs or sha in _pending or _cc_broken:
+                return None
+        cc = _find_cc()
+        if cc is None or (_cache_dir() / f"{sha}.so").exists():
+            return None
+        build = _Build(cc, sha, source)
+        with _lock:
+            _pending[sha] = build
+        return sha
+    except OSError:  # the binder builds it, and reports why not
+        return None
+    finally:
+        gate.release()
+
+
+def cancel_builds(shas: Iterable[str]) -> None:
+    """Stop each run :func:`build_ahead` started for ``shas`` that no binder
+    has taken up, and join its thread."""
+    with _lock:
+        builds = [_pending.pop(sha) for sha in shas if sha in _pending]
+    for build in builds:
+        build.cancel()
+
+
+def probe_source() -> str:
+    """The source of the statement-free artifact :func:`team_size` reads."""
+    probe = NativeIR(
+        bases=[], warm=(), steady=([], []), dtype=np.dtype(np.float64),
+        registers=frozenset(), forwarded=0,
+    )
+    return emit_c(probe)
 
 
 def team_size() -> int:
     """The OpenMP team a forked loop of a generated artifact runs on — what
     a bound runner reports as ``threads`` — or 1 when nothing builds.
 
-    Read from a statement-free artifact, built once and cached like any
-    other, so the answer exists before any binding does.
+    Read from a statement-free artifact (:func:`probe_source`), built once
+    and cached like any other, so the answer exists before any binding
+    does.
     """
-    probe = NativeIR(
-        bases=[], warm=(), steady=([], []), dtype=np.dtype(np.float64),
-        registers=frozenset(), forwarded=0,
-    )
-    lib, _ = _compiled_lib(emit_c(probe))
+    lib, _, _ = _compiled_lib(probe_source())
     return lib.repro_threads() if lib is not None else 1
 
 
@@ -331,12 +475,14 @@ class _Runner:
     ``runner(k0, n)`` runs iterations ``k0 .. k0+n`` forking nests of at
     least ``_OMP_MIN_CELLS`` cells; ``grain=`` overrides that for the check. It
     reports the ``sha`` of its source, the ``kernels`` it emits, the
-    ``threads`` its forked loops run on, the ``schedule`` emitted and the
+    ``threads`` its forked loops run on, the ``schedule`` emitted, the
     compiler seconds its build took (``build_s``, 0.0 when the artifact
-    was memoized or on disk)."""
+    was memoized or on disk) and the seconds the bind waited on a build
+    already going (``wait_s``)."""
 
     def __init__(
-        self, lib: ctypes.CDLL, sha: str, build_s: float, ir: NativeIR, code: NativeCode
+        self, lib: ctypes.CDLL, sha: str, build_s: float, wait_s: float,
+        ir: NativeIR, code: NativeCode,
     ):
         # the pointer table and descriptor are per instance (same source,
         # different buffers and extents); base data pointers are stable for
@@ -358,6 +504,7 @@ class _Runner:
         self.kernels = len(code.kernels)
         self.sha = sha
         self.build_s = build_s
+        self.wait_s = wait_s
         self.threads = lib.repro_threads()
         self.schedule = "members" if code.members else "nests"
 
@@ -418,7 +565,7 @@ def _bind_cc(ir: NativeIR, code: NativeCode | None = None) -> _Runner | None:
     its descriptor gives reaches outside its base — checked before the
     runner exists, so such a runner never runs."""
     code = code or lower_c(ir)
-    lib, build_s = _compiled_lib(code.source)
+    lib, build_s, wait_s = _compiled_lib(code.source)
     if lib is None:
         return None
     sizes = [b.size for b in ir.bases]
@@ -427,7 +574,7 @@ def _bind_cc(ir: NativeIR, code: NativeCode | None = None) -> _Runner | None:
         base, lo, hi = outside
         obs.emit("native.out_of_bounds", base=base, lo=lo, hi=hi, size=sizes[base])
         return None
-    return _Runner(lib, _sha(code.source), build_s, ir, code)
+    return _Runner(lib, _sha(code.source), build_s, wait_s, ir, code)
 
 
 def _verify_seeds(inst: CompiledProgram) -> dict[str, int]:
@@ -549,9 +696,7 @@ def _check_on_proxy(runner: _Runner, proxy: Proxy) -> bool | str:
     """:func:`_check` of ``runner``'s artifact on a fresh instance of
     ``proxy``, or the sha of the proxy's own source when it is not
     ``runner``'s."""
-    inst = CompiledProgram(proxy.plan, batch=proxy.batch)
-    ir = build_ir(inst)
-    code = lower_c(ir) if ir is not None else None
+    inst, ir, code = proxy.emitted or _emitted(proxy)
     sha = _sha(code.source) if code is not None else ""
     if sha != runner.sha:
         return sha
@@ -681,9 +826,10 @@ class NativeProgram(CompiledProgram):
         ``"nests"`` when large nests fork one by one (and on the tape) —
         and the ``bytes`` the instance owns (a copy; the ``native.bound``
         event carries the same, plus the binding's ``mesh``, the ``sha``
-        of the candidate's artifact, the ``build_s`` compiler seconds and
-        ``verify_s`` check seconds the bind spent, 0.0 where it built or
-        checked nothing, the ``verify_mesh`` and ``verify_batch`` of
+        of the candidate's artifact, the ``build_s`` compiler seconds,
+        ``wait_s`` seconds waited on a build already going and
+        ``verify_s`` check seconds the bind spent, 0.0 where it built,
+        waited on or checked nothing, the ``verify_mesh`` and ``verify_batch`` of
         the binding whose check licenses the candidate — None where no
         candidate built — and ``in_place``, the inputs :meth:`run` reads
         where they live: ``[]`` on the tape and when stacked)."""
@@ -700,7 +846,7 @@ class NativeProgram(CompiledProgram):
             "kernels": sum(raw), "threads": 1, "schedule": "nests",
         }
         bound = {
-            "sha": None, "build_s": 0.0, "verify_s": 0.0,
+            "sha": None, "build_s": 0.0, "wait_s": 0.0, "verify_s": 0.0,
             "verify_mesh": None, "verify_batch": None,
         }
         ir = build_ir(self)
@@ -727,6 +873,7 @@ class NativeProgram(CompiledProgram):
             bound = {
                 "sha": runner.sha,
                 "build_s": runner.build_s,
+                "wait_s": runner.wait_s,
                 "verify_s": time.perf_counter() - start,
                 "verify_mesh": list(checked.plan.mesh.shape),
                 "verify_batch": checked.batch,
@@ -748,6 +895,7 @@ class NativeProgram(CompiledProgram):
             # unsupported dtype, no compiler, failed build, out-of-bounds
             # descriptor or vetoed candidate: the inherited tape replay runs
             self._bind_tapes()
+        self._proxy = None  # bound: keep none of the check's arrays
         self._stats = {**stats, "bytes": self.nbytes}
         obs.emit(
             "native.bound", backend=self.native_backend,

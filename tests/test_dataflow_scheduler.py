@@ -222,3 +222,141 @@ class TestCancellation:
         scheduler = MixScheduler(engine="compiled", strict=False)
         with pytest.raises(ExecutionCancelled):
             scheduler.run(MIX, cancel=token)
+
+
+def _cc_works() -> bool:
+    import subprocess
+
+    from repro.stencil.native import _find_cc
+
+    cc = _find_cc()
+    return cc is not None and subprocess.run(
+        [cc, "--version"], capture_output=True
+    ).returncode == 0
+
+
+@pytest.mark.skipif(not _cc_works(), reason="no working C compiler")
+class TestNativeBuildsAhead:
+    """On the native engine a run starts every artifact's compiler run
+    before its first group executes; a run that ends — failed, cancelled
+    or done — leaves no compiler process and no helper thread behind."""
+
+    #: two program structures, each bound at batch 2 past its proxy
+    MIX = "poisson2d:48x32:6x2,jacobi3d:24x24x16:6x2"
+
+    @pytest.fixture
+    def fresh(self, monkeypatch, tmp_path):
+        """An empty artifact cache and memo, and the event ring."""
+        from repro import observability as obs
+        from repro.stencil import native
+
+        monkeypatch.setenv(native.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(native, "_libs", {})
+        obs.enable()
+        try:
+            yield tmp_path, obs.ring_sink()
+        finally:
+            obs.disable()
+
+    @staticmethod
+    def _left_running() -> list:
+        import threading
+
+        from repro.stencil import native
+
+        threads = [t for t in threading.enumerate() if t.name.startswith("repro-cc-")]
+        return threads + list(native._pending)
+
+    def test_builds_overlap_and_each_sha_builds_once(self, fresh):
+        _, sink = fresh
+        run = MixScheduler(engine="native", plan_cache=CompiledPlanCache()).run(
+            WorkloadMix.parse(self.MIX), validate=True
+        )
+        assert run.ok and run.validated
+        bound = sink.of_kind("native.bound")
+        assert [e["backend"] for e in bound] == ["cc", "cc"]
+        builds = {e["sha"]: e for e in sink.of_kind("native.build")}
+        assert len(builds) == len(sink.of_kind("native.build"))  # once per sha
+        started = [builds[e["sha"]] for e in bound]
+        assert max(b["start"] for b in started) < min(
+            b["start"] + b["seconds"] for b in started
+        )  # the two runs overlap
+        assert not self._left_running()
+
+    def test_a_bound_run_starts_builds_and_draws_nothing_more(self, fresh, monkeypatch):
+        import threading
+
+        _, sink = fresh
+        mix = WorkloadMix.parse(self.MIX)
+        draws = []
+
+        def fields_for(spec, index):
+            draws.append(index)
+            return spec.fields(seed=index)
+
+        scheduler = MixScheduler(
+            engine="native", plan_cache=CompiledPlanCache(), fields_for=fields_for
+        )
+        scheduler.run(mix)
+        sink.clear()
+        draws.clear()
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda t: started.append(t) or start(t)
+        )
+        run = scheduler.run(mix)
+        assert run.ok and started == []
+        assert len(draws) == sum(spec.batch for spec in mix.job_groups().values())
+        kinds = set(sink.kinds())
+        assert not kinds & {"native.build", "native.bound", "plan.compile"}, kinds
+
+    def test_a_failed_build_leaves_its_group_on_the_tape(self, fresh, monkeypatch):
+        from repro.stencil import native
+
+        _, sink = fresh
+        mix = WorkloadMix.parse(self.MIX)
+        cache = CompiledPlanCache()
+        jacobi = next(s for s in mix.job_groups().values() if s.app == "jacobi3d")
+        proxy = cache._proxy(jacobi.program(), jacobi.fields(seed=0), jacobi.batch)
+        failing = native._sha(native._emitted(proxy)[2].source)
+        build = native._build
+
+        def failing_build(sha, source):
+            return (None, 0.0, 0.0) if sha == failing else build(sha, source)
+
+        monkeypatch.setattr(native, "_build", failing_build)
+        run = MixScheduler(engine="native", plan_cache=cache, strict=False).run(
+            mix, validate=True
+        )
+        assert run.ok and run.validated and run.errors == ()
+        bound = sink.of_kind("native.bound")
+        backends = {tuple(e["mesh"]): e["backend"] for e in bound}
+        assert backends == {(48, 32): "cc", (24, 24, 16): "tape"}
+        assert not self._left_running()
+
+    def test_cancel_while_builds_run_stops_them(self, fresh):
+        from repro.resilience import CancelToken, ExecutionCancelled
+        from repro.stencil import native
+
+        tmp_path, _ = fresh
+        token = CancelToken()
+        in_flight = []
+
+        def fields_for(spec, index):
+            if index == 1:  # after every group's first member: builds started
+                in_flight.extend(
+                    b for b in native._pending.values() if b._proc.poll() is None
+                )
+                token.set("called off")
+            return spec.fields(seed=index)
+
+        scheduler = MixScheduler(
+            engine="native", plan_cache=CompiledPlanCache(), fields_for=fields_for
+        )
+        with pytest.raises(ExecutionCancelled):
+            scheduler.run(WorkloadMix.parse(self.MIX), cancel=token)
+        assert in_flight  # the token was set while a compiler ran
+        assert all(b._proc.returncode is not None for b in in_flight)
+        assert not self._left_running()
+        assert not [p for p in tmp_path.iterdir() if p.is_dir()]  # no build dir left

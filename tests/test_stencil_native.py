@@ -336,6 +336,7 @@ class _Sabotaged:
     def __init__(self, runner, skip):
         self.runner, self.skip = runner, skip
         self.sha, self.build_s, self.kernels = runner.sha, runner.build_s, runner.kernels
+        self.wait_s = runner.wait_s
         self.threads, self.schedule = runner.threads, runner.schedule
 
     def __call__(self, k0, n, grain=codegen._OMP_MIN_CELLS):
@@ -1431,13 +1432,13 @@ def counted_builds(monkeypatch, tmp_path):
     monkeypatch.setenv(native.CACHE_DIR_ENV, str(tmp_path))
     monkeypatch.setattr(native, "_libs", {})
     calls = []
-    run = subprocess.run
+    popen = subprocess.Popen
 
     def counting(*args, **kwargs):
         calls.append(args[0])
-        return run(*args, **kwargs)
+        return popen(*args, **kwargs)
 
-    monkeypatch.setattr(native.subprocess, "run", counting)
+    monkeypatch.setattr(native.subprocess, "Popen", counting)
     return calls
 
 
@@ -1499,6 +1500,49 @@ def test_concurrent_binders_of_one_plan_build_once(counted_builds, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert bound == ["cc"] * binders
     assert len(counted_builds) == 1
+
+
+@needs_cc
+def test_racing_gets_of_one_key_bind_once(events):
+    """More threads than cores get one uncached native key at once: the
+    first binds it, the others wait for that binding instead of lowering,
+    building and checking duplicates, and all get the same instance."""
+    import threading
+    import time
+
+    app = app_by_name("jacobi3d")
+    program, env = app.program_on(PROXIED), app.fields(PROXIED, seed=0)
+    cache = CompiledPlanCache()
+    plan_for = cache.plan_for
+
+    def slow_plan_for(*args):  # keeps the first binder inside its bind
+        time.sleep(0.2)
+        return plan_for(*args)
+
+    cache.plan_for = slow_plan_for
+    getters = 4
+    start = threading.Barrier(getters)
+    got = []
+
+    def get():
+        start.wait()
+        got.append(cache.get(program, env, native=True))
+
+    threads = [threading.Thread(target=get) for _ in range(getters)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == getters and all(inst is got[0] for inst in got)
+    assert (cache.misses, cache.hits) == (1, getters - 1)
+    assert len(events.of_kind("plan.cache_miss")) == 1
+    assert len(events.of_kind("native.bound")) == 1
 
 
 @needs_cc
